@@ -23,20 +23,13 @@ from .invariants import (
     BzReport,
     ClosedForms,
     DirectEvaluator,
-    OutcomeDistribution,
     bz_report,
     closed_forms,
-    family_probs,
-    index_of_coincidence,
-    measurement_probs,
-    total_variance_direct,
     variance,
 )
 from .linalg import expectation, herm_eig, hermitian, purity
 from .measurements import (
-    GsmSet,
-    MumSet,
-    Povm,
+    Family,
     VerificationReport,
     build_gsm,
     build_mub,
@@ -47,8 +40,6 @@ from .measurements import (
     mum_kappa,
     sic2_fixture,
     verify,
-    verify_gsm,
-    verify_mum,
 )
 from .sampler import CountTable, estimate_bz_info, estimate_coincidence, sample_outcomes
 from .serialize import decode, encode, load, save
@@ -62,14 +53,11 @@ __all__ = [
     "DensityMatrix",
     "DirectEvaluator",
     "DomainError",
-    "GsmSet",
+    "Family",
     "MumGrid",
-    "MumSet",
     "NumericalError",
     "OperatorBasis",
-    "OutcomeDistribution",
     "PositivityError",
-    "Povm",
     "SchemaError",
     "VerificationError",
     "VerificationReport",
@@ -83,28 +71,22 @@ __all__ = [
     "estimate_bz_info",
     "estimate_coincidence",
     "expectation",
-    "family_probs",
     "gell_mann_basis",
     "grid_partition",
     "gsm_a",
     "herm_eig",
     "hermitian",
-    "index_of_coincidence",
     "load",
     "max_t_gsm",
     "max_t_mum",
     "maximally_mixed",
-    "measurement_probs",
     "mum_kappa",
     "purity",
     "random_density",
     "sample_outcomes",
     "save",
     "sic2_fixture",
-    "total_variance_direct",
     "validate_state",
     "variance",
     "verify",
-    "verify_gsm",
-    "verify_mum",
 ]

@@ -1,79 +1,17 @@
-"""Hot numeric kernels with a numba lane and a pure-numpy lane.
-
-The numba lane is used by default when numba imports cleanly.  Setting the
-environment variable ``BZINFO_DISABLE_NUMBA`` to a non-empty value other
-than ``0`` before import forces the pure-numpy fallback.  Both lanes are
-kept importable so tests and benchmarks can compare them directly.
-"""
-
-import os
+"""Hot numeric kernels: batched real traces and inverse-CDF tallying."""
 
 import numpy as np
 
+BACKEND = "numpy"
 
-def np_real_trace_batch(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+
+def real_trace_batch(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Re Tr(ops[k] @ rho) for a stack of operators, shape (k, d, d)."""
     return np.einsum("kij,ji->k", ops, rho).real.astype(np.float64)
 
 
-def np_tally_inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def tally_inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Bin uniform draws by inverse CDF; returns int64 counts per outcome."""
     idx = np.searchsorted(cumulative, uniforms, side="right")
     idx = np.minimum(idx, cumulative.shape[0] - 1)
     return np.bincount(idx, minlength=cumulative.shape[0]).astype(np.int64)
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("BZINFO_DISABLE_NUMBA", "").strip()
-    return flag in ("", "0")
-
-
-nb_real_trace_batch = None
-nb_tally_inverse_cdf = None
-
-if _want_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def nb_real_trace_batch(ops, rho):  # pragma: no cover - compiled
-            k, d, _ = ops.shape
-            out = np.empty(k, dtype=np.float64)
-            for m in range(k):
-                acc = 0.0
-                for i in range(d):
-                    for j in range(d):
-                        acc += (ops[m, i, j] * rho[j, i]).real
-                out[m] = acc
-            return out
-
-        @njit(cache=True)
-        def nb_tally_inverse_cdf(cumulative, uniforms):  # pragma: no cover
-            m = cumulative.shape[0]
-            counts = np.zeros(m, dtype=np.int64)
-            for u in uniforms:
-                # first index with cumulative[idx] > u, clamped to m - 1
-                lo = 0
-                hi = m - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cumulative[mid] > u:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                counts[lo] += 1
-            return counts
-
-
-if nb_real_trace_batch is not None:
-    BACKEND = "numba"
-    real_trace_batch = nb_real_trace_batch
-    tally_inverse_cdf = nb_tally_inverse_cdf
-else:
-    BACKEND = "numpy"
-    real_trace_batch = np_real_trace_batch
-    tally_inverse_cdf = np_tally_inverse_cdf

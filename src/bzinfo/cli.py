@@ -24,7 +24,7 @@ from .invariants import DirectEvaluator, bz_report
 from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import encode, load, save
-from .states import RNG_ALGORITHM, random_density
+from .states import RNG_ALGORITHM, check_seed, random_density
 from . import __version__
 
 SWEEP_HEADER = (
@@ -49,16 +49,19 @@ def _emit(entity, out: str | None, meta: dict | None = None) -> None:
         print(encode(entity, meta=meta).decode("utf-8"))
 
 
+def _build_family(kind: str, dim: int | None, t: str | None):
+    # builders are looked up at call time, so rebinding them (as a tracer does) takes effect
+    if kind == "mum":
+        return build_mum(dim, _parse_t(t))
+    if kind == "gsm":
+        return build_gsm(dim, _parse_t(t))
+    if kind == "mub":
+        return build_mub(dim)
+    return sic2_fixture()
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "mum":
-        entity = build_mum(args.dim, _parse_t(args.t))
-    elif args.family == "gsm":
-        entity = build_gsm(args.dim, _parse_t(args.t))
-    elif args.family == "mub":
-        entity = build_mub(args.dim)
-    else:
-        entity = sic2_fixture()
-    _emit(entity, args.out)
+    _emit(_build_family(args.family, getattr(args, "dim", None), getattr(args, "t", None)), args.out)
     return 0
 
 
@@ -114,28 +117,24 @@ def _cmd_bz(args) -> int:
 def _cmd_sample(args) -> int:
     family = load(args.measurement)
     state = load(args.state)
-    table = sample_outcomes(family, state, args.shots, args.seed)
     if args.estimate:
+        # first: the bootstrap stream makes its seed bound the tighter one
         estimate, std_error = estimate_bz_info(family, state, args.shots, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))
-        if args.out:
-            save(table, args.out)
-    else:
+    table = sample_outcomes(family, state, args.shots, args.seed)
+    if not args.estimate:
         _emit(table, args.out)
+    elif args.out:
+        save(table, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    check_seed(args.seed, args.states)
     if args.measurement:
         family = load(args.measurement)
-    elif args.kind == "mum":
-        family = build_mum(args.dim, _parse_t(args.t))
-    elif args.kind == "gsm":
-        family = build_gsm(args.dim, _parse_t(args.t))
-    elif args.kind == "mub":
-        family = build_mub(args.dim)
     else:
-        family = sic2_fixture()
+        family = _build_family(args.kind, args.dim, args.t)
     if family.dim != args.dim:
         raise DomainError(f"family dimension {family.dim} does not match --dim {args.dim}")
 

@@ -28,59 +28,12 @@ from . import _kernels
 from .basis import gell_mann_basis
 from .errors import DomainError, NumericalError, VerificationError
 from .linalg import IMAG_TOL, purity
-from .measurements import GsmSet, MumSet, Povm, verify
+from .measurements import GSM_KINDS, MUM_KINDS, Family, verify
 from .states import DensityMatrix
 
 PROB_TOL = 1e-10
 VAR_FLOOR = -1e-10
 REPORT_VERIFY_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Measurement outcome probabilities with their effect labels."""
-
-    probs: np.ndarray
-    labels: tuple
-
-
-def measurement_probs(povm: Povm, rho: DensityMatrix) -> OutcomeDistribution:
-    """Born probabilities p_n = Tr(P_n rho) for one measurement."""
-    if povm.dim != rho.dim:
-        raise DomainError(f"dimension mismatch: POVM d={povm.dim}, state d={rho.dim}")
-    traces = np.einsum("kij,ji->k", povm.effects, rho.matrix)
-    if np.abs(traces.imag).max() >= IMAG_TOL:
-        raise NumericalError("outcome probability has a non-negligible imaginary part")
-    p = traces.real
-    if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL:
-        raise NumericalError(f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}")
-    if abs(p.sum() - 1.0) >= PROB_TOL:
-        raise NumericalError(f"probabilities sum to {p.sum()!r}, not 1")
-    return OutcomeDistribution(probs=p, labels=tuple(range(p.size)))
-
-
-def family_probs(family, rho: DensityMatrix) -> list[OutcomeDistribution]:
-    """One OutcomeDistribution per measurement; labels are (povm, outcome) pairs."""
-    dists = []
-    for b, povm in enumerate(as_povms(family)):
-        dist = measurement_probs(povm, rho)
-        dists.append(
-            OutcomeDistribution(probs=dist.probs, labels=tuple((b, n) for n in dist.labels))
-        )
-    return dists
-
-
-def as_povms(family) -> list[Povm]:
-    """Normalize a measurement family to its list of POVMs."""
-    if isinstance(family, MumSet):
-        return list(family.povms)
-    if isinstance(family, GsmSet):
-        return [Povm(dim=family.dim, effects=family.effects)]
-    if isinstance(family, Povm):
-        return [family]
-    if isinstance(family, (list, tuple)) and all(isinstance(p, Povm) for p in family):
-        return list(family)
-    raise DomainError(f"not a measurement family: {type(family).__name__}")
 
 
 def variance(x, rho: DensityMatrix) -> float:
@@ -98,29 +51,6 @@ def variance(x, rho: DensityMatrix) -> float:
     return v
 
 
-def index_of_coincidence(dist) -> float:
-    """sum_j p_j^2; for a family, pass the distributions of all its POVMs."""
-    if isinstance(dist, OutcomeDistribution):
-        return float((dist.probs**2).sum())
-    return float(sum((d.probs**2).sum() for d in dist))
-
-
-def total_variance_direct(family, rho: DensityMatrix) -> float:
-    """Sum of effect variances over the whole family, term by term."""
-    total = 0.0
-    for povm in as_povms(family):
-        if povm.dim != rho.dim:
-            raise DomainError(f"dimension mismatch: POVM d={povm.dim}, state d={rho.dim}")
-        stack = povm.effects
-        p = _kernels.real_trace_batch(stack, rho.matrix)
-        m2 = _kernels.real_trace_batch(stack @ stack, rho.matrix)
-        terms = m2 - p * p
-        if terms.min() < VAR_FLOOR:
-            raise NumericalError(f"effect variance {terms.min()!r} below {VAR_FLOOR}")
-        total += float(terms.sum())
-    return total
-
-
 @dataclass(frozen=True)
 class ClosedForms:
     """Closed-form quantities at a given purity; C is None for state-only."""
@@ -134,8 +64,6 @@ class ClosedForms:
 
 
 _STATE_KINDS = {None, "state", "state-only"}
-_MUM_KINDS = {"mum", "mub"}
-_GSM_KINDS = {"gsm", "sic"}
 
 
 def closed_forms(kind, d: int, parameter, purity_value: float) -> ClosedForms:
@@ -156,7 +84,7 @@ def closed_forms(kind, d: int, parameter, purity_value: float) -> ClosedForms:
         v = d - p
         v_min = d - 1.0
         v_max = d - 1.0 / d
-    elif kind in _MUM_KINDS:
+    elif kind in MUM_KINDS:
         kappa = float(parameter)
         if not (1.0 / d < kappa <= 1.0 + 1e-12):
             raise DomainError(f"kappa {kappa!r} outside (1/{d}, 1]")
@@ -165,7 +93,7 @@ def closed_forms(kind, d: int, parameter, purity_value: float) -> ClosedForms:
         v = w * (d - p)
         v_min = kappa * d - 1.0
         v_max = (kappa * d - 1.0) * (d + 1.0) / d
-    elif kind in _GSM_KINDS:
+    elif kind in GSM_KINDS:
         a = float(parameter)
         if not (1.0 / d**3 < a <= 1.0 / d**2 + 1e-12):
             raise DomainError(f"a {a!r} outside (1/d^3, 1/d^2] for d={d}")
@@ -203,16 +131,19 @@ class BzReport:
 
 
 class DirectEvaluator:
-    """Evaluates reports for many states against one verified family.
+    """Direct evaluation of one verified family on many states.
 
     Verifies the family once at construction and precomputes the effect
     stack and its squares, so sweeps pay only two batched trace products
-    per state.  Pass family=None for the state-only quantities, where the
-    direct total variance sums observable variances over a complete
-    orthonormal Hermitian operator basis.
+    per state.  ``probs`` gives the checked outcome probabilities and
+    ``report`` the reconciled quantities.  Pass family=None for the
+    state-only quantities, where the direct total variance sums observable
+    variances over a complete orthonormal Hermitian operator basis.
     """
 
-    def __init__(self, family, dim: int | None = None, verify_tol: float = REPORT_VERIFY_TOL):
+    def __init__(
+        self, family: Family | None, dim: int | None = None, verify_tol: float = REPORT_VERIFY_TOL
+    ):
         if family is None:
             if dim is None:
                 raise DomainError("state-only evaluation needs an explicit dim")
@@ -222,7 +153,7 @@ class DirectEvaluator:
             basis = gell_mann_basis(dim)
             eye = np.eye(dim, dtype=np.complex128) / np.sqrt(dim)
             self.observables = np.concatenate([basis.ops, eye[None]])
-            self.groups = None
+            self.group_starts = None
         else:
             report = verify(family, verify_tol)
             if not report.passed:
@@ -233,35 +164,51 @@ class DirectEvaluator:
             # reports use the closed-form family kinds; a SIC-POVM is the
             # rank-one general SIC case
             self.kind = "gsm" if family.kind == "sic" else family.kind
-            self.parameter = family.kappa if isinstance(family, MumSet) else family.a
+            self.parameter = family.parameter
             self.dim = family.dim
-            self.observables = np.ascontiguousarray(np.concatenate(family.effect_groups()))
-            self.groups = [g.shape[0] for g in family.effect_groups()]
+            self.observables = np.ascontiguousarray(family.effects)
+            self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
         self.observables_sq = np.ascontiguousarray(self.observables @ self.observables)
 
-    def report(self, rho: DensityMatrix) -> BzReport:
+    def _check_dim(self, rho: DensityMatrix) -> None:
         if rho.dim != self.dim:
             raise DomainError(f"dimension mismatch: family d={self.dim}, state d={rho.dim}")
+
+    def probs(self, rho: DensityMatrix) -> np.ndarray:
+        """Born probabilities Tr(P rho) of every effect, POVM after POVM.
+
+        Each is checked real and within [0, 1], and each POVM's sum within
+        1e-10 of one.
+        """
+        if self.group_starts is None:
+            raise DomainError("state-only evaluation has no outcome probabilities")
+        self._check_dim(rho)
+        traces = np.einsum("kij,ji->k", self.observables, rho.matrix)
+        if np.abs(traces.imag).max() >= IMAG_TOL:
+            raise NumericalError("outcome probability has a non-negligible imaginary part")
+        p = traces.real
+        if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL:
+            raise NumericalError(f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}")
+        for total in np.add.reduceat(p, self.group_starts).tolist():
+            if abs(total - 1.0) >= PROB_TOL:
+                raise NumericalError(f"POVM probabilities sum to {total!r}, not 1")
+        return p
+
+    def report(self, rho: DensityMatrix) -> BzReport:
         d = self.dim
-        p = _kernels.real_trace_batch(self.observables, rho.matrix)
+        if self.group_starts is None:
+            self._check_dim(rho)
+            p = _kernels.real_trace_batch(self.observables, rho.matrix)
+            c_direct = None
+        else:
+            p = self.probs(rho)
+            c_direct = float((p**2).sum())
         m2 = _kernels.real_trace_batch(self.observables_sq, rho.matrix)
         terms = m2 - p * p
         if terms.min() < VAR_FLOOR:
             raise NumericalError(f"effect variance {terms.min()!r} below {VAR_FLOOR}")
         clamped = int((terms < 0.0).sum())
         v_direct = float(np.maximum(terms, 0.0).sum())
-
-        c_direct = None
-        if self.groups is not None:
-            if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL:
-                raise NumericalError(f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}")
-            start = 0
-            for size in self.groups:
-                group_sum = float(p[start : start + size].sum())
-                if abs(group_sum - 1.0) >= PROB_TOL:
-                    raise NumericalError(f"POVM probabilities sum to {group_sum!r}")
-                start += size
-            c_direct = float((p[: sum(self.groups)] ** 2).sum())
 
         pur = purity(rho)
         cf = closed_forms(self.kind, d, self.parameter, pur)

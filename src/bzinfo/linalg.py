@@ -29,12 +29,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Max entrywise distance from the conjugate transpose."""
-    a = _as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix.
 

@@ -39,40 +39,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
-    """One measurement: positive semidefinite effects summing to the identity."""
-
-    dim: int
-    effects: np.ndarray  # (n_outcomes, d, d) complex
+MUM_KINDS = ("mum", "mub")
+GSM_KINDS = ("gsm", "sic")
+# key of the sharpness parameter of each kind in measurement files
+PARAMETER_NAMES = {"mum": "kappa", "mub": "kappa", "gsm": "a", "sic": "a"}
 
 
 @dataclass(frozen=True, eq=False)
-class MumSet:
-    """A complete family of d + 1 mutually unbiased measurements."""
+class Family:
+    """A complete measurement family: its effects, grouped into POVMs.
 
-    dim: int
-    t: float
-    kappa: float
-    povms: tuple[Povm, ...]
-    kind: str = "mum"  # "mum" or "mub"
+    ``kind`` is "mum" or "mub" (``parameter`` is kappa; d + 1 POVMs of d
+    effects) or "gsm" or "sic" (``parameter`` is a; one POVM of d^2
+    effects).  ``effects`` stacks every effect, POVM after POVM.
+    """
 
-    def effect_groups(self) -> list[np.ndarray]:
-        return [p.effects for p in self.povms]
-
-
-@dataclass(frozen=True, eq=False)
-class GsmSet:
-    """A complete general SIC measurement of d^2 effects."""
-
+    kind: str
     dim: int
     t: float
-    a: float
-    effects: np.ndarray  # (d*d, d, d) complex
-    kind: str = "gsm"  # "gsm" or "sic"
+    parameter: float
+    effects: np.ndarray  # (sum(group_sizes), d, d) complex
 
-    def effect_groups(self) -> list[np.ndarray]:
-        return [self.effects]
+    def __post_init__(self) -> None:
+        if self.kind not in PARAMETER_NAMES:
+            raise DomainError(f"unknown measurement kind {self.kind!r}")
+        n = sum(self.group_sizes)
+        if self.effects.shape != (n, self.dim, self.dim):
+            raise DomainError(
+                f"a {self.kind} family of dimension {self.dim} needs {n} effects "
+                f"of shape ({self.dim}, {self.dim}), got an array of shape {self.effects.shape}"
+            )
+
+    @property
+    def group_sizes(self) -> tuple[int, ...]:
+        """Effects per POVM, in the order they are stacked."""
+        d = self.dim
+        return (d,) * (d + 1) if self.kind in MUM_KINDS else (d * d,)
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Split a per-effect array (effects, probabilities) into one part per POVM."""
+        return np.split(values, np.cumsum(self.group_sizes)[:-1])
 
 
 @dataclass
@@ -93,10 +99,6 @@ class VerificationReport:
         self.passed = not self.degenerate and all(
             v < self.tol for v in self.deviations.values()
         )
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations.values())
 
     def failures(self) -> list[str]:
         out = [name for name, v in self.deviations.items() if v >= self.tol]
@@ -151,15 +153,11 @@ def _max_t(ops: np.ndarray, identity_weight: float) -> float:
     identity_weight + t*lam >= 0 for every eigenvalue lam, so each negative
     eigenvalue contributes the bound t <= -identity_weight/lam.
     """
-    bound = np.inf
-    for op in ops.reshape(-1, ops.shape[-1], ops.shape[-1]):
-        lams = np.linalg.eigvalsh(op)
-        neg = lams[lams < 0.0]
-        if neg.size:
-            bound = min(bound, float((-identity_weight / neg).min()))
-    if not np.isfinite(bound):
+    lams = np.linalg.eigvalsh(ops.reshape(-1, ops.shape[-1], ops.shape[-1]))
+    neg = lams[lams < 0.0]
+    if not neg.size:
         raise NumericalError("no generator bounds t; traceless nonzero operators must")
-    return bound
+    return float((-identity_weight / neg).min())
 
 
 def max_t_mum(grid: MumGrid) -> float:
@@ -185,16 +183,17 @@ def _resolve_t(t, t_max: float) -> float:
 
 
 def _check_psd(effects: np.ndarray, label_of) -> None:
-    for i, effect in enumerate(effects):
-        smallest = float(np.linalg.eigvalsh(effect)[0])
-        if smallest < PSD_FLOOR:
-            raise PositivityError(
-                f"effect {label_of(i)} has eigenvalue {smallest:.3e}; "
-                "t exceeds the positivity bound"
-            )
+    smallest = np.linalg.eigvalsh(effects)[:, 0]
+    bad = np.flatnonzero(smallest < PSD_FLOOR)
+    if bad.size:
+        i = int(bad[0])
+        raise PositivityError(
+            f"effect {label_of(i)} has eigenvalue {smallest[i]:.3e}; "
+            "t exceeds the positivity bound"
+        )
 
 
-def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> MumSet:
+def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
     """Build the complete set of d + 1 MUMs at sharpness t.
 
     t = "auto" resolves to the positivity bound max_t_mum.  Effects are
@@ -207,17 +206,13 @@ def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> MumSet:
     elif grid.dim != d:
         raise DomainError(f"grid dimension {grid.dim} does not match d={d}")
     t = _resolve_t(t, max_t_mum(grid))
-    generators = mum_operators(grid)
-    eye = np.eye(d, dtype=np.complex128)
-    povms = []
-    for b in range(d + 1):
-        effects = eye / d + t * generators[b]
-        _check_psd(effects, lambda n, b=b: f"(b={b + 1}, n={n + 1})")
-        povms.append(Povm(dim=d, effects=_frozen(effects)))
-    return MumSet(dim=d, t=t, kappa=mum_kappa(d, t), povms=tuple(povms))
+    generators = mum_operators(grid).reshape(-1, d, d)
+    effects = np.eye(d, dtype=np.complex128) / d + t * generators
+    _check_psd(effects, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
+    return Family(kind="mum", dim=d, t=t, parameter=mum_kappa(d, t), effects=_frozen(effects))
 
 
-def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> GsmSet:
+def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
     """Build the complete general SIC measurement of d^2 effects at sharpness t."""
     if d < 2:
         raise DomainError(f"general SIC measurements need dimension >= 2, got {d}")
@@ -229,7 +224,7 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> GsmSet:
     generators = gsm_operators(basis)
     effects = np.eye(d, dtype=np.complex128)[None] / d**2 + t * generators
     _check_psd(effects, lambda i: f"alpha={i + 1}")
-    return GsmSet(dim=d, t=t, a=gsm_a(d, t), effects=_frozen(effects))
+    return Family(kind="gsm", dim=d, t=t, parameter=gsm_a(d, t), effects=_frozen(effects))
 
 
 def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
@@ -237,79 +232,47 @@ def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bji->ab", effects, effects).real
 
 
-def _psd_deviation(effects: np.ndarray) -> float:
-    worst = 0.0
-    for effect in effects:
-        worst = max(worst, -float(np.linalg.eigvalsh(effect)[0]))
-    return max(0.0, worst)
+def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check a family's defining conditions and construction consistency.
 
-
-def verify_mum(mset: MumSet, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check the MUM defining conditions and construction consistency.
-
-    Conditions: unit effect traces, cross-measurement overlaps 1/d,
+    MUM/MUB: unit effect traces, cross-measurement overlaps 1/d,
     within-measurement overlaps kappa (diagonal) and (1-kappa)/(d-1)
-    (off-diagonal), positivity, per-measurement completeness (equivalently
-    the generators of each measurement summing to zero), and the kappa(t)
-    parameter formula.  kappa <= 1/d + 1e-12 is rejected as degenerate.
+    (off-diagonal); kappa <= 1/d + 1e-12 is rejected as degenerate.
+    General SIC: Tr(P_a^2) = a and pairwise overlaps
+    (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
+    Both: positivity, per-measurement completeness (equivalently the
+    generators of each measurement summing to zero) and the parameter(t)
+    formula.
     """
-    d = mset.dim
-    flat = np.concatenate([p.effects for p in mset.povms])
-    overlaps = _pairwise_overlaps(flat)
-    group = np.repeat(np.arange(d + 1), d)
+    d, param, effects = family.dim, family.parameter, family.effects
+    overlaps = _pairwise_overlaps(effects)
+    group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
     same = group[:, None] == group[None, :]
-    diag = np.eye(flat.shape[0], dtype=bool)
+    diag = np.eye(effects.shape[0], dtype=bool)
 
+    def worst(values, target) -> float:
+        return float(np.abs(values - target).max())
+
+    if family.kind in MUM_KINDS:
+        deviations = {
+            "effect_trace": worst(np.trace(effects, axis1=1, axis2=2), 1.0),
+            "cross_overlap": worst(overlaps[~same], 1.0 / d),
+            "within_overlap_diag": worst(overlaps[diag], param),
+            "within_overlap_offdiag": worst(overlaps[same & ~diag], (1.0 - param) / (d - 1)),
+        }
+        expected, floor = mum_kappa(d, family.t), 1.0 / d
+    else:
+        deviations = {
+            "self_overlap": worst(overlaps[diag], param),
+            "pair_overlap": worst(overlaps[~diag], (1.0 - param * d) / (d * (d * d - 1))),
+        }
+        expected, floor = gsm_a(d, family.t), 1.0 / d**3
     eye = np.eye(d, dtype=np.complex128)
-    completeness = max(
-        float(np.abs(p.effects.sum(axis=0) - eye).max()) for p in mset.povms
-    )
-    deviations = {
-        "effect_trace": float(np.abs(np.trace(flat, axis1=1, axis2=2) - 1.0).max()),
-        "cross_overlap": float(np.abs(overlaps[~same] - 1.0 / d).max()),
-        "within_overlap_diag": float(np.abs(overlaps[diag] - mset.kappa).max()),
-        "within_overlap_offdiag": float(
-            np.abs(overlaps[same & ~diag] - (1.0 - mset.kappa) / (d - 1)).max()
-        ),
-        "positivity": _psd_deviation(flat),
-        "completeness": completeness,
-        "parameter": abs(mset.kappa - mum_kappa(d, mset.t)),
-    }
-    degenerate = mset.kappa <= 1.0 / d + DEGENERACY_EPS
-    return VerificationReport(kind=mset.kind, tol=tol, deviations=deviations, degenerate=degenerate)
-
-
-def verify_gsm(gset: GsmSet, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check the general SIC defining conditions.
-
-    Conditions: completeness, Tr(P_a^2) = a, pairwise overlaps
-    (1 - a d)/(d (d^2 - 1)), positivity, and the a(t) parameter formula.
-    a <= 1/d^3 + 1e-12 is rejected as degenerate.
-    """
-    d = gset.dim
-    overlaps = _pairwise_overlaps(gset.effects)
-    diag = np.eye(d * d, dtype=bool)
-    pair_target = (1.0 - gset.a * d) / (d * (d * d - 1))
-    deviations = {
-        "self_overlap": float(np.abs(overlaps[diag] - gset.a).max()),
-        "pair_overlap": float(np.abs(overlaps[~diag] - pair_target).max()),
-        "positivity": _psd_deviation(gset.effects),
-        "completeness": float(
-            np.abs(gset.effects.sum(axis=0) - np.eye(d)).max()
-        ),
-        "parameter": abs(gset.a - gsm_a(d, gset.t)),
-    }
-    degenerate = gset.a <= 1.0 / d**3 + DEGENERACY_EPS
-    return VerificationReport(kind=gset.kind, tol=tol, deviations=deviations, degenerate=degenerate)
-
-
-def verify(family, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Dispatch to the appropriate verifier."""
-    if isinstance(family, MumSet):
-        return verify_mum(family, tol)
-    if isinstance(family, GsmSet):
-        return verify_gsm(family, tol)
-    raise DomainError(f"cannot verify object of type {type(family).__name__}")
+    deviations["positivity"] = max(0.0, -float(np.linalg.eigvalsh(effects)[:, 0].min()))
+    deviations["completeness"] = max(worst(g.sum(axis=0), eye) for g in family.split(effects))
+    deviations["parameter"] = abs(param - expected)
+    degenerate = param <= floor + DEGENERACY_EPS
+    return VerificationReport(kind=family.kind, tol=tol, deviations=deviations, degenerate=degenerate)
 
 
 def smallest_factor(n: int) -> int:
@@ -323,8 +286,8 @@ def smallest_factor(n: int) -> int:
     return n
 
 
-def build_mub(d: int) -> MumSet:
-    """Complete set of d + 1 mutually unbiased bases for prime d, as a MumSet.
+def build_mub(d: int) -> Family:
+    """Complete set of d + 1 mutually unbiased bases for prime d, as a MUM family.
 
     For odd primes the bases are the computational basis together with the
     quadratic-phase bases whose vectors have components
@@ -355,15 +318,14 @@ def build_mub(d: int) -> MumSet:
                 cols[:, j] = np.exp(2j * np.pi * phase / d) / np.sqrt(d)
             bases.append(cols)
 
-    povms = []
-    for cols in bases:
-        effects = np.einsum("ik,jk->kij", cols, cols.conj())
-        povms.append(Povm(dim=d, effects=_frozen(np.ascontiguousarray(effects))))
+    effects = np.ascontiguousarray(
+        np.concatenate([np.einsum("ik,jk->kij", cols, cols.conj()) for cols in bases])
+    )
     t = 1.0 / (d + np.sqrt(d))
-    return MumSet(dim=d, t=t, kappa=1.0, povms=tuple(povms), kind="mub")
+    return Family(kind="mub", dim=d, t=t, parameter=1.0, effects=_frozen(effects))
 
 
-def sic2_fixture() -> GsmSet:
+def sic2_fixture() -> Family:
     """The qubit tetrahedron SIC-POVM as a general SIC measurement (a = 1/4).
 
     Effects are (I + r.sigma)/4 for the four Bloch vectors
@@ -381,4 +343,4 @@ def sic2_fixture() -> GsmSet:
         [(eye + r[0] * sx + r[1] * sy + r[2] * sz) / 4.0 for r in bloch]
     )
     t = 1.0 / (6.0 * np.sqrt(6.0))
-    return GsmSet(dim=2, t=t, a=0.25, effects=_frozen(effects), kind="sic")
+    return Family(kind="sic", dim=2, t=t, parameter=0.25, effects=_frozen(effects))

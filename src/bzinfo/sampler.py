@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, VerificationError
-from .invariants import REPORT_VERIFY_TOL, as_povms, closed_forms, measurement_probs
-from .measurements import GsmSet, MumSet, verify
-from .states import DensityMatrix, rng_from_seed
+from .errors import DomainError
+from .invariants import DirectEvaluator, closed_forms
+from .measurements import Family
+from .states import DensityMatrix, check_seed, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -31,33 +31,13 @@ class CountTable:
     counts: tuple[np.ndarray, ...]
 
 
-def _family_parameterization(family) -> tuple[str, float, int]:
-    if isinstance(family, MumSet):
-        return family.kind, family.kappa, family.dim
-    if isinstance(family, GsmSet):
-        return family.kind, family.a, family.dim
-    raise DomainError(f"not a measurement family: {type(family).__name__}")
-
-
-def _checked_family(family, rho: DensityMatrix):
-    report = verify(family, REPORT_VERIFY_TOL)
-    if not report.passed:
-        raise VerificationError(
-            f"family failed verification: {', '.join(report.failures())}"
-        )
-    if family.dim != rho.dim:
-        raise DomainError(f"dimension mismatch: family d={family.dim}, state d={rho.dim}")
-    return as_povms(family)
-
-
-def sample_outcomes(family, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
+def sample_outcomes(family: Family, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
     """Draw ``shots`` outcomes from every POVM of a verified family."""
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
-    povms = _checked_family(family, rho)
+    check_seed(seed, len(family.group_sizes))
     rows = []
-    for b, povm in enumerate(povms):
-        probs = measurement_probs(povm, rho).probs
+    for b, probs in enumerate(family.split(DirectEvaluator(family).probs(rho))):
         cumulative = np.cumsum(np.maximum(probs, 0.0))
         cumulative /= cumulative[-1]
         uniforms = rng_from_seed(seed + b).random(shots)
@@ -80,7 +60,7 @@ def estimate_coincidence(table: CountTable) -> float:
 
 
 def estimate_bz_info(
-    family,
+    family: Family,
     rho: DensityMatrix,
     shots: int,
     seed: int,
@@ -93,9 +73,10 @@ def estimate_bz_info(
     standard error comes from ``resamples`` multinomial resamples of the
     count table, drawn from the generator seeded seed + number of POVMs.
     """
+    check_seed(seed, len(family.group_sizes) + 1)
     table = sample_outcomes(family, rho, shots, seed)
-    kind, parameter, d = _family_parameterization(family)
-    coincidence_at_mixed = closed_forms(kind, d, parameter, 1.0 / d).C
+    d = family.dim
+    coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     estimate = estimate_coincidence(table) - coincidence_at_mixed
 
     n = table.shots_per_povm

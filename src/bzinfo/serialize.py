@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BzinfoError, SchemaError
 from .invariants import BzReport
 from .linalg import hermitian
-from .measurements import GsmSet, MumSet, Povm, verify
+from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, verify
 from .sampler import CountTable
 from .states import DensityMatrix, validate_state
 
@@ -58,47 +58,52 @@ def _matrix_from_json(rows, d: int) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
+def _encode_state(rho: DensityMatrix) -> dict:
+    return {"schema": "state", "dim": rho.dim, "rho": _matrix_to_json(rho.matrix)}
+
+
+def _encode_measurement(family: Family) -> dict:
+    effects = [_matrix_to_json(e) for e in family.effects]
+    if family.kind in MUM_KINDS:  # one nested list per POVM
+        effects = [effects[i : i + family.dim] for i in range(0, len(effects), family.dim)]
+    return {
+        "schema": "measurement",
+        "kind": family.kind,
+        "dim": family.dim,
+        "t": family.t,
+        PARAMETER_NAMES[family.kind]: family.parameter,
+        "effects": effects,
+    }
+
+
+def _encode_report(report: BzReport) -> dict:
+    doc = {"schema": "report"}
+    doc.update({name: getattr(report, name) for name in _REPORT_FIELDS})
+    return doc
+
+
+def _encode_counts(table: CountTable) -> dict:
+    return {
+        "schema": "counts",
+        "shots": table.shots_per_povm,
+        "counts": [[int(c) for c in row] for row in table.counts],
+    }
+
+
+_ENCODERS = {
+    DensityMatrix: _encode_state,
+    Family: _encode_measurement,
+    BzReport: _encode_report,
+    CountTable: _encode_counts,
+}
+
+
 def encode(entity, meta: dict | None = None) -> bytes:
     """Serialize an entity to JSON bytes."""
-    if isinstance(entity, DensityMatrix):
-        doc = {
-            "v": SCHEMA_VERSION,
-            "schema": "state",
-            "dim": entity.dim,
-            "rho": _matrix_to_json(entity.matrix),
-        }
-    elif isinstance(entity, MumSet):
-        doc = {
-            "v": SCHEMA_VERSION,
-            "schema": "measurement",
-            "kind": entity.kind,
-            "dim": entity.dim,
-            "t": entity.t,
-            "kappa": entity.kappa,
-            "effects": [[_matrix_to_json(e) for e in p.effects] for p in entity.povms],
-        }
-    elif isinstance(entity, GsmSet):
-        doc = {
-            "v": SCHEMA_VERSION,
-            "schema": "measurement",
-            "kind": entity.kind,
-            "dim": entity.dim,
-            "t": entity.t,
-            "a": entity.a,
-            "effects": [_matrix_to_json(e) for e in entity.effects],
-        }
-    elif isinstance(entity, BzReport):
-        doc = {"v": SCHEMA_VERSION, "schema": "report"}
-        doc.update({name: getattr(entity, name) for name in _REPORT_FIELDS})
-    elif isinstance(entity, CountTable):
-        doc = {
-            "v": SCHEMA_VERSION,
-            "schema": "counts",
-            "shots": entity.shots_per_povm,
-            "counts": [[int(c) for c in row] for row in entity.counts],
-        }
-    else:
+    encoder = _ENCODERS.get(type(entity))
+    if encoder is None:
         raise SchemaError(f"cannot encode object of type {type(entity).__name__}")
+    doc = {"v": SCHEMA_VERSION, **encoder(entity)}
     if meta is not None:
         doc["meta"] = meta
     return json.dumps(doc, allow_nan=False).encode("utf-8")
@@ -154,27 +159,22 @@ def _decode_measurement(doc: dict):
     if not isinstance(effects, list):
         raise SchemaError("effects must be a list")
 
+    if not isinstance(kind, str) or kind not in PARAMETER_NAMES:
+        raise SchemaError(f"unknown measurement kind {kind!r}")
+    name = PARAMETER_NAMES[kind]
+
     try:
         t = float(_require(doc, "t"))
-        if kind in ("mum", "mub"):
-            kappa = float(_require(doc, "kappa"))
+        parameter = float(_require(doc, name))
+        if kind in MUM_KINDS:
             if len(effects) != d + 1 or any(len(group) != d for group in effects):
                 raise SchemaError(f"expected {d + 1} groups of {d} effects")
-            povms = []
-            for group in effects:
-                stack = np.stack([hermitian(_matrix_from_json(e, d)) for e in group])
-                stack.setflags(write=False)
-                povms.append(Povm(dim=d, effects=stack))
-            family = MumSet(dim=d, t=t, kappa=kappa, povms=tuple(povms), kind=kind)
-        elif kind in ("gsm", "sic"):
-            a = float(_require(doc, "a"))
-            if len(effects) != d * d:
-                raise SchemaError(f"expected {d * d} effects, got {len(effects)}")
-            stack = np.stack([hermitian(_matrix_from_json(e, d)) for e in effects])
-            stack.setflags(write=False)
-            family = GsmSet(dim=d, t=t, a=a, effects=stack, kind=kind)
-        else:
-            raise SchemaError(f"unknown measurement kind {kind!r}")
+            effects = [e for group in effects for e in group]
+        elif len(effects) != d * d:
+            raise SchemaError(f"expected {d * d} effects, got {len(effects)}")
+        stack = np.stack([hermitian(_matrix_from_json(e, d)) for e in effects])
+        stack.setflags(write=False)
+        family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
     except SchemaError:
         raise
     except BzinfoError as exc:
@@ -185,11 +185,10 @@ def _decode_measurement(doc: dict):
     report = verify(family, CONDITION_TOL)
     parameter_dev = report.deviations.pop("parameter")
     if parameter_dev >= PARAMETER_TOL:
-        name = "kappa" if kind in ("mum", "mub") else "a"
         raise SchemaError(
             f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})"
         )
-    bad = [name for name, v in report.deviations.items() if v >= CONDITION_TOL]
+    bad = [key for key, v in report.deviations.items() if v >= CONDITION_TOL]
     if bad:
         raise SchemaError(f"decoded measurement violates: {', '.join(bad)}")
     return family

@@ -21,9 +21,19 @@ TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
 
 
+def check_seed(seed: int, streams: int = 1) -> None:
+    """Check that the stream seeds seed + 0, ..., seed + streams - 1 are all 64-bit.
+
+    Tasks that draw several random streams seed them as seed + task index;
+    the error names the seed the caller passed and the largest one allowed.
+    """
+    largest = 2**64 - max(streams, 1)
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= largest:
+        raise DomainError(f"seed must be an integer in [0, {largest}], got {seed!r}")
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(int(seed)))
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bzinfo import (
+    DirectEvaluator,
     PositivityError,
     build_gsm,
     build_mub,
@@ -21,10 +22,8 @@ from bzinfo import (
     encode,
     estimate_bz_info,
     estimate_coincidence,
-    family_probs,
     gell_mann_basis,
     grid_partition,
-    index_of_coincidence,
     max_t_gsm,
     max_t_mum,
     maximally_mixed,
@@ -32,10 +31,7 @@ from bzinfo import (
     random_density,
     sample_outcomes,
     sic2_fixture,
-    total_variance_direct,
     verify,
-    verify_gsm,
-    verify_mum,
 )
 from bzinfo.cli import main as cli_main
 from bzinfo.measurements import gsm_operators, mum_operators
@@ -45,6 +41,14 @@ from test_measurements import bisect_max_t
 DIMS = range(2, 9)
 FRACS = (0.25, 0.5, 1.0)
 N_STATES = 100
+
+
+def total_variance_direct(evaluator, rho):
+    return evaluator.report(rho).V_direct
+
+
+def coincidence_direct(evaluator, rho):
+    return float((evaluator.probs(rho) ** 2).sum())
 
 
 def _criterion(num, desc, ok):
@@ -82,6 +86,7 @@ def cells():
         for frac in FRACS:
             mset = build_mum(d, frac * mum_bound)
             gset = build_gsm(d, frac * gsm_bound)
+            mum, gsm = DirectEvaluator(mset), DirectEvaluator(gset)
             out.append(
                 Cell(
                     d=d,
@@ -89,18 +94,18 @@ def cells():
                     mset=mset,
                     gset=gset,
                     purities=purities,
-                    mum_v=np.array([total_variance_direct(mset, r) for r in states]),
-                    gsm_v=np.array([total_variance_direct(gset, r) for r in states]),
+                    mum_v=np.array([total_variance_direct(mum, r) for r in states]),
+                    gsm_v=np.array([total_variance_direct(gsm, r) for r in states]),
                     mum_c=np.array(
-                        [index_of_coincidence(family_probs(mset, r)) for r in states]
+                        [coincidence_direct(mum, r) for r in states]
                     ),
                     gsm_c=np.array(
-                        [index_of_coincidence(family_probs(gset, r)) for r in states]
+                        [coincidence_direct(gsm, r) for r in states]
                     ),
-                    mum_v_star=total_variance_direct(mset, star),
-                    gsm_v_star=total_variance_direct(gset, star),
-                    mum_c_star=index_of_coincidence(family_probs(mset, star)),
-                    gsm_c_star=index_of_coincidence(family_probs(gset, star)),
+                    mum_v_star=total_variance_direct(mum, star),
+                    gsm_v_star=total_variance_direct(gsm, star),
+                    mum_c_star=coincidence_direct(mum, star),
+                    gsm_c_star=coincidence_direct(gsm, star),
                 )
             )
     return out
@@ -111,11 +116,11 @@ def test_criterion_1_mum_construction(cells):
     worst_kappa = 0.0
     for cell in cells:
         d, mset = cell.d, cell.mset
-        report = verify_mum(mset, 1e-10)
+        report = verify(mset, 1e-10)
         for name in ("effect_trace", "cross_overlap", "within_overlap_diag", "within_overlap_offdiag"):
             worst_condition = max(worst_condition, report.deviations[name])
         formula = 1 / d + mset.t**2 * (1 + np.sqrt(d)) ** 2 * (d - 1)
-        worst_kappa = max(worst_kappa, abs(mset.kappa - formula))
+        worst_kappa = max(worst_kappa, abs(mset.parameter - formula))
     _criterion(
         1,
         f"MUM defining conditions (worst {worst_condition:.2e} < 1e-10), "
@@ -129,11 +134,11 @@ def test_criterion_2_gsm_construction(cells):
     worst_a = 0.0
     for cell in cells:
         d, gset = cell.d, cell.gset
-        report = verify_gsm(gset, 1e-10)
+        report = verify(gset, 1e-10)
         for name in ("self_overlap", "pair_overlap", "completeness"):
             worst_condition = max(worst_condition, report.deviations[name])
         formula = 1 / d**3 + gset.t**2 * (d - 1) * (d + 1) ** 3
-        worst_a = max(worst_a, abs(gset.a - formula))
+        worst_a = max(worst_a, abs(gset.parameter - formula))
     _criterion(
         2,
         f"general SIC defining conditions (worst {worst_condition:.2e} < 1e-10), "
@@ -146,8 +151,8 @@ def test_criterion_3_total_variance_closed_forms(cells):
     worst = 0.0
     for cell in cells:
         d, p = cell.d, cell.purities
-        mum_target = (cell.mset.kappa * d - 1) / (d - 1) * (d - p)
-        gsm_target = (cell.gset.a * d**3 - 1) / (d * (d * d - 1)) * (d - p)
+        mum_target = (cell.mset.parameter * d - 1) / (d - 1) * (d - p)
+        gsm_target = (cell.gset.parameter * d**3 - 1) / (d * (d * d - 1)) * (d - p)
         worst = max(
             worst,
             np.abs(cell.mum_v - mum_target).max(),
@@ -166,17 +171,17 @@ def test_criterion_4_coincidence_identities(cells):
     worst_gsm = 0.0
     for cell in cells:
         d, p = cell.d, cell.purities
-        kappa, a = cell.mset.kappa, cell.gset.a
+        kappa, a = cell.mset.parameter, cell.gset.parameter
         mum_target = ((kappa * d - 1) * (d * p - 1) + d * d - 1) / (d * (d - 1))
         gsm_target = ((a * d**3 - 1) * p + d * (1 - a * d)) / (d * (d * d - 1))
         worst_mum = max(worst_mum, np.abs(cell.mum_c - mum_target).max())
         worst_gsm = max(worst_gsm, np.abs(cell.gsm_c - gsm_target).max())
     worst_mub = 0.0
     for d in (2, 3, 5, 7):
-        mub = build_mub(d)
+        mub = DirectEvaluator(build_mub(d))
         for i in range(20):
             rho = random_density(d, d, 777 * d + i)
-            c = index_of_coincidence(family_probs(mub, rho))
+            c = coincidence_direct(mub, rho)
             worst_mub = max(worst_mub, abs(c - (1 + purity(rho))))
     _criterion(
         4,
@@ -193,8 +198,8 @@ def test_criterion_5_information_balance(cells):
     worst_star = 0.0
     for cell in cells:
         d = cell.d
-        mum_pref = (cell.mset.kappa * d - 1) / (d - 1)
-        gsm_pref = (cell.gset.a * d**3 - 1) / (d * (d * d - 1))
+        mum_pref = (cell.mset.parameter * d - 1) / (d - 1)
+        gsm_pref = (cell.gset.parameter * d**3 - 1) / (d * (d * d - 1))
         for pref, v, v_star, c, c_star in (
             (mum_pref, cell.mum_v, cell.mum_v_star, cell.mum_c, cell.mum_c_star),
             (gsm_pref, cell.gsm_v, cell.gsm_v_star, cell.gsm_c, cell.gsm_c_star),
@@ -212,7 +217,7 @@ def test_criterion_5_information_balance(cells):
             worst_star = max(worst_star, abs(v_max - v_star))
     worst_pure = 0.0
     for d in (2, 3, 5, 7):
-        mub = build_mub(d)
+        mub = DirectEvaluator(build_mub(d))
         v_max = (d + 1) / d * (d - 1)  # kappa = 1
         for i in range(10):
             rho = random_density(d, 1, 55 * d + i)
@@ -238,10 +243,10 @@ def test_criterion_6_exact_anchors():
     checks = {
         "mum bisection": abs(mum_t - mum_oracle),
         "mum t_max": abs(mum_t - (2 - np.sqrt(2)) / 2),
-        "mum kappa": abs(build_mum(2, "auto").kappa - 1.0),
+        "mum kappa": abs(build_mum(2, "auto").parameter - 1.0),
         "gsm bisection": abs(gsm_t - gsm_oracle),
         "gsm t_max": abs(gsm_t - 1 / (6 * np.sqrt(6))),
-        "gsm a": abs(build_gsm(2, "auto").a - 0.25),
+        "gsm a": abs(build_gsm(2, "auto").parameter - 0.25),
     }
     sic = sic2_fixture()
     overlaps = np.einsum("aij,bji->ab", sic.effects, sic.effects).real
@@ -305,7 +310,7 @@ def test_criterion_8_sampler_statistics():
             families.append(sic2_fixture())
         for family in families:
             rho = random_density(d, d, 31 * d)
-            c_direct = index_of_coincidence(family_probs(family, rho))
+            c_direct = coincidence_direct(DirectEvaluator(family), rho)
             estimates = np.array(
                 [
                     estimate_coincidence(sample_outcomes(family, rho, 100, seed=2000 + i))
@@ -345,7 +350,7 @@ def test_criterion_9_serialization(tmp_path):
     ok = True
     for entity in entities:
         back = decode(encode(entity))
-        if hasattr(entity, "effect_groups"):
+        if hasattr(entity, "effects"):
             ok = ok and verify(entity, 1e-10).deviations == verify(back, 1e-10).deviations
         elif hasattr(entity, "matrix"):
             ok = ok and bool(np.array_equal(entity.matrix, back.matrix))

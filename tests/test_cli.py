@@ -136,3 +136,34 @@ def test_gen_to_stdout(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "sic" and doc["a"] == 0.25
+
+
+U64_MAX = str(2**64 - 1)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+def test_sample_seed_overflow_names_given_seed(tmp_path, capsys, estimate):
+    m = tmp_path / "m.json"
+    s = tmp_path / "s.json"
+    run(capsys, "gen", "mub", "--dim", "2", "--out", str(m))
+    run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
+    argv = ["sample", "--measurement", str(m), "--state", str(s), "--shots", "10"]
+    # three POVMs draw seed + 0..2; the bootstrap draws seed + 3
+    largest = 2**64 - (4 if estimate else 3)
+    extra = ["--estimate"] if estimate else []
+    code, _, err = run(capsys, *argv, "--seed", U64_MAX, *extra)
+    assert code == 2
+    assert f"[0, {largest}], got {U64_MAX}" in err
+    assert str(2**64) not in err
+    code, _, _ = run(capsys, *argv, "--seed", str(largest), *extra)
+    assert code == 0
+
+
+def test_sweep_seed_overflow_names_given_seed(capsys):
+    argv = ["sweep", "--dim", "2", "--states", "2"]
+    code, _, err = run(capsys, *argv, "--seed", U64_MAX)
+    assert code == 2
+    assert f"[0, {2**64 - 2}], got {U64_MAX}" in err
+    assert str(2**64) not in err
+    code, _, _ = run(capsys, *argv, "--seed", str(2**64 - 2))
+    assert code == 0

@@ -1,0 +1,101 @@
+"""Byte-for-byte pins of the CLI output for fixed inputs and seeds.
+
+Each digest is the sha256 of a command's stdout or output file.  A change
+to any of them means the library no longer reproduces earlier output bit
+for bit: construction, float formatting, key order or random streams moved.
+"""
+
+import hashlib
+
+import pytest
+
+from bzinfo.cli import main
+
+GEN = {
+    ("mum", "--dim", "3"): "fd8eb3fe52489afbea6027baa371ac911c17a532129f178f9e8cad4b5b6543d8",
+    ("gsm", "--dim", "3"): "7450914987bc75193f9619ffbfb96a84426305ff37e6b65ddbcfba8134a45d15",
+    ("mub", "--dim", "5"): "369f650ecd8035afb3b8115592da87bc3bb7ea608cd2d07d9ba4246af8b46e88",
+    ("sic2",): "1638b59cbbad68b3ca203c78525eec9114da527b8ba07615d8e7c1dc3fa57a39",
+}
+VERIFY = {
+    "mum": "1260c5793a257ce777787b635b4c3251371f173b438a33652cb3c2c04a5b2a5f",
+    "gsm": "fb6f67705a587fece6588e22d6da5de82d8571bfd20de86feb1df254124fc3e0",
+    "mub": "6f82048fa5513eb5f0574a4471bb2cf2bc5dfbe1be6d058aa5abe60bbf2e7d7b",
+}
+BZ = {
+    "mum": "599fa194d28665705024f29b4016ae0f77eddd2d9610ea7cb06d244e0fbbcd16",
+    "gsm": "fc521abed8bd498ef7d2ef135df75a1e2e9966a2f019a39b52588b3b9f809d31",
+}
+SWEEP = {
+    ("--dim", "3", "--states", "50", "--seed", "123"):
+        "d1297fb9f14192138e0ec6a36eaabc24bf4d1c1429890268d5245a65d0d10027",
+    ("--kind", "mub", "--dim", "3", "--states", "20", "--seed", "9"):
+        "63d95c9136337f055974e94d463fa1a284d3cd3e9a6b1b4b5d548129b8fe91f2",
+    ("--kind", "gsm", "--dim", "2", "--states", "20", "--seed", "9"):
+        "1e71b03358ef2ca3cff84e2e7c02e3e976d1b8b4cfcc369890e95d1a3b9661b0",
+    ("--kind", "sic2", "--dim", "2", "--states", "20", "--seed", "9"):
+        "db285307fd27d2cbf2e4d9730b569c31319d780a6396fdc5acb0fce8cb8315a8",
+}
+SAMPLE_COUNTS = "b89b312817fe7c9487e3c5a8d90d9ef880c9c155d0f0a84a2921c53219bf01b1"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stdout_digest(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return sha256(capsys.readouterr().out.encode("utf-8"))
+
+
+@pytest.fixture
+def files(tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("mum", "gsm", "mub", "s3", "s5")}
+    for argv in (
+        ["gen", "mum", "--dim", "3", "--out", paths["mum"]],
+        ["gen", "gsm", "--dim", "3", "--out", paths["gsm"]],
+        ["gen", "mub", "--dim", "5", "--out", paths["mub"]],
+        ["state", "gen", "--dim", "3", "--seed", "7", "--out", paths["s3"]],
+        ["state", "gen", "--dim", "5", "--rank", "1", "--seed", "7", "--out", paths["s5"]],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    return paths
+
+
+@pytest.mark.parametrize("argv", sorted(GEN))
+def test_gen_bytes(capsys, argv):
+    assert stdout_digest(capsys, "gen", *argv) == GEN[argv]
+
+
+def test_gen_file_matches_stdout(files):
+    with open(files["mum"], "rb") as fh:
+        assert sha256(fh.read()) == GEN[("mum", "--dim", "3")]
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_verify_json_bytes(capsys, files, kind):
+    digest = stdout_digest(capsys, "verify", "--measurement", files[kind], "--json")
+    assert digest == VERIFY[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(BZ))
+def test_bz_json_bytes(capsys, files, kind):
+    digest = stdout_digest(
+        capsys, "bz", "--measurement", files[kind], "--state", files["s3"], "--json"
+    )
+    assert digest == BZ[kind]
+
+
+@pytest.mark.parametrize("argv", sorted(SWEEP))
+def test_sweep_bytes(capsys, argv):
+    assert stdout_digest(capsys, "sweep", *argv) == SWEEP[argv]
+
+
+def test_sample_count_file_bytes(capsys, files, tmp_path):
+    out = tmp_path / "counts.json"
+    argv = ["sample", "--measurement", files["mub"], "--state", files["s5"],
+            "--shots", "1000", "--seed", "1", "--estimate", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == SAMPLE_COUNTS

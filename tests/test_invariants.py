@@ -10,19 +10,13 @@ from bzinfo import (
     build_mum,
     bz_report,
     closed_forms,
-    family_probs,
-    index_of_coincidence,
     maximally_mixed,
-    measurement_probs,
     purity,
     random_density,
     sic2_fixture,
-    total_variance_direct,
     validate_state,
     variance,
 )
-from bzinfo.invariants import OutcomeDistribution
-from bzinfo.measurements import Povm
 
 from conftest import random_unitary
 
@@ -30,39 +24,45 @@ KET0 = validate_state(np.diag([1.0, 0.0]))
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def explicit_variance_sum(family_povms, rho):
+def explicit_variance_sum(family, rho):
     """Plain-python oracle: per-effect variances, one at a time."""
-    return sum(
-        variance(effect, rho) for povm in family_povms for effect in povm.effects
-    )
+    return sum(variance(effect, rho) for effect in family.effects)
+
+
+def total_variance(family, rho):
+    return DirectEvaluator(family).report(rho).V_direct
+
+
+def coincidence(family, rho):
+    return float((DirectEvaluator(family).probs(rho) ** 2).sum())
 
 
 # ---------------------------------------------------------------- probabilities
 
 
 def test_probs_computational_basis():
-    z_povm = build_mub(2).povms[0]
-    dist = measurement_probs(z_povm, KET0)
-    np.testing.assert_allclose(dist.probs, [1.0, 0.0], atol=1e-14)
+    z_probs = DirectEvaluator(build_mub(2)).probs(KET0)[:2]
+    np.testing.assert_allclose(z_probs, [1.0, 0.0], atol=1e-14)
 
 
 def test_probs_unit_trace_effects_on_mixed():
-    mset = build_mum(3, "auto")
-    for povm in mset.povms:
-        dist = measurement_probs(povm, maximally_mixed(3))
-        np.testing.assert_allclose(dist.probs, 1 / 3, atol=1e-12)
+    probs = DirectEvaluator(build_mum(3, "auto")).probs(maximally_mixed(3))
+    assert probs.shape == (12,)
+    np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
 
 
 def test_probs_normalize_over_random_states():
-    povm = build_gsm(3, "auto")
+    evaluator = DirectEvaluator(build_gsm(3, "auto"))
     for seed in range(100):
-        dists = family_probs(povm, random_density(3, 3, seed))
-        assert abs(sum(d.probs.sum() for d in dists) - 1.0) < 1e-10
+        probs = evaluator.probs(random_density(3, 3, seed))
+        assert abs(probs.sum() - 1.0) < 1e-10
 
 
 def test_probs_dimension_mismatch():
     with pytest.raises(DomainError):
-        measurement_probs(build_mub(2).povms[0], maximally_mixed(3))
+        DirectEvaluator(build_mub(2)).probs(maximally_mixed(3))
+    with pytest.raises(DomainError, match="state-only"):
+        DirectEvaluator(None, dim=2).probs(KET0)
 
 
 # ---------------------------------------------------------------- variance
@@ -92,10 +92,11 @@ def test_variance_dimension_mismatch():
 
 
 def test_coincidence_uniform_and_deterministic():
-    uniform = OutcomeDistribution(probs=np.full(5, 0.2), labels=tuple(range(5)))
-    assert index_of_coincidence(uniform) == pytest.approx(0.2, abs=1e-15)
-    point = OutcomeDistribution(probs=np.array([1.0, 0.0, 0.0]), labels=(0, 1, 2))
-    assert index_of_coincidence(point) == pytest.approx(1.0, abs=1e-15)
+    mub = build_mub(2)
+    # every Pauli basis is uniform on I/2: 3 * (1/4 + 1/4)
+    assert coincidence(mub, maximally_mixed(2)) == pytest.approx(1.5, abs=1e-15)
+    # |0> is deterministic in Z and uniform in X and Y: 1 + 1/2 + 1/2
+    assert coincidence(mub, KET0) == pytest.approx(2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -103,7 +104,7 @@ def test_mub_coincidence_is_one_plus_purity(d):
     mset = build_mub(d)
     for seed in range(5):
         rho = random_density(d, d, seed)
-        c = index_of_coincidence(family_probs(mset, rho))
+        c = coincidence(mset, rho)
         assert abs(c - (1 + purity(rho))) < 1e-9
 
 
@@ -112,21 +113,21 @@ def test_mub_coincidence_is_one_plus_purity(d):
 
 def test_total_variance_mum_unit_kappa_pure():
     mset = build_mum(2, "auto")  # kappa = 1
-    v = total_variance_direct(mset, KET0)
-    oracle = explicit_variance_sum(mset.povms, KET0)
+    v = total_variance(mset, KET0)
+    oracle = explicit_variance_sum(mset, KET0)
     assert abs(v - oracle) < 1e-12
     assert abs(v - 1.0) < 1e-10
 
 
 def test_total_variance_mum_unit_kappa_mixed():
     mset = build_mum(2, "auto")
-    assert abs(total_variance_direct(mset, maximally_mixed(2)) - 1.5) < 1e-10
+    assert abs(total_variance(mset, maximally_mixed(2)) - 1.5) < 1e-10
 
 
 def test_total_variance_sic_fixture_pure():
     gset = sic2_fixture()
-    v = total_variance_direct(gset, KET0)
-    oracle = explicit_variance_sum([Povm(dim=2, effects=gset.effects)], KET0)
+    v = total_variance(gset, KET0)
+    oracle = explicit_variance_sum(gset, KET0)
     assert abs(v - oracle) < 1e-12
     assert abs(v - 1 / 6) < 1e-10
 

@@ -15,10 +15,9 @@ from bzinfo import (
     max_t_gsm,
     max_t_mum,
     sic2_fixture,
-    verify_gsm,
-    verify_mum,
+    verify,
 )
-from bzinfo.measurements import Povm, gsm_operators, mum_operators
+from bzinfo.measurements import gsm_operators, mum_operators
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -92,27 +91,27 @@ def test_max_t_gsm_d3_bisection_oracle():
 
 def test_build_mum_d2_auto_is_mub():
     mset = build_mum(2, "auto")
-    assert abs(mset.kappa - 1.0) < 1e-12
+    assert abs(mset.parameter - 1.0) < 1e-12
     paulis = [
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
         np.diag([1.0, -1.0]).astype(complex),
     ]
-    for povm, sigma in zip(mset.povms, paulis):
+    for povm, sigma in zip(mset.split(mset.effects), paulis):
         # effects are the rank-one Pauli eigenprojectors (I +- sigma)/2
-        for effect in povm.effects:
+        for effect in povm:
             np.testing.assert_allclose(effect @ effect, effect, atol=1e-12)
         expected = {1.0: (np.eye(2) + sigma) / 2, -1.0: (np.eye(2) - sigma) / 2}
-        for effect in povm.effects:
+        for effect in povm:
             sign = np.trace(effect @ sigma).real
             np.testing.assert_allclose(effect, expected[round(sign)], atol=1e-12)
 
 
 def test_build_mum_t0_degenerate():
     mset = build_mum(3, 0.0)
-    assert mset.kappa == pytest.approx(1 / 3, abs=1e-15)
-    np.testing.assert_allclose(mset.povms[0].effects[0], np.eye(3) / 3, atol=1e-15)
-    report = verify_mum(mset, 1e-10)
+    assert mset.parameter == pytest.approx(1 / 3, abs=1e-15)
+    np.testing.assert_allclose(mset.effects[0], np.eye(3) / 3, atol=1e-15)
+    report = verify(mset, 1e-10)
     assert report.degenerate and not report.passed
     assert "degenerate" in report.failures()
 
@@ -120,7 +119,7 @@ def test_build_mum_t0_degenerate():
 def test_build_mum_d3_kappa_formula():
     mset = build_mum(3, "auto")
     expected = 1 / 3 + mset.t**2 * (1 + np.sqrt(3)) ** 2 * 2
-    assert abs(mset.kappa - expected) < 1e-12
+    assert abs(mset.parameter - expected) < 1e-12
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -129,7 +128,7 @@ def test_mum_defining_conditions(d):
     t_max = max_t_mum(grid)
     for frac in (0.12, 0.25, 0.5, 0.8, 1.0):
         mset = build_mum(d, frac * t_max)
-        report = verify_mum(mset, 1e-10)
+        report = verify(mset, 1e-10)
         assert report.passed, report.summary()
 
 
@@ -142,7 +141,7 @@ def test_generators_sum_to_zero(d):
 def test_kappa_strictly_increasing_in_t():
     grid = grid_partition(gell_mann_basis(4))
     t_max = max_t_mum(grid)
-    kappas = [build_mum(4, f * t_max).kappa for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+    kappas = [build_mum(4, f * t_max).parameter for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
     assert all(a < b for a, b in zip(kappas, kappas[1:]))
 
 
@@ -162,23 +161,46 @@ def test_negative_t_rejected():
 
 def test_verify_mum_flags_perturbation():
     mset = build_mum(3, "auto")
-    effects = mset.povms[0].effects.copy()
+    effects = mset.effects.copy()
     effects[0, 0, 0] += 1e-6
-    povms = (Povm(dim=3, effects=effects),) + mset.povms[1:]
-    perturbed = dataclasses.replace(mset, povms=povms)
-    report = verify_mum(perturbed, 1e-10)
+    perturbed = dataclasses.replace(mset, effects=effects)
+    report = verify(perturbed, 1e-10)
     assert not report.passed
     assert "effect_trace" in report.failures()
     assert "completeness" in report.failures()
 
 
+def test_batched_eigenvalue_checks_match_per_effect_loop():
+    d = 5
+    for family in (build_mum(d, "auto"), build_gsm(d, "auto"), build_mub(d)):
+        loop = max(0.0, max(-float(np.linalg.eigvalsh(e)[0]) for e in family.effects))
+        assert verify(family).deviations["positivity"] == loop
+    grid = grid_partition(gell_mann_basis(d))
+    bounds = []
+    for op in mum_operators(grid).reshape(-1, d, d):
+        lams = np.linalg.eigvalsh(op)
+        bounds.append(float((-(1.0 / d) / lams[lams < 0.0]).min()))
+    assert max_t_mum(grid) == min(bounds)
+
+
+def test_family_rejects_unknown_kind_and_wrong_effect_count():
+    mset = build_mum(2, "auto")
+    with pytest.raises(DomainError, match="unknown measurement kind"):
+        dataclasses.replace(mset, kind="povm")
+    with pytest.raises(DomainError, match="needs 6 effects"):
+        dataclasses.replace(mset, effects=mset.effects[:4])
+    with pytest.raises(DomainError, match="needs 4 effects"):
+        dataclasses.replace(mset, kind="gsm")
+
+
 def test_cross_overlaps_are_inverse_dim():
     mset = build_mum(4, 0.5 * max_t_mum(grid_partition(gell_mann_basis(4))))
-    for b1, p1 in enumerate(mset.povms):
-        for b2, p2 in enumerate(mset.povms):
+    povms = mset.split(mset.effects)
+    for b1, p1 in enumerate(povms):
+        for b2, p2 in enumerate(povms):
             if b1 == b2:
                 continue
-            overlaps = np.einsum("aij,bji->ab", p1.effects, p2.effects).real
+            overlaps = np.einsum("aij,bji->ab", p1, p2).real
             assert np.abs(overlaps - 1 / 4).max() < 1e-10
 
 
@@ -188,7 +210,7 @@ def test_random_grid_partition_valid_downstream():
     order = np.random.Generator(np.random.Philox(99)).permutation(d * d - 1)
     grid = grid_partition(basis, order=order)
     mset = build_mum(d, 0.7 * max_t_mum(grid), grid=grid)
-    assert verify_mum(mset, 1e-10).passed
+    assert verify(mset, 1e-10).passed
 
 
 def test_build_mum_grid_dim_mismatch():
@@ -202,22 +224,22 @@ def test_build_mum_grid_dim_mismatch():
 
 def test_build_gsm_d2_auto_is_sic():
     gset = build_gsm(2, "auto")
-    assert abs(gset.a - 0.25) < 1e-12
-    assert verify_gsm(gset, 1e-10).passed
+    assert abs(gset.parameter - 0.25) < 1e-12
+    assert verify(gset, 1e-10).passed
 
 
 def test_build_gsm_t0_degenerate():
     gset = build_gsm(2, 0.0)
-    assert gset.a == pytest.approx(1 / 8, abs=1e-15)
-    report = verify_gsm(gset, 1e-10)
+    assert gset.parameter == pytest.approx(1 / 8, abs=1e-15)
+    report = verify(gset, 1e-10)
     assert report.degenerate and not report.passed
 
 
 def test_build_gsm_d3_parameter_matches_direct_traces():
     gset = build_gsm(3, "auto")
-    assert abs(gset.a - (1 / 27 + gset.t**2 * 2 * 64)) < 1e-12
+    assert abs(gset.parameter - (1 / 27 + gset.t**2 * 2 * 64)) < 1e-12
     for effect in gset.effects:
-        assert abs(np.trace(effect @ effect).real - gset.a) < 1e-12
+        assert abs(np.trace(effect @ effect).real - gset.parameter) < 1e-12
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -226,7 +248,7 @@ def test_gsm_defining_conditions(d):
     t_max = max_t_gsm(basis)
     for frac in (0.12, 0.25, 0.5, 0.8, 1.0):
         gset = build_gsm(d, frac * t_max)
-        report = verify_gsm(gset, 1e-10)
+        report = verify(gset, 1e-10)
         assert report.passed, report.summary()
         # telescoping completeness
         assert np.abs(gset.effects.sum(axis=0) - np.eye(d)).max() < 1e-10
@@ -244,36 +266,33 @@ def test_gsm_t_above_bound_fails_positivity(d):
 def test_mub_d2_overlap_oracle():
     mset = build_mub(2)
     assert mset.kind == "mub"
+    povms = mset.split(mset.effects)
     # direct inner-product oracle on the rank-one effects: Tr(P Q) = |<phi|psi>|^2
     for b1 in range(3):
         for b2 in range(b1 + 1, 3):
-            overlaps = np.einsum(
-                "aij,bji->ab", mset.povms[b1].effects, mset.povms[b2].effects
-            ).real
+            overlaps = np.einsum("aij,bji->ab", povms[b1], povms[b2]).real
             np.testing.assert_allclose(overlaps, 0.5, atol=1e-12)
 
 
 def test_mub_d3_overlap_oracle():
     mset = build_mub(3)
-    assert len(mset.povms) == 4
+    povms = mset.split(mset.effects)
+    assert len(povms) == 4
     for b1 in range(4):
         for b2 in range(b1 + 1, 4):
-            overlaps = np.einsum(
-                "aij,bji->ab", mset.povms[b1].effects, mset.povms[b2].effects
-            ).real
+            overlaps = np.einsum("aij,bji->ab", povms[b1], povms[b2]).real
             np.testing.assert_allclose(overlaps, 1 / 3, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_mub_is_valid_mum_with_unit_kappa(d):
     mset = build_mub(d)
-    assert mset.kappa == 1.0
-    assert len(mset.povms) == d + 1
-    report = verify_mum(mset, 1e-10)
+    assert mset.parameter == 1.0
+    assert mset.group_sizes == (d,) * (d + 1)
+    report = verify(mset, 1e-10)
     assert report.passed, report.summary()
-    for povm in mset.povms:
-        for effect in povm.effects:
-            assert np.abs(effect @ effect - effect).max() < 1e-10
+    for effect in mset.effects:
+        assert np.abs(effect @ effect - effect).max() < 1e-10
 
 
 @pytest.mark.parametrize("d,factor", [(4, 2), (6, 2), (9, 3), (15, 3)])
@@ -285,7 +304,7 @@ def test_mub_rejects_non_prime(d, factor):
 def test_sic2_fixture():
     gset = sic2_fixture()
     assert gset.kind == "sic"
-    assert gset.a == 0.25
+    assert gset.parameter == 0.25
     overlaps = np.einsum("aij,bji->ab", gset.effects, gset.effects).real
     for j in range(4):
         assert abs(overlaps[j, j] - 0.25) < 1e-12  # Tr(P^2) = 1/d^2
@@ -293,4 +312,4 @@ def test_sic2_fixture():
             if j != k:
                 # vector overlap |<phi_j|phi_k>|^2 = d^2 Tr(P_j P_k) = 1/(d+1)
                 assert abs(4 * overlaps[j, k] - 1 / 3) < 1e-12
-    assert verify_gsm(gset, 1e-12).passed
+    assert verify(gset, 1e-12).passed

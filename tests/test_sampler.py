@@ -3,6 +3,7 @@ import pytest
 
 from bzinfo import (
     CountTable,
+    DirectEvaluator,
     DomainError,
     VerificationError,
     build_gsm,
@@ -11,8 +12,6 @@ from bzinfo import (
     closed_forms,
     estimate_bz_info,
     estimate_coincidence,
-    family_probs,
-    index_of_coincidence,
     maximally_mixed,
     purity,
     random_density,
@@ -80,7 +79,7 @@ def test_collision_estimator_needs_two_shots():
 def test_collision_estimator_unbiased():
     mset = build_mub(3)
     rho = random_density(3, 3, 21)
-    c_direct = index_of_coincidence(family_probs(mset, rho))
+    c_direct = float((DirectEvaluator(mset).probs(rho) ** 2).sum())
     estimates = np.array(
         [
             estimate_coincidence(sample_outcomes(mset, rho, 60, seed=1000 + i))

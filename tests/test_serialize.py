@@ -102,7 +102,7 @@ def test_tampered_effect_rejected():
 def test_degenerate_measurement_still_loads():
     # constructors are total; degeneracy is a verification policy
     family = roundtrip(build_mum(2, 0.0))
-    assert family.kappa == pytest.approx(0.5)
+    assert family.parameter == pytest.approx(0.5)
 
 
 def test_bad_state_rejected():
