@@ -9,7 +9,8 @@ Subcommands, one verb per capability:
     sample                 finite-shot simulation of a family on a state
     sweep                  reports over a seeded state ensemble, as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 numerical failure (a numerical routine missed its accuracy contract).
 All randomness is traced to --seed.
 """
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, SchemaError, VerificationError
+from .errors import DomainError, NumericalError, SchemaError, VerificationError
 from .invariants import DirectEvaluator, bz_report
 from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
@@ -253,12 +254,12 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, SchemaError) as exc:
+    except (DomainError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,27 +19,41 @@ def _as_matrix(obj) -> np.ndarray:
     return np.asarray(getattr(obj, "matrix", obj), dtype=np.complex128)
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate a square complex matrix with finite entries."""
+def _as_square_stack(m) -> np.ndarray:
+    """Validate a square complex matrix, or a (..., d, d) stack, with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise DomainError("matrix has non-finite entries")
     return a
 
 
+def as_complex_matrix(m) -> np.ndarray:
+    """Validate a square complex matrix with finite entries."""
+    a = _as_square_stack(m)
+    if a.ndim != 2:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate and symmetrize a Hermitian matrix.
+    """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 
     Defects below ``tol`` are absorbed by H <- (H + H^dag)/2; larger
-    defects raise, so genuine errors are not masked.
+    defects raise, so genuine errors are not masked.  Each matrix of a
+    stack is checked on its own; the first defective one is named by its
+    row-major index in the stack.
     """
-    a = as_complex_matrix(m)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect >= tol:
-        raise DomainError(f"matrix is not Hermitian (defect {defect:.3e} >= {tol:.0e})")
-    return (a + a.conj().T) / 2.0
+    a = _as_square_stack(m)
+    adjoint = a.conj().swapaxes(-1, -2)
+    defect = np.abs(a - adjoint)
+    if defect.max() >= tol:
+        per_matrix = defect.reshape(-1, a.shape[-1] ** 2).max(axis=1)
+        i = int(np.argmax(per_matrix >= tol))
+        where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
+        raise DomainError(f"{where} is not Hermitian (defect {per_matrix[i]:.3e} >= {tol:.0e})")
+    return (a + adjoint) / 2.0
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:

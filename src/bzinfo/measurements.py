@@ -228,8 +228,13 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
 
 
 def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
-    """Real Gram matrix Tr(P_i P_j) of a stack of Hermitian effects."""
-    return np.einsum("aij,bji->ab", effects, effects).real
+    """Real part of the Gram matrix Tr(P_i P_j) of a stack of effects.
+
+    Tr(P_i P_j) is the dot product of P_i and P_j^T flattened, so the whole
+    matrix is one BLAS product; no effect is assumed Hermitian.
+    """
+    n = effects.shape[0]
+    return (effects.reshape(n, -1) @ effects.transpose(0, 2, 1).reshape(n, -1).T).real
 
 
 def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -45,16 +45,18 @@ _REPORT_FIELDS = (
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Nested lists of [re, im] Python floats for a matrix or a stack of them."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _matrix_from_json(rows, d: int) -> np.ndarray:
+def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array of the given shape from nested lists of [re, im] pairs."""
     try:
         a = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"matrix entries are not [re, im] numbers: {exc}") from exc
-    if a.shape != (d, d, 2):
-        raise SchemaError(f"expected a {d}x{d} matrix of [re, im] pairs, got shape {a.shape}")
+    if a.shape != (*shape, 2):
+        raise SchemaError(f"expected shape {shape} of [re, im] pairs, got shape {a.shape}")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -62,17 +64,19 @@ def _encode_state(rho: DensityMatrix) -> dict:
     return {"schema": "state", "dim": rho.dim, "rho": _matrix_to_json(rho.matrix)}
 
 
+def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
+    """Stored shape of a family's effects: MUM-like kinds nest one list per POVM."""
+    return (d + 1, d, d, d) if kind in MUM_KINDS else (d * d, d, d)
+
+
 def _encode_measurement(family: Family) -> dict:
-    effects = [_matrix_to_json(e) for e in family.effects]
-    if family.kind in MUM_KINDS:  # one nested list per POVM
-        effects = [effects[i : i + family.dim] for i in range(0, len(effects), family.dim)]
     return {
         "schema": "measurement",
         "kind": family.kind,
         "dim": family.dim,
         "t": family.t,
         PARAMETER_NAMES[family.kind]: family.parameter,
-        "effects": effects,
+        "effects": _matrix_to_json(family.effects.reshape(_effects_shape(family.kind, family.dim))),
     }
 
 
@@ -143,7 +147,7 @@ def _decode_state(doc: dict) -> DensityMatrix:
     d = _require(doc, "dim")
     if not isinstance(d, int) or d < 1:
         raise SchemaError(f"invalid dim {d!r}")
-    rho = _matrix_from_json(_require(doc, "rho"), d)
+    rho = _matrix_from_json(_require(doc, "rho"), (d, d))
     try:
         return validate_state(rho)
     except BzinfoError as exc:
@@ -156,9 +160,6 @@ def _decode_measurement(doc: dict):
     if not isinstance(d, int) or d < 2:
         raise SchemaError(f"invalid dim {d!r}")
     effects = _require(doc, "effects")
-    if not isinstance(effects, list):
-        raise SchemaError("effects must be a list")
-
     if not isinstance(kind, str) or kind not in PARAMETER_NAMES:
         raise SchemaError(f"unknown measurement kind {kind!r}")
     name = PARAMETER_NAMES[kind]
@@ -166,13 +167,7 @@ def _decode_measurement(doc: dict):
     try:
         t = float(_require(doc, "t"))
         parameter = float(_require(doc, name))
-        if kind in MUM_KINDS:
-            if len(effects) != d + 1 or any(len(group) != d for group in effects):
-                raise SchemaError(f"expected {d + 1} groups of {d} effects")
-            effects = [e for group in effects for e in group]
-        elif len(effects) != d * d:
-            raise SchemaError(f"expected {d * d} effects, got {len(effects)}")
-        stack = np.stack([hermitian(_matrix_from_json(e, d)) for e in effects])
+        stack = hermitian(_matrix_from_json(effects, _effects_shape(kind, d)).reshape(-1, d, d))
         stack.setflags(write=False)
         family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
     except SchemaError:

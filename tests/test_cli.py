@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
+from bzinfo import NumericalError, measurements
 from bzinfo.cli import main
+from bzinfo.invariants import DirectEvaluator
 
 
 def run(capsys, *argv):
@@ -167,3 +170,48 @@ def test_sweep_seed_overflow_names_given_seed(capsys):
     assert str(2**64) not in err
     code, _, _ = run(capsys, *argv, "--seed", str(2**64 - 2))
     assert code == 0
+
+
+def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch):
+    m = tmp_path / "m.json"
+    s = tmp_path / "s.json"
+    run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
+    run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
+
+    def fail(self, rho):
+        raise NumericalError("probabilities have imaginary part 1e-3")
+
+    monkeypatch.setattr(DirectEvaluator, "probs", fail)
+    code, out, err = run(capsys, "bz", "--measurement", str(m), "--state", str(s))
+    assert code == 3
+    assert out == ""
+    assert err == "error: probabilities have imaginary part 1e-3\n"
+
+
+def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
+    # the benchmark's self-test pins these counts; a change to them needs a benchmark change
+    original = measurements.verify
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bzinfo" and getattr(module, "verify", None) is original:
+            monkeypatch.setattr(module, "verify", counting)
+
+    m = tmp_path / "m.json"
+    s = tmp_path / "s.json"
+    path_args = ["--measurement", str(m), "--state", str(s)]
+    for argv, expected in (
+        (["gen", "mum", "--dim", "3", "--out", str(m)], 0),
+        (["state", "gen", "--dim", "3", "--seed", "2", "--out", str(s)], 0),
+        (["verify", "--measurement", str(m)], 2),
+        (["bz", *path_args], 2),
+        (["sample", *path_args, "--shots", "100", "--estimate"], 3),
+        (["sweep", "--dim", "3", "--states", "4"], 1),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == expected, argv

@@ -16,11 +16,15 @@ GEN = {
     ("gsm", "--dim", "3"): "7450914987bc75193f9619ffbfb96a84426305ff37e6b65ddbcfba8134a45d15",
     ("mub", "--dim", "5"): "369f650ecd8035afb3b8115592da87bc3bb7ea608cd2d07d9ba4246af8b46e88",
     ("sic2",): "1638b59cbbad68b3ca203c78525eec9114da527b8ba07615d8e7c1dc3fa57a39",
+    ("mum", "--dim", "6"): "ed5d3e019f6443e47f7fe0d34adae4edcdbb5754dfe9d917251888266f8af1b8",
+    ("gsm", "--dim", "6"): "e7adc831c4dc89ac221ed29235e880201b3e03451a9cda4879e4bb6e398509d0",
 }
+# verify --json prints the ~1e-16 rounding residues of the overlap checks, so
+# these pins follow the arithmetic of the Gram matrix (one BLAS product)
 VERIFY = {
-    "mum": "1260c5793a257ce777787b635b4c3251371f173b438a33652cb3c2c04a5b2a5f",
-    "gsm": "fb6f67705a587fece6588e22d6da5de82d8571bfd20de86feb1df254124fc3e0",
-    "mub": "6f82048fa5513eb5f0574a4471bb2cf2bc5dfbe1be6d058aa5abe60bbf2e7d7b",
+    "mum": "742f03d926ca6366429a1c73d2e3f479c7c293ef2d46bb8fdb7ef0c612c2ea9c",
+    "gsm": "0b1fdfa91c0a9a4540f4ddaed8025c0df40ffe67872cd5d1f4a2d550b21f203d",
+    "mub": "5c8142a10449a3d1d47be6143f252073f91dc4a58da3828ecf0753d85f9e805b",
 }
 BZ = {
     "mum": "599fa194d28665705024f29b4016ae0f77eddd2d9610ea7cb06d244e0fbbcd16",

@@ -87,3 +87,19 @@ def test_hermitian_absorbs_rounding():
 def test_hermitian_rejects_large_defect():
     with pytest.raises(DomainError):
         hermitian(SX + 1e-6 * np.array([[0, 1j], [0, 0]]))
+
+
+def test_stacked_hermitian_matches_per_matrix_calls(rng):
+    stack = np.stack([random_hermitian(3, rng) + 1e-14j * rng.normal(size=(3, 3)) for _ in range(6)])
+    together = hermitian(stack)
+    for matrix, symmetrized in zip(stack, together):
+        np.testing.assert_array_equal(symmetrized, hermitian(matrix))
+    np.testing.assert_array_equal(hermitian(stack.reshape(2, 3, 3, 3)), together.reshape(2, 3, 3, 3))
+
+
+def test_stacked_hermitian_rejects_only_last_defective(rng):
+    stack = np.stack([random_hermitian(3, rng) for _ in range(5)])
+    stack[-1, 0, 1] += 1e-9
+    with pytest.raises(DomainError, match="matrix 4 of the stack is not Hermitian"):
+        hermitian(stack)
+    hermitian(stack[:-1])

@@ -17,7 +17,7 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo.measurements import gsm_operators, mum_operators
+from bzinfo.measurements import _pairwise_overlaps, gsm_operators, mum_operators
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -181,6 +181,28 @@ def test_batched_eigenvalue_checks_match_per_effect_loop():
         lams = np.linalg.eigvalsh(op)
         bounds.append(float((-(1.0 / d) / lams[lams < 0.0]).min()))
     assert max_t_mum(grid) == min(bounds)
+
+
+def per_pair_overlaps(effects):
+    n = len(effects)
+    return np.array([[np.trace(effects[i] @ effects[j]).real for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [build_mum(3), build_mum(4), build_gsm(3), build_gsm(5), build_mub(5), sic2_fixture()],
+    ids=["mum3", "mum4", "gsm3", "gsm5", "mub5", "sic2"],
+)
+def test_pairwise_overlaps_match_per_pair_traces(family):
+    oracle = per_pair_overlaps(family.effects)
+    assert np.abs(_pairwise_overlaps(family.effects) - oracle).max() < 1e-14
+
+
+def test_pairwise_overlaps_do_not_assume_hermitian_effects():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    oracle = per_pair_overlaps(stack)
+    assert np.abs(_pairwise_overlaps(stack) - oracle).max() < 1e-14
 
 
 def test_family_rejects_unknown_kind_and_wrong_effect_count():

@@ -18,6 +18,7 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
+from bzinfo.serialize import _matrix_to_json
 
 
 def roundtrip(entity):
@@ -133,4 +134,37 @@ def test_tampered_report_discrepancy_rejected():
     doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
     doc["max_abs_discrepancy"] = 1e-3
     with pytest.raises(SchemaError, match="discrepancy"):
+        decode(json.dumps(doc))
+
+
+def test_matrix_to_json_matches_per_element_floats():
+    edges = [-0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1e308]
+    m = np.empty((5, 5), dtype=complex)
+    m.real = np.array(edges)[:, None]
+    m.imag = np.array(edges[::-1])[None, :]
+    oracle = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    text = json.dumps(_matrix_to_json(m))
+    assert text == json.dumps(oracle)
+    assert text.startswith("[[[-0.0, 1e+308], [-0.0, 0.3333333333333333]")
+    assert json.dumps(_matrix_to_json(np.stack([m, m]))) == json.dumps([oracle, oracle])
+
+
+def test_non_hermitian_effect_rejected_by_index():
+    doc = json.loads(encode(build_gsm(2, "auto")))
+    doc["effects"][2][0][1][0] += 1e-9
+    with pytest.raises(SchemaError, match="matrix 2 of the stack is not Hermitian"):
+        decode(json.dumps(doc))
+
+
+def test_ragged_effects_rejected():
+    doc = json.loads(encode(build_gsm(3, "auto")))
+    doc["effects"][4] = [row[:2] for row in doc["effects"][4]]  # one 3x2 effect
+    with pytest.raises(SchemaError, match="not \\[re, im\\] numbers"):
+        decode(json.dumps(doc))
+
+
+def test_non_numeric_effect_entry_rejected():
+    doc = json.loads(encode(build_mum(2, "auto")))
+    doc["effects"][1][0][0][1][0] = "x"
+    with pytest.raises(SchemaError, match="not \\[re, im\\] numbers"):
         decode(json.dumps(doc))
