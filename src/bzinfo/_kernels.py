@@ -1,4 +1,4 @@
-"""Hot numeric kernels: batched real traces and inverse-CDF tallying."""
+"""Numeric kernels: batched real traces, and the inverse-CDF tally kept as a reference."""
 
 import numpy as np
 
@@ -11,7 +11,13 @@ def real_trace_batch(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def tally_inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Bin uniform draws by inverse CDF; returns int64 counts per outcome."""
+    """Bin uniform draws by inverse CDF; returns int64 counts per outcome.
+
+    The library does not call this: the sampler draws each POVM's counts
+    with one multinomial draw.  It is kept because the benchmark's tracer
+    (``perfbench/tracing.py``) wraps it by name, and because the tests use
+    it as the reference law for the multinomial counts.
+    """
     idx = np.searchsorted(cumulative, uniforms, side="right")
     idx = np.minimum(idx, cumulative.shape[0] - 1)
     return np.bincount(idx, minlength=cumulative.shape[0]).astype(np.int64)

@@ -1,8 +1,10 @@
 """Finite-shot simulation of measurement families and collision estimation.
 
-Outcomes are drawn by inverse CDF from the Born probabilities, one shot
-budget per POVM, with the per-POVM generator seeded as seed + povm index
-so sampling is deterministic and POVMs can be simulated concurrently.
+Each POVM's outcome counts are one multinomial draw of the shot budget
+over its Born probabilities, so time and memory grow with the number of
+outcomes, not of shots.  The per-POVM generator is seeded as
+seed + povm index, so sampling is deterministic and POVMs can be
+simulated concurrently.
 The coincidence estimator is the unbiased collision statistic
 sum_j n_j (n_j - 1) / (N (N - 1)); the plug-in sum of squared frequencies
 would be biased upward by (1 - sum p^2)/N.
@@ -14,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError
 from .invariants import DirectEvaluator, closed_forms
 from .measurements import Family
 from .states import DensityMatrix, check_seed, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
+# Generator.multinomial takes the shot budget as a signed 64-bit integer
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +36,14 @@ class CountTable:
 
 def sample_outcomes(family: Family, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
     """Draw ``shots`` outcomes from every POVM of a verified family."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not isinstance(shots, (int, np.integer)) or not 1 <= int(shots) <= MAX_SHOTS:
+        raise DomainError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
+    shots = int(shots)
     check_seed(seed, len(family.group_sizes))
     rows = []
     for b, probs in enumerate(family.split(DirectEvaluator(family).probs(rho))):
-        cumulative = np.cumsum(np.maximum(probs, 0.0))
-        cumulative /= cumulative[-1]
-        uniforms = rng_from_seed(seed + b).random(shots)
-        counts = _kernels.tally_inverse_cdf(cumulative, uniforms)
+        p = np.maximum(probs, 0.0)
+        counts = rng_from_seed(seed + b).multinomial(shots, p / p.sum())
         counts.setflags(write=False)
         rows.append(counts)
     return CountTable(shots_per_povm=shots, counts=tuple(rows))
@@ -81,13 +83,15 @@ def estimate_bz_info(
 
     n = table.shots_per_povm
     rng = rng_from_seed(seed + len(table.counts))
-    replicas = np.empty(resamples)
-    frequencies = [counts / n for counts in table.counts]
-    for r in range(resamples):
-        total = 0.0
-        for freq in frequencies:
-            c = rng.multinomial(n, freq).astype(np.float64)
-            total += float((c * (c - 1.0)).sum()) / (n * (n - 1.0))
-        replicas[r] = total - coincidence_at_mixed
+    frequencies = np.stack(table.counts) / n
+    # one draw of shape (resamples, povms, outcomes), in the order of a
+    # resample-major loop over the POVMs
+    c = rng.multinomial(n, frequencies, size=(resamples, len(table.counts))).astype(np.float64)
+    per_povm = (c * (c - 1.0)).sum(axis=2) / (n * (n - 1.0))
+    # accumulate POVM by POVM, the float order of a per-resample running sum
+    totals = np.zeros(resamples)
+    for b in range(per_povm.shape[1]):
+        totals += per_povm[:, b]
+    replicas = totals - coincidence_at_mixed
     std_error = float(replicas.std(ddof=1))
     return estimate, std_error

@@ -9,6 +9,8 @@ usable object.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 
 import numpy as np
@@ -44,9 +46,27 @@ _REPORT_FIELDS = (
 )
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    Building the hundreds of thousands of small [re, im] lists of a large
+    family triggers collections that find no garbage.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _matrix_to_json(m: np.ndarray) -> list:
     """Nested lists of [re, im] Python floats for a matrix or a stack of them."""
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    pairs = np.stack([m.real, m.imag], axis=-1)
+    with _gc_paused():
+        return pairs.tolist()
 
 
 def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,7 +138,8 @@ def decode(data: bytes | str):
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
-        doc = json.loads(data)
+        with _gc_paused():
+            doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bzinfo import NumericalError, measurements
+from bzinfo import NumericalError, measurements, sampler
 from bzinfo.cli import main
 from bzinfo.invariants import DirectEvaluator
 
@@ -188,30 +188,58 @@ def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch):
     assert err == "error: probabilities have imaginary part 1e-3\n"
 
 
-def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
-    # the benchmark's self-test pins these counts; a change to them needs a benchmark change
-    original = measurements.verify
+def count_calls_per_verb(tmp_path, capsys, monkeypatch, module, attr):
+    """Calls of ``module.attr`` per verb, with every bzinfo binding of it counted."""
+    original = getattr(module, attr)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bzinfo" and getattr(module, "verify", None) is original:
-            monkeypatch.setattr(module, "verify", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bzinfo" and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, counting)
 
     m = tmp_path / "m.json"
     s = tmp_path / "s.json"
     path_args = ["--measurement", str(m), "--state", str(s)]
-    for argv, expected in (
-        (["gen", "mum", "--dim", "3", "--out", str(m)], 0),
-        (["state", "gen", "--dim", "3", "--seed", "2", "--out", str(s)], 0),
-        (["verify", "--measurement", str(m)], 2),
-        (["bz", *path_args], 2),
-        (["sample", *path_args, "--shots", "100", "--estimate"], 3),
-        (["sweep", "--dim", "3", "--states", "4"], 1),
+    counts = {}
+    for verb, argv in (
+        ("gen", ["gen", "mum", "--dim", "3", "--out", str(m)]),
+        ("state", ["state", "gen", "--dim", "3", "--seed", "2", "--out", str(s)]),
+        ("verify", ["verify", "--measurement", str(m)]),
+        ("bz", ["bz", *path_args]),
+        ("sample", ["sample", *path_args, "--shots", "100", "--estimate"]),
+        ("sweep", ["sweep", "--dim", "3", "--states", "4"]),
     ):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == expected, argv
+        counts[verb] = len(calls)
+    return counts
+
+
+# the benchmark's self-test pins these counts; a change to them needs a benchmark change
+def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
+    counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, measurements, "verify")
+    assert counts == {"gen": 0, "state": 0, "verify": 2, "bz": 2, "sample": 3, "sweep": 1}
+
+
+def test_sample_outcomes_calls_per_verb(tmp_path, capsys, monkeypatch):
+    counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, sampler, "sample_outcomes")
+    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 0, "sample": 2, "sweep": 0}
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("shots", [str(2**63), "0"])
+def test_sample_shots_out_of_range_exits_two(tmp_path, capsys, estimate, shots):
+    m = tmp_path / "m.json"
+    s = tmp_path / "s.json"
+    run(capsys, "gen", "mub", "--dim", "2", "--out", str(m))
+    run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
+    extra = ["--estimate"] if estimate else []
+    code, out, err = run(capsys, "sample", "--measurement", str(m), "--state", str(s),
+                         "--shots", shots, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: shots must be an integer in [1, {2**63 - 1}], got {shots}\n"

@@ -40,7 +40,9 @@ SWEEP = {
     ("--kind", "sic2", "--dim", "2", "--states", "20", "--seed", "9"):
         "db285307fd27d2cbf2e4d9730b569c31319d780a6396fdc5acb0fce8cb8315a8",
 }
-SAMPLE_COUNTS = "b89b312817fe7c9487e3c5a8d90d9ef880c9c155d0f0a84a2921c53219bf01b1"
+# counts are one Generator.multinomial draw per POVM, so this pin follows
+# the sampling method as well as the seed
+SAMPLE_COUNTS = "cd3679383d80c50d0e0cc8d9a879849227541c5ed3af34a19f0d81568470aa40"
 
 
 def sha256(data: bytes) -> str:

@@ -18,6 +18,8 @@ from bzinfo import (
     sample_outcomes,
     validate_state,
 )
+from bzinfo import _kernels, sampler
+from bzinfo.states import rng_from_seed
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
 
@@ -57,8 +59,98 @@ def test_sample_rejects_degenerate_family():
 
 
 def test_sample_rejects_bad_shots():
-    with pytest.raises(DomainError):
-        sample_outcomes(build_mub(2), KET0, 0, seed=0)
+    for shots in (0, -1, 2**63, 2**64, 1.5):
+        with pytest.raises(DomainError, match=rf"\[1, {2**63 - 1}\], got {shots!r}"):
+            sample_outcomes(build_mub(2), KET0, shots, seed=0)
+
+
+def test_sample_takes_shots_beyond_memory():
+    n = 10**12
+    table = sample_outcomes(build_mum(3, "auto"), random_density(3, 2, 4), n, seed=6)
+    assert table.shots_per_povm == n
+    assert all(int(row.sum()) == n for row in table.counts)
+
+
+def test_largest_shot_budget():
+    table = sample_outcomes(build_mub(2), KET0, 2**63 - 1, seed=0)
+    assert [int(c) for c in table.counts[0]] == [2**63 - 1, 0]
+
+
+# the 0.1 % upper quantiles of chi-square with 7 and 63 degrees of freedom
+CHI2_CRITICAL_7 = 24.3219
+CHI2_CRITICAL_63 = 103.442
+
+
+def test_multinomial_counts_follow_the_inverse_cdf_law():
+    # multinomial counts and inverse-CDF binning of one uniform per shot
+    # follow the same law: both scatter around n p by binomial noise only
+    family = build_mum(8, "auto")
+    rho = random_density(8, 3, 40)
+    n = 10**6
+    probs = family.split(DirectEvaluator(family).probs(rho))
+    table = sample_outcomes(family, rho, n, seed=41)
+    statistic = 0.0
+    for b, (p, counts) in enumerate(zip(probs, table.counts)):
+        p = np.maximum(p, 0.0) / np.maximum(p, 0.0).sum()
+        binned = _kernels.tally_inverse_cdf(np.cumsum(p), rng_from_seed(500 + b).random(n))
+        sigma = np.sqrt(n * p * (1.0 - p))
+        for observed in (counts, binned):
+            assert int(observed.sum()) == n
+            assert np.all(np.abs(observed - n * p) <= 5 * sigma)
+        row = float(((counts - n * p) ** 2 / (n * p)).sum())
+        assert row < CHI2_CRITICAL_7
+        statistic += row
+    assert statistic < CHI2_CRITICAL_63
+
+
+def _loop_std_error(table, seed, coincidence_at_mixed, resamples):
+    # reference: one multinomial draw per resample and POVM, summed in that order
+    n = table.shots_per_povm
+    rng = rng_from_seed(seed + len(table.counts))
+    replicas = np.empty(resamples)
+    frequencies = [counts / n for counts in table.counts]
+    for r in range(resamples):
+        total = 0.0
+        for freq in frequencies:
+            c = rng.multinomial(n, freq).astype(np.float64)
+            total += float((c * (c - 1.0)).sum()) / (n * (n - 1.0))
+        replicas[r] = total - coincidence_at_mixed
+    return float(replicas.std(ddof=1))
+
+
+@pytest.mark.parametrize(
+    "family, rank, seed, shots",
+    [
+        (build_mum(3, "auto"), 1, 0, 2),
+        (build_mum(3, "auto"), 3, 11, 1000),
+        (build_mub(5), 1, 12345, 10**5),
+        (build_mub(7), 7, 11, 1000),
+        (build_gsm(3, "auto"), 3, 0, 1000),
+        (build_gsm(3, "auto"), 1, 12345, 2),
+    ],
+    ids=["mum3-pure-2", "mum3-mixed-1e3", "mub5-pure-1e5", "mub7-mixed-1e3",
+         "gsm3-mixed-1e3", "gsm3-pure-2"],
+)
+def test_bootstrap_matches_per_resample_loop(family, rank, seed, shots):
+    d = family.dim
+    rho = random_density(d, rank, seed + 1)
+    table = sample_outcomes(family, rho, shots, seed)
+    coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
+    expected = _loop_std_error(table, seed, coincidence_at_mixed, 200)
+    assert estimate_bz_info(family, rho, shots, seed)[1] == expected
+
+
+def test_bootstrap_matches_loop_on_hand_built_table(monkeypatch):
+    # zero-count outcomes and one deterministic POVM
+    table = CountTable(
+        shots_per_povm=6,
+        counts=(np.array([6, 0]), np.array([3, 3]), np.array([1, 5])),
+    )
+    monkeypatch.setattr(sampler, "sample_outcomes", lambda *args: table)
+    coincidence_at_mixed = closed_forms("mub", 2, 1.0, 0.5).C
+    expected = _loop_std_error(table, 9, coincidence_at_mixed, 50)
+    _, std_error = estimate_bz_info(build_mub(2), KET0, 6, seed=9, resamples=50)
+    assert std_error == expected
 
 
 def test_collision_estimator_deterministic_counts():

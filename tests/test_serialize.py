@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo.serialize import _matrix_to_json
+from bzinfo.serialize import _gc_paused, _matrix_to_json
 
 
 def roundtrip(entity):
@@ -168,3 +169,40 @@ def test_non_numeric_effect_entry_rejected():
     doc["effects"][1][0][0][1][0] = "x"
     with pytest.raises(SchemaError, match="not \\[re, im\\] numbers"):
         decode(json.dumps(doc))
+
+
+@pytest.fixture
+def gc_state():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_after_encode_and_decode(gc_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    data = encode(build_mum(3, "auto"))
+    assert gc.isenabled() is enabled
+    decode(data)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_after_failed_decode(gc_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(SchemaError):
+        decode(b'{"v": 1, "schema": ')
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_inside_and_restored_after_exception(gc_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError):
+        with _gc_paused():
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+    assert gc.isenabled() is enabled
