@@ -12,6 +12,18 @@ from .errors import DomainError, NumericalError
 
 TOL_HERM = 1e-12
 IMAG_TOL = 1e-10
+# largest dense complex data a builder or state generator may allocate
+MAX_DENSE_BYTES = 2**30
+COMPLEX_BYTES = 16
+
+
+def check_dense_bytes(nbytes: int, what: str) -> None:
+    """Raise DomainError, before anything is allocated, if nbytes exceeds MAX_DENSE_BYTES."""
+    if nbytes > MAX_DENSE_BYTES:
+        raise DomainError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB of dense complex entries, "
+            f"above the limit of {MAX_DENSE_BYTES / 2**30:g} GiB"
+        )
 
 
 def _as_matrix(obj) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .basis import MumGrid, OperatorBasis, gell_mann_basis, grid_partition
 from .errors import DomainError, NumericalError, PositivityError
+from .linalg import COMPLEX_BYTES, check_dense_bytes
 
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
@@ -116,6 +117,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def family_bytes(kind: str, d: int) -> int:
+    """Estimated bytes of a dimension-d family of this kind: its effects plus the basis.
+
+    MUM-like kinds stack (d + 1) d^3 complex entries, general SIC kinds d^4;
+    the Gell-Mann basis adds (d^2 - 1) d^2.
+    """
+    effects = (d + 1) * d**3 if kind in MUM_KINDS else d**4
+    return COMPLEX_BYTES * (effects + (d * d - 1) * d * d)
+
+
+def _check_family_size(kind: str, d: int) -> None:
+    check_dense_bytes(family_bytes(kind, d), f"a {kind} family of dimension {d}")
+
+
 def mum_kappa(d: int, t: float) -> float:
     """Sharpness index of the MUM construction at parameter t."""
     return 1.0 / d + t * t * (1.0 + np.sqrt(d)) ** 2 * (d - 1)
@@ -201,6 +216,7 @@ def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
     """
     if d < 2:
         raise DomainError(f"MUMs need dimension >= 2, got {d}")
+    _check_family_size("mum", d)
     if grid is None:
         grid = grid_partition(gell_mann_basis(d))
     elif grid.dim != d:
@@ -216,6 +232,7 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
     """Build the complete general SIC measurement of d^2 effects at sharpness t."""
     if d < 2:
         raise DomainError(f"general SIC measurements need dimension >= 2, got {d}")
+    _check_family_size("gsm", d)
     if basis is None:
         basis = gell_mann_basis(d)
     elif basis.dim != d:
@@ -301,6 +318,7 @@ def build_mub(d: int) -> Family:
     """
     if d < 2:
         raise DomainError(f"MUBs need dimension >= 2, got {d}")
+    _check_family_size("mub", d)
     factor = smallest_factor(d)
     if factor != d:
         raise DomainError(f"dimension {d} is not prime (smallest factor {factor})")

@@ -4,7 +4,13 @@ Numbers are emitted with Python's shortest round-trip float repr, complex
 entries as [re, im] pairs in row-major order.  Every document carries the
 schema version field "v": 1 and a "schema" discriminator.  Decoding
 re-validates the entity, so a tampered or truncated file never yields a
-usable object.
+usable object, and a document longer than ``MAX_DOCUMENT_BYTES`` is
+rejected before it is read whole or parsed.
+
+A built family repeats a few hundred distinct values across hundreds of
+thousands of entries, so matrices are written by formatting each distinct
+float once and gathering the words, without building nested Python lists;
+the bytes equal ``json.dumps`` of the nested [re, im] lists.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import os
 
 import numpy as np
 
@@ -23,6 +30,8 @@ from .sampler import CountTable
 from .states import DensityMatrix, validate_state
 
 SCHEMA_VERSION = 1
+# longest document decode accepts; a d=32 general SIC file is about 50 MB
+MAX_DOCUMENT_BYTES = 256 * 2**20
 PARAMETER_TOL = 1e-9
 CONDITION_TOL = 1e-10
 
@@ -50,8 +59,8 @@ _REPORT_FIELDS = (
 def _gc_paused():
     """Pause the cyclic garbage collector, restoring its previous state on exit.
 
-    Building the hundreds of thousands of small [re, im] lists of a large
-    family triggers collections that find no garbage.
+    Parsing a large family builds hundreds of thousands of small [re, im]
+    lists, which trigger collections that find no garbage.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -62,11 +71,35 @@ def _gc_paused():
             gc.enable()
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    """Nested lists of [re, im] Python floats for a matrix or a stack of them."""
+def _matrix_to_json(m: np.ndarray) -> str:
+    """JSON text of a matrix or a stack of them, as nested [re, im] pairs.
+
+    The text equals ``json.dumps(np.stack([m.real, m.imag], -1).tolist(),
+    allow_nan=False)``, non-finite entries raising its ValueError, but each
+    distinct float bit pattern is formatted only once.
+    """
     pairs = np.stack([m.real, m.imag], axis=-1)
-    with _gc_paused():
-        return pairs.tolist()
+    flat = pairs.reshape(-1)
+    if not flat.size:
+        return json.dumps(pairs.tolist())
+    finite = np.isfinite(flat)
+    if not finite.all():
+        json.dumps(float(flat[~finite][0]), allow_nan=False)  # raises json's ValueError
+    # bit patterns, not values, so that -0.0 keeps its own word
+    distinct, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    # closes[i]: axes that roll over between flat entries i and i + 1
+    after = np.arange(1, flat.size)
+    closes = np.zeros(flat.size - 1, dtype=np.intp)
+    block = 1
+    for size in pairs.shape[:0:-1]:
+        block *= size
+        closes += after % block == 0
+    separators = np.array(["]" * k + ", " + "[" * k for k in range(pairs.ndim)], dtype=object)
+    tokens = np.empty(2 * flat.size - 1, dtype=object)
+    tokens[0::2] = words[inverse]
+    tokens[1::2] = separators[closes]
+    return "[" * pairs.ndim + "".join(tokens.tolist()) + "]" * pairs.ndim
 
 
 def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
@@ -81,7 +114,7 @@ def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _encode_state(rho: DensityMatrix) -> dict:
-    return {"schema": "state", "dim": rho.dim, "rho": _matrix_to_json(rho.matrix)}
+    return {"schema": "state", "dim": rho.dim, "rho": rho.matrix}
 
 
 def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
@@ -96,7 +129,7 @@ def _encode_measurement(family: Family) -> dict:
         "dim": family.dim,
         "t": family.t,
         PARAMETER_NAMES[family.kind]: family.parameter,
-        "effects": _matrix_to_json(family.effects.reshape(_effects_shape(family.kind, family.dim))),
+        "effects": family.effects.reshape(_effects_shape(family.kind, family.dim)),
     }
 
 
@@ -122,19 +155,43 @@ _ENCODERS = {
 }
 
 
+def _value_json(value) -> str:
+    if isinstance(value, np.ndarray):
+        return _matrix_to_json(value)
+    return json.dumps(value, allow_nan=False)
+
+
 def encode(entity, meta: dict | None = None) -> bytes:
-    """Serialize an entity to JSON bytes."""
+    """Serialize an entity to JSON bytes.
+
+    The entity encoders return the document's fields in order, matrices as
+    complex arrays; the object is assembled field by field, with the bytes
+    ``json.dumps`` gives for the same document holding nested [re, im] lists.
+    """
     encoder = _ENCODERS.get(type(entity))
     if encoder is None:
         raise SchemaError(f"cannot encode object of type {type(entity).__name__}")
     doc = {"v": SCHEMA_VERSION, **encoder(entity)}
     if meta is not None:
         doc["meta"] = meta
-    return json.dumps(doc, allow_nan=False).encode("utf-8")
+    fields = ", ".join(f"{json.dumps(key)}: {_value_json(value)}" for key, value in doc.items())
+    return ("{" + fields + "}").encode("utf-8")
+
+
+def _check_document_size(size: int) -> None:
+    if size > MAX_DOCUMENT_BYTES:
+        raise SchemaError(
+            f"document is {size} bytes long, above the limit of {MAX_DOCUMENT_BYTES} bytes"
+        )
 
 
 def decode(data: bytes | str):
-    """Parse and re-validate a serialized entity."""
+    """Parse and re-validate a serialized entity.
+
+    A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
+    a str) raises SchemaError before it is parsed.
+    """
+    _check_document_size(len(data))
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -259,4 +316,6 @@ def save(entity, path, meta: dict | None = None) -> None:
 
 def load(path):
     with open(path, "rb") as fh:
-        return decode(fh.read())
+        _check_document_size(os.fstat(fh.fileno()).st_size)
+        # a pipe reports size 0, so read at most one byte past the limit either way
+        return decode(fh.read(MAX_DOCUMENT_BYTES + 1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import TOL_HERM, as_complex_matrix, hermitian
+from .linalg import COMPLEX_BYTES, TOL_HERM, as_complex_matrix, check_dense_bytes, hermitian
 
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
@@ -68,6 +68,7 @@ def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
+    check_dense_bytes(COMPLEX_BYTES * d * d, f"a state of dimension {d}")
     rng = rng_from_seed(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     rho = g @ g.conj().T

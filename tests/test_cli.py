@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -243,3 +244,26 @@ def test_sample_shots_out_of_range_exits_two(tmp_path, capsys, estimate, shots):
     assert code == 2
     assert out == ""
     assert err == f"error: shots must be an integer in [1, {2**63 - 1}], got {shots}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "mum", "--dim", "100000"),
+        ("gen", "gsm", "--dim", "100000"),
+        ("gen", "mub", "--dim", "100000"),
+        ("sweep", "--dim", "100000", "--states", "1"),
+        ("state", "gen", "--dim", "10000000"),
+    ],
+)
+def test_oversized_dimension_exits_two_without_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "GiB" in err
+    assert peak < 2**20

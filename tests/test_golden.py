@@ -18,6 +18,10 @@ GEN = {
     ("sic2",): "1638b59cbbad68b3ca203c78525eec9114da527b8ba07615d8e7c1dc3fa57a39",
     ("mum", "--dim", "6"): "ed5d3e019f6443e47f7fe0d34adae4edcdbb5754dfe9d917251888266f8af1b8",
     ("gsm", "--dim", "6"): "e7adc831c4dc89ac221ed29235e880201b3e03451a9cda4879e4bb6e398509d0",
+    # a few hundred distinct values repeated over tens of thousands of entries
+    ("mum", "--dim", "12"): "9b53ec1274b1dfe3182d8fec02bb2f3f2555b74e0cb352fbbb538b12a3b2d2d7",
+    ("gsm", "--dim", "12"): "03318d7a803bb93a04e7a3df61d6375d833b6765f771bde14bf8ceb334eea182",
+    ("mub", "--dim", "11"): "34107770537684d3ffd2448739af040313393eb34496d40876cf29d4175adffa",
 }
 # verify --json prints the ~1e-16 rounding residues of the overlap checks, so
 # these pins follow the arithmetic of the Gram matrix (one BLAS product)

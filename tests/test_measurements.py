@@ -12,12 +12,13 @@ from bzinfo import (
     gell_mann_basis,
     grid_partition,
     herm_eig,
+    linalg,
     max_t_gsm,
     max_t_mum,
     sic2_fixture,
     verify,
 )
-from bzinfo.measurements import _pairwise_overlaps, gsm_operators, mum_operators
+from bzinfo.measurements import _pairwise_overlaps, family_bytes, gsm_operators, mum_operators
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -335,3 +336,20 @@ def test_sic2_fixture():
                 # vector overlap |<phi_j|phi_k>|^2 = d^2 Tr(P_j P_k) = 1/(d+1)
                 assert abs(4 * overlaps[j, k] - 1 / 3) < 1e-12
     assert verify(gset, 1e-12).passed
+
+
+def test_family_bytes_counts_effects_and_basis():
+    for d in (2, 5, 32):
+        basis = (d * d - 1) * d * d
+        assert family_bytes("mum", d) == family_bytes("mub", d) == 16 * ((d + 1) * d**3 + basis)
+        assert family_bytes("gsm", d) == family_bytes("sic", d) == 16 * (d**4 + basis)
+    assert family_bytes("gsm", 32) < linalg.MAX_DENSE_BYTES // 20  # d=32 stays well inside
+
+
+def test_family_size_limit_boundary(monkeypatch):
+    for kind, build in (("mum", build_mum), ("gsm", build_gsm), ("mub", build_mub)):
+        monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", family_bytes(kind, 5))
+        assert build(5).dim == 5
+        monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", family_bytes(kind, 5) - 1)
+        with pytest.raises(DomainError, match=f"a {kind} family of dimension 5 needs"):
+            build(5)

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo.serialize import _gc_paused, _matrix_to_json
+from bzinfo import serialize
+from bzinfo.measurements import MUM_KINDS
+from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_to_json
 
 
 def roundtrip(entity):
@@ -144,10 +147,10 @@ def test_matrix_to_json_matches_per_element_floats():
     m.real = np.array(edges)[:, None]
     m.imag = np.array(edges[::-1])[None, :]
     oracle = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    text = json.dumps(_matrix_to_json(m))
+    text = _matrix_to_json(m)
     assert text == json.dumps(oracle)
     assert text.startswith("[[[-0.0, 1e+308], [-0.0, 0.3333333333333333]")
-    assert json.dumps(_matrix_to_json(np.stack([m, m]))) == json.dumps([oracle, oracle])
+    assert _matrix_to_json(np.stack([m, m])) == json.dumps([oracle, oracle])
 
 
 def test_non_hermitian_effect_rejected_by_index():
@@ -206,3 +209,127 @@ def test_gc_paused_inside_and_restored_after_exception(gc_state, enabled):
             assert not gc.isenabled()
             raise RuntimeError("boom")
     assert gc.isenabled() is enabled
+
+
+def reference_json(m: np.ndarray) -> str:
+    return json.dumps(np.stack([m.real, m.imag], -1).tolist(), allow_nan=False)
+
+
+def assert_matches_reference(m: np.ndarray) -> None:
+    # names the first differing position; a full diff of megabytes of text is very slow
+    ours, reference = _matrix_to_json(m), reference_json(m)
+    if ours != reference:
+        i = len(os.path.commonprefix([ours, reference]))
+        pytest.fail(f"text differs at {i}: {ours[i - 30:i + 30]!r} vs {reference[i - 30:i + 30]!r}")
+
+
+BUILT = [("mum", d) for d in (2, 3, 5, 8, 12)] + [("gsm", d) for d in (2, 3, 5, 8, 12)]
+BUILT += [("mub", d) for d in (2, 3, 5)] + [("sic", 2)]  # MUBs need a prime dimension
+
+
+@pytest.mark.parametrize("kind, d", BUILT)
+def test_matrix_to_json_matches_json_dumps_on_built_families(kind, d):
+    build = {"mum": build_mum, "gsm": build_gsm, "mub": build_mub, "sic": lambda d: sic2_fixture()}
+    family = build[kind](d)
+    stored = family.effects.reshape(_effects_shape(kind, d))
+    assert stored.ndim == (4 if kind in MUM_KINDS else 3)
+    assert_matches_reference(stored)
+    assert_matches_reference(family.effects[0])
+
+
+def test_matrix_to_json_matches_json_dumps_with_all_entries_distinct():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    q, _ = np.linalg.qr(g)
+    effects = q @ build_gsm(6, "auto").effects @ q.conj().T
+    assert np.unique(effects.view(np.float64)).size > 0.9 * effects.size * 2
+    assert_matches_reference(effects)
+
+
+def test_matrix_to_json_one_by_one_and_edge_values():
+    assert _matrix_to_json(np.array([[complex(0.5, -0.0)]])) == "[[[0.5, -0.0]]]"
+    for empty in (np.zeros((0, 0), complex), np.zeros((0, 3, 3), complex)):
+        assert _matrix_to_json(empty) == reference_json(empty) == "[]"
+    edges = np.array([-0.0, 0.0, 5e-324, 1e308, -1e-300, 0.1 + 0.2, 1 / 3])
+    m = edges[:, None] + 1j * edges[None, :]
+    m.imag[0, 0] = -0.0
+    m.real[1, 1] = -0.0
+    assert _matrix_to_json(m) == reference_json(m)
+    assert _matrix_to_json(m[None, :3, :3]) == reference_json(m[None, :3, :3])
+    assert "[-0.0, -0.0]" in _matrix_to_json(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_matrix_to_json_rejects_non_finite_like_json_dumps(bad):
+    m = np.full((3, 3), 0.25, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError) as ours:
+        _matrix_to_json(m)
+    with pytest.raises(ValueError) as theirs:
+        reference_json(m)
+    assert str(ours.value) == str(theirs.value)
+
+
+def reference_encode(doc: dict) -> bytes:
+    """Document bytes as a single json.dumps of nested lists writes them."""
+    return json.dumps({"v": 1, **doc}, allow_nan=False).encode("utf-8")
+
+
+def test_encode_matches_single_json_dumps_for_every_entity():
+    rho = random_density(4, 2, 8)
+    meta = {"rng": "philox", "seed": 8, "rank": 2, "nested": [1.5, None, "x"]}
+    assert encode(rho, meta=meta) == reference_encode(
+        {"schema": "state", "dim": 4, "rho": json.loads(reference_json(rho.matrix)), "meta": meta}
+    )
+
+    family = build_mum(3, "auto")
+    assert encode(family) == reference_encode(
+        {
+            "schema": "measurement",
+            "kind": "mum",
+            "dim": 3,
+            "t": family.t,
+            "kappa": family.parameter,
+            "effects": json.loads(reference_json(family.effects.reshape(4, 3, 3, 3))),
+        }
+    )
+
+    report = bz_report(build_gsm(2, "auto"), random_density(2, 2, 1))
+    fields = {name: getattr(report, name) for name in serialize._REPORT_FIELDS}
+    assert encode(report) == reference_encode({"schema": "report", **fields})
+
+    table = sample_outcomes(build_mub(3), random_density(3, 3, 2), 100, seed=4)
+    counts = [row.tolist() for row in table.counts]
+    assert encode(table) == reference_encode({"schema": "counts", "shots": 100, "counts": counts})
+
+
+def test_decode_rejects_document_above_size_limit(monkeypatch):
+    data = encode(random_density(2, 2, 0))
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data))
+    assert decode(data).dim == 2
+    assert decode(data.decode("utf-8")).dim == 2
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data) - 1)
+    with pytest.raises(SchemaError, match=f"{len(data)} bytes long, above the limit of {len(data) - 1}"):
+        decode(data)
+
+
+def test_load_checks_file_size_before_reading(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save(build_mum(2, "auto"), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size)
+    assert load(path).dim == 2
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size - 1)
+    monkeypatch.setattr(serialize, "decode", lambda data: pytest.fail("file was read"))
+    with pytest.raises(SchemaError, match="above the limit"):
+        load(path)
+
+
+def test_document_size_limit_admits_d32_families():
+    # bounded from the shape with the longest float repr, not built: the
+    # d=32 general SIC file is about 50 MB
+    longest = repr(-2.2250738585072014e-308)
+    per_entry = len(f"[[{longest}, {longest}]], ")
+    for kind in ("mum", "gsm"):
+        entries = int(np.prod(_effects_shape(kind, 32)))
+        assert entries * per_entry + 1000 < serialize.MAX_DOCUMENT_BYTES

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, maximally_mixed, purity, random_density, validate_state
+from bzinfo import DomainError, linalg, maximally_mixed, purity, random_density, validate_state
 
 
 def test_maximally_mixed_values():
@@ -76,3 +76,10 @@ def test_mean_purity_band():
     for d in (2, 3, 4):
         mean = np.mean([purity(random_density(d, d, seed)) for seed in range(200)])
         assert 1 / d + 0.05 < mean < 1 - 0.05
+
+
+def test_state_size_limit_boundary(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 4 * 4)
+    assert random_density(4, 1, 0).dim == 4
+    with pytest.raises(DomainError, match="a state of dimension 5 needs"):
+        random_density(5, 1, 0)
