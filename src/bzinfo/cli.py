@@ -12,6 +12,10 @@ Subcommands, one verb per capability:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical failure (a numerical routine missed its accuracy contract).
 All randomness is traced to --seed.
+
+Loading a measurement file rejects any verification deviation >= 1e-10
+with exit 2, so ``verify --tol`` looser than 1e-10 has no effect: verify
+exits 1 only for a degenerate family or a --tol below 1e-10.
 """
 
 from __future__ import annotations

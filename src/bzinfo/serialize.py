@@ -9,8 +9,15 @@ rejected before it is read whole or parsed.
 
 A built family repeats a few hundred distinct values across hundreds of
 thousands of entries, so matrices are written by formatting each distinct
-float once and gathering the words, without building nested Python lists;
-the bytes equal ``json.dumps`` of the nested [re, im] lists.
+float once and filling the words into the array's bracket-and-comma
+skeleton, without building nested Python lists; the bytes equal
+``json.dumps`` of the nested [re, im] lists.  Reading a measurement file
+works the other way: when the file has exactly the layout ``encode``
+writes, each distinct number of its "effects" array is parsed once,
+straight from the bytes into a float array.  Any other valid JSON
+document, re-spaced or reordered say, still loads through the general
+``json.loads`` parser, and both routes give the same entity or the same
+SchemaError.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import math
 import os
+import re
 
 import numpy as np
 
@@ -34,6 +43,15 @@ SCHEMA_VERSION = 1
 MAX_DOCUMENT_BYTES = 256 * 2**20
 PARAMETER_TOL = 1e-9
 CONDITION_TOL = 1e-10
+
+# patterns, which re compiles on first use (and caches) rather than at import
+_EFFECTS_OPENING = rb'"effects": (\[+)'
+# bytes of JSON numbers, deleted to leave an array's brackets and separators
+_NUMBER_BYTES = b"0123456789+-.eE"
+# brackets around a JSON number that has a fraction or an exponent
+_BRACKETED_FLOAT = rb"\[*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))\]*"
+# bytes per step of the direct parse, which bounds its temporary lists
+_CHUNK_BYTES = 2**20
 
 _REPORT_FIELDS = (
     "dim",
@@ -71,6 +89,14 @@ def _gc_paused():
             gc.enable()
 
 
+def _skeleton(shape: tuple[int, ...], entry: str) -> str:
+    """``json.dumps`` text of a nested list of this shape with every entry written as ``entry``."""
+    text = entry
+    for size in reversed(shape):
+        text = "[" + ", ".join([text] * size) + "]"
+    return text
+
+
 def _matrix_to_json(m: np.ndarray) -> str:
     """JSON text of a matrix or a stack of them, as nested [re, im] pairs.
 
@@ -80,26 +106,13 @@ def _matrix_to_json(m: np.ndarray) -> str:
     """
     pairs = np.stack([m.real, m.imag], axis=-1)
     flat = pairs.reshape(-1)
-    if not flat.size:
-        return json.dumps(pairs.tolist())
     finite = np.isfinite(flat)
     if not finite.all():
         json.dumps(float(flat[~finite][0]), allow_nan=False)  # raises json's ValueError
     # bit patterns, not values, so that -0.0 keeps its own word
     distinct, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
     words = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-    # closes[i]: axes that roll over between flat entries i and i + 1
-    after = np.arange(1, flat.size)
-    closes = np.zeros(flat.size - 1, dtype=np.intp)
-    block = 1
-    for size in pairs.shape[:0:-1]:
-        block *= size
-        closes += after % block == 0
-    separators = np.array(["]" * k + ", " + "[" * k for k in range(pairs.ndim)], dtype=object)
-    tokens = np.empty(2 * flat.size - 1, dtype=object)
-    tokens[0::2] = words[inverse]
-    tokens[1::2] = separators[closes]
-    return "[" * pairs.ndim + "".join(tokens.tolist()) + "]" * pairs.ndim
+    return _skeleton(pairs.shape, "%s") % tuple(words[inverse].tolist())
 
 
 def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
@@ -122,15 +135,21 @@ def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
     return (d + 1, d, d, d) if kind in MUM_KINDS else (d * d, d, d)
 
 
-def _encode_measurement(family: Family) -> dict:
+def _measurement_fields(kind: str, dim, t, parameter, effects) -> dict:
+    """The fields of a measurement document after "v", in the order ``encode`` writes them."""
     return {
         "schema": "measurement",
-        "kind": family.kind,
-        "dim": family.dim,
-        "t": family.t,
-        PARAMETER_NAMES[family.kind]: family.parameter,
-        "effects": family.effects.reshape(_effects_shape(family.kind, family.dim)),
+        "kind": kind,
+        "dim": dim,
+        "t": t,
+        PARAMETER_NAMES[kind]: parameter,
+        "effects": effects,
     }
+
+
+def _encode_measurement(family: Family) -> dict:
+    stored = family.effects.reshape(_effects_shape(family.kind, family.dim))
+    return _measurement_fields(family.kind, family.dim, family.t, family.parameter, stored)
 
 
 def _encode_report(report: BzReport) -> dict:
@@ -161,6 +180,12 @@ def _value_json(value) -> str:
     return json.dumps(value, allow_nan=False)
 
 
+def _document_bytes(doc: dict) -> bytes:
+    """The document's fields in order, with the bytes ``json.dumps`` gives for them."""
+    fields = ", ".join(f"{json.dumps(key)}: {_value_json(value)}" for key, value in doc.items())
+    return ("{" + fields + "}").encode("utf-8")
+
+
 def encode(entity, meta: dict | None = None) -> bytes:
     """Serialize an entity to JSON bytes.
 
@@ -174,8 +199,7 @@ def encode(entity, meta: dict | None = None) -> bytes:
     doc = {"v": SCHEMA_VERSION, **encoder(entity)}
     if meta is not None:
         doc["meta"] = meta
-    fields = ", ".join(f"{json.dumps(key)}: {_value_json(value)}" for key, value in doc.items())
-    return ("{" + fields + "}").encode("utf-8")
+    return _document_bytes(doc)
 
 
 def _check_document_size(size: int) -> None:
@@ -185,20 +209,142 @@ def _check_document_size(size: int) -> None:
         )
 
 
+def _parse_json(data: bytes | str):
+    """The document as ``json.loads`` reads it; bytes must be UTF-8."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"document is not UTF-8: {exc}") from exc
+    try:
+        with _gc_paused():
+            return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, integer digit limit, nesting
+        raise SchemaError(f"malformed JSON: {exc}") from exc
+
+
+def _parse_canonical_measurement(data: bytes) -> dict | None:
+    """The document ``_parse_json`` gives for a measurement in the layout ``encode`` writes.
+
+    The "effects" array is cut out and its numbers parsed straight into a
+    float64 array of shape (*stored shape, 2), which stands in for the
+    nested [re, im] lists; the rest of the document goes through
+    ``json.loads`` with a 0 in the array's place.  Returns None, leaving the
+    document to ``_parse_json``, unless the other fields, their order and
+    spacing are byte-equal to what ``encode`` writes for their values (with
+    or without the newline ``save`` appends), the array's brackets and
+    separators are byte-equal to the encoder's, and every number in it has
+    a fraction or an exponent and is finite.  Those numbers ``json.loads``
+    parses with ``float()`` too; it reads an integer such as "-0" as an int
+    (0, not -0.0).
+    """
+    opening = re.search(_EFFECTS_OPENING, data)
+    if opening is None:
+        return None
+    start, depth = opening.start(1), len(opening[1])
+    # inside the encoder's array no more than depth - 1 brackets close in a row
+    stop = data.find(b"]" * depth, start)
+    if stop < 0:
+        return None
+    stop += depth
+    spliced = data[:start] + b"0" + data[stop:]
+    try:
+        doc = json.loads(spliced.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    kind, d = doc.get("kind"), doc.get("dim")
+    if not (isinstance(kind, str) and kind in PARAMETER_NAMES and type(d) is int and d >= 1):
+        return None
+    # equal bytes put the 0 under the one "effects" key, with no key repeated or moved
+    fields = _measurement_fields(kind, d, doc.get("t"), doc.get(PARAMETER_NAMES[kind]), 0)
+    canonical = {"v": doc.get("v"), **fields}
+    if "meta" in doc:
+        canonical["meta"] = doc["meta"]
+    try:
+        expected = _document_bytes(canonical)
+    except (ValueError, RecursionError):  # NaN or infinity, or deep nesting, in meta
+        return None
+    if spliced not in (expected, expected + b"\n"):  # the newline save appends
+        return None
+    shape = (*_effects_shape(kind, d), 2)
+    values = _canonical_numbers(data, start, stop, shape)
+    if values is None:
+        return None
+    doc["effects"] = values.reshape(shape)
+    return doc
+
+
+class _Numbers(dict):
+    """Value of each number token, with its enclosing brackets, parsed on first lookup.
+
+    A token that is not a JSON number with a fraction or an exponent, or
+    whose value is not finite, raises ValueError.
+    """
+
+    def __missing__(self, token: bytes) -> float:
+        match = re.fullmatch(_BRACKETED_FLOAT, token)
+        if match is None:
+            raise ValueError(f"not a number token: {token!r}")
+        value = float(match[1])
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {token!r}")
+        self[token] = value
+        return value
+
+
+def _canonical_numbers(data: bytes, start: int, stop: int, shape: tuple[int, ...]):
+    """Entries of the nested array ``data[start:stop]``, or None if it is not written as encoded."""
+    n = math.prod(shape)
+    # the brackets and separators, in order, without the numbers between them
+    skeleton = b"".join(
+        data[i:min(i + _CHUNK_BYTES, stop)].translate(None, _NUMBER_BYTES)
+        for i in range(start, stop, _CHUNK_BYTES)
+    )
+    # the token count bounds the canonical skeleton built next by the document's length
+    if skeleton.count(b",") != n - 1 or skeleton != _skeleton(shape, "").encode("ascii"):
+        return None
+
+    # Splitting at the n - 1 separators' ", " leaves n tokens; each must be
+    # brackets around one number, so numbers sit only where the encoder puts them.
+    # A chunk ends before a ", ", so it holds whole tokens.
+    out = np.empty(n, dtype=np.float64)
+    numbers = _Numbers()
+    filled = 0
+    pos = start
+    try:
+        while pos < stop:
+            cut = data.find(b", ", pos + _CHUNK_BYTES, stop)
+            if cut < 0:
+                cut = stop
+            tokens = data[pos:cut].split(b", ")
+            out[filled:filled + len(tokens)] = np.fromiter(
+                map(numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens)
+            )
+            filled += len(tokens)
+            pos = cut + 2
+    except ValueError:
+        return None
+    return out
+
+
 def decode(data: bytes | str):
     """Parse and re-validate a serialized entity.
 
     A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
-    a str) raises SchemaError before it is parsed.
+    a str) raises SchemaError before it is parsed, and bytes that are not
+    UTF-8 raise SchemaError.  A measurement in the layout ``encode`` writes
+    has its effects parsed directly from the bytes; any other document, and
+    any str, is read by ``json.loads``, with the same result.
     """
     _check_document_size(len(data))
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        with _gc_paused():
-            doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON: {exc}") from exc
+    doc = _parse_canonical_measurement(data) if isinstance(data, bytes) else None
+    return _decode_document(_parse_json(data) if doc is None else doc)
+
+
+def _decode_document(doc):
+    """The entity a parsed document describes, re-validated."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
     if doc.get("v") != SCHEMA_VERSION:
@@ -252,7 +398,7 @@ def _decode_measurement(doc: dict):
         raise
     except BzinfoError as exc:
         raise SchemaError(f"decoded measurement fails validation: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
         raise SchemaError(f"malformed measurement document: {exc}") from exc
 
     report = verify(family, CONDITION_TOL)

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from bzinfo import encode, load
 from bzinfo.cli import main
 
 GEN = {
@@ -81,6 +82,15 @@ def test_gen_bytes(capsys, argv):
 def test_gen_file_matches_stdout(files):
     with open(files["mum"], "rb") as fh:
         assert sha256(fh.read()) == GEN[("mum", "--dim", "3")]
+
+
+@pytest.mark.parametrize("argv", sorted(GEN))
+def test_gen_file_decodes_and_reencodes_to_its_bytes(tmp_path, argv):
+    path = tmp_path / "family.json"
+    assert main(["gen", *argv, "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert sha256(data) == GEN[argv]
+    assert encode(load(path)) == data[:-1]  # all but the newline save appends
 
 
 @pytest.mark.parametrize("kind", sorted(VERIFY))
