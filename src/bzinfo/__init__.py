@@ -43,7 +43,13 @@ from .measurements import (
 )
 from .sampler import CountTable, estimate_bz_info, estimate_coincidence, sample_outcomes
 from .serialize import decode, encode, load, save
-from .states import DensityMatrix, maximally_mixed, random_density, validate_state
+from .states import (
+    DensityMatrix,
+    density_stream,
+    maximally_mixed,
+    random_density,
+    validate_state,
+)
 
 __all__ = [
     "BzReport",
@@ -67,6 +73,7 @@ __all__ = [
     "bz_report",
     "closed_forms",
     "decode",
+    "density_stream",
     "encode",
     "estimate_bz_info",
     "estimate_coincidence",

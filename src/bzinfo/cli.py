@@ -29,7 +29,7 @@ from .invariants import DirectEvaluator, bz_report
 from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import encode, load, save
-from .states import RNG_ALGORITHM, check_seed, random_density
+from .states import RNG_ALGORITHM, check_seed, density_stream, random_density
 from . import __version__
 
 SWEEP_HEADER = (
@@ -146,15 +146,15 @@ def _cmd_sweep(args) -> int:
     evaluator = DirectEvaluator(family)
     rank = args.rank if args.rank is not None else args.dim
     lines = [SWEEP_HEADER]
-    for i in range(args.states):
-        state = random_density(args.dim, rank, args.seed + i)
+    states = density_stream(args.dim, rank, args.seed, args.states)
+    for i, state in enumerate(states):
         r = evaluator.report(state)
         lines.append(
             ",".join(
-                [str(i)]
-                + [
-                    repr(value)
-                    for value in (
+                map(
+                    repr,
+                    (
+                        i,
                         r.purity,
                         r.C_direct,
                         r.C_closed,
@@ -165,8 +165,8 @@ def _cmd_sweep(args) -> int:
                         r.U_direct,
                         r.U_closed,
                         r.max_abs_discrepancy,
-                    )
-                ]
+                    ),
+                )
             )
         )
     text = "\n".join(lines) + "\n"

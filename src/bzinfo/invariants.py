@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .basis import gell_mann_basis
 from .errors import DomainError, NumericalError, VerificationError
-from .linalg import IMAG_TOL, purity
+from .linalg import IMAG_TOL
 from .measurements import GSM_KINDS, MUM_KINDS, Family, verify
 from .states import DensityMatrix
 
@@ -184,11 +184,13 @@ class DirectEvaluator:
             raise DomainError("state-only evaluation has no outcome probabilities")
         self._check_dim(rho)
         traces = np.einsum("kij,ji->k", self.observables, rho.matrix)
-        if np.abs(traces.imag).max() >= IMAG_TOL:
+        if np.maximum.reduce(np.abs(traces.imag)) >= IMAG_TOL:
             raise NumericalError("outcome probability has a non-negligible imaginary part")
         p = traces.real
-        if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL:
-            raise NumericalError(f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}")
+        low, high = np.minimum.reduce(p), np.maximum.reduce(p)
+        if low < -PROB_TOL or high > 1.0 + PROB_TOL:
+            raise NumericalError(f"probability out of [0, 1]: {low!r}..{high!r}")
+        # a Python loop over the d + 1 or fewer sums beats one vectorised comparison
         for total in np.add.reduceat(p, self.group_starts).tolist():
             if abs(total - 1.0) >= PROB_TOL:
                 raise NumericalError(f"POVM probabilities sum to {total!r}, not 1")
@@ -199,18 +201,25 @@ class DirectEvaluator:
         if self.group_starts is None:
             self._check_dim(rho)
             p = _kernels.real_trace_batch(self.observables, rho.matrix)
-            c_direct = None
         else:
             p = self.probs(rho)
-            c_direct = float((p**2).sum())
+        squares = p * p  # the bits of p**2
+        c_direct = None if self.group_starts is None else float(np.add.reduce(squares))
         m2 = _kernels.real_trace_batch(self.observables_sq, rho.matrix)
-        terms = m2 - p * p
-        if terms.min() < VAR_FLOOR:
-            raise NumericalError(f"effect variance {terms.min()!r} below {VAR_FLOOR}")
-        clamped = int((terms < 0.0).sum())
-        v_direct = float(np.maximum(terms, 0.0).sum())
+        terms = m2 - squares
+        smallest = np.minimum.reduce(terms)
+        if smallest < VAR_FLOOR:
+            raise NumericalError(f"effect variance {smallest!r} below {VAR_FLOOR}")
+        # with no negative term, np.maximum(terms, 0.0) is terms itself; a nan
+        # minimum fails ">= 0.0" and is counted and clamped as before
+        clamped = 0
+        if not smallest >= 0.0:
+            clamped = int(np.add.reduce(terms < 0.0))
+            terms = np.maximum(terms, 0.0)
+        v_direct = float(np.add.reduce(terms))
 
-        pur = purity(rho)
+        r = rho.matrix
+        pur = float(np.einsum("ij,ji->", r, r).real)  # purity, Tr(rho^2)
         cf = closed_forms(self.kind, d, self.parameter, pur)
         i_direct = cf.V_max - v_direct
         u_direct = v_direct - cf.V_min

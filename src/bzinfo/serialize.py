@@ -123,6 +123,9 @@ def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
         raise SchemaError(f"matrix entries are not [re, im] numbers: {exc}") from exc
     if a.shape != (*shape, 2):
         raise SchemaError(f"expected shape {shape} of [re, im] pairs, got shape {a.shape}")
+    # checked before 1j * inf could turn an infinite part into nan
+    if not np.isfinite(a).all():
+        raise SchemaError("matrix entries must be finite numbers")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -356,7 +359,7 @@ def _decode_document(doc):
         "report": _decode_report,
         "counts": _decode_counts,
     }
-    if schema not in decoders:
+    if not isinstance(schema, str) or schema not in decoders:
         raise SchemaError(f"unknown schema {schema!r}")
     return decoders[schema](doc)
 
@@ -425,9 +428,10 @@ def _decode_report(doc: dict) -> BzReport:
         if report.C_direct is not None:
             pairs.append((report.C_direct, report.C_closed))
         recomputed = max(abs(x - y) for x, y in pairs)
-    except (TypeError, ValueError) as exc:
+        inconsistent = abs(recomputed - report.max_abs_discrepancy) > 1e-15
+    except (TypeError, ValueError, OverflowError) as exc:  # a huge integer overflows a float
         raise SchemaError(f"malformed report document: {exc}") from exc
-    if abs(recomputed - report.max_abs_discrepancy) > 1e-15:
+    if inconsistent:
         raise SchemaError("stored max_abs_discrepancy inconsistent with fields")
     return report
 
@@ -447,8 +451,9 @@ def _decode_counts(doc: dict) -> CountTable:
             raise SchemaError(f"counts rows must be integers: {exc}") from exc
         if counts.ndim != 1 or counts.size == 0 or counts.min() < 0:
             raise SchemaError("counts rows must be nonnegative integers")
-        if int(counts.sum()) != shots:
-            raise SchemaError(f"row sums to {int(counts.sum())}, expected {shots}")
+        total = sum(counts.tolist())  # Python ints: an int64 sum could wrap
+        if total != shots:
+            raise SchemaError(f"row sums to {total}, expected {shots}")
         counts.setflags(write=False)
         decoded.append(counts)
     return CountTable(shots_per_povm=shots, counts=tuple(decoded))

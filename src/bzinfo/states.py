@@ -5,10 +5,21 @@ with G a d x rank matrix of i.i.d. standard complex Gaussians.  Randomness
 uses the counter-based Philox generator so a 64-bit seed fully determines
 the output; concurrent workloads should derive per-task seeds as
 seed + task index.
+
+``density_stream(d, rank, seed, n)`` draws the states of seeds seed, ...,
+seed + n - 1 from one Philox generator whose key is reset for each state to
+the key ``Philox(seed + i)`` starts from, with the counter at 0 and an empty
+buffer.  State i of a stream, and so state i of ``bzinfo sweep``, is
+therefore exactly the state of ``state gen --seed <seed + i> --rank
+<rank>``; ``random_density`` is the one-state stream.  The keys are
+numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``, hashed for a
+chunk of seeds at once (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11, on keyed counter-based generators).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +30,17 @@ from .linalg import COMPLEX_BYTES, TOL_HERM, as_complex_matrix, check_dense_byte
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
+# seeds whose Philox keys are hashed at once: 4096 keys of 16 bytes each
+KEY_CHUNK = 4096
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 
 
 def check_seed(seed: int, streams: int = 1) -> None:
@@ -58,22 +80,105 @@ def maximally_mixed(d: int) -> DensityMatrix:
     return _make_state(np.eye(d, dtype=np.complex128) / d)
 
 
-def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
-    """Seeded Ginibre-induced random state of the given rank.
+def philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """The Philox keys of a 1-D array of 64-bit seeds, shape (n, 2) uint64.
 
-    rank = 1 yields a pure state; rank = d a generic full-support state.
-    Identical seeds give identical output.
+    Row i equals ``np.random.SeedSequence(seeds[i]).generate_state(2,
+    np.uint64)``, the key ``np.random.Philox(seeds[i])`` starts from.  The
+    hash is numpy's SeedSequence mixing on uint32 arrays, one seed per
+    element: a seed below 2^64 enters as the pool [lo, hi, 0, 0] of its
+    32-bit words, which is how SeedSequence pads one or two words.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    shift = np.uint32(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)  # a new array; the argument is kept
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> shift
+        return value
+
+    def mix(x, y):  # in place on both
+        x *= np.uint32(_MIX_MULT_L)
+        y *= np.uint32(_MIX_MULT_R)
+        x -= y
+        x ^= x >> shift
+        return x
+
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    hash_const = _INIT_B
+    words = np.empty((seeds.size, 4), dtype="<u4")
+    for i, value in enumerate(pool):
+        value ^= np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> shift
+        words[:, i] = value
+    # two 32-bit words to one 64-bit word, the way generate_state assembles them
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def _ginibre(rng: np.random.Generator, d: int, rank: int) -> DensityMatrix:
+    """rho = G G^dag / Tr(G G^dag), with Re G and then Im G the next 2 d rank normals."""
+    normals = rng.standard_normal((2, d, rank))
+    g = normals[0] + 1j * normals[1]
+    rho = g @ g.conj().T
+    rho /= rho.trace().real
+    return _make_state((rho + rho.conj().T) / 2.0)
+
+
+def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
+    """The Ginibre-induced random states of seeds seed, ..., seed + n - 1, in order.
+
+    rank = 1 yields pure states; rank = d generic full-support states.
+    State i is the state ``random_density(d, rank, seed + i)``, drawn from
+    one generator re-keyed per state.  The arguments are checked here, once;
+    the states are drawn as the iterator is consumed, holding the keys of at
+    most ``KEY_CHUNK`` seeds.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     check_dense_bytes(COMPLEX_BYTES * d * d, f"a state of dimension {d}")
-    rng = rng_from_seed(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    return _make_state((rho + rho.conj().T) / 2.0)
+    check_seed(seed, n)
+    return _keyed_states(d, rank, int(seed), n)
+
+
+def _keyed_states(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
+    bit_generator = np.random.Philox(seed)
+    rng = np.random.Generator(bit_generator)
+    # a fresh generator's state: counter 0, empty buffer; only the key changes
+    fresh = bit_generator.state
+    for start in range(0, n, KEY_CHUNK):
+        count = min(KEY_CHUNK, n - start)
+        seeds = np.uint64(seed + start) + np.arange(count, dtype=np.uint64)
+        # rows, not .tolist(): 4096 Python int pairs would hold about 600 KB
+        for key in philox_keys(seeds):
+            fresh["state"]["key"] = key
+            bit_generator.state = fresh
+            yield _ginibre(rng, d, rank)
+
+
+def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
+    """Seeded Ginibre-induced random state of the given rank.
+
+    rank = 1 yields a pure state; rank = d a generic full-support state.
+    Identical seeds give identical output: the state comes from
+    ``Philox(seed)``, as the one-state ``density_stream``.
+    """
+    return next(density_stream(d, rank, seed, 1))
 
 
 def validate_state(m) -> DensityMatrix:

@@ -3,10 +3,12 @@
 ``decode`` reads a measurement written in the exact layout ``encode`` produces
 by parsing its effects straight from the bytes, and every other document with
 ``json.loads``.  The two routes must agree on every input: the same family,
-bit for bit, or a SchemaError from both.
+bit for bit, or a SchemaError from both.  State, report and counts documents,
+fuzzed the same way, decode or raise SchemaError and nothing else.
 """
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,9 +21,11 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
+    bz_report,
     decode,
     encode,
     random_density,
+    sample_outcomes,
     sic2_fixture,
 )
 from bzinfo import serialize
@@ -272,3 +276,56 @@ def test_non_utf8_document_rejected_on_both_routes(bad):
             decode(data)
         assert fast_route(data) == "declined"
         assert fallback_route(data) is SchemaError
+
+
+OTHER_SEEDS = [
+    encode(random_density(2, 2, 0)),
+    encode(random_density(3, 1, 5), meta={"rng": "philox", "seed": 5, "rank": 1}),
+    encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))),
+    encode(bz_report(None, random_density(3, 3, 4))),
+    encode(sample_outcomes(build_mub(3), random_density(3, 3, 2), 50, seed=4)),
+]
+# integers and floats at the edges of int64, uint64 and float64
+WIDE_LEXEMES = [
+    "4611686018427387904", "9223372036854775807", "9223372036854775808",
+    "18446744073709551616", "-9223372036854775809", "1e308", "-1e308", "1e-320",
+]
+EDGE_VALUES = [
+    None, True, False, 0, -1, 2, 0.5, -0.5, 1e300, float("nan"), float("inf"), 2**62, 2**63,
+    2**64, 10**400, "x", "", [], {}, [[]], [[0.5]], [1, 2], [[1, 2], [3]], [[[1.0, 1e300]]],
+]
+
+
+def mutate_field(data: bytes, draw) -> bytes:
+    """Replace any number token, or set or drop one top-level field."""
+    op = draw(st.sampled_from(["number", "value", "drop"]))
+    if op == "number":
+        spans = [m.span() for m in re.finditer(rb"-?[0-9][0-9.eE+-]*", data)]
+        if not spans:
+            return data
+        i, j = draw(st.sampled_from(spans))
+        lexemes = st.sampled_from(EDGE_LEXEMES + WIDE_LEXEMES) | st.from_regex(NUMBER, fullmatch=True)
+        return data[:i] + draw(lexemes).encode("utf-8") + data[j:]
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return data
+    if not isinstance(doc, dict) or not doc:
+        return data
+    key = draw(st.sampled_from(sorted(doc)))
+    if op == "drop":
+        del doc[key]
+    else:
+        doc[key] = draw(st.sampled_from(EDGE_VALUES))
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_state_report_and_counts_documents_raise_only_schema_error(data):
+    document = data.draw(st.sampled_from(OTHER_SEEDS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = mutate if data.draw(st.booleans()) else mutate_field
+        document = edit(document, data.draw)
+    outcome(lambda: decode(document))

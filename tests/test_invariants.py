@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bzinfo import (
+    DensityMatrix,
     DirectEvaluator,
     DomainError,
+    NumericalError,
     VerificationError,
     build_gsm,
     build_mub,
@@ -63,6 +65,64 @@ def test_probs_dimension_mismatch():
         DirectEvaluator(build_mub(2)).probs(maximally_mixed(3))
     with pytest.raises(DomainError, match="state-only"):
         DirectEvaluator(None, dim=2).probs(KET0)
+
+
+# Each check of probs and report, reached with a state or an effect stack that
+# validation would have refused, fires with its own message.
+
+
+def unchecked_state(m):
+    m = np.asarray(m, dtype=np.complex128)
+    return DensityMatrix(dim=m.shape[0], matrix=m)
+
+
+def born(effects, m):
+    return np.einsum("kij,ji->k", effects, np.asarray(m, dtype=np.complex128)).real
+
+
+def test_probs_check_imaginary_part():
+    evaluator = DirectEvaluator(build_mub(2))
+    state = unchecked_state(np.eye(2) / 2 + 1e-6j * np.eye(2))
+    for check in (evaluator.probs, evaluator.report):
+        with pytest.raises(NumericalError) as info:
+            check(state)
+        assert str(info.value) == "outcome probability has a non-negligible imaginary part"
+
+
+def test_probs_check_unit_interval():
+    family = build_mub(2)
+    m = np.diag([2.0, -1.0])  # Hermitian with unit trace, but not positive
+    p = born(family.effects, m)
+    with pytest.raises(NumericalError) as info:
+        DirectEvaluator(family).probs(unchecked_state(m))
+    assert str(info.value) == f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}"
+
+
+def test_probs_check_names_the_povm_sum_that_is_off():
+    evaluator = DirectEvaluator(build_mub(3))
+    evaluator.observables = evaluator.observables.copy()
+    evaluator.observables[3:6] *= 0.9  # only the second POVM sums to 0.9
+    totals = np.add.reduceat(born(evaluator.observables, np.eye(3) / 3), [0, 3, 6, 9]).tolist()
+    assert [abs(t - 1.0) >= 1e-10 for t in totals] == [False, True, False, False]
+    with pytest.raises(NumericalError) as info:
+        evaluator.probs(maximally_mixed(3))
+    assert str(info.value) == f"POVM probabilities sum to {totals[1]!r}, not 1"
+
+
+def test_report_variance_floor_and_clamp_count():
+    evaluator = DirectEvaluator(build_mub(2))
+    second_moments = evaluator.observables_sq
+    # Z projectors on |0>: p (1 - p) = 0, so m2 - p^2 is the shift itself
+    evaluator.observables_sq = second_moments - 1e-12 * np.eye(2)
+    assert evaluator.report(KET0).negatives_clamped == 2
+    evaluator.observables_sq = second_moments
+    assert evaluator.report(KET0).negatives_clamped == 0
+    evaluator.observables_sq = second_moments - 1e-9 * np.eye(2)
+    p = born(evaluator.observables, KET0.matrix)
+    terms = born(evaluator.observables_sq, KET0.matrix) - p * p
+    with pytest.raises(NumericalError) as info:
+        evaluator.report(KET0)
+    assert str(info.value) == f"effect variance {terms.min()!r} below -1e-10"
 
 
 # ---------------------------------------------------------------- variance

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,31 @@ def test_tampered_report_discrepancy_rejected():
     doc["max_abs_discrepancy"] = 1e-3
     with pytest.raises(SchemaError, match="discrepancy"):
         decode(json.dumps(doc))
+
+
+def test_counts_row_sum_beyond_int64_rejected():
+    # summed in int64 the row would wrap around to 5
+    big = 2**62
+    data = json.dumps({"v": 1, "schema": "counts", "shots": 5, "counts": [[big, big, big, big + 5]]})
+    with pytest.raises(SchemaError, match=f"row sums to {4 * big + 5}, expected 5"):
+        decode(data)
+
+
+@pytest.mark.parametrize("value", ["x", [1.0], {"a": 1}, None, 10**400])
+def test_report_with_non_numeric_discrepancy_rejected(value):
+    doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
+    doc["max_abs_discrepancy"] = value
+    with pytest.raises(SchemaError, match="malformed report"):
+        decode(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", ["[1.0, 1e999]", "[1e999, 0.0]", "[-1e999, 0.0]", "[NaN, 0.0]"])
+def test_state_with_non_finite_entry_rejected_without_a_warning(entry):
+    data = '{"v": 1, "schema": "state", "dim": 1, "rho": [[%s]]}' % entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="must be finite"):
+            decode(data)
 
 
 def test_matrix_to_json_matches_per_element_floats():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, linalg, maximally_mixed, purity, random_density, validate_state
+from bzinfo import (
+    DomainError,
+    density_stream,
+    linalg,
+    maximally_mixed,
+    purity,
+    random_density,
+    states,
+    validate_state,
+)
 
 
 def test_maximally_mixed_values():
@@ -83,3 +92,66 @@ def test_state_size_limit_boundary(monkeypatch):
     assert random_density(4, 1, 0).dim == 4
     with pytest.raises(DomainError, match="a state of dimension 5 needs"):
         random_density(5, 1, 0)
+
+
+def reference_density(d, rank, seed):
+    """random_density's arithmetic on a freshly built Generator(Philox(seed))."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    rho /= rho.trace().real
+    return (rho + rho.conj().T) / 2.0
+
+
+def assert_stream_matches(d, rank, seed, n, indices=None):
+    stream = list(density_stream(d, rank, seed, n))
+    assert len(stream) == n
+    for i in range(n) if indices is None else indices:
+        assert stream[i].matrix.tobytes() == reference_density(d, rank, seed + i).tobytes(), i
+
+
+def test_philox_keys_match_seed_sequence():
+    rng = np.random.Generator(np.random.Philox(2024))
+    seeds = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    seeds += rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False).tolist()
+    seeds += rng.integers(0, 2**32, 1000, dtype=np.uint64, endpoint=False).tolist()
+    keys = states.philox_keys(np.array(seeds, dtype=np.uint64))
+    assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
+    for seed, key in zip(seeds, keys):
+        expected = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert key.tolist() == expected.tolist(), seed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_density_stream_equals_fresh_generators(d):
+    for rank in sorted({1, d}):
+        assert_stream_matches(d, rank, 41, 30)
+        for i, state in enumerate(density_stream(d, rank, 41, 5)):
+            assert state.matrix.tobytes() == random_density(d, rank, 41 + i).matrix.tobytes()
+            assert not state.matrix.flags.writeable
+
+
+def test_density_stream_across_a_key_chunk_and_the_2_32_boundary():
+    n = states.KEY_CHUNK + 60
+    seed = 2**32 - states.KEY_CHUNK - 20  # seed + KEY_CHUNK + 20 is 2**32
+    boundary = range(states.KEY_CHUNK - 25, states.KEY_CHUNK + 25)
+    assert_stream_matches(2, 2, seed, n, indices=[0, 1, *boundary, n - 1])
+
+
+def test_density_stream_small_chunks(monkeypatch):
+    monkeypatch.setattr(states, "KEY_CHUNK", 3)
+    assert_stream_matches(3, 2, 2**32 - 4, 11)
+
+
+def test_density_stream_at_the_largest_seed():
+    n = 12
+    assert_stream_matches(3, 3, 2**64 - n, n)
+    with pytest.raises(DomainError, match=f"seed must be an integer in \\[0, {2**64 - n}\\]"):
+        density_stream(3, 3, 2**64 - n + 1, n)
+
+
+def test_density_stream_checks_arguments_before_drawing():
+    for d, rank, seed, n in ((0, 1, 0, 1), (3, 4, 0, 1), (3, 0, 0, 1), (2, 1, -1, 1)):
+        with pytest.raises(DomainError):
+            density_stream(d, rank, seed, n)
+    assert list(density_stream(2, 1, 5, 0)) == []
