@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .basis import gell_mann_basis
 from .errors import DomainError, NumericalError, VerificationError
 from .linalg import IMAG_TOL
@@ -133,12 +132,14 @@ class BzReport:
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
-    Verifies the family once at construction and precomputes the effect
-    stack and its squares, so sweeps pay only two batched trace products
-    per state.  ``probs`` gives the checked outcome probabilities and
-    ``report`` the reconciled quantities.  Pass family=None for the
-    state-only quantities, where the direct total variance sums observable
-    variances over a complete orthonormal Hermitian operator basis.
+    Verifies the family once at construction and precomputes one stack of
+    the effects and their squares, ``moments``, so a report pays one
+    batched trace product per state; ``observables`` and ``observables_sq``
+    are views of its two halves.  ``probs`` gives the checked outcome
+    probabilities and ``report`` the reconciled quantities.  Pass
+    family=None for the state-only quantities, where the direct total
+    variance sums observable variances over a complete orthonormal
+    Hermitian operator basis.
     """
 
     def __init__(
@@ -152,7 +153,7 @@ class DirectEvaluator:
             self.dim = dim
             basis = gell_mann_basis(dim)
             eye = np.eye(dim, dtype=np.complex128) / np.sqrt(dim)
-            self.observables = np.concatenate([basis.ops, eye[None]])
+            ops = np.concatenate([basis.ops, eye[None]])
             self.group_starts = None
         else:
             report = verify(family, verify_tol)
@@ -166,9 +167,14 @@ class DirectEvaluator:
             self.kind = "gsm" if family.kind == "sic" else family.kind
             self.parameter = family.parameter
             self.dim = family.dim
-            self.observables = np.ascontiguousarray(family.effects)
+            ops = family.effects
             self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
-        self.observables_sq = np.ascontiguousarray(self.observables @ self.observables)
+        n = len(ops)
+        self.moments = np.empty((2 * n,) + ops.shape[1:], dtype=np.complex128)
+        self.moments[:n] = ops
+        self.observables = self.moments[:n]
+        self.observables_sq = self.moments[n:]
+        np.matmul(self.observables, self.observables, out=self.observables_sq)
 
     def _check_dim(self, rho: DensityMatrix) -> None:
         if rho.dim != self.dim:
@@ -183,7 +189,10 @@ class DirectEvaluator:
         if self.group_starts is None:
             raise DomainError("state-only evaluation has no outcome probabilities")
         self._check_dim(rho)
-        traces = np.einsum("kij,ji->k", self.observables, rho.matrix)
+        return self._checked_probs(np.einsum("kij,ji->k", self.observables, rho.matrix))
+
+    def _checked_probs(self, traces: np.ndarray) -> np.ndarray:
+        """The real parts of the effects' traces, checked as ``probs`` describes."""
         if np.maximum.reduce(np.abs(traces.imag)) >= IMAG_TOL:
             raise NumericalError("outcome probability has a non-negligible imaginary part")
         p = traces.real
@@ -198,15 +207,16 @@ class DirectEvaluator:
 
     def report(self, rho: DensityMatrix) -> BzReport:
         d = self.dim
+        self._check_dim(rho)
+        traces = np.einsum("kij,ji->k", self.moments, rho.matrix)
+        n = len(self.observables)
         if self.group_starts is None:
-            self._check_dim(rho)
-            p = _kernels.real_trace_batch(self.observables, rho.matrix)
+            p = traces[:n].real
         else:
-            p = self.probs(rho)
+            p = self._checked_probs(traces[:n])
         squares = p * p  # the bits of p**2
         c_direct = None if self.group_starts is None else float(np.add.reduce(squares))
-        m2 = _kernels.real_trace_batch(self.observables_sq, rho.matrix)
-        terms = m2 - squares
+        terms = traces[n:].real - squares
         smallest = np.minimum.reduce(terms)
         if smallest < VAR_FLOOR:
             raise NumericalError(f"effect variance {smallest!r} below {VAR_FLOOR}")

@@ -418,6 +418,10 @@ def _decode_measurement(doc: dict):
 
 def _decode_report(doc: dict) -> BzReport:
     values = {name: _require(doc, name) for name in _REPORT_FIELDS}
+    # json.loads reads NaN, Infinity and overlong exponents as non-finite floats
+    non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
+    if non_finite:
+        raise SchemaError(f"report fields must be finite numbers: {', '.join(non_finite)}")
     try:
         report = BzReport(**values)
         pairs = [
@@ -439,17 +443,20 @@ def _decode_report(doc: dict) -> BzReport:
 def _decode_counts(doc: dict) -> CountTable:
     shots = _require(doc, "shots")
     rows = _require(doc, "counts")
-    if not isinstance(shots, int) or shots < 1:
+    # JSON integers only: bool is an int subclass, and int64 would truncate floats
+    if type(shots) is not int or shots < 1:
         raise SchemaError(f"invalid shots {shots!r}")
     if not isinstance(rows, list) or not rows:
         raise SchemaError("counts must be a non-empty list of rows")
     decoded = []
     for row in rows:
+        if not isinstance(row, list) or any(type(c) is not int for c in row):
+            raise SchemaError("counts rows must be lists of integers")
         try:
             counts = np.asarray(row, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise SchemaError(f"counts rows must be integers: {exc}") from exc
-        if counts.ndim != 1 or counts.size == 0 or counts.min() < 0:
+        if counts.size == 0 or counts.min() < 0:
             raise SchemaError("counts rows must be nonnegative integers")
         total = sum(counts.tolist())  # Python ints: an int64 sum could wrap
         if total != shots:

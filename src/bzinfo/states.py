@@ -14,7 +14,15 @@ therefore exactly the state of ``state gen --seed <seed + i> --rank
 <rank>``; ``random_density`` is the one-state stream.  The keys are
 numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``, hashed for a
 chunk of seeds at once (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11, on keyed counter-based generators).
+as 1, 2, 3", SC'11, on keyed counter-based generators); the first state's
+key is the one ``Philox(seed)`` starts from, so a one-state stream hashes
+nothing.
+
+Per state, the stream only re-keys the generator and draws the 2 d rank
+normals into one row of a batch array.  The rest runs once per batch of
+states: the complex G, one 3-D matmul G G^dag, the trace normalisation and
+the symmetrisation, each the same arithmetic, bit for bit, as for one state.
+The states are read-only views of the batch's array.
 """
 
 from __future__ import annotations
@@ -30,8 +38,12 @@ from .linalg import COMPLEX_BYTES, TOL_HERM, as_complex_matrix, check_dense_byte
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
-# seeds whose Philox keys are hashed at once: 4096 keys of 16 bytes each
+# most seeds whose Philox keys are hashed at once: 4096 keys of 16 bytes each
 KEY_CHUNK = 4096
+# the states of a stream are made in batches of at most this many bytes of
+# matrices (and as many of normals); a 256 KiB batch raised a sweep's peak
+# RSS by about 0.6 MiB, a 16 KiB one did not
+BATCH_BYTES = 16 * 1024
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -129,13 +141,20 @@ def philox_keys(seeds: np.ndarray) -> np.ndarray:
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def _ginibre(rng: np.random.Generator, d: int, rank: int) -> DensityMatrix:
-    """rho = G G^dag / Tr(G G^dag), with Re G and then Im G the next 2 d rank normals."""
-    normals = rng.standard_normal((2, d, rank))
-    g = normals[0] + 1j * normals[1]
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    return _make_state((rho + rho.conj().T) / 2.0)
+def _ginibre_batch(normals: np.ndarray) -> Iterator[DensityMatrix]:
+    """rho = G G^dag / Tr(G G^dag) per state, G = normals[i, 0] + 1j normals[i, 1].
+
+    One 3-D matmul and one pass of each elementwise step serve the whole
+    batch; the yielded matrices are read-only views of one array.
+    """
+    g = normals[:, 0] + 1j * normals[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+    rho.setflags(write=False)
+    d = rho.shape[1]
+    for matrix in rho:
+        yield DensityMatrix(dim=d, matrix=matrix)
 
 
 def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
@@ -144,8 +163,9 @@ def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatr
     rank = 1 yields pure states; rank = d generic full-support states.
     State i is the state ``random_density(d, rank, seed + i)``, drawn from
     one generator re-keyed per state.  The arguments are checked here, once;
-    the states are drawn as the iterator is consumed, holding the keys of at
-    most ``KEY_CHUNK`` seeds.
+    the states are drawn in batches as the iterator is consumed, holding the
+    keys of at most ``KEY_CHUNK`` seeds and one batch of at most
+    ``BATCH_BYTES`` of matrices.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -156,19 +176,34 @@ def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatr
     return _keyed_states(d, rank, int(seed), n)
 
 
+def _stream_keys(seed: int, n: int) -> Iterator[np.ndarray | None]:
+    """The Philox key of each of the seeds seed, ..., seed + n - 1, in order.
+
+    The first is None: ``Philox(seed)`` already starts from it.  The others
+    are hashed ``KEY_CHUNK`` seeds at a time.
+    """
+    yield None
+    for start in range(1, n, KEY_CHUNK):
+        count = min(KEY_CHUNK, n - start)
+        # rows, not .tolist(): 4096 Python int pairs would hold about 600 KB
+        yield from philox_keys(np.uint64(seed + start) + np.arange(count, dtype=np.uint64))
+
+
 def _keyed_states(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
     bit_generator = np.random.Philox(seed)
     rng = np.random.Generator(bit_generator)
     # a fresh generator's state: counter 0, empty buffer; only the key changes
     fresh = bit_generator.state
-    for start in range(0, n, KEY_CHUNK):
-        count = min(KEY_CHUNK, n - start)
-        seeds = np.uint64(seed + start) + np.arange(count, dtype=np.uint64)
-        # rows, not .tolist(): 4096 Python int pairs would hold about 600 KB
-        for key in philox_keys(seeds):
-            fresh["state"]["key"] = key
-            bit_generator.state = fresh
-            yield _ginibre(rng, d, rank)
+    keys = _stream_keys(seed, n)
+    batch = max(1, BATCH_BYTES // (COMPLEX_BYTES * d * d))
+    for start in range(0, n, batch):
+        normals = np.empty((min(batch, n - start), 2, d, rank))
+        for out, key in zip(normals, keys):  # normals first: no key is drawn past the batch
+            if key is not None:
+                fresh["state"]["key"] = key
+                bit_generator.state = fresh
+            rng.standard_normal(out=out)
+        yield from _ginibre_batch(normals)
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:

@@ -179,25 +179,30 @@ def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch):
     run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
     run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
 
-    def fail(self, rho):
+    def fail(self, traces):
         raise NumericalError("probabilities have imaginary part 1e-3")
 
-    monkeypatch.setattr(DirectEvaluator, "probs", fail)
+    # report checks the probabilities it takes from its one stacked contraction here
+    monkeypatch.setattr(DirectEvaluator, "_checked_probs", fail)
     code, out, err = run(capsys, "bz", "--measurement", str(m), "--state", str(s))
     assert code == 3
     assert out == ""
     assert err == "error: probabilities have imaginary part 1e-3\n"
 
 
-def count_calls_per_verb(tmp_path, capsys, monkeypatch, module, attr):
-    """Calls of ``module.attr`` per verb, with every bzinfo binding of it counted."""
-    original = getattr(module, attr)
+def count_calls_per_verb(tmp_path, capsys, monkeypatch, owner, attr):
+    """Calls of ``owner.attr`` per verb, with every bzinfo binding of it counted.
+
+    The owner is a module or a class; a method is counted on its class.
+    """
+    original = getattr(owner, attr)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, attr, counting)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "bzinfo" and getattr(mod, attr, None) is original:
             monkeypatch.setattr(mod, attr, counting)
@@ -229,6 +234,12 @@ def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
 def test_sample_outcomes_calls_per_verb(tmp_path, capsys, monkeypatch):
     counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, sampler, "sample_outcomes")
     assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 0, "sample": 2, "sweep": 0}
+
+
+def test_report_calls_per_verb(tmp_path, capsys, monkeypatch):
+    # one report per sweep state (the sweep here has --states 4) and one per bz
+    counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, DirectEvaluator, "report")
+    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 1, "sample": 0, "sweep": 4}
 
 
 @pytest.mark.parametrize("estimate", [False, True])

@@ -12,6 +12,7 @@ from bzinfo import (
     build_mum,
     bz_report,
     closed_forms,
+    density_stream,
     maximally_mixed,
     purity,
     random_density,
@@ -111,13 +112,14 @@ def test_probs_check_names_the_povm_sum_that_is_off():
 
 def test_report_variance_floor_and_clamp_count():
     evaluator = DirectEvaluator(build_mub(2))
-    second_moments = evaluator.observables_sq
-    # Z projectors on |0>: p (1 - p) = 0, so m2 - p^2 is the shift itself
-    evaluator.observables_sq = second_moments - 1e-12 * np.eye(2)
+    second_moments = evaluator.observables_sq.copy()
+    # Z projectors on |0>: p (1 - p) = 0, so m2 - p^2 is the shift itself; the
+    # squares are written in place, in the stack report contracts
+    evaluator.observables_sq[:] = second_moments - 1e-12 * np.eye(2)
     assert evaluator.report(KET0).negatives_clamped == 2
-    evaluator.observables_sq = second_moments
+    evaluator.observables_sq[:] = second_moments
     assert evaluator.report(KET0).negatives_clamped == 0
-    evaluator.observables_sq = second_moments - 1e-9 * np.eye(2)
+    evaluator.observables_sq[:] = second_moments - 1e-9 * np.eye(2)
     p = born(evaluator.observables, KET0.matrix)
     terms = born(evaluator.observables_sq, KET0.matrix) - p * p
     with pytest.raises(NumericalError) as info:
@@ -315,6 +317,39 @@ def test_state_only_report():
     assert abs(r.V_direct - (d - r.purity)) < 1e-9
     assert abs(r.I_direct - (r.purity - 1 / d)) < 1e-9
     assert r.max_abs_discrepancy < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make, d",
+    [
+        (lambda: build_mum(2, "auto"), 2),
+        (lambda: build_mum(5, "auto"), 5),
+        (lambda: build_gsm(3, "auto"), 3),
+        (lambda: build_gsm(8, "auto"), 8),
+        (lambda: build_mub(5), 5),
+        (sic2_fixture, 2),
+        (lambda: None, 2),
+        (lambda: None, 8),
+    ],
+    ids=["mum2", "mum5", "gsm3", "gsm8", "mub5", "sic2", "state2", "state8"],
+)
+def test_stacked_contraction_equals_two_separate_ones(make, d):
+    family = make()
+    evaluator = DirectEvaluator(family, dim=d if family is None else None)
+    effects = evaluator.observables.copy() if family is None else family.effects
+    squares = effects @ effects
+    assert np.shares_memory(evaluator.observables, evaluator.moments)
+    assert np.shares_memory(evaluator.observables_sq, evaluator.moments)
+    assert evaluator.moments.tobytes() == np.concatenate([effects, squares]).tobytes()
+    for rank in sorted({1, d}):
+        for rho in density_stream(d, rank, 300, 40):
+            p = np.einsum("kij,ji->k", effects, rho.matrix).real
+            m2 = np.einsum("kij,ji->k", squares, rho.matrix).real
+            r = evaluator.report(rho)
+            assert r.V_direct == float(np.add.reduce(np.maximum(m2 - p * p, 0.0)))
+            if family is not None:
+                assert r.C_direct == float(np.add.reduce(p * p))
+                assert evaluator.probs(rho).tobytes() == p.tobytes()
 
 
 def test_report_rejects_degenerate_family():

@@ -158,6 +158,36 @@ def test_report_with_non_numeric_discrepancy_rejected(value):
         decode(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "rows", [[[2.7, "1", True]], [[2.0, 2]], [["4"]], [[True, 3]], [[None, 4]], [[[4]]]]
+)
+def test_counts_rows_of_non_integers_rejected(rows):
+    # int64 would read each of the first four rows as summing to 4
+    data = json.dumps({"v": 1, "schema": "counts", "shots": 4, "counts": rows})
+    with pytest.raises(SchemaError, match="counts rows must be lists of integers"):
+        decode(data)
+
+
+@pytest.mark.parametrize("shots", [True, 1.0])
+def test_counts_non_integer_shots_rejected(shots):
+    data = json.dumps({"v": 1, "schema": "counts", "shots": shots, "counts": [[1, 0]]})
+    with pytest.raises(SchemaError, match=f"invalid shots {shots!r}"):
+        decode(data)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "fields", [("V_direct", "max_abs_discrepancy"), ("purity",), ("C_closed",), ("parameter",)]
+)
+def test_report_with_non_finite_field_rejected(fields, value):
+    doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
+    for name in fields:
+        doc[name] = value
+    with pytest.raises(SchemaError) as info:
+        decode(json.dumps(doc))  # json.dumps writes NaN, Infinity and -Infinity
+    assert str(info.value) == f"report fields must be finite numbers: {', '.join(fields)}"
+
+
 @pytest.mark.parametrize("entry", ["[1.0, 1e999]", "[1e999, 0.0]", "[-1e999, 0.0]", "[NaN, 0.0]"])
 def test_state_with_non_finite_entry_rejected_without_a_warning(entry):
     data = '{"v": 1, "schema": "state", "dim": 1, "rho": [[%s]]}' % entry

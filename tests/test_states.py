@@ -141,6 +141,29 @@ def test_density_stream_across_a_key_chunk_and_the_2_32_boundary():
 def test_density_stream_small_chunks(monkeypatch):
     monkeypatch.setattr(states, "KEY_CHUNK", 3)
     assert_stream_matches(3, 2, 2**32 - 4, 11)
+    # state batches of 1, 4 and 5 across key chunks of 3, which start at state 1
+    for d in (1, 2, 3, 8):
+        matrix_bytes = 16 * d * d
+        for nbytes in (1, 4 * matrix_bytes + matrix_bytes - 1, 5 * matrix_bytes):
+            monkeypatch.setattr(states, "BATCH_BYTES", nbytes)
+            for rank in sorted({1, d}):
+                assert_stream_matches(d, rank, 2**32 - 6, 13)
+
+
+def test_density_stream_hashes_no_key_for_its_first_state(monkeypatch):
+    monkeypatch.setattr(states, "KEY_CHUNK", 3)
+    hashed = []
+
+    def counting(seeds):
+        hashed.append(seeds.tolist())
+        return philox_keys(seeds)
+
+    philox_keys = states.philox_keys
+    monkeypatch.setattr(states, "philox_keys", counting)
+    random_density(2, 2, 9)
+    assert hashed == []
+    list(density_stream(2, 2, 9, 5))
+    assert hashed == [[10, 11, 12], [13]]
 
 
 def test_density_stream_at_the_largest_seed():
