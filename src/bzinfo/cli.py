@@ -11,7 +11,10 @@ Subcommands, one verb per capability:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical failure (a numerical routine missed its accuracy contract).
-All randomness is traced to --seed.
+All randomness is traced to --seed, any integer in [0, 2^64 - 1]: each
+seeded command reads one Philox(seed) stream in order.  Sweep state i is
+the i-th state of that stream, so state 0 is that of ``state gen --seed
+<seed>``.
 
 Loading a measurement file rejects any verification deviation >= 1e-10
 with exit 2, so ``verify --tol`` looser than 1e-10 has no effect: verify
@@ -123,7 +126,6 @@ def _cmd_sample(args) -> int:
     family = load(args.measurement)
     state = load(args.state)
     if args.estimate:
-        # first: the bootstrap stream makes its seed bound the tighter one
         estimate, std_error = estimate_bz_info(family, state, args.shots, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))
     table = sample_outcomes(family, state, args.shots, args.seed)
@@ -135,7 +137,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    check_seed(args.seed, args.states)
+    check_seed(args.seed)
     if args.measurement:
         family = load(args.measurement)
     else:

@@ -63,6 +63,8 @@ class ClosedForms:
 
 
 _STATE_KINDS = {None, "state", "state-only"}
+# the kinds a report carries: a SIC-POVM reports as the rank-one general SIC case
+REPORT_KINDS = ("state-only", "mum", "mub", "gsm")
 
 
 def closed_forms(kind, d: int, parameter, purity_value: float) -> ClosedForms:
@@ -162,8 +164,6 @@ class DirectEvaluator:
                     f"family failed verification at {verify_tol:g}: "
                     + ", ".join(report.failures())
                 )
-            # reports use the closed-form family kinds; a SIC-POVM is the
-            # rank-one general SIC case
             self.kind = "gsm" if family.kind == "sic" else family.kind
             self.parameter = family.parameter
             self.dim = family.dim

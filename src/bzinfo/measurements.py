@@ -102,7 +102,7 @@ class VerificationReport:
         )
 
     def failures(self) -> list[str]:
-        out = [name for name, v in self.deviations.items() if v >= self.tol]
+        out = [name for name, v in self.deviations.items() if not v < self.tol]
         if self.degenerate:
             out.append("degenerate")
         return out
@@ -192,8 +192,8 @@ def _resolve_t(t, t_max: float) -> float:
             raise DomainError(f"t must be a number or 'auto', got {t!r}")
         return t_max
     t = float(t)
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < np.inf:
+        raise DomainError(f"t must be a finite nonnegative number, got {t}")
     return t
 
 

@@ -2,9 +2,10 @@
 
 Each POVM's outcome counts are one multinomial draw of the shot budget
 over its Born probabilities, so time and memory grow with the number of
-outcomes, not of shots.  The per-POVM generator is seeded as
-seed + povm index, so sampling is deterministic and POVMs can be
-simulated concurrently.
+outcomes, not of shots.  The POVMs draw their counts one after another
+from one ``Generator(Philox(seed))``, so sampling is deterministic.  The
+bootstrap reads ``Philox(seed).jumped()``: the same key, 2^128 outputs
+ahead, a stream that never meets the count table's.
 The coincidence estimator is the unbiased collision statistic
 sum_j n_j (n_j - 1) / (N (N - 1)); the plug-in sum of squared frequencies
 would be biased upward by (1 - sum p^2)/N.
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .invariants import DirectEvaluator, closed_forms
 from .measurements import Family
-from .states import DensityMatrix, check_seed, rng_from_seed
+from .states import DensityMatrix, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
 # Generator.multinomial takes the shot budget as a signed 64-bit integer
@@ -39,11 +40,11 @@ def sample_outcomes(family: Family, rho: DensityMatrix, shots: int, seed: int) -
     if not isinstance(shots, (int, np.integer)) or not 1 <= int(shots) <= MAX_SHOTS:
         raise DomainError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
     shots = int(shots)
-    check_seed(seed, len(family.group_sizes))
+    rng = rng_from_seed(seed)
     rows = []
-    for b, probs in enumerate(family.split(DirectEvaluator(family).probs(rho))):
+    for probs in family.split(DirectEvaluator(family).probs(rho)):
         p = np.maximum(probs, 0.0)
-        counts = rng_from_seed(seed + b).multinomial(shots, p / p.sum())
+        counts = rng.multinomial(shots, p / p.sum())
         counts.setflags(write=False)
         rows.append(counts)
     return CountTable(shots_per_povm=shots, counts=tuple(rows))
@@ -73,16 +74,15 @@ def estimate_bz_info(
     The estimate is the sampled coincidence minus the closed-form
     coincidence of the maximally mixed state for this family.  The
     standard error comes from ``resamples`` multinomial resamples of the
-    count table, drawn from the generator seeded seed + number of POVMs.
+    count table, drawn from ``Generator(Philox(seed).jumped())``.
     """
-    check_seed(seed, len(family.group_sizes) + 1)
     table = sample_outcomes(family, rho, shots, seed)
     d = family.dim
     coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     estimate = estimate_coincidence(table) - coincidence_at_mixed
 
     n = table.shots_per_povm
-    rng = rng_from_seed(seed + len(table.counts))
+    rng = np.random.Generator(np.random.Philox(int(seed)).jumped())
     frequencies = np.stack(table.counts) / n
     # one draw of shape (resamples, povms, outcomes), in the order of a
     # resample-major loop over the POVMs

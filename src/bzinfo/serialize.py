@@ -32,7 +32,7 @@ import re
 import numpy as np
 
 from .errors import BzinfoError, SchemaError
-from .invariants import BzReport
+from .invariants import REPORT_KINDS, BzReport, closed_forms
 from .linalg import hermitian
 from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, verify
 from .sampler import CountTable
@@ -394,6 +394,8 @@ def _decode_measurement(doc: dict):
     try:
         t = float(_require(doc, "t"))
         parameter = float(_require(doc, name))
+        if not (math.isfinite(t) and math.isfinite(parameter)):
+            raise SchemaError(f"t and {name} must be finite numbers, got {t!r} and {parameter!r}")
         stack = hermitian(_matrix_from_json(effects, _effects_shape(kind, d)).reshape(-1, d, d))
         stack.setflags(write=False)
         family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
@@ -406,11 +408,11 @@ def _decode_measurement(doc: dict):
 
     report = verify(family, CONDITION_TOL)
     parameter_dev = report.deviations.pop("parameter")
-    if parameter_dev >= PARAMETER_TOL:
+    if not parameter_dev < PARAMETER_TOL:
         raise SchemaError(
             f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})"
         )
-    bad = [key for key, v in report.deviations.items() if v >= CONDITION_TOL]
+    bad = [key for key, v in report.deviations.items() if not v < CONDITION_TOL]
     if bad:
         raise SchemaError(f"decoded measurement violates: {', '.join(bad)}")
     return family
@@ -422,8 +424,26 @@ def _decode_report(doc: dict) -> BzReport:
     non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"report fields must be finite numbers: {', '.join(non_finite)}")
+    d, kind, clamped = values["dim"], values["kind"], values["negatives_clamped"]
+    # JSON integers only: bool is an int subclass
+    if type(d) is not int or d < 1:
+        raise SchemaError(f"invalid dim {d!r}")
+    if kind not in REPORT_KINDS:
+        raise SchemaError(f"unknown report kind {kind!r}")
+    if type(clamped) is not int or clamped < 0:
+        raise SchemaError(f"invalid negatives_clamped {clamped!r}")
+    for name in _REPORT_FIELDS[2:-1]:  # "parameter" to "max_abs_discrepancy": numbers
+        value = values[name]
+        # a state-only report has no parameter and no coincidence
+        if kind == "state-only" and name in ("parameter", "C_direct", "C_closed"):
+            valid = value is None
+        else:
+            valid = type(value) in (int, float)
+        if not valid:
+            raise SchemaError(f"malformed report document: invalid {name} {value!r}")
     try:
         report = BzReport(**values)
+        closed = closed_forms(kind, d, report.parameter, report.purity)
         pairs = [
             (report.V_direct, report.V_closed),
             (report.I_direct, report.I_closed),
@@ -433,8 +453,14 @@ def _decode_report(doc: dict) -> BzReport:
             pairs.append((report.C_direct, report.C_closed))
         recomputed = max(abs(x - y) for x, y in pairs)
         inconsistent = abs(recomputed - report.max_abs_discrepancy) > 1e-15
-    except (TypeError, ValueError, OverflowError) as exc:  # a huge integer overflows a float
+    except BzinfoError as exc:  # a parameter or purity out of its range
+        raise SchemaError(f"decoded report fails validation: {exc}") from exc
+    except OverflowError as exc:  # a huge integer overflows a float
         raise SchemaError(f"malformed report document: {exc}") from exc
+    stored = (report.C_closed, report.V_closed, report.V_min, report.V_max, report.I_closed,
+              report.U_closed)
+    if stored != (closed.C, closed.V, closed.V_min, closed.V_max, closed.I, closed.U):
+        raise SchemaError("stored closed forms inconsistent with kind, dim, parameter and purity")
     if inconsistent:
         raise SchemaError("stored max_abs_discrepancy inconsistent with fields")
     return report

@@ -2,27 +2,20 @@
 
 Random states come from the Ginibre construction, rho = G G^dag / Tr(G G^dag)
 with G a d x rank matrix of i.i.d. standard complex Gaussians.  Randomness
-uses the counter-based Philox generator so a 64-bit seed fully determines
-the output; concurrent workloads should derive per-task seeds as
-seed + task index.
+uses the counter-based Philox generator, one stream per seed: a 64-bit seed
+fully determines the output, and distinct seeds key distinct streams
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
-``density_stream(d, rank, seed, n)`` draws the states of seeds seed, ...,
-seed + n - 1 from one Philox generator whose key is reset for each state to
-the key ``Philox(seed + i)`` starts from, with the counter at 0 and an empty
-buffer.  State i of a stream, and so state i of ``bzinfo sweep``, is
-therefore exactly the state of ``state gen --seed <seed + i> --rank
-<rank>``; ``random_density`` is the one-state stream.  The keys are
-numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``, hashed for a
-chunk of seeds at once (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11, on keyed counter-based generators); the first state's
-key is the one ``Philox(seed)`` starts from, so a one-state stream hashes
-nothing.
-
-Per state, the stream only re-keys the generator and draws the 2 d rank
-normals into one row of a batch array.  The rest runs once per batch of
-states: the complex G, one 3-D matmul G G^dag, the trace normalisation and
-the symmetrisation, each the same arithmetic, bit for bit, as for one state.
-The states are read-only views of the batch's array.
+``density_stream(d, rank, seed, n)`` reads the normals of n states, in
+order, from one ``Generator(Philox(seed))``: state i is made from normals
+2 d rank i, ..., 2 d rank (i + 1) - 1 of that stream.  State 0 is
+``random_density(d, rank, seed)``, the state of ``state gen --seed <seed>
+--rank <rank>``.  A batch of states is one ``standard_normal`` draw, and a
+generator's draws do not depend on how they are split into calls, so the
+batch size never shows in the states.  Per batch, the complex G, one 3-D
+matmul G G^dag, the trace normalisation and the symmetrisation run once,
+each the same arithmetic, bit for bit, as for one state.  The states are
+read-only views of the batch's array.
 """
 
 from __future__ import annotations
@@ -38,32 +31,16 @@ from .linalg import COMPLEX_BYTES, TOL_HERM, as_complex_matrix, check_dense_byte
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
-# most seeds whose Philox keys are hashed at once: 4096 keys of 16 bytes each
-KEY_CHUNK = 4096
 # the states of a stream are made in batches of at most this many bytes of
 # matrices (and as many of normals); a 256 KiB batch raised a sweep's peak
 # RSS by about 0.6 MiB, a 16 KiB one did not
 BATCH_BYTES = 16 * 1024
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
 
-
-def check_seed(seed: int, streams: int = 1) -> None:
-    """Check that the stream seeds seed + 0, ..., seed + streams - 1 are all 64-bit.
-
-    Tasks that draw several random streams seed them as seed + task index;
-    the error names the seed the caller passed and the largest one allowed.
-    """
-    largest = 2**64 - max(streams, 1)
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= largest:
-        raise DomainError(f"seed must be an integer in [0, {largest}], got {seed!r}")
+def check_seed(seed: int) -> None:
+    """Check that the seed is a 64-bit unsigned integer, the key of one Philox stream."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise DomainError(f"seed must be an integer in [0, {2**64 - 1}], got {seed!r}")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -92,55 +69,6 @@ def maximally_mixed(d: int) -> DensityMatrix:
     return _make_state(np.eye(d, dtype=np.complex128) / d)
 
 
-def philox_keys(seeds: np.ndarray) -> np.ndarray:
-    """The Philox keys of a 1-D array of 64-bit seeds, shape (n, 2) uint64.
-
-    Row i equals ``np.random.SeedSequence(seeds[i]).generate_state(2,
-    np.uint64)``, the key ``np.random.Philox(seeds[i])`` starts from.  The
-    hash is numpy's SeedSequence mixing on uint32 arrays, one seed per
-    element: a seed below 2^64 enters as the pool [lo, hi, 0, 0] of its
-    32-bit words, which is how SeedSequence pads one or two words.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    shift = np.uint32(16)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)  # a new array; the argument is kept
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> shift
-        return value
-
-    def mix(x, y):  # in place on both
-        x *= np.uint32(_MIX_MULT_L)
-        y *= np.uint32(_MIX_MULT_R)
-        x -= y
-        x ^= x >> shift
-        return x
-
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-
-    hash_const = _INIT_B
-    words = np.empty((seeds.size, 4), dtype="<u4")
-    for i, value in enumerate(pool):
-        value ^= np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> shift
-        words[:, i] = value
-    # two 32-bit words to one 64-bit word, the way generate_state assembles them
-    return words.view("<u8").astype(np.uint64, copy=False)
-
-
 def _ginibre_batch(normals: np.ndarray) -> Iterator[DensityMatrix]:
     """rho = G G^dag / Tr(G G^dag) per state, G = normals[i, 0] + 1j normals[i, 1].
 
@@ -158,60 +86,35 @@ def _ginibre_batch(normals: np.ndarray) -> Iterator[DensityMatrix]:
 
 
 def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
-    """The Ginibre-induced random states of seeds seed, ..., seed + n - 1, in order.
+    """The first n Ginibre-induced random states of the stream ``Philox(seed)``, in order.
 
     rank = 1 yields pure states; rank = d generic full-support states.
-    State i is the state ``random_density(d, rank, seed + i)``, drawn from
-    one generator re-keyed per state.  The arguments are checked here, once;
-    the states are drawn in batches as the iterator is consumed, holding the
-    keys of at most ``KEY_CHUNK`` seeds and one batch of at most
-    ``BATCH_BYTES`` of matrices.
+    The arguments are checked here, once; the states are drawn as the
+    iterator is consumed, one batch of at most ``BATCH_BYTES`` of matrices
+    at a time.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
+    if n < 0:
+        raise DomainError(f"number of states must be >= 0, got {n}")
     check_dense_bytes(COMPLEX_BYTES * d * d, f"a state of dimension {d}")
-    check_seed(seed, n)
-    return _keyed_states(d, rank, int(seed), n)
+    return _states(d, rank, rng_from_seed(seed), n)
 
 
-def _stream_keys(seed: int, n: int) -> Iterator[np.ndarray | None]:
-    """The Philox key of each of the seeds seed, ..., seed + n - 1, in order.
-
-    The first is None: ``Philox(seed)`` already starts from it.  The others
-    are hashed ``KEY_CHUNK`` seeds at a time.
-    """
-    yield None
-    for start in range(1, n, KEY_CHUNK):
-        count = min(KEY_CHUNK, n - start)
-        # rows, not .tolist(): 4096 Python int pairs would hold about 600 KB
-        yield from philox_keys(np.uint64(seed + start) + np.arange(count, dtype=np.uint64))
-
-
-def _keyed_states(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
-    bit_generator = np.random.Philox(seed)
-    rng = np.random.Generator(bit_generator)
-    # a fresh generator's state: counter 0, empty buffer; only the key changes
-    fresh = bit_generator.state
-    keys = _stream_keys(seed, n)
+def _states(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[DensityMatrix]:
     batch = max(1, BATCH_BYTES // (COMPLEX_BYTES * d * d))
     for start in range(0, n, batch):
-        normals = np.empty((min(batch, n - start), 2, d, rank))
-        for out, key in zip(normals, keys):  # normals first: no key is drawn past the batch
-            if key is not None:
-                fresh["state"]["key"] = key
-                bit_generator.state = fresh
-            rng.standard_normal(out=out)
-        yield from _ginibre_batch(normals)
+        yield from _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded Ginibre-induced random state of the given rank.
 
     rank = 1 yields a pure state; rank = d a generic full-support state.
-    Identical seeds give identical output: the state comes from
-    ``Philox(seed)``, as the one-state ``density_stream``.
+    Identical seeds give identical output: the state is the first of
+    ``density_stream(d, rank, seed, n)``.
     """
     return next(density_stream(d, rank, seed, 1))
 

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from bzinfo import NumericalError, measurements, sampler
-from bzinfo.cli import main
+from bzinfo import NumericalError, load, measurements, purity, sampler
+from bzinfo.cli import SWEEP_HEADER, main
 from bzinfo.invariants import DirectEvaluator
 
 
@@ -124,6 +124,34 @@ def test_non_prime_mub_exits_two(capsys):
     assert "smallest factor 2" in err
 
 
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+def test_non_finite_t_exits_two(capsys, t):
+    for argv in (["gen", "mum", "--dim", "3"], ["gen", "gsm", "--dim", "3"],
+                 ["sweep", "--dim", "2", "--states", "2"]):
+        code, out, err = run(capsys, *argv, f"--t={t}")
+        assert code == 2, argv
+        assert out == ""
+        assert "t must be a finite nonnegative number" in err
+
+
+def test_sweep_negative_states_exits_two(capsys):
+    code, out, err = run(capsys, "sweep", "--dim", "2", "--states", "-5")
+    assert code == 2
+    assert out == ""
+    assert "number of states must be >= 0, got -5" in err
+    code, out, _ = run(capsys, "sweep", "--dim", "2", "--states", "0")
+    assert code == 0
+    assert out == SWEEP_HEADER + "\n"
+
+
+def test_sweep_state_zero_is_state_gen(tmp_path, capsys):
+    s = tmp_path / "s.json"
+    run(capsys, "state", "gen", "--dim", "3", "--seed", "5", "--out", str(s))
+    rho = load(s)
+    _, out, _ = run(capsys, "sweep", "--dim", "3", "--states", "2", "--seed", "5")
+    assert out.splitlines()[1].startswith(f"0,{purity(rho)!r},")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "verify", "--measurement", "/nonexistent/m.json")
     assert code == 2
@@ -152,24 +180,21 @@ def test_sample_seed_overflow_names_given_seed(tmp_path, capsys, estimate):
     run(capsys, "gen", "mub", "--dim", "2", "--out", str(m))
     run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
     argv = ["sample", "--measurement", str(m), "--state", str(s), "--shots", "10"]
-    # three POVMs draw seed + 0..2; the bootstrap draws seed + 3
-    largest = 2**64 - (4 if estimate else 3)
+    # the POVMs and the bootstrap all read the one stream of the seed
     extra = ["--estimate"] if estimate else []
-    code, _, err = run(capsys, *argv, "--seed", U64_MAX, *extra)
+    code, _, err = run(capsys, *argv, "--seed", str(2**64), *extra)
     assert code == 2
-    assert f"[0, {largest}], got {U64_MAX}" in err
-    assert str(2**64) not in err
-    code, _, _ = run(capsys, *argv, "--seed", str(largest), *extra)
+    assert f"[0, {U64_MAX}], got {2**64}" in err
+    code, _, _ = run(capsys, *argv, "--seed", U64_MAX, *extra)
     assert code == 0
 
 
 def test_sweep_seed_overflow_names_given_seed(capsys):
     argv = ["sweep", "--dim", "2", "--states", "2"]
-    code, _, err = run(capsys, *argv, "--seed", U64_MAX)
+    code, _, err = run(capsys, *argv, "--seed", str(2**64))
     assert code == 2
-    assert f"[0, {2**64 - 2}], got {U64_MAX}" in err
-    assert str(2**64) not in err
-    code, _, _ = run(capsys, *argv, "--seed", str(2**64 - 2))
+    assert f"[0, {U64_MAX}], got {2**64}" in err
+    code, _, _ = run(capsys, *argv, "--seed", U64_MAX)
     assert code == 0
 
 

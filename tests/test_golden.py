@@ -35,19 +35,21 @@ BZ = {
     "mum": "599fa194d28665705024f29b4016ae0f77eddd2d9610ea7cb06d244e0fbbcd16",
     "gsm": "fc521abed8bd498ef7d2ef135df75a1e2e9966a2f019a39b52588b3b9f809d31",
 }
+# sweep state i is the i-th state of one Philox(seed) stream
 SWEEP = {
     ("--dim", "3", "--states", "50", "--seed", "123"):
-        "d1297fb9f14192138e0ec6a36eaabc24bf4d1c1429890268d5245a65d0d10027",
+        "3da6b2a3807aa34e7640a4bd31a5cf7420c954b5d8002c100fc23bdddbbb0247",
     ("--kind", "mub", "--dim", "3", "--states", "20", "--seed", "9"):
-        "63d95c9136337f055974e94d463fa1a284d3cd3e9a6b1b4b5d548129b8fe91f2",
+        "6518a04287a039c69d4f255c98fe71d74e67f158bccfc24334de9d40dc7d2ca9",
     ("--kind", "gsm", "--dim", "2", "--states", "20", "--seed", "9"):
-        "1e71b03358ef2ca3cff84e2e7c02e3e976d1b8b4cfcc369890e95d1a3b9661b0",
+        "165c6da8b2ae4b948c0fc8025f62282d1982a2514aa4be73b04051727bb506e2",
     ("--kind", "sic2", "--dim", "2", "--states", "20", "--seed", "9"):
-        "db285307fd27d2cbf2e4d9730b569c31319d780a6396fdc5acb0fce8cb8315a8",
+        "bef4d14b4b1114e725519dc43c09e5dc7d697c2ea90916b7723a8932c6545577",
 }
-# counts are one Generator.multinomial draw per POVM, so this pin follows
-# the sampling method as well as the seed
-SAMPLE_COUNTS = "cd3679383d80c50d0e0cc8d9a879849227541c5ed3af34a19f0d81568470aa40"
+# counts are one Generator.multinomial draw per POVM, POVM after POVM from
+# one Philox(seed) stream, so this pin follows the sampling method as well
+# as the seed
+SAMPLE_COUNTS = "697b79d7c696a7109b10bba6c539b0b6b996670f3cd00e2537d91986f23c421c"
 
 
 def sha256(data: bytes) -> str:

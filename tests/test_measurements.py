@@ -6,6 +6,7 @@ import pytest
 from bzinfo import (
     DomainError,
     PositivityError,
+    VerificationReport,
     build_gsm,
     build_mub,
     build_mum,
@@ -115,6 +116,19 @@ def test_build_mum_t0_degenerate():
     report = verify(mset, 1e-10)
     assert report.degenerate and not report.passed
     assert "degenerate" in report.failures()
+
+
+def test_failures_name_a_nan_deviation():
+    report = VerificationReport("mum", 1e-10, {"a": float("nan"), "b": 0.0, "c": 1.0}, False)
+    assert not report.passed
+    assert report.failures() == ["a", "c"]
+
+
+@pytest.mark.parametrize("build", [build_mum, build_gsm])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_build_rejects_a_non_finite_or_negative_t(build, t):
+    with pytest.raises(DomainError, match="t must be a finite nonnegative number"):
+        build(3, t)
 
 
 def test_build_mum_d3_kappa_formula():

@@ -106,7 +106,7 @@ def test_multinomial_counts_follow_the_inverse_cdf_law():
 def _loop_std_error(table, seed, coincidence_at_mixed, resamples):
     # reference: one multinomial draw per resample and POVM, summed in that order
     n = table.shots_per_povm
-    rng = rng_from_seed(seed + len(table.counts))
+    rng = np.random.Generator(np.random.Philox(seed).jumped())
     replicas = np.empty(resamples)
     frequencies = [counts / n for counts in table.counts]
     for r in range(resamples):

@@ -188,6 +188,62 @@ def test_report_with_non_finite_field_rejected(fields, value):
     assert str(info.value) == f"report fields must be finite numbers: {', '.join(fields)}"
 
 
+@pytest.mark.parametrize("field", ["t", "kappa"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_measurement_with_non_finite_t_or_parameter_rejected(field, value):
+    doc = json.loads(encode(build_mum(3, "auto")))
+    doc[field] = value
+    text = json.dumps(doc)  # json.dumps writes NaN and Infinity
+    for data in (text, text.encode("utf-8")):  # the json.loads and the bytes route
+        with pytest.raises(SchemaError, match="must be finite numbers"):
+            decode(data)
+
+
+MUM_REPORT = bz_report(build_mum(2, "auto"), random_density(2, 2, 3))
+STATE_REPORT = bz_report(None, random_density(3, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "report, field, value, message",
+    [
+        (MUM_REPORT, "dim", "x", "invalid dim 'x'"),
+        (MUM_REPORT, "dim", True, "invalid dim True"),
+        (MUM_REPORT, "dim", 0, "invalid dim 0"),
+        (MUM_REPORT, "dim", 3, "closed forms inconsistent"),
+        (MUM_REPORT, "kind", 7, "unknown report kind 7"),
+        (MUM_REPORT, "kind", "sic", "unknown report kind 'sic'"),
+        (MUM_REPORT, "kind", "gsm", "fails validation"),
+        (MUM_REPORT, "negatives_clamped", -3, "invalid negatives_clamped -3"),
+        (MUM_REPORT, "negatives_clamped", False, "invalid negatives_clamped False"),
+        (MUM_REPORT, "negatives_clamped", 1.0, "invalid negatives_clamped 1.0"),
+        (MUM_REPORT, "parameter", "q", "invalid parameter 'q'"),
+        (MUM_REPORT, "parameter", None, "invalid parameter None"),
+        (MUM_REPORT, "parameter", 0.9, "closed forms inconsistent"),
+        (MUM_REPORT, "purity", 5.0, "fails validation"),
+        (MUM_REPORT, "purity", True, "invalid purity True"),
+        (MUM_REPORT, "purity", MUM_REPORT.purity + 1e-9, "closed forms inconsistent"),
+        (MUM_REPORT, "V_min", MUM_REPORT.V_min + 1e-15, "closed forms inconsistent"),
+        (MUM_REPORT, "C_direct", None, "invalid C_direct None"),
+        (STATE_REPORT, "parameter", 0.5, "invalid parameter 0.5"),
+        (STATE_REPORT, "C_closed", 1.0, "invalid C_closed 1.0"),
+        (STATE_REPORT, "V_max", STATE_REPORT.V_max * 2, "closed forms inconsistent"),
+    ],
+)
+def test_report_fields_validated(report, field, value, message):
+    doc = json.loads(encode(report))
+    doc[field] = value
+    with pytest.raises(SchemaError, match=message):
+        decode(json.dumps(doc))
+
+
+def test_reports_of_every_kind_round_trip():
+    for family in (build_mum(3), build_gsm(2, 0.01), build_mub(5), sic2_fixture(), None):
+        d = 3 if family is None else family.dim
+        for seed in range(10):
+            report = bz_report(family, random_density(d, 1 + seed % d, seed))
+            assert decode(encode(report)) == report
+
+
 @pytest.mark.parametrize("entry", ["[1.0, 1e999]", "[1e999, 0.0]", "[-1e999, 0.0]", "[NaN, 0.0]"])
 def test_state_with_non_finite_entry_rejected_without_a_warning(entry):
     data = '{"v": 1, "schema": "state", "dim": 1, "rho": [[%s]]}' % entry
