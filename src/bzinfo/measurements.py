@@ -23,6 +23,7 @@ unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class Family:
     ``kind`` is "mum" or "mub" (``parameter`` is kappa; d + 1 POVMs of d
     effects) or "gsm" or "sic" (``parameter`` is a; one POVM of d^2
     effects).  ``effects`` stacks every effect, POVM after POVM.
+
+    ``verify`` computes a family's deviations once per object and keeps
+    them, so ``effects`` must not change after construction;
+    ``dataclasses.replace`` makes a new object, which computes its own.
     """
 
     kind: str
@@ -80,6 +85,15 @@ class Family:
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Split a per-effect array (effects, probabilities) into one part per POVM."""
         return np.split(values, np.cumsum(self.group_sizes)[:-1])
+
+    @cached_property
+    def _verification(self) -> tuple[dict[str, float], bool]:
+        """The deviations ``verify`` judges and the degeneracy flag, computed on first use.
+
+        No tolerance enters either.  ``verify`` hands out copies, so the
+        cached dict is never changed.
+        """
+        return _condition_deviations(self)
 
 
 @dataclass
@@ -254,18 +268,8 @@ def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
     return (effects.reshape(n, -1) @ effects.transpose(0, 2, 1).reshape(n, -1).T).real
 
 
-def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check a family's defining conditions and construction consistency.
-
-    MUM/MUB: unit effect traces, cross-measurement overlaps 1/d,
-    within-measurement overlaps kappa (diagonal) and (1-kappa)/(d-1)
-    (off-diagonal); kappa <= 1/d + 1e-12 is rejected as degenerate.
-    General SIC: Tr(P_a^2) = a and pairwise overlaps
-    (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
-    Both: positivity, per-measurement completeness (equivalently the
-    generators of each measurement summing to zero) and the parameter(t)
-    formula.
-    """
+def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
+    """Each condition ``verify`` checks, as its maximum absolute deviation, and the degeneracy flag."""
     d, param, effects = family.dim, family.parameter, family.effects
     overlaps = _pairwise_overlaps(effects)
     group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
@@ -293,8 +297,29 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     deviations["positivity"] = max(0.0, -float(np.linalg.eigvalsh(effects)[:, 0].min()))
     deviations["completeness"] = max(worst(g.sum(axis=0), eye) for g in family.split(effects))
     deviations["parameter"] = abs(param - expected)
-    degenerate = param <= floor + DEGENERACY_EPS
-    return VerificationReport(kind=family.kind, tol=tol, deviations=deviations, degenerate=degenerate)
+    return deviations, param <= floor + DEGENERACY_EPS
+
+
+def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check a family's defining conditions and construction consistency.
+
+    MUM/MUB: unit effect traces, cross-measurement overlaps 1/d,
+    within-measurement overlaps kappa (diagonal) and (1-kappa)/(d-1)
+    (off-diagonal); kappa <= 1/d + 1e-12 is rejected as degenerate.
+    General SIC: Tr(P_a^2) = a and pairwise overlaps
+    (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
+    Both: positivity, per-measurement completeness (equivalently the
+    generators of each measurement summing to zero) and the parameter(t)
+    formula.
+
+    No tolerance enters the deviations, so they are computed once per family
+    object and kept on it.  Each call judges a fresh copy of them at its own
+    ``tol``, which the caller may change freely.
+    """
+    deviations, degenerate = family._verification
+    return VerificationReport(
+        kind=family.kind, tol=tol, deviations=dict(deviations), degenerate=degenerate
+    )
 
 
 def smallest_factor(n: int) -> int:

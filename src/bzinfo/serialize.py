@@ -7,14 +7,16 @@ re-validates the entity, so a tampered or truncated file never yields a
 usable object, and a document longer than ``MAX_DOCUMENT_BYTES`` is
 rejected before it is read whole or parsed.
 
-A built family repeats a few hundred distinct values across hundreds of
-thousands of entries, so matrices are written by formatting each distinct
-float once and filling the words into the array's bracket-and-comma
-skeleton, without building nested Python lists; the bytes equal
-``json.dumps`` of the nested [re, im] lists.  Reading a measurement file
-works the other way: when the file has exactly the layout ``encode``
-writes, each distinct number of its "effects" array is parsed once,
-straight from the bytes into a float array.  Any other valid JSON
+A built family repeats a few hundred distinct values, and a few thousand
+distinct rows of [re, im] pairs, across hundreds of thousands of entries.
+So a matrix is written by formatting each distinct float once, writing
+each distinct row once from those words, and joining the row texts with
+the array's brackets and separators into the document in one step, without
+building nested Python lists; the bytes equal ``json.dumps`` of the nested
+[re, im] lists.  Reading a measurement file works the other way: when the
+file has exactly the layout ``encode`` writes, its "effects" array is split
+into row pieces, each distinct piece is parsed once, token by token, and
+the rows are gathered straight into a float array.  Any other valid JSON
 document, re-spaced or reordered say, still loads through the general
 ``json.loads`` parser, and both routes give the same entity or the same
 SchemaError.
@@ -52,6 +54,8 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _BRACKETED_FLOAT = rb"\[*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))\]*"
 # bytes per step of the direct parse, which bounds its temporary lists
 _CHUNK_BYTES = 2**20
+# what the encoder writes between two rows of [re, im] pairs, in a matrix or across two
+_ROW_SEPARATOR = b"]], [["
 
 _REPORT_FIELDS = (
     "dim",
@@ -97,22 +101,40 @@ def _skeleton(shape: tuple[int, ...], entry: str) -> str:
     return text
 
 
-def _matrix_to_json(m: np.ndarray) -> str:
-    """JSON text of a matrix or a stack of them, as nested [re, im] pairs.
+def _matrix_pieces(m: np.ndarray) -> list[bytes]:
+    """Pieces of the JSON text of a matrix or a stack of them, as nested [re, im] pairs.
 
-    The text equals ``json.dumps(np.stack([m.real, m.imag], -1).tolist(),
-    allow_nan=False)``, non-finite entries raising its ValueError, but each
-    distinct float bit pattern is formatted only once.
+    Joined, the pieces are the ASCII bytes of ``json.dumps(np.stack([m.real,
+    m.imag], -1).tolist(), allow_nan=False)``, non-finite entries raising its
+    ValueError.  Each distinct row of pairs (keyed by its bytes, so that -0.0
+    keeps its own key) is written once, from words of each distinct float
+    formatted once; the rows' texts alternate with the brackets and
+    separators around them.
     """
     pairs = np.stack([m.real, m.imag], axis=-1)
     flat = pairs.reshape(-1)
     finite = np.isfinite(flat)
     if not finite.all():
         json.dumps(float(flat[~finite][0]), allow_nan=False)  # raises json's ValueError
+    if flat.size == 0:
+        return [_skeleton(pairs.shape, "").encode("ascii")]
+    raw = pairs.tobytes()
+    width = pairs.itemsize * 2 * pairs.shape[-2]  # bytes of one row of pairs
+    index = {}  # bytes of each distinct row -> its position among them
+    row_of = [index.setdefault(raw[i:i + width], len(index)) for i in range(0, len(raw), width)]
     # bit patterns, not values, so that -0.0 keeps its own word
-    distinct, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    words = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-    return _skeleton(pairs.shape, "%s") % tuple(words[inverse].tolist())
+    bits, word_of = np.unique(np.frombuffer(b"".join(index), np.uint64), return_inverse=True)
+    words = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    row_format = _skeleton(pairs.shape[-2:], "%s")
+    texts = [
+        (row_format % tuple(row)).encode("ascii")
+        for row in words[word_of].reshape(len(index), -1).tolist()
+    ]
+    separators = _skeleton(pairs.shape[:-2], "%s").encode("ascii").split(b"%s")
+    pieces = [b""] * (2 * len(separators) - 1)
+    pieces[::2] = separators
+    pieces[1::2] = map(texts.__getitem__, row_of)
+    return pieces
 
 
 def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
@@ -177,16 +199,21 @@ _ENCODERS = {
 }
 
 
-def _value_json(value) -> str:
-    if isinstance(value, np.ndarray):
-        return _matrix_to_json(value)
-    return json.dumps(value, allow_nan=False)
-
-
 def _document_bytes(doc: dict) -> bytes:
-    """The document's fields in order, with the bytes ``json.dumps`` gives for them."""
-    fields = ", ".join(f"{json.dumps(key)}: {_value_json(value)}" for key, value in doc.items())
-    return ("{" + fields + "}").encode("utf-8")
+    """The document's fields in order, with the bytes ``json.dumps`` gives for them.
+
+    The pieces of every field are joined once, so a large matrix's text is
+    not copied again into the document.
+    """
+    pieces = [b"{"]
+    for i, (key, value) in enumerate(doc.items()):
+        pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii"))
+        if isinstance(value, np.ndarray):
+            pieces += _matrix_pieces(value)
+        else:
+            pieces.append(json.dumps(value, allow_nan=False).encode("ascii"))
+    pieces.append(b"}")
+    return b"".join(pieces)
 
 
 def encode(entity, meta: dict | None = None) -> bytes:
@@ -297,6 +324,27 @@ class _Numbers(dict):
         return value
 
 
+class _Rows(dict):
+    """float64 bytes of each row piece's numbers, parsed on first lookup.
+
+    A piece is the text of one row of [re, im] pairs without its outer
+    brackets; it is split at ", " and each token parsed through ``_Numbers``,
+    so a token that is not a bracketed finite number raises ValueError.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.numbers = _Numbers()
+
+    def __missing__(self, piece: bytes) -> bytes:
+        tokens = piece.split(b", ")
+        row = np.fromiter(
+            map(self.numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens)
+        ).tobytes()
+        self[piece] = row
+        return row
+
+
 def _canonical_numbers(data: bytes, start: int, stop: int, shape: tuple[int, ...]):
     """Entries of the nested array ``data[start:stop]``, or None if it is not written as encoded."""
     n = math.prod(shape)
@@ -309,24 +357,26 @@ def _canonical_numbers(data: bytes, start: int, stop: int, shape: tuple[int, ...
     if skeleton.count(b",") != n - 1 or skeleton != _skeleton(shape, "").encode("ascii"):
         return None
 
-    # Splitting at the n - 1 separators' ", " leaves n tokens; each must be
-    # brackets around one number, so numbers sit only where the encoder puts them.
-    # A chunk ends before a ", ", so it holds whole tokens.
+    # Splitting at the row separators, then each piece at its ", ", leaves the
+    # n tokens that splitting at every ", " would, less the separators'
+    # brackets; each must be brackets around one number, so numbers sit only
+    # where the encoder puts them.  Each distinct row piece is parsed once.
+    # A chunk ends before a row separator, so it holds whole rows.
     out = np.empty(n, dtype=np.float64)
-    numbers = _Numbers()
+    rows = _Rows()
     filled = 0
     pos = start
     try:
         while pos < stop:
-            cut = data.find(b", ", pos + _CHUNK_BYTES, stop)
+            cut = data.find(_ROW_SEPARATOR, pos + _CHUNK_BYTES, stop)
             if cut < 0:
                 cut = stop
-            tokens = data[pos:cut].split(b", ")
-            out[filled:filled + len(tokens)] = np.fromiter(
-                map(numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens)
-            )
-            filled += len(tokens)
-            pos = cut + 2
+            # the brackets that open or close a matrix, or the array, stay out of the key
+            pieces = [piece.strip(b"[]") for piece in data[pos:cut].split(_ROW_SEPARATOR)]
+            values = np.frombuffer(b"".join(map(rows.__getitem__, pieces)), dtype=np.float64)
+            out[filled:filled + values.size] = values
+            filled += values.size
+            pos = cut + len(_ROW_SEPARATOR)
     except ValueError:
         return None
     return out
@@ -343,7 +393,12 @@ def decode(data: bytes | str):
     """
     _check_document_size(len(data))
     doc = _parse_canonical_measurement(data) if isinstance(data, bytes) else None
-    return _decode_document(_parse_json(data) if doc is None else doc)
+    if doc is None:
+        doc = _parse_json(data)
+    # load passes the text it read straight in, so dropping this reference
+    # frees the text before the entity is validated
+    del data
+    return _decode_document(doc)
 
 
 def _decode_document(doc):
@@ -372,7 +427,8 @@ def _require(doc: dict, key: str):
 
 def _decode_state(doc: dict) -> DensityMatrix:
     d = _require(doc, "dim")
-    if not isinstance(d, int) or d < 1:
+    # JSON integers only: bool is an int subclass
+    if type(d) is not int or d < 1:
         raise SchemaError(f"invalid dim {d!r}")
     rho = _matrix_from_json(_require(doc, "rho"), (d, d))
     try:
@@ -384,7 +440,7 @@ def _decode_state(doc: dict) -> DensityMatrix:
 def _decode_measurement(doc: dict):
     kind = _require(doc, "kind")
     d = _require(doc, "dim")
-    if not isinstance(d, int) or d < 2:
+    if type(d) is not int or d < 2:
         raise SchemaError(f"invalid dim {d!r}")
     effects = _require(doc, "effects")
     if not isinstance(kind, str) or kind not in PARAMETER_NAMES:

@@ -32,6 +32,8 @@ def test_verify_json_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["deviations"]["completeness"] < 1e-10
+    # the decode before it verifies the same family and drops "parameter" from its own report
+    assert doc["deviations"]["parameter"] < 1e-12
 
 
 def test_verify_degenerate_exits_one(tmp_path, capsys):

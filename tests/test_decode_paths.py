@@ -196,6 +196,63 @@ def test_token_replaced_by_another_float_keeps_the_fast_route(seed):
         assert check_routes_agree(data[:i] + lexeme + data[j:]) != "declined"
 
 
+def repeated_row(data: bytes, width: int) -> tuple[int, list[tuple[int, int]]]:
+    """Index of a row of pairs whose text an earlier row has too, and the token spans by row."""
+    spans = number_spans(data)
+    rows = [spans[i:i + width] for i in range(0, len(spans), width)]
+    seen = set()
+    for index, row in enumerate(rows):
+        text = data[row[0][0]:row[-1][1]]
+        if text in seen:
+            return index, rows
+        seen.add(text)
+    raise AssertionError("no row repeats")
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_token_replaced_inside_a_repeated_row_is_parsed_afresh(kind):
+    d = 5
+    data = encode(BUILDERS[kind](d))
+    index, rows = repeated_row(data, 2 * d)
+    for k in (0, 3, 2 * d - 1):
+        i, j = rows[index][k]
+        # the last digit changed keeps the token's length
+        digit = str((int(data[j - 1:j]) + 1) % 10).encode("ascii")
+        for lexeme in (data[i:j - 1] + digit, b"0.25", b"-0.0", data[i:j] + b"0", b"nan", b"1e999"):
+            variant = data[:i] + lexeme + data[j:]
+            doc = serialize._parse_canonical_measurement(variant)
+            if lexeme in (b"nan", b"1e999"):
+                assert doc is None
+            else:
+                # the parse before verification, against json.loads of the same bytes
+                reference = np.asarray(json.loads(variant)["effects"], dtype=np.float64)
+                assert doc["effects"].tobytes() == reference.tobytes()
+            check_routes_agree(variant)
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_row_piece_with_the_wrong_token_count_takes_the_json_loads_route(kind):
+    d = 5
+    data = encode(BUILDERS[kind](d))
+    index, rows = repeated_row(data, 2 * d)
+    first, last = rows[index][0], rows[index][-1]
+    after = rows[index + 1][0]
+    variants = {
+        "token dropped": data[:first[0]] + data[first[1] + 2:],
+        "token doubled": data[:first[1]] + b", " + data[first[0]:],
+        "pair dropped": data[:first[0]] + data[rows[index][2][0]:],
+        "rows merged": data[:last[1]] + b"], [" + data[after[0]:],
+        "token moved to the next row": (
+            data[:rows[index][-2][1]] + b"]], [[" + data[last[0]:last[1]] + b", "
+            + data[after[0]:]
+        ),
+    }
+    for name, variant in variants.items():
+        assert serialize._parse_canonical_measurement(variant) is None, name
+        assert check_routes_agree(variant) == "declined", name
+        assert fallback_route(variant) is SchemaError, name
+
+
 def non_canonical_variants(data: bytes) -> dict[str, bytes]:
     """Documents encode never writes, derived from one it did write."""
     doc = json.loads(data)

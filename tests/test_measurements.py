@@ -16,6 +16,7 @@ from bzinfo import (
     linalg,
     max_t_gsm,
     max_t_mum,
+    measurements,
     sic2_fixture,
     verify,
 )
@@ -367,3 +368,26 @@ def test_family_size_limit_boundary(monkeypatch):
         monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", family_bytes(kind, 5) - 1)
         with pytest.raises(DomainError, match=f"a {kind} family of dimension 5 needs"):
             build(5)
+
+
+def test_verify_computes_the_deviations_once_per_family_object(monkeypatch):
+    calls = []
+
+    def counting(effects):
+        calls.append(effects.shape)
+        return _pairwise_overlaps(effects)
+
+    monkeypatch.setattr(measurements, "_pairwise_overlaps", counting)
+    family = build_mum(3, "auto")
+    loose, strict = verify(family, 1e-6), verify(family, 0.0)
+    assert len(calls) == 1
+    assert (loose.tol, loose.passed) == (1e-6, True)
+    assert (strict.tol, strict.passed) == (0.0, False)
+    assert loose.deviations == strict.deviations
+    # each report owns its dict: a caller's edit reaches neither the family nor another report
+    del loose.deviations["parameter"]
+    assert "parameter" in strict.deviations and "parameter" in verify(family).deviations
+    assert len(calls) == 1
+    # a copy is a new object, which computes its own deviations
+    assert verify(dataclasses.replace(family), 1e-6).deviations == strict.deviations
+    assert len(calls) == 2

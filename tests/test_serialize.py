@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -22,8 +23,13 @@ from bzinfo import (
     verify,
 )
 from bzinfo import serialize
-from bzinfo.measurements import MUM_KINDS
-from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_to_json
+from bzinfo.measurements import MUM_KINDS, PARAMETER_NAMES
+from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_pieces
+
+
+def matrix_to_json(m: np.ndarray) -> str:
+    """The text encode writes for a matrix: its pieces, joined."""
+    return b"".join(_matrix_pieces(m)).decode("ascii")
 
 
 def roundtrip(entity):
@@ -259,10 +265,10 @@ def test_matrix_to_json_matches_per_element_floats():
     m.real = np.array(edges)[:, None]
     m.imag = np.array(edges[::-1])[None, :]
     oracle = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    text = _matrix_to_json(m)
+    text = matrix_to_json(m)
     assert text == json.dumps(oracle)
     assert text.startswith("[[[-0.0, 1e+308], [-0.0, 0.3333333333333333]")
-    assert _matrix_to_json(np.stack([m, m])) == json.dumps([oracle, oracle])
+    assert matrix_to_json(np.stack([m, m])) == json.dumps([oracle, oracle])
 
 
 def test_non_hermitian_effect_rejected_by_index():
@@ -329,7 +335,7 @@ def reference_json(m: np.ndarray) -> str:
 
 def assert_matches_reference(m: np.ndarray) -> None:
     # names the first differing position; a full diff of megabytes of text is very slow
-    ours, reference = _matrix_to_json(m), reference_json(m)
+    ours, reference = matrix_to_json(m), reference_json(m)
     if ours != reference:
         i = len(os.path.commonprefix([ours, reference]))
         pytest.fail(f"text differs at {i}: {ours[i - 30:i + 30]!r} vs {reference[i - 30:i + 30]!r}")
@@ -356,19 +362,32 @@ def test_matrix_to_json_matches_json_dumps_with_all_entries_distinct():
     effects = q @ build_gsm(6, "auto").effects @ q.conj().T
     assert np.unique(effects.view(np.float64)).size > 0.9 * effects.size * 2
     assert_matches_reference(effects)
+    # rotated families, in which no row of pairs repeats, encode as json.dumps writes them
+    for family in (build_gsm(6, "auto"), build_mum(6, "auto")):
+        rotated = dataclasses.replace(family, effects=q @ family.effects @ q.conj().T)
+        rows = rotated.effects.reshape(-1, 6)
+        assert np.unique(rows, axis=0).shape == rows.shape
+        assert encode(rotated) == measurement_reference(rotated)
 
 
 def test_matrix_to_json_one_by_one_and_edge_values():
-    assert _matrix_to_json(np.array([[complex(0.5, -0.0)]])) == "[[[0.5, -0.0]]]"
+    assert matrix_to_json(np.array([[complex(0.5, -0.0)]])) == "[[[0.5, -0.0]]]"
     for empty in (np.zeros((0, 0), complex), np.zeros((0, 3, 3), complex)):
-        assert _matrix_to_json(empty) == reference_json(empty) == "[]"
+        assert matrix_to_json(empty) == reference_json(empty) == "[]"
     edges = np.array([-0.0, 0.0, 5e-324, 1e308, -1e-300, 0.1 + 0.2, 1 / 3])
     m = edges[:, None] + 1j * edges[None, :]
     m.imag[0, 0] = -0.0
     m.real[1, 1] = -0.0
-    assert _matrix_to_json(m) == reference_json(m)
-    assert _matrix_to_json(m[None, :3, :3]) == reference_json(m[None, :3, :3])
-    assert "[-0.0, -0.0]" in _matrix_to_json(m)
+    assert matrix_to_json(m) == reference_json(m)
+    assert matrix_to_json(m[None, :3, :3]) == reference_json(m[None, :3, :3])
+    assert "[-0.0, -0.0]" in matrix_to_json(m)
+    # rows that differ only in the sign of one zero keep their own texts
+    m = np.zeros((2, 2), dtype=complex)
+    m.real[1, 0] = -0.0
+    assert matrix_to_json(m) == reference_json(m) == "[[[0.0, 0.0], [0.0, 0.0]], [[-0.0, 0.0], [0.0, 0.0]]]"
+    for shape in ((3, 0), (2, 0, 4), (2, 1, 1), (1,), (3,)):
+        m = np.full(shape, complex(0.5, -0.0))
+        assert matrix_to_json(m) == reference_json(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -376,7 +395,7 @@ def test_matrix_to_json_rejects_non_finite_like_json_dumps(bad):
     m = np.full((3, 3), 0.25, dtype=complex)
     m[1, 2] = bad
     with pytest.raises(ValueError) as ours:
-        _matrix_to_json(m)
+        matrix_to_json(m)
     with pytest.raises(ValueError) as theirs:
         reference_json(m)
     assert str(ours.value) == str(theirs.value)
@@ -385,6 +404,29 @@ def test_matrix_to_json_rejects_non_finite_like_json_dumps(bad):
 def reference_encode(doc: dict) -> bytes:
     """Document bytes as a single json.dumps of nested lists writes them."""
     return json.dumps({"v": 1, **doc}, allow_nan=False).encode("utf-8")
+
+
+def measurement_reference(family) -> bytes:
+    stored = family.effects.reshape(_effects_shape(family.kind, family.dim))
+    return reference_encode(
+        {
+            "schema": "measurement",
+            "kind": family.kind,
+            "dim": family.dim,
+            "t": family.t,
+            PARAMETER_NAMES[family.kind]: family.parameter,
+            "effects": json.loads(reference_json(stored)),
+        }
+    )
+
+
+def test_boolean_dim_rejected():
+    state = '{"v": 1, "schema": "state", "dim": true, "rho": [[[1.0, 0.0]]]}'
+    doc = json.loads(encode(build_mum(2, "auto")))
+    doc["dim"] = True
+    for data in (state, state.encode("utf-8"), json.dumps(doc), json.dumps(doc).encode("utf-8")):
+        with pytest.raises(SchemaError, match="invalid dim"):
+            decode(data)
 
 
 def test_encode_matches_single_json_dumps_for_every_entity():
