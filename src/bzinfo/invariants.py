@@ -134,7 +134,7 @@ class BzReport:
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
-    Verifies the family once at construction and precomputes one stack of
+    Verifies the family at REPORT_VERIFY_TOL and precomputes one stack of
     the effects and their squares, ``moments``, so a report pays one
     batched trace product per state; ``observables`` and ``observables_sq``
     are views of its two halves.  ``probs`` gives the checked outcome
@@ -144,9 +144,7 @@ class DirectEvaluator:
     Hermitian operator basis.
     """
 
-    def __init__(
-        self, family: Family | None, dim: int | None = None, verify_tol: float = REPORT_VERIFY_TOL
-    ):
+    def __init__(self, family: Family | None, dim: int | None = None):
         if family is None:
             if dim is None:
                 raise DomainError("state-only evaluation needs an explicit dim")
@@ -158,10 +156,10 @@ class DirectEvaluator:
             ops = np.concatenate([basis.ops, eye[None]])
             self.group_starts = None
         else:
-            report = verify(family, verify_tol)
+            report = verify(family, REPORT_VERIFY_TOL)
             if not report.passed:
                 raise VerificationError(
-                    f"family failed verification at {verify_tol:g}: "
+                    f"family failed verification at {REPORT_VERIFY_TOL:g}: "
                     + ", ".join(report.failures())
                 )
             self.kind = "gsm" if family.kind == "sic" else family.kind
@@ -259,7 +257,7 @@ class DirectEvaluator:
         )
 
 
-def bz_report(family, rho: DensityMatrix, verify_tol: float = REPORT_VERIFY_TOL) -> BzReport:
+def bz_report(family, rho: DensityMatrix) -> BzReport:
     """One-shot report for a family (or None for state-only) and a state."""
     dim = rho.dim if family is None else None
-    return DirectEvaluator(family, dim=dim, verify_tol=verify_tol).report(rho)
+    return DirectEvaluator(family, dim=dim).report(rho)

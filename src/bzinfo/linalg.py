@@ -58,14 +58,16 @@ def hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
     row-major index in the stack.
     """
     a = _as_square_stack(m)
-    adjoint = a.conj().swapaxes(-1, -2)
+    adjoint = np.conjugate(a.swapaxes(-1, -2), order="C")
     defect = np.abs(a - adjoint)
     if defect.max() >= tol:
         per_matrix = defect.reshape(-1, a.shape[-1] ** 2).max(axis=1)
         i = int(np.argmax(per_matrix >= tol))
         where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
         raise DomainError(f"{where} is not Hermitian (defect {per_matrix[i]:.3e} >= {tol:.0e})")
-    return (a + adjoint) / 2.0
+    adjoint += a
+    adjoint /= 2.0
+    return adjoint
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,9 @@ positivity of the effects:
   The purity parameter is a = 1/d^3 + t^2 (d - 1)(d + 1)^3, with
   a = 1/d^2 exactly in the rank-one (SIC-POVM) case.
 
+Each builder forms its generators once; the bound on t and the positivity
+check read one eigensolve of them.
+
 Rank-one families are available directly: quadratic-phase mutually
 unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
 """
@@ -175,58 +178,60 @@ def gsm_operators(basis: OperatorBasis) -> np.ndarray:
     return ops
 
 
-def _max_t(ops: np.ndarray, identity_weight: float) -> float:
-    """Largest t keeping every I*identity_weight + t*op positive semidefinite.
+def _generator_spectrum(generators: np.ndarray, identity_weight: float) -> tuple[np.ndarray, float]:
+    """Each generator's smallest eigenvalue, from one eigensolve, and the bound on t they set.
 
-    Positivity is linear in t per eigenvalue: the effect stays PSD iff
-    identity_weight + t*lam >= 0 for every eigenvalue lam, so each negative
-    eigenvalue contributes the bound t <= -identity_weight/lam.
+    I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F.
     """
-    lams = np.linalg.eigvalsh(ops.reshape(-1, ops.shape[-1], ops.shape[-1]))
-    neg = lams[lams < 0.0]
-    if not neg.size:
+    smallest = np.linalg.eigvalsh(generators)[..., 0].ravel()
+    lam = smallest.min()
+    if not lam < 0.0:
         raise NumericalError("no generator bounds t; traceless nonzero operators must")
-    return float((-identity_weight / neg).min())
+    return smallest, float(-identity_weight / lam)
 
 
 def max_t_mum(grid: MumGrid) -> float:
     """Largest sharpness parameter with all MUM effects positive semidefinite."""
-    return _max_t(mum_operators(grid), 1.0 / grid.dim)
+    return _generator_spectrum(mum_operators(grid), 1.0 / grid.dim)[1]
 
 
 def max_t_gsm(basis: OperatorBasis) -> float:
     """Largest sharpness parameter with all general SIC effects positive semidefinite."""
-    d = basis.dim
-    return _max_t(gsm_operators(basis), 1.0 / d**2)
+    return _generator_spectrum(gsm_operators(basis), 1.0 / basis.dim**2)[1]
 
 
-def _resolve_t(t, t_max: float) -> float:
-    if isinstance(t, str):
-        if t != "auto":
-            raise DomainError(f"t must be a number or 'auto', got {t!r}")
-        return t_max
-    t = float(t)
+def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_of) -> Family:
+    """The family of effects I*identity_weight + t*F, one per generator F, POVM after POVM.
+
+    For t >= 0 an effect's smallest eigenvalue is identity_weight + t*lam, lam its
+    generator's, so the bound and the check, naming the first bad effect by
+    ``label_of``, read one eigensolve of the generators.
+    """
+    d = generators.shape[-1]
+    smallest, t_max = _generator_spectrum(generators, identity_weight)
+    if isinstance(t, str) and t != "auto":
+        raise DomainError(f"t must be a number or 'auto', got {t!r}")
+    t = t_max if isinstance(t, str) else float(t)
     if not 0.0 <= t < np.inf:
         raise DomainError(f"t must be a finite nonnegative number, got {t}")
-    return t
-
-
-def _check_psd(effects: np.ndarray, label_of) -> None:
-    smallest = np.linalg.eigvalsh(effects)[:, 0]
-    bad = np.flatnonzero(smallest < PSD_FLOOR)
+    lowest = identity_weight + t * smallest
+    bad = np.flatnonzero(lowest < PSD_FLOOR)
     if bad.size:
         i = int(bad[0])
         raise PositivityError(
-            f"effect {label_of(i)} has eigenvalue {smallest[i]:.3e}; "
-            "t exceeds the positivity bound"
+            f"effect {label_of(i)} has eigenvalue {lowest[i]:.3e}; t exceeds the positivity bound"
         )
+    effects = identity_weight * np.eye(d, dtype=np.complex128) + t * generators.reshape(-1, d, d)
+    parameter = mum_kappa(d, t) if kind == "mum" else gsm_a(d, t)
+    return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=_frozen(effects))
 
 
 def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
     """Build the complete set of d + 1 MUMs at sharpness t.
 
     t = "auto" resolves to the positivity bound max_t_mum.  Effects are
-    checked positive semidefinite; a violating (b, n) is named on failure.
+    checked positive semidefinite, a violating (b, n) named on failure; the
+    bound and the check read one eigensolve of the generators.
     """
     if d < 2:
         raise DomainError(f"MUMs need dimension >= 2, got {d}")
@@ -235,15 +240,14 @@ def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
         grid = grid_partition(gell_mann_basis(d))
     elif grid.dim != d:
         raise DomainError(f"grid dimension {grid.dim} does not match d={d}")
-    t = _resolve_t(t, max_t_mum(grid))
-    generators = mum_operators(grid).reshape(-1, d, d)
-    effects = np.eye(d, dtype=np.complex128) / d + t * generators
-    _check_psd(effects, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
-    return Family(kind="mum", dim=d, t=t, parameter=mum_kappa(d, t), effects=_frozen(effects))
+    return _build("mum", t, mum_operators(grid), 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
 
 
 def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
-    """Build the complete general SIC measurement of d^2 effects at sharpness t."""
+    """Build the complete general SIC measurement of d^2 effects at sharpness t.
+
+    As build_mum, with a violating alpha named; one eigensolve of the generators.
+    """
     if d < 2:
         raise DomainError(f"general SIC measurements need dimension >= 2, got {d}")
     _check_family_size("gsm", d)
@@ -251,11 +255,7 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
         basis = gell_mann_basis(d)
     elif basis.dim != d:
         raise DomainError(f"basis dimension {basis.dim} does not match d={d}")
-    t = _resolve_t(t, max_t_gsm(basis))
-    generators = gsm_operators(basis)
-    effects = np.eye(d, dtype=np.complex128)[None] / d**2 + t * generators
-    _check_psd(effects, lambda i: f"alpha={i + 1}")
-    return Family(kind="gsm", dim=d, t=t, parameter=gsm_a(d, t), effects=_frozen(effects))
+    return _build("gsm", t, gsm_operators(basis), 1.0 / d**2, lambda i: f"alpha={i + 1}")
 
 
 def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:

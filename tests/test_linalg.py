@@ -84,6 +84,19 @@ def test_hermitian_absorbs_rounding():
     assert np.abs(h - h.conj().T).max() == 0.0
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3, 3)])
+def test_hermitian_bits_equal_the_symmetrized_sum(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = a + a.conj().swapaxes(-1, -2) + 1e-13 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    a[..., 0, 1] = complex(-0.0, 0.0)
+    a[..., 1, 0] = complex(0.0, -0.0)
+    a[..., 0, 0] = complex(-0.0, -0.0)
+    h = hermitian(a)
+    expected = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    assert h.flags.c_contiguous
+    assert h.tobytes() == expected.tobytes()
+
+
 def test_hermitian_rejects_large_defect():
     with pytest.raises(DomainError):
         hermitian(SX + 1e-6 * np.array([[0, 1j], [0, 0]]))

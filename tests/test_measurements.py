@@ -199,6 +199,62 @@ def test_batched_eigenvalue_checks_match_per_effect_loop():
     assert max_t_mum(grid) == min(bounds)
 
 
+BUILD = {"mum": build_mum, "gsm": build_gsm}
+
+
+@pytest.mark.parametrize("factor", [1.000001, 2.0])
+@pytest.mark.parametrize("kind", sorted(BUILD))
+@pytest.mark.parametrize("d", range(2, 9))
+def test_positivity_error_names_the_effect_an_effect_eigensolve_names(d, kind, factor):
+    basis = gell_mann_basis(d)
+    if kind == "mum":
+        grid = grid_partition(basis)
+        t, weight, generators = factor * max_t_mum(grid), 1.0 / d, mum_operators(grid).reshape(-1, d, d)
+    else:
+        t, weight, generators = factor * max_t_gsm(basis), 1.0 / d**2, gsm_operators(basis)
+    smallest = np.linalg.eigvalsh(weight * np.eye(d) + t * generators)[:, 0]
+    i = int(np.flatnonzero(smallest < measurements.PSD_FLOOR)[0])
+    label = f"(b={i // d + 1}, n={i % d + 1})" if kind == "mum" else f"alpha={i + 1}"
+    with pytest.raises(PositivityError) as caught:
+        BUILD[kind](d, t)
+    assert str(caught.value).startswith(f"effect {label} has eigenvalue {smallest[i]:.3e};")
+
+
+@pytest.mark.parametrize("t", ["auto", 0.001])
+@pytest.mark.parametrize("kind", sorted(BUILD))
+def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    operators = f"{kind}_operators"
+    count(np.linalg, "eigvalsh")
+    count(measurements, operators)
+    BUILD[kind](5, t)
+    assert sorted(calls) == ["eigvalsh", operators]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_generators_and_effects_equal_their_conjugate_transpose(d):
+    """``eigvalsh`` reads one triangle, so the spectrum route needs exact Hermiticity."""
+    basis = gell_mann_basis(d)
+    stacks = [mum_operators(grid_partition(basis)), gsm_operators(basis)]
+    stacks += [build_mum(d).effects, build_gsm(d).effects, build_gsm(d, 0.5 * max_t_gsm(basis)).effects]
+    if d in (2, 3, 5):
+        stacks.append(build_mub(d).effects)
+    if d == 2:
+        stacks.append(sic2_fixture().effects)
+    for stack in stacks:
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+
 def per_pair_overlaps(effects):
     n = len(effects)
     return np.array([[np.trace(effects[i] @ effects[j]).real for j in range(n)] for i in range(n)])
