@@ -31,7 +31,7 @@ from .errors import DomainError, NumericalError, SchemaError, VerificationError
 from .invariants import DirectEvaluator, bz_report
 from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
-from .serialize import encode, load, save
+from .serialize import dump, encode, load, save
 from .states import RNG_ALGORITHM, check_seed, density_stream, random_density
 from . import __version__
 
@@ -53,8 +53,14 @@ def _parse_t(value: str):
 def _emit(entity, out: str | None, meta: dict | None = None) -> None:
     if out:
         save(entity, out, meta=meta)
+        return
+    # the document goes to stdout a block at a time, as save writes it
+    stdout = getattr(sys.stdout, "buffer", None)
+    if stdout is None:  # a text stream with no bytes below it
+        dump(entity, lambda block: sys.stdout.write(block.decode("ascii")), meta)
     else:
-        print(encode(entity, meta=meta).decode("utf-8"))
+        sys.stdout.flush()
+        dump(entity, stdout.write, meta)
 
 
 def _build_family(kind: str, dim: int | None, t: str | None):

@@ -15,6 +15,8 @@ IMAG_TOL = 1e-10
 # largest dense complex data a builder or state generator may allocate
 MAX_DENSE_BYTES = 2**30
 COMPLEX_BYTES = 16
+# complex entries per block of matrices that ``hermitian`` checks and symmetrizes at once
+DEFECT_BLOCK_ENTRIES = 2**14
 
 
 def check_dense_bytes(nbytes: int, what: str) -> None:
@@ -49,25 +51,36 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+def hermitian(m, tol: float = TOL_HERM, overwrite: bool = False) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 
     Defects below ``tol`` are absorbed by H <- (H + H^dag)/2; larger
     defects raise, so genuine errors are not masked.  Each matrix of a
     stack is checked on its own; the first defective one is named by its
-    row-major index in the stack.
+    row-major index in the stack.  The stack is taken a block of matrices
+    at a time, so the temporaries stay small; with ``overwrite`` a
+    C-contiguous complex input is symmetrized in place, and on a raise its
+    matrices before the defective one are already overwritten.
     """
     a = _as_square_stack(m)
-    adjoint = np.conjugate(a.swapaxes(-1, -2), order="C")
-    defect = np.abs(a - adjoint)
-    if defect.max() >= tol:
-        per_matrix = defect.reshape(-1, a.shape[-1] ** 2).max(axis=1)
-        i = int(np.argmax(per_matrix >= tol))
-        where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
-        raise DomainError(f"{where} is not Hermitian (defect {per_matrix[i]:.3e} >= {tol:.0e})")
-    adjoint += a
-    adjoint /= 2.0
-    return adjoint
+    d = a.shape[-1]
+    result = a if overwrite and a.flags.c_contiguous else np.empty(a.shape, dtype=np.complex128)
+    stack, out = a.reshape(-1, d, d), result.reshape(-1, d, d)
+    step = max(1, DEFECT_BLOCK_ENTRIES // (d * d))
+    for start in range(0, len(stack), step):
+        block = slice(start, start + step)
+        adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
+        per_matrix = np.abs(stack[block] - adjoint).reshape(len(adjoint), -1).max(axis=1)
+        bad = np.flatnonzero(per_matrix >= tol)
+        if bad.size:
+            i = start + int(bad[0])
+            where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
+            raise DomainError(
+                f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {tol:.0e})"
+            )
+        np.add(adjoint, stack[block], out=out[block])
+        out[block] /= 2.0
+    return result
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -163,8 +163,11 @@ def mum_operators(grid: MumGrid) -> np.ndarray:
     d = grid.dim
     col_sums = grid.grid.sum(axis=1)  # F^(b), shape (d+1, d, d)
     ops = np.empty((d + 1, d, d, d), dtype=np.complex128)
-    ops[:, : d - 1] = col_sums[:, None, :, :] - (d + np.sqrt(d)) * grid.grid
-    ops[:, d - 1] = (1.0 + np.sqrt(d)) * col_sums
+    # F^(b) - (d + sqrt(d)) F_{n,b}, formed in place
+    head = ops[:, : d - 1]
+    np.multiply(d + np.sqrt(d), grid.grid, out=head)
+    np.subtract(col_sums[:, None, :, :], head, out=head)
+    np.multiply(1.0 + np.sqrt(d), col_sums, out=ops[:, d - 1])
     return ops
 
 
@@ -173,8 +176,11 @@ def gsm_operators(basis: OperatorBasis) -> np.ndarray:
     d = basis.dim
     total = basis.ops.sum(axis=0)  # F
     ops = np.empty((d * d, d, d), dtype=np.complex128)
-    ops[:-1] = total[None, :, :] - d * (d + 1) * basis.ops
-    ops[-1] = (d + 1) * total
+    # F - d(d + 1) F_a, formed in place
+    head = ops[:-1]
+    np.multiply(d * (d + 1), basis.ops, out=head)
+    np.subtract(total[None, :, :], head, out=head)
+    np.multiply(d + 1, total, out=ops[-1])
     return ops
 
 
@@ -203,6 +209,8 @@ def max_t_gsm(basis: OperatorBasis) -> float:
 def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_of) -> Family:
     """The family of effects I*identity_weight + t*F, one per generator F, POVM after POVM.
 
+    The generators belong to the build: they are scaled into the effects in place.
+
     For t >= 0 an effect's smallest eigenvalue is identity_weight + t*lam, lam its
     generator's, so the bound and the check, naming the first bad effect by
     ``label_of``, read one eigensolve of the generators.
@@ -221,7 +229,9 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
         raise PositivityError(
             f"effect {label_of(i)} has eigenvalue {lowest[i]:.3e}; t exceeds the positivity bound"
         )
-    effects = identity_weight * np.eye(d, dtype=np.complex128) + t * generators.reshape(-1, d, d)
+    effects = generators.reshape(-1, d, d)
+    effects *= t
+    effects += identity_weight * np.eye(d, dtype=np.complex128)
     parameter = mum_kappa(d, t) if kind == "mum" else gsm_a(d, t)
     return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=_frozen(effects))
 
@@ -279,18 +289,25 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
     def worst(values, target) -> float:
         return float(np.abs(values - target).max())
 
+    def worst_overlap(where, target) -> float:
+        # worst(overlaps[where], target) without copying the selection: rounding is
+        # monotone, so the largest |x - target| is at the largest or the smallest x
+        largest = overlaps.max(where=where, initial=-np.inf)
+        smallest = overlaps.min(where=where, initial=np.inf)
+        return float(max(largest - target, target - smallest))
+
     if family.kind in MUM_KINDS:
         deviations = {
             "effect_trace": worst(np.trace(effects, axis1=1, axis2=2), 1.0),
-            "cross_overlap": worst(overlaps[~same], 1.0 / d),
-            "within_overlap_diag": worst(overlaps[diag], param),
-            "within_overlap_offdiag": worst(overlaps[same & ~diag], (1.0 - param) / (d - 1)),
+            "cross_overlap": worst_overlap(~same, 1.0 / d),
+            "within_overlap_diag": worst_overlap(diag, param),
+            "within_overlap_offdiag": worst_overlap(same & ~diag, (1.0 - param) / (d - 1)),
         }
         expected, floor = mum_kappa(d, family.t), 1.0 / d
     else:
         deviations = {
-            "self_overlap": worst(overlaps[diag], param),
-            "pair_overlap": worst(overlaps[~diag], (1.0 - param * d) / (d * (d * d - 1))),
+            "self_overlap": worst_overlap(diag, param),
+            "pair_overlap": worst_overlap(~diag, (1.0 - param * d) / (d * (d * d - 1))),
         }
         expected, floor = gsm_a(d, family.t), 1.0 / d**3
     eye = np.eye(d, dtype=np.complex128)

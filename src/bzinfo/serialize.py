@@ -4,32 +4,28 @@ Numbers are emitted with Python's shortest round-trip float repr, complex
 entries as [re, im] pairs in row-major order.  Every document carries the
 schema version field "v": 1 and a "schema" discriminator.  Decoding
 re-validates the entity, so a tampered or truncated file never yields a
-usable object, and a document longer than ``MAX_DOCUMENT_BYTES`` is
-rejected before it is read whole or parsed.
+usable object; a document longer than ``MAX_DOCUMENT_BYTES`` is rejected.
 
-A built family repeats a few hundred distinct values, and a few thousand
-distinct rows of [re, im] pairs, across hundreds of thousands of entries.
-So a matrix is written by formatting each distinct float once, writing
-each distinct row once from those words, and joining the row texts with
-the array's brackets and separators into the document in one step, without
-building nested Python lists; the bytes equal ``json.dumps`` of the nested
-[re, im] lists.  Reading a measurement file works the other way: when the
-file has exactly the layout ``encode`` writes, its "effects" array is split
-into row pieces, each distinct piece is parsed once, token by token, and
-the rows are gathered straight into a float array.  Any other valid JSON
-document, re-spaced or reordered say, still loads through the general
-``json.loads`` parser, and both routes give the same entity or the same
-SchemaError.
+A family repeats a few thousand distinct rows of [re, im] pairs across
+hundreds of thousands of entries.  So a matrix is written as pieces: each
+distinct row's text, formatted once, between the array's brackets and
+separators; ``encode`` joins them, ``save`` writes them in blocks of about
+``_CHUNK_BYTES``.  A measurement file in exactly that layout is read back
+in blocks cut at the row separators, each distinct row checked and parsed
+once and gathered straight into a complex stack.  Any other JSON document
+is read whole by ``json.loads``, with the same entity or SchemaError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -46,44 +42,26 @@ MAX_DOCUMENT_BYTES = 256 * 2**20
 PARAMETER_TOL = 1e-9
 CONDITION_TOL = 1e-10
 
-# patterns, which re compiles on first use (and caches) rather than at import
-_EFFECTS_OPENING = rb'"effects": (\[+)'
-# bytes of JSON numbers, deleted to leave an array's brackets and separators
-_NUMBER_BYTES = b"0123456789+-.eE"
-# brackets around a JSON number that has a fraction or an exponent
-_BRACKETED_FLOAT = rb"\[*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))\]*"
-# bytes per step of the direct parse, which bounds its temporary lists
-_CHUNK_BYTES = 2**20
+# bytes per block that save writes and the direct parse reads
+_CHUNK_BYTES = 2**18
+# what precedes the effects array, within the first _HEAD_BYTES of a canonical file
+_EFFECTS_OPENING = b'"effects": ['
+_HEAD_BYTES = 2**12
+# a JSON number with a fraction or an exponent, which json.loads reads with float()
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
 # what the encoder writes between two rows of [re, im] pairs, in a matrix or across two
 _ROW_SEPARATOR = b"]], [["
 
 _REPORT_FIELDS = (
-    "dim",
-    "kind",
-    "parameter",
-    "purity",
-    "C_direct",
-    "C_closed",
-    "V_direct",
-    "V_closed",
-    "V_min",
-    "V_max",
-    "I_direct",
-    "I_closed",
-    "U_direct",
-    "U_closed",
-    "max_abs_discrepancy",
+    "dim", "kind", "parameter", "purity", "C_direct", "C_closed", "V_direct", "V_closed",
+    "V_min", "V_max", "I_direct", "I_closed", "U_direct", "U_closed", "max_abs_discrepancy",
     "negatives_clamped",
 )
 
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its previous state on exit.
-
-    Parsing a large family builds hundreds of thousands of small [re, im]
-    lists, which trigger collections that find no garbage.
-    """
+    """Pause the cyclic garbage collector, whose collections find no garbage in parsed lists."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -106,31 +84,30 @@ def _matrix_pieces(m: np.ndarray) -> list[bytes]:
 
     Joined, the pieces are the ASCII bytes of ``json.dumps(np.stack([m.real,
     m.imag], -1).tolist(), allow_nan=False)``, non-finite entries raising its
-    ValueError.  Each distinct row of pairs (keyed by its bytes, so that -0.0
-    keeps its own key) is written once, from words of each distinct float
-    formatted once; the rows' texts alternate with the brackets and
-    separators around them.
+    ValueError.  Each distinct row of pairs, keyed a block at a time by the
+    bytes of the entries' float64 view (so -0.0 keeps its own key), is
+    written once from words of each distinct float formatted once.
     """
-    pairs = np.stack([m.real, m.imag], axis=-1)
-    flat = pairs.reshape(-1)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        json.dumps(float(flat[~finite][0]), allow_nan=False)  # raises json's ValueError
-    if flat.size == 0:
-        return [_skeleton(pairs.shape, "").encode("ascii")]
-    raw = pairs.tobytes()
-    width = pairs.itemsize * 2 * pairs.shape[-2]  # bytes of one row of pairs
-    index = {}  # bytes of each distinct row -> its position among them
-    row_of = [index.setdefault(raw[i:i + width], len(index)) for i in range(0, len(raw), width)]
+    entries = np.ascontiguousarray(m, dtype=np.complex128)
+    if entries.size == 0:
+        return [_skeleton((*m.shape, 2), "").encode("ascii")]
+    rows = entries.view(np.float64).reshape(-1, 2 * m.shape[-1])
+    width = rows.itemsize * rows.shape[1]  # bytes of one row of pairs
+    index, row_of = {}, []  # bytes of each distinct row -> its position; each row's position
+    step = max(1, _CHUNK_BYTES // width)
+    for start in range(0, len(rows), step):
+        raw = rows[start:start + step].tobytes()
+        row_of += [index.setdefault(raw[i:i + width], len(index)) for i in range(0, len(raw), width)]
     # bit patterns, not values, so that -0.0 keeps its own word
     bits, word_of = np.unique(np.frombuffer(b"".join(index), np.uint64), return_inverse=True)
-    words = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    row_format = _skeleton(pairs.shape[-2:], "%s")
-    texts = [
-        (row_format % tuple(row)).encode("ascii")
-        for row in words[word_of].reshape(len(index), -1).tolist()
-    ]
-    separators = _skeleton(pairs.shape[:-2], "%s").encode("ascii").split(b"%s")
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():  # json's ValueError, for the first non-finite entry
+        json.dumps(float(next(x for x in rows.flat if not math.isfinite(x))), allow_nan=False)
+    words = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    row_format = _skeleton((m.shape[-1], 2), "%s")
+    row_words = words[word_of].reshape(len(index), -1).tolist()
+    texts = [(row_format % tuple(row)).encode("ascii") for row in row_words]
+    separators = _skeleton(m.shape[:-1], "%s").encode("ascii").split(b"%s")
     pieces = [b""] * (2 * len(separators) - 1)
     pieces[::2] = separators
     pieces[1::2] = map(texts.__getitem__, row_of)
@@ -162,14 +139,8 @@ def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
 
 def _measurement_fields(kind: str, dim, t, parameter, effects) -> dict:
     """The fields of a measurement document after "v", in the order ``encode`` writes them."""
-    return {
-        "schema": "measurement",
-        "kind": kind,
-        "dim": dim,
-        "t": t,
-        PARAMETER_NAMES[kind]: parameter,
-        "effects": effects,
-    }
+    return {"schema": "measurement", "kind": kind, "dim": dim, "t": t,
+            PARAMETER_NAMES[kind]: parameter, "effects": effects}
 
 
 def _encode_measurement(family: Family) -> dict:
@@ -178,33 +149,31 @@ def _encode_measurement(family: Family) -> dict:
 
 
 def _encode_report(report: BzReport) -> dict:
-    doc = {"schema": "report"}
-    doc.update({name: getattr(report, name) for name in _REPORT_FIELDS})
-    return doc
+    return {"schema": "report", **{name: getattr(report, name) for name in _REPORT_FIELDS}}
 
 
 def _encode_counts(table: CountTable) -> dict:
-    return {
-        "schema": "counts",
-        "shots": table.shots_per_povm,
-        "counts": [[int(c) for c in row] for row in table.counts],
-    }
+    counts = [[int(c) for c in row] for row in table.counts]
+    return {"schema": "counts", "shots": table.shots_per_povm, "counts": counts}
 
 
-_ENCODERS = {
-    DensityMatrix: _encode_state,
-    Family: _encode_measurement,
-    BzReport: _encode_report,
-    CountTable: _encode_counts,
-}
+_ENCODERS = {DensityMatrix: _encode_state, Family: _encode_measurement, BzReport: _encode_report,
+             CountTable: _encode_counts}
 
 
-def _document_bytes(doc: dict) -> bytes:
-    """The document's fields in order, with the bytes ``json.dumps`` gives for them.
+def _document(entity, meta: dict | None) -> dict:
+    """The fields of an entity's document in order, matrices as complex arrays."""
+    encoder = _ENCODERS.get(type(entity))
+    if encoder is None:
+        raise SchemaError(f"cannot encode object of type {type(entity).__name__}")
+    doc = {"v": SCHEMA_VERSION, **encoder(entity)}
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
 
-    The pieces of every field are joined once, so a large matrix's text is
-    not copied again into the document.
-    """
+
+def _document_pieces(doc: dict) -> list[bytes]:
+    """Pieces of the document's text: its fields in order, with the bytes ``json.dumps`` gives."""
     pieces = [b"{"]
     for i, (key, value) in enumerate(doc.items()):
         pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii"))
@@ -213,30 +182,28 @@ def _document_bytes(doc: dict) -> bytes:
         else:
             pieces.append(json.dumps(value, allow_nan=False).encode("ascii"))
     pieces.append(b"}")
-    return b"".join(pieces)
+    return pieces
 
 
 def encode(entity, meta: dict | None = None) -> bytes:
-    """Serialize an entity to JSON bytes.
+    """The JSON bytes ``json.dumps`` gives for an entity's document, with nested [re, im] lists."""
+    return b"".join(_document_pieces(_document(entity, meta)))
 
-    The entity encoders return the document's fields in order, matrices as
-    complex arrays; the object is assembled field by field, with the bytes
-    ``json.dumps`` gives for the same document holding nested [re, im] lists.
+
+def dump(entity, write, meta: dict | None = None) -> None:
+    """Write the bytes ``encode`` gives and a newline, one join of whole pieces per ``write`` call.
+
+    Pieces alternate row texts and separators, so runs of equally many hold about ``_CHUNK_BYTES``.
     """
-    encoder = _ENCODERS.get(type(entity))
-    if encoder is None:
-        raise SchemaError(f"cannot encode object of type {type(entity).__name__}")
-    doc = {"v": SCHEMA_VERSION, **encoder(entity)}
-    if meta is not None:
-        doc["meta"] = meta
-    return _document_bytes(doc)
+    pieces = _document_pieces(_document(entity, meta)) + [b"\n"]
+    step = max(1, len(pieces) * _CHUNK_BYTES // sum(map(len, pieces)))
+    for start in range(0, len(pieces), step):
+        write(b"".join(pieces[start:start + step]))
 
 
 def _check_document_size(size: int) -> None:
     if size > MAX_DOCUMENT_BYTES:
-        raise SchemaError(
-            f"document is {size} bytes long, above the limit of {MAX_DOCUMENT_BYTES} bytes"
-        )
+        raise SchemaError(f"document is {size} bytes long, above the limit of {MAX_DOCUMENT_BYTES} bytes")
 
 
 def _parse_json(data: bytes | str):
@@ -253,39 +220,46 @@ def _parse_json(data: bytes | str):
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
-def _parse_canonical_measurement(data: bytes) -> dict | None:
+def _json_object(text: bytes) -> dict | None:
+    """The JSON object ``text`` holds, or None if it holds no UTF-8 JSON object."""
+    with contextlib.suppress(SchemaError):
+        doc = _parse_json(text)
+        return doc if isinstance(doc, dict) else None
+
+
+def _blocks(read, limit: int):
+    """Blocks of at most ``_CHUNK_BYTES`` from ``read``, ``limit`` bytes in all, up to the end."""
+    while limit > 0 and (block := read(min(_CHUNK_BYTES, limit))):
+        limit -= len(block)
+        yield block
+
+
+def _parse_canonical_measurement(read, size: int) -> dict | None:
     """The document ``_parse_json`` gives for a measurement in the layout ``encode`` writes.
 
-    The "effects" array is cut out and its numbers parsed straight into a
-    float64 array of shape (*stored shape, 2), which stands in for the
-    nested [re, im] lists; the rest of the document goes through
-    ``json.loads`` with a 0 in the array's place.  Returns None, leaving the
-    document to ``_parse_json``, unless the other fields, their order and
-    spacing are byte-equal to what ``encode`` writes for their values (with
-    or without the newline ``save`` appends), the array's brackets and
-    separators are byte-equal to the encoder's, and every number in it has
-    a fraction or an exponent and is finite.  Those numbers ``json.loads``
-    parses with ``float()`` too; it reads an integer such as "-0" as an int
-    (0, not -0.0).
+    ``read(n)`` gives the next at most n of the document's ``size`` bytes, of
+    which at most ``size + 1`` are read.  The head, up to the "effects" array,
+    gives the array's shape, and ``_Rows`` reads the array into a complex
+    stack.  None, leaving the document to ``_parse_json``, unless ``_Rows``
+    accepts the array and the head and tail, parsed with a 0 in the array's
+    place, are what ``encode`` writes (or that and the newline ``save`` adds).
     """
-    opening = re.search(_EFFECTS_OPENING, data)
-    if opening is None:
+    text = read(min(_HEAD_BYTES, size + 1))
+    opening = text.find(_EFFECTS_OPENING)
+    start = opening + len(_EFFECTS_OPENING) - 1  # the array's first bracket
+    peek = _json_object(text[:start] + b"0}") if opening >= 0 else None
+    kind, d = (peek.get("kind"), peek.get("dim")) if peek else (None, None)
+    valid = isinstance(kind, str) and kind in PARAMETER_NAMES and type(d) is int and d >= 1
+    # the encoder writes at least "[0.0, 0.0]" per entry, so a shorter file cannot hold the stack
+    if not (valid and 10 * math.prod(shape := _effects_shape(kind, d)) <= size):
         return None
-    start, depth = opening.start(1), len(opening[1])
-    # inside the encoder's array no more than depth - 1 brackets close in a row
-    stop = data.find(b"]" * depth, start)
-    if stop < 0:
+    blocks = _blocks(read, size + 1 - len(text))
+    parsed = _Rows(shape).parse(text[start:], blocks)
+    if parsed is None:
         return None
-    stop += depth
-    spliced = data[:start] + b"0" + data[stop:]
-    try:
-        doc = json.loads(spliced.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError):
-        return None
-    if not isinstance(doc, dict):
-        return None
-    kind, d = doc.get("kind"), doc.get("dim")
-    if not (isinstance(kind, str) and kind in PARAMETER_NAMES and type(d) is int and d >= 1):
+    spliced = text[:start] + b"0" + parsed[1] + b"".join(blocks)
+    doc = _json_object(spliced)
+    if doc is None:
         return None
     # equal bytes put the 0 under the one "effects" key, with no key repeated or moved
     fields = _measurement_fields(kind, d, doc.get("t"), doc.get(PARAMETER_NAMES[kind]), 0)
@@ -293,111 +267,133 @@ def _parse_canonical_measurement(data: bytes) -> dict | None:
     if "meta" in doc:
         canonical["meta"] = doc["meta"]
     try:
-        expected = _document_bytes(canonical)
+        expected = b"".join(_document_pieces(canonical))
     except (ValueError, RecursionError):  # NaN or infinity, or deep nesting, in meta
         return None
     if spliced not in (expected, expected + b"\n"):  # the newline save appends
         return None
-    shape = (*_effects_shape(kind, d), 2)
-    values = _canonical_numbers(data, start, stop, shape)
-    if values is None:
-        return None
-    doc["effects"] = values.reshape(shape)
+    doc["effects"] = parsed[0]
     return doc
 
 
 class _Numbers(dict):
-    """Value of each number token, with its enclosing brackets, parsed on first lookup.
+    """Value of each number token, parsed on first lookup, as ``json.loads`` parses it.
 
-    A token that is not a JSON number with a fraction or an exponent, or
-    whose value is not finite, raises ValueError.
+    A token with no fraction or exponent (an int to json.loads), or not finite, raises ValueError.
     """
 
     def __missing__(self, token: bytes) -> float:
-        match = re.fullmatch(_BRACKETED_FLOAT, token)
-        if match is None:
-            raise ValueError(f"not a number token: {token!r}")
-        value = float(match[1])
+        value = float(token) if re.fullmatch(_NUMBER, token) else math.nan
         if not math.isfinite(value):
-            raise ValueError(f"not a finite number: {token!r}")
+            raise ValueError(f"not a finite number with a fraction or exponent: {token!r}")
         self[token] = value
         return value
 
 
 class _Rows(dict):
-    """float64 bytes of each row piece's numbers, parsed on first lookup.
+    """Reader of an effects array of a given stored shape, in the layout the encoder writes.
 
-    A piece is the text of one row of [re, im] pairs without its outer
-    brackets; it is split at ", " and each token parsed through ``_Numbers``,
-    so a token that is not a bracketed finite number raises ValueError.
+    The array is cut at the row separators into pieces, one row of [re, im]
+    pairs each; a piece maps to its position among the distinct pieces,
+    checked and parsed on first lookup.  A piece must be a row as the
+    encoder writes it, with the brackets its row's position takes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, shape: tuple[int, ...]) -> None:
         super().__init__()
+        self.shape, self.count = shape, math.prod(shape[:-1])  # rows of the array
+        self.depth = len(shape) + 1  # brackets that open the array before its first number
+        # a row at a multiple of one of these starts a matrix, or a POVM, and the
+        # separator before it has one more bracket on each side for each
+        self.periods = np.array([math.prod(shape[j:-1]) for j in range(1, len(shape) - 1)])
+        self.row_format = (b"%s, %s], [" * shape[-1])[:-4]
         self.numbers = _Numbers()
+        self.brackets = []  # leading * (depth + 1) + trailing brackets of each piece
+        self.new = []  # float64 bytes of the rows first seen since the last gather
+        self.values = np.empty((0, shape[-1]), dtype=np.complex128)
 
-    def __missing__(self, piece: bytes) -> bytes:
-        tokens = piece.split(b", ")
-        row = np.fromiter(
-            map(self.numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens)
-        ).tobytes()
-        self[piece] = row
-        return row
+    def __missing__(self, piece: bytes) -> int:
+        key = piece.lstrip(b"[")
+        stripped = key.rstrip(b"]")
+        leading, trailing = len(piece) - len(key), len(key) - len(stripped)
+        tokens = stripped.replace(b"], [", b", ").split(b", ")
+        if (max(leading, trailing) > self.depth or len(tokens) != 2 * self.shape[-1]
+                or self.row_format % tuple(tokens) != stripped):
+            raise ValueError(f"not a row as the encoder writes it: {piece[:80]!r}")
+        row = np.fromiter(map(self.numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens))
+        self.new.append(row.tobytes())
+        self.brackets.append(leading * (self.depth + 1) + trailing)
+        self[piece] = position = len(self)
+        return position
 
+    def gather(self, pieces: list[bytes], first: int, out: np.ndarray) -> None:
+        """Write the rows ``first`` onwards, which the pieces hold, into ``out``."""
+        ids = np.fromiter(map(self.__getitem__, pieces), dtype=np.intp, count=len(pieces))
+        if self.new:
+            parsed = np.frombuffer(b"".join(self.new), dtype=np.float64).reshape(len(self.new), -1)
+            self.new = []
+            # the arithmetic of _matrix_from_json, so the bits, signed zeros too, are its bits
+            self.values = np.concatenate([self.values, parsed[:, 0::2] + 1j * parsed[:, 1::2]])
+        rows = np.arange(first, first + len(pieces) + 1)
+        extra = (rows[:, None] % self.periods == 0).sum(axis=1)
+        extra[rows == 0] = self.depth
+        extra[rows == self.count] = 0  # the last piece ends before the array's closing brackets
+        expected = extra[:-1] * (self.depth + 1) + extra[1:]
+        if not np.array_equal(np.asarray(self.brackets)[ids], expected):
+            raise ValueError("row brackets out of place")
+        np.take(self.values, ids, axis=0, out=out[first:first + len(pieces)], mode="clip")
 
-def _canonical_numbers(data: bytes, start: int, stop: int, shape: tuple[int, ...]):
-    """Entries of the nested array ``data[start:stop]``, or None if it is not written as encoded."""
-    n = math.prod(shape)
-    # the brackets and separators, in order, without the numbers between them
-    skeleton = b"".join(
-        data[i:min(i + _CHUNK_BYTES, stop)].translate(None, _NUMBER_BYTES)
-        for i in range(start, stop, _CHUNK_BYTES)
-    )
-    # the token count bounds the canonical skeleton built next by the document's length
-    if skeleton.count(b",") != n - 1 or skeleton != _skeleton(shape, "").encode("ascii"):
-        return None
+    def parse(self, text: bytes, blocks):
+        """The stack of the array that starts ``text`` and goes on in ``blocks``, and what follows.
 
-    # Splitting at the row separators, then each piece at its ", ", leaves the
-    # n tokens that splitting at every ", " would, less the separators'
-    # brackets; each must be brackets around one number, so numbers sit only
-    # where the encoder puts them.  Each distinct row piece is parsed once.
-    # A chunk ends before a row separator, so it holds whole rows.
-    out = np.empty(n, dtype=np.float64)
-    rows = _Rows()
-    filled = 0
-    pos = start
-    try:
-        while pos < stop:
-            cut = data.find(_ROW_SEPARATOR, pos + _CHUNK_BYTES, stop)
-            if cut < 0:
-                cut = stop
-            # the brackets that open or close a matrix, or the array, stay out of the key
-            pieces = [piece.strip(b"[]") for piece in data[pos:cut].split(_ROW_SEPARATOR)]
-            values = np.frombuffer(b"".join(map(rows.__getitem__, pieces)), dtype=np.float64)
-            out[filled:filled + values.size] = values
-            filled += values.size
-            pos = cut + len(_ROW_SEPARATOR)
-    except ValueError:
-        return None
-    return out
+        None if the array is not in the encoder's layout.  One block's rows at a time are text.
+        """
+        out = np.empty((self.count, self.shape[-1]), dtype=np.complex128)
+        # longer than any row the encoder writes: a float's repr takes at most 24 bytes
+        row_limit = 64 * self.shape[-1] + 2 * self.depth
+        filled = 0
+        try:
+            # the last row ends where the array's closing brackets begin
+            while filled < self.count - 1 or (end := text.find(b"]" * self.depth)) < 0:
+                pieces = text.split(_ROW_SEPARATOR, self.count - 1 - filled)
+                text = pieces.pop()
+                if pieces:
+                    self.gather(pieces, filled, out)
+                    filled += len(pieces)
+                elif len(text) > row_limit or not (block := next(blocks, b"")):
+                    return None
+                else:
+                    text += block
+            self.gather([text[:end]], filled, out)
+        except ValueError:
+            return None
+        return out.reshape(self.shape), text[end + self.depth:]
 
 
 def decode(data: bytes | str):
-    """Parse and re-validate a serialized entity.
+    """Parse and re-validate a serialized entity, from bytes as ``_decode_file`` reads a file.
 
     A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
-    a str) raises SchemaError before it is parsed, and bytes that are not
-    UTF-8 raise SchemaError.  A measurement in the layout ``encode`` writes
-    has its effects parsed directly from the bytes; any other document, and
-    any str, is read by ``json.loads``, with the same result.
+    a str) raises SchemaError before it is parsed, as do bytes that are not
+    UTF-8.  A str is read by ``json.loads``.
     """
-    _check_document_size(len(data))
-    doc = _parse_canonical_measurement(data) if isinstance(data, bytes) else None
+    if isinstance(data, str):
+        _check_document_size(len(data))
+        return _decode_document(_parse_json(data))
+    return _decode_file(io.BytesIO(data), len(data))
+
+
+def _decode_file(fh, size: int):
+    """The entity of the ``size``-byte document in a seekable file, read up to ``size + 1`` bytes.
+
+    A measurement in the layout ``encode`` writes is parsed as it is read;
+    any other document is read again, whole, for ``json.loads``.
+    """
+    _check_document_size(size)
+    doc = _parse_canonical_measurement(fh.read, size)
     if doc is None:
-        doc = _parse_json(data)
-    # load passes the text it read straight in, so dropping this reference
-    # frees the text before the entity is validated
-    del data
+        fh.seek(0)
+        doc = _parse_json(fh.read(size + 1))
     return _decode_document(doc)
 
 
@@ -408,12 +404,8 @@ def _decode_document(doc):
     if doc.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {doc.get('v')!r}")
     schema = doc.get("schema")
-    decoders = {
-        "state": _decode_state,
-        "measurement": _decode_measurement,
-        "report": _decode_report,
-        "counts": _decode_counts,
-    }
+    decoders = {"state": _decode_state, "measurement": _decode_measurement,
+                "report": _decode_report, "counts": _decode_counts}
     if not isinstance(schema, str) or schema not in decoders:
         raise SchemaError(f"unknown schema {schema!r}")
     return decoders[schema](doc)
@@ -452,7 +444,11 @@ def _decode_measurement(doc: dict):
         parameter = float(_require(doc, name))
         if not (math.isfinite(t) and math.isfinite(parameter)):
             raise SchemaError(f"t and {name} must be finite numbers, got {t!r} and {parameter!r}")
-        stack = hermitian(_matrix_from_json(effects, _effects_shape(kind, d)).reshape(-1, d, d))
+        if not isinstance(effects, np.ndarray):  # the direct parse gives the checked stack
+            effects = _matrix_from_json(effects, _effects_shape(kind, d))
+        # a new stack, so symmetrized in place; the parsed lists go before verification
+        stack = hermitian(effects.reshape(-1, d, d), overwrite=True)
+        del effects, doc["effects"]
         stack.setflags(write=False)
         family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
     except SchemaError:
@@ -465,9 +461,7 @@ def _decode_measurement(doc: dict):
     report = verify(family, CONDITION_TOL)
     parameter_dev = report.deviations.pop("parameter")
     if not parameter_dev < PARAMETER_TOL:
-        raise SchemaError(
-            f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})"
-        )
+        raise SchemaError(f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})")
     bad = [key for key, v in report.deviations.items() if not v < CONDITION_TOL]
     if bad:
         raise SchemaError(f"decoded measurement violates: {', '.join(bad)}")
@@ -500,11 +494,8 @@ def _decode_report(doc: dict) -> BzReport:
     try:
         report = BzReport(**values)
         closed = closed_forms(kind, d, report.parameter, report.purity)
-        pairs = [
-            (report.V_direct, report.V_closed),
-            (report.I_direct, report.I_closed),
-            (report.U_direct, report.U_closed),
-        ]
+        pairs = [(report.V_direct, report.V_closed), (report.I_direct, report.I_closed),
+                 (report.U_direct, report.U_closed)]
         if report.C_direct is not None:
             pairs.append((report.C_direct, report.C_closed))
         recomputed = max(abs(x - y) for x, y in pairs)
@@ -549,13 +540,22 @@ def _decode_counts(doc: dict) -> CountTable:
 
 
 def save(entity, path, meta: dict | None = None) -> None:
+    """Write the bytes ``encode`` gives and a newline to ``path``, a block at a time."""
     with open(path, "wb") as fh:
-        fh.write(encode(entity, meta=meta))
-        fh.write(b"\n")
+        dump(entity, fh.write, meta)
 
 
 def load(path):
+    """The entity a file holds, as ``decode`` gives it for the file's bytes.
+
+    A regular file is checked against ``MAX_DOCUMENT_BYTES`` by its size and
+    read as ``_decode_file`` does; any other, a pipe say, is read in blocks.
+    """
     with open(path, "rb") as fh:
-        _check_document_size(os.fstat(fh.fileno()).st_size)
-        # a pipe reports size 0, so read at most one byte past the limit either way
-        return decode(fh.read(MAX_DOCUMENT_BYTES + 1))
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _decode_file(fh, info.st_size)
+        # no size to check before reading, and no second reading
+        blocks = list(_blocks(fh.read, MAX_DOCUMENT_BYTES + 1))
+        _check_document_size(sum(map(len, blocks)))
+    return decode(b"".join(blocks))

@@ -7,6 +7,7 @@ bit for bit, or a SchemaError from both.  State, report and counts documents,
 fuzzed the same way, decode or raise SchemaError and nothing else.
 """
 
+import io
 import json
 import re
 import tracemalloc
@@ -52,9 +53,14 @@ EDGE_BYTES = [
 ]
 
 
+def parse_canonical(data: bytes):
+    """The direct parse of a document held in memory."""
+    return serialize._parse_canonical_measurement(io.BytesIO(data).read, len(data))
+
+
 def fast_route(data: bytes):
     """The family from the direct parse, "declined" if it leaves the document to json.loads."""
-    doc = serialize._parse_canonical_measurement(data)
+    doc = parse_canonical(data)
     if doc is None:
         return "declined"
     return outcome(lambda: serialize._decode_document(doc))
@@ -220,12 +226,13 @@ def test_token_replaced_inside_a_repeated_row_is_parsed_afresh(kind):
         digit = str((int(data[j - 1:j]) + 1) % 10).encode("ascii")
         for lexeme in (data[i:j - 1] + digit, b"0.25", b"-0.0", data[i:j] + b"0", b"nan", b"1e999"):
             variant = data[:i] + lexeme + data[j:]
-            doc = serialize._parse_canonical_measurement(variant)
+            doc = parse_canonical(variant)
             if lexeme in (b"nan", b"1e999"):
                 assert doc is None
             else:
-                # the parse before verification, against json.loads of the same bytes
-                reference = np.asarray(json.loads(variant)["effects"], dtype=np.float64)
+                # the parse before verification, against the json.loads route's stack
+                stored = json.loads(variant)["effects"]
+                reference = serialize._matrix_from_json(stored, serialize._effects_shape(kind, d))
                 assert doc["effects"].tobytes() == reference.tobytes()
             check_routes_agree(variant)
 
@@ -248,7 +255,7 @@ def test_row_piece_with_the_wrong_token_count_takes_the_json_loads_route(kind):
         ),
     }
     for name, variant in variants.items():
-        assert serialize._parse_canonical_measurement(variant) is None, name
+        assert parse_canonical(variant) is None, name
         assert check_routes_agree(variant) == "declined", name
         assert fallback_route(variant) is SchemaError, name
 
@@ -279,7 +286,7 @@ def non_canonical_variants(data: bytes) -> dict[str, bytes]:
 @pytest.mark.parametrize("seed", [0, 3, 4])
 def test_documents_encode_never_writes_take_the_json_loads_route(seed):
     for name, data in non_canonical_variants(SEEDS[seed]).items():
-        assert serialize._parse_canonical_measurement(data) is None, name
+        assert parse_canonical(data) is None, name
         check_routes_agree(data)
 
 
@@ -298,7 +305,7 @@ def test_encoder_output_takes_the_fast_route(kind, d):
     family = BUILDERS[kind](d)
     meta = {"source": "test", "values": [1.5, None]}
     for data in (encode(family), encode(family) + b"\n", encode(family, meta=meta) + b"\n"):
-        doc = serialize._parse_canonical_measurement(data)
+        doc = parse_canonical(data)
         assert doc is not None
         assert isinstance(doc["effects"], np.ndarray)
         assert doc.get("meta") == (meta if b"meta" in data else None)
@@ -318,7 +325,7 @@ def traced_peak(thunk) -> int:
 def test_fast_route_peak_memory_below_json_loads_route():
     data = encode(build_gsm(12, "auto"))
     fast = traced_peak(
-        lambda: serialize._decode_document(serialize._parse_canonical_measurement(data))
+        lambda: serialize._decode_document(parse_canonical(data))
     )
     fallback = traced_peak(lambda: serialize._decode_document(serialize._parse_json(data)))
     assert fast < fallback
