@@ -53,15 +53,32 @@ _NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)
 _ROW_SEPARATOR = b"]], [["
 
 _REPORT_FIELDS = (
-    "dim", "kind", "parameter", "purity", "C_direct", "C_closed", "V_direct", "V_closed",
-    "V_min", "V_max", "I_direct", "I_closed", "U_direct", "U_closed", "max_abs_discrepancy",
+    "dim",
+    "kind",
+    "parameter",
+    "purity",
+    "C_direct",
+    "C_closed",
+    "V_direct",
+    "V_closed",
+    "V_min",
+    "V_max",
+    "I_direct",
+    "I_closed",
+    "U_direct",
+    "U_closed",
+    "max_abs_discrepancy",
     "negatives_clamped",
 )
 
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector, whose collections find no garbage in parsed lists."""
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    Parsing a large family builds hundreds of thousands of small [re, im]
+    lists, which trigger collections that find no garbage.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -139,8 +156,14 @@ def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
 
 def _measurement_fields(kind: str, dim, t, parameter, effects) -> dict:
     """The fields of a measurement document after "v", in the order ``encode`` writes them."""
-    return {"schema": "measurement", "kind": kind, "dim": dim, "t": t,
-            PARAMETER_NAMES[kind]: parameter, "effects": effects}
+    return {
+        "schema": "measurement",
+        "kind": kind,
+        "dim": dim,
+        "t": t,
+        PARAMETER_NAMES[kind]: parameter,
+        "effects": effects,
+    }
 
 
 def _encode_measurement(family: Family) -> dict:
@@ -149,16 +172,25 @@ def _encode_measurement(family: Family) -> dict:
 
 
 def _encode_report(report: BzReport) -> dict:
-    return {"schema": "report", **{name: getattr(report, name) for name in _REPORT_FIELDS}}
+    doc = {"schema": "report"}
+    doc.update({name: getattr(report, name) for name in _REPORT_FIELDS})
+    return doc
 
 
 def _encode_counts(table: CountTable) -> dict:
-    counts = [[int(c) for c in row] for row in table.counts]
-    return {"schema": "counts", "shots": table.shots_per_povm, "counts": counts}
+    return {
+        "schema": "counts",
+        "shots": table.shots_per_povm,
+        "counts": [[int(c) for c in row] for row in table.counts],
+    }
 
 
-_ENCODERS = {DensityMatrix: _encode_state, Family: _encode_measurement, BzReport: _encode_report,
-             CountTable: _encode_counts}
+_ENCODERS = {
+    DensityMatrix: _encode_state,
+    Family: _encode_measurement,
+    BzReport: _encode_report,
+    CountTable: _encode_counts,
+}
 
 
 def _document(entity, meta: dict | None) -> dict:
@@ -203,7 +235,9 @@ def dump(entity, write, meta: dict | None = None) -> None:
 
 def _check_document_size(size: int) -> None:
     if size > MAX_DOCUMENT_BYTES:
-        raise SchemaError(f"document is {size} bytes long, above the limit of {MAX_DOCUMENT_BYTES} bytes")
+        raise SchemaError(
+            f"document is {size} bytes long, above the limit of {MAX_DOCUMENT_BYTES} bytes"
+        )
 
 
 def _parse_json(data: bytes | str):
@@ -371,7 +405,7 @@ class _Rows(dict):
 
 
 def decode(data: bytes | str):
-    """Parse and re-validate a serialized entity, from bytes as ``_decode_file`` reads a file.
+    """Parse and re-validate a serialized entity, from bytes as ``load`` reads a file.
 
     A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
     a str) raises SchemaError before it is parsed, as do bytes that are not
@@ -380,11 +414,11 @@ def decode(data: bytes | str):
     if isinstance(data, str):
         _check_document_size(len(data))
         return _decode_document(_parse_json(data))
-    return _decode_file(io.BytesIO(data), len(data))
+    return _decode_document(_parse_file(io.BytesIO(data), len(data)))
 
 
-def _decode_file(fh, size: int):
-    """The entity of the ``size``-byte document in a seekable file, read up to ``size + 1`` bytes.
+def _parse_file(fh, size: int):
+    """The document in a seekable binary file of ``size`` bytes, read up to ``size + 1`` bytes.
 
     A measurement in the layout ``encode`` writes is parsed as it is read;
     any other document is read again, whole, for ``json.loads``.
@@ -394,7 +428,19 @@ def _decode_file(fh, size: int):
     if doc is None:
         fh.seek(0)
         doc = _parse_json(fh.read(size + 1))
-    return _decode_document(doc)
+    return doc
+
+
+def _read_stream(read) -> tuple[io.BytesIO, int]:
+    """A stream that can be read once, a pipe say, read whole in blocks into a file, and its size."""
+    whole = io.BytesIO()
+    for block in _blocks(read, MAX_DOCUMENT_BYTES + 1):
+        whole.write(block)
+    # trims the buffer in place, so that reading it whole from the start copies nothing
+    whole.getvalue()
+    size = whole.tell()
+    whole.seek(0)
+    return whole, size
 
 
 def _decode_document(doc):
@@ -404,8 +450,12 @@ def _decode_document(doc):
     if doc.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {doc.get('v')!r}")
     schema = doc.get("schema")
-    decoders = {"state": _decode_state, "measurement": _decode_measurement,
-                "report": _decode_report, "counts": _decode_counts}
+    decoders = {
+        "state": _decode_state,
+        "measurement": _decode_measurement,
+        "report": _decode_report,
+        "counts": _decode_counts,
+    }
     if not isinstance(schema, str) or schema not in decoders:
         raise SchemaError(f"unknown schema {schema!r}")
     return decoders[schema](doc)
@@ -446,9 +496,10 @@ def _decode_measurement(doc: dict):
             raise SchemaError(f"t and {name} must be finite numbers, got {t!r} and {parameter!r}")
         if not isinstance(effects, np.ndarray):  # the direct parse gives the checked stack
             effects = _matrix_from_json(effects, _effects_shape(kind, d))
-        # a new stack, so symmetrized in place; the parsed lists go before verification
+        # a new stack, symmetrized in place: a second stack, freed before
+        # verification, would leave the allocator holding as much again
         stack = hermitian(effects.reshape(-1, d, d), overwrite=True)
-        del effects, doc["effects"]
+        del effects, doc["effects"]  # the parsed lists go before verification
         stack.setflags(write=False)
         family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
     except SchemaError:
@@ -461,7 +512,9 @@ def _decode_measurement(doc: dict):
     report = verify(family, CONDITION_TOL)
     parameter_dev = report.deviations.pop("parameter")
     if not parameter_dev < PARAMETER_TOL:
-        raise SchemaError(f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})")
+        raise SchemaError(
+            f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})"
+        )
     bad = [key for key, v in report.deviations.items() if not v < CONDITION_TOL]
     if bad:
         raise SchemaError(f"decoded measurement violates: {', '.join(bad)}")
@@ -494,8 +547,11 @@ def _decode_report(doc: dict) -> BzReport:
     try:
         report = BzReport(**values)
         closed = closed_forms(kind, d, report.parameter, report.purity)
-        pairs = [(report.V_direct, report.V_closed), (report.I_direct, report.I_closed),
-                 (report.U_direct, report.U_closed)]
+        pairs = [
+            (report.V_direct, report.V_closed),
+            (report.I_direct, report.I_closed),
+            (report.U_direct, report.U_closed),
+        ]
         if report.C_direct is not None:
             pairs.append((report.C_direct, report.C_closed))
         recomputed = max(abs(x - y) for x, y in pairs)
@@ -549,13 +605,13 @@ def load(path):
     """The entity a file holds, as ``decode`` gives it for the file's bytes.
 
     A regular file is checked against ``MAX_DOCUMENT_BYTES`` by its size and
-    read as ``_decode_file`` does; any other, a pipe say, is read in blocks.
+    read as ``_parse_file`` does; any other, a pipe say, is first read whole
+    in blocks.  The text is dropped before the entity is validated.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
-            return _decode_file(fh, info.st_size)
-        # no size to check before reading, and no second reading
-        blocks = list(_blocks(fh.read, MAX_DOCUMENT_BYTES + 1))
-        _check_document_size(sum(map(len, blocks)))
-    return decode(b"".join(blocks))
+            doc = _parse_file(fh, info.st_size)
+        else:
+            doc = _parse_file(*_read_stream(fh.read))
+    return _decode_document(doc)

@@ -235,6 +235,13 @@ def test_token_replaced_inside_a_repeated_row_is_parsed_afresh(kind):
                 reference = serialize._matrix_from_json(stored, serialize._effects_shape(kind, d))
                 assert doc["effects"].tobytes() == reference.tobytes()
             check_routes_agree(variant)
+    # re + 1j*im keeps the sign of a zero real part only where the imaginary
+    # part is negative, so a -0.0 read as 0.0 shows in the stack here
+    (i, _), (_, j) = rows[index][0], rows[index][1]
+    variant = data[:i] + b"-0.0, -0.5" + data[j:]
+    entry = parse_canonical(variant)["effects"].reshape(-1)[index * d]
+    assert np.signbit(entry.real) and entry.imag == -0.5
+    check_routes_agree(variant)
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
