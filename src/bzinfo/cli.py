@@ -19,11 +19,19 @@ the i-th state of that stream, so state 0 is that of ``state gen --seed
 Loading a measurement file rejects any verification deviation >= 1e-10
 with exit 2, so ``verify --tol`` looser than 1e-10 has no effect: verify
 exits 1 only for a degenerate family or a --tol below 1e-10.
+
+Every document and CSV reaches its --out file or stdout through one
+binary writer, opened only once the arguments are checked.  ``sweep``
+writes its header and then each row as its state's report is made, so
+its memory does not grow with --states, and a failure partway leaves the
+rows before it.  ``sweep --t`` applies to a built mum or gsm family only
+(unset means auto); given for any other it exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -31,7 +39,7 @@ from .errors import DomainError, NumericalError, SchemaError, VerificationError
 from .invariants import DirectEvaluator, bz_report
 from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
-from .serialize import dump, encode, load, save
+from .serialize import dump, encode, load
 from .states import RNG_ALGORITHM, check_seed, density_stream, random_density
 from . import __version__
 
@@ -41,8 +49,8 @@ SWEEP_HEADER = (
 )
 
 
-def _parse_t(value: str):
-    if value == "auto":
+def _parse_t(value: str | None):
+    if value is None or value == "auto":
         return "auto"
     try:
         return float(value)
@@ -50,20 +58,29 @@ def _parse_t(value: str):
         raise DomainError(f"--t must be a number or 'auto', got {value!r}") from None
 
 
-def _emit(entity, out: str | None, meta: dict | None = None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """One binary ``write``: to the file ``out``, else to stdout's bytes, flushed first."""
     if out:
-        save(entity, out, meta=meta)
+        with open(out, "wb") as fh:
+            yield fh.write
         return
-    # the document goes to stdout a block at a time, as save writes it
     stdout = getattr(sys.stdout, "buffer", None)
     if stdout is None:  # a text stream with no bytes below it
-        dump(entity, lambda block: sys.stdout.write(block.decode("ascii")), meta)
+        yield lambda block: sys.stdout.write(block.decode("ascii"))
     else:
         sys.stdout.flush()
-        dump(entity, stdout.write, meta)
+        yield stdout.write
+
+
+def _emit(entity, out: str | None, meta: dict | None = None) -> None:
+    with _output(out) as write:
+        dump(entity, write, meta)
 
 
 def _build_family(kind: str, dim: int | None, t: str | None):
+    if t is not None and kind not in ("mum", "gsm"):
+        raise DomainError(f"--t applies to a built mum or gsm family, not to {kind}")
     # builders are looked up at call time, so rebinding them (as a tracer does) takes effect
     if kind == "mum":
         return build_mum(dim, _parse_t(t))
@@ -111,20 +128,17 @@ def _cmd_bz(args) -> int:
     family = load(args.measurement)
     state = load(args.state)
     report = bz_report(family, state)
-    payload = encode(report).decode("utf-8")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    if args.json or not args.out:
-        if args.json:
-            print(payload)
-        else:
-            print(f"{report.kind} family, d={report.dim}, purity={report.purity!r}")
-            for name in ("C", "V", "I", "U"):
-                direct = getattr(report, f"{name}_direct")
-                closed = getattr(report, f"{name}_closed")
-                print(f"  {name}: direct={direct!r} closed={closed!r}")
-            print(f"  max |direct - closed| = {report.max_abs_discrepancy:.3e}")
+        _emit(report, args.out)
+    if args.json:
+        print(encode(report).decode("utf-8"))
+    elif not args.out:
+        print(f"{report.kind} family, d={report.dim}, purity={report.purity!r}")
+        for name in ("C", "V", "I", "U"):
+            direct = getattr(report, f"{name}_direct")
+            closed = getattr(report, f"{name}_closed")
+            print(f"  {name}: direct={direct!r} closed={closed!r}")
+        print(f"  max |direct - closed| = {report.max_abs_discrepancy:.3e}")
     return 0
 
 
@@ -135,16 +149,16 @@ def _cmd_sample(args) -> int:
         estimate, std_error = estimate_bz_info(family, state, args.shots, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))
     table = sample_outcomes(family, state, args.shots, args.seed)
-    if not args.estimate:
+    if args.out or not args.estimate:
         _emit(table, args.out)
-    elif args.out:
-        save(table, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     check_seed(args.seed)
     if args.measurement:
+        if args.t is not None:
+            raise DomainError("--t applies to a built mum or gsm family, not to a --measurement file")
         family = load(args.measurement)
     else:
         family = _build_family(args.kind, args.dim, args.t)
@@ -153,36 +167,15 @@ def _cmd_sweep(args) -> int:
 
     evaluator = DirectEvaluator(family)
     rank = args.rank if args.rank is not None else args.dim
-    lines = [SWEEP_HEADER]
     states = density_stream(args.dim, rank, args.seed, args.states)
-    for i, state in enumerate(states):
-        r = evaluator.report(state)
-        lines.append(
-            ",".join(
-                map(
-                    repr,
-                    (
-                        i,
-                        r.purity,
-                        r.C_direct,
-                        r.C_closed,
-                        r.V_direct,
-                        r.V_closed,
-                        r.I_direct,
-                        r.I_closed,
-                        r.U_direct,
-                        r.U_closed,
-                        r.max_abs_discrepancy,
-                    ),
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # every argument is checked by now, so a bad one writes nothing
+    with _output(args.out) as write:
+        write(SWEEP_HEADER.encode() + b"\n")
+        for i, state in enumerate(states):
+            r = evaluator.report(state)
+            row = (i, r.purity, r.C_direct, r.C_closed, r.V_direct, r.V_closed,
+                   r.I_direct, r.I_closed, r.U_direct, r.U_closed, r.max_abs_discrepancy)
+            write((",".join(map(repr, row)) + "\n").encode())
     return 0
 
 
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--states", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--kind", choices=("mum", "gsm", "mub", "sic2"), default="mum")
-    sweep.add_argument("--t", default="auto")
+    sweep.add_argument("--t", help="sharpness of a built mum or gsm family (default: auto)")
     sweep.add_argument("--rank", type=int, default=None)
     sweep.add_argument("--measurement", help="sweep an existing measurement file instead")
     sweep.add_argument("--out", help="CSV path (default: stdout)")

@@ -222,12 +222,13 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
     t = t_max if isinstance(t, str) else float(t)
     if not 0.0 <= t < np.inf:
         raise DomainError(f"t must be a finite nonnegative number, got {t}")
-    lowest = identity_weight + t * smallest
-    bad = np.flatnonzero(lowest < PSD_FLOOR)
+    # identity_weight + t*lam < PSD_FLOOR with t divided across, so no huge finite t overflows
+    bad = np.flatnonzero(smallest < ((PSD_FLOOR - identity_weight) / t if t else -np.inf))
     if bad.size:
         i = int(bad[0])
+        lowest = identity_weight + t * float(smallest[i])  # a Python float: -inf past the range
         raise PositivityError(
-            f"effect {label_of(i)} has eigenvalue {lowest[i]:.3e}; t exceeds the positivity bound"
+            f"effect {label_of(i)} has eigenvalue {lowest:.3e}; t exceeds the positivity bound"
         )
     effects = generators.reshape(-1, d, d)
     effects *= t

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 import tracemalloc
@@ -144,6 +146,85 @@ def test_sweep_negative_states_exits_two(capsys):
     code, out, _ = run(capsys, "sweep", "--dim", "2", "--states", "0")
     assert code == 0
     assert out == SWEEP_HEADER + "\n"
+
+
+@pytest.mark.parametrize("argv", [("--kind", "mub"), ("--kind", "sic2"), ("--measurement", "m.json")])
+def test_sweep_t_for_a_family_without_t_exits_two(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "mum", "--dim", "2", "--out", "m.json")
+    code, out, err = run(capsys, "sweep", "--dim", "2", "--states", "2", *argv, "--t", "0.1",
+                         "--out", "s.csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t applies to a built mum or gsm family, not to ")
+    assert not (tmp_path / "s.csv").exists()
+    # without --t each sweeps its own family
+    assert run(capsys, "sweep", "--dim", "2", "--states", "2", *argv)[0] == 0
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_sweep_t_unset_is_auto(capsys, kind):
+    argv = ["sweep", "--dim", "3", "--kind", kind, "--states", "3"]
+    assert run(capsys, *argv, "--t", "auto")[1] == run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--t", "0.01")[1] != run(capsys, *argv)[1]
+
+
+def test_sweep_traced_peak_does_not_grow_with_states(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    main(["sweep", "--dim", "2", "--states", "10", "--out", out])  # imports and caches
+    peaks = {}
+    for n in (2000, 8000):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--dim", "2", "--states", str(n), "--out", out]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(open(out).read().splitlines()) == 8001
+    # the parent, which joined every row before writing, grew by about 3.8 MiB
+    assert abs(peaks[8000] - peaks[2000]) < 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_sweep_failing_partway_keeps_the_rows_before(tmp_path, capsys, monkeypatch, k):
+    report = DirectEvaluator.report
+    calls = []
+
+    def fail_at_k(self, rho):
+        calls.append(1)
+        if len(calls) > k:
+            raise NumericalError("probabilities have imaginary part 1e-3")
+        return report(self, rho)
+
+    monkeypatch.setattr(DirectEvaluator, "report", fail_at_k)
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "sweep", "--dim", "2", "--states", "10", "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: probabilities have imaginary part 1e-3\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(k)]
+
+
+def test_sweep_stdout_bytes_are_its_file_bytes(tmp_path, capsys):
+    argv = ["sweep", "--dim", "3", "--kind", "gsm", "--states", "5", "--seed", "2"]
+    path = tmp_path / "s.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("ascii") == path.read_bytes()
+    # a text stream with no bytes below it, as a redirect to StringIO gives
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue().encode("ascii") == path.read_bytes()
+
+
+def test_gen_huge_finite_t_exits_two(capsys):
+    code, out, err = run(capsys, "gen", "mum", "--dim", "3", "--t", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err == "error: effect (b=1, n=1) has eigenvalue -inf; t exceeds the positivity bound\n"
 
 
 def test_sweep_state_zero_is_state_gen(tmp_path, capsys):

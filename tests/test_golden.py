@@ -112,6 +112,15 @@ def test_bz_json_bytes(capsys, files, kind):
     assert digest == BZ[kind]
 
 
+@pytest.mark.parametrize("kind", sorted(BZ))
+def test_bz_report_file_bytes(capsys, files, tmp_path, kind):
+    out = tmp_path / "report.json"
+    argv = ["bz", "--measurement", files[kind], "--state", files["s3"], "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert sha256(out.read_bytes()) == BZ[kind]
+
+
 @pytest.mark.parametrize("argv", sorted(SWEEP))
 def test_sweep_bytes(capsys, argv):
     assert stdout_digest(capsys, "sweep", *argv) == SWEEP[argv]

@@ -220,6 +220,13 @@ def test_positivity_error_names_the_effect_an_effect_eigensolve_names(d, kind, f
     assert str(caught.value).startswith(f"effect {label} has eigenvalue {smallest[i]:.3e};")
 
 
+@pytest.mark.parametrize("kind", sorted(BUILD))
+def test_huge_finite_t_is_a_positivity_error_not_an_overflow(kind):
+    # the smallest eigenvalue 1/d + t*lam lies past the float range; RuntimeWarnings are errors here
+    with pytest.raises(PositivityError, match="has eigenvalue -inf; t exceeds the positivity bound"):
+        BUILD[kind](3, 1e308)
+
+
 @pytest.mark.parametrize("t", ["auto", 0.001])
 @pytest.mark.parametrize("kind", sorted(BUILD))
 def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
