@@ -25,7 +25,8 @@ binary writer, opened only once the arguments are checked.  ``sweep``
 writes its header and then each row as its state's report is made, so
 its memory does not grow with --states, and a failure partway leaves the
 rows before it.  ``sweep --t`` applies to a built mum or gsm family only
-(unset means auto); given for any other it exits 2.
+(unset means auto), and ``sweep --kind`` to a built family only (unset
+means mum); either, given for any other, exits 2.
 """
 
 from __future__ import annotations
@@ -159,9 +160,11 @@ def _cmd_sweep(args) -> int:
     if args.measurement:
         if args.t is not None:
             raise DomainError("--t applies to a built mum or gsm family, not to a --measurement file")
+        if args.kind is not None:
+            raise DomainError("--kind applies to a built family, not to a --measurement file")
         family = load(args.measurement)
     else:
-        family = _build_family(args.kind, args.dim, args.t)
+        family = _build_family(args.kind or "mum", args.dim, args.t)
     if family.dim != args.dim:
         raise DomainError(f"family dimension {family.dim} does not match --dim {args.dim}")
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dim", type=int, required=True)
     sweep.add_argument("--states", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--kind", choices=("mum", "gsm", "mub", "sic2"), default="mum")
+    sweep.add_argument("--kind", choices=("mum", "gsm", "mub", "sic2"), help="default: mum")
     sweep.add_argument("--t", help="sharpness of a built mum or gsm family (default: auto)")
     sweep.add_argument("--rank", type=int, default=None)
     sweep.add_argument("--measurement", help="sweep an existing measurement file instead")

@@ -16,6 +16,9 @@ Closed forms (p = Tr rho^2):
                    C = ((a d^3 - 1) p + d (1 - a d))/(d (d^2 - 1))
 
 and always I = V_max - V, U = V - V_min.
+
+``reconcile`` makes every BzReport from the direct C and V, for the
+evaluator and for the report decoder in ``serialize`` alike.
 """
 
 from __future__ import annotations
@@ -131,6 +134,41 @@ class BzReport:
     negatives_clamped: int = 0
 
 
+def reconcile(kind: str, d: int, parameter, purity: float, c_direct: float | None,
+              v_direct: float, negatives_clamped: int) -> BzReport:
+    """The report of a state's direct C and V against the closed forms at its purity.
+
+    I_direct = V_max - V_direct and U_direct = V_direct - V_min.
+    """
+    cf = closed_forms(kind, d, parameter, purity)
+    i_direct = cf.V_max - v_direct
+    u_direct = v_direct - cf.V_min
+
+    pairs = [(v_direct, cf.V), (i_direct, cf.I), (u_direct, cf.U)]
+    if c_direct is not None:
+        pairs.append((c_direct, cf.C))
+    discrepancy = max(abs(x - y) for x, y in pairs)
+
+    return BzReport(
+        dim=d,
+        kind=kind,
+        parameter=parameter,
+        purity=purity,
+        C_direct=c_direct,
+        C_closed=cf.C,
+        V_direct=v_direct,
+        V_closed=cf.V,
+        V_min=cf.V_min,
+        V_max=cf.V_max,
+        I_direct=i_direct,
+        I_closed=cf.I,
+        U_direct=u_direct,
+        U_closed=cf.U,
+        max_abs_discrepancy=discrepancy,
+        negatives_clamped=negatives_clamped,
+    )
+
+
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
@@ -228,33 +266,7 @@ class DirectEvaluator:
 
         r = rho.matrix
         pur = float(np.einsum("ij,ji->", r, r).real)  # purity, Tr(rho^2)
-        cf = closed_forms(self.kind, d, self.parameter, pur)
-        i_direct = cf.V_max - v_direct
-        u_direct = v_direct - cf.V_min
-
-        pairs = [(v_direct, cf.V), (i_direct, cf.I), (u_direct, cf.U)]
-        if c_direct is not None:
-            pairs.append((c_direct, cf.C))
-        discrepancy = max(abs(x - y) for x, y in pairs)
-
-        return BzReport(
-            dim=d,
-            kind=self.kind,
-            parameter=self.parameter,
-            purity=pur,
-            C_direct=c_direct,
-            C_closed=cf.C,
-            V_direct=v_direct,
-            V_closed=cf.V,
-            V_min=cf.V_min,
-            V_max=cf.V_max,
-            I_direct=i_direct,
-            I_closed=cf.I,
-            U_direct=u_direct,
-            U_closed=cf.U,
-            max_abs_discrepancy=discrepancy,
-            negatives_clamped=clamped,
-        )
+        return reconcile(self.kind, d, self.parameter, pur, c_direct, v_direct, clamped)
 
 
 def bz_report(family, rho: DensityMatrix) -> BzReport:

@@ -5,6 +5,8 @@ entries as [re, im] pairs in row-major order.  Every document carries the
 schema version field "v": 1 and a "schema" discriminator.  Decoding
 re-validates the entity, so a tampered or truncated file never yields a
 usable object; a document longer than ``MAX_DOCUMENT_BYTES`` is rejected.
+A report is rebuilt from its direct inputs by ``invariants.reconcile``,
+which makes every report, and must equal the stored fields exactly.
 
 A family repeats a few thousand distinct rows of [re, im] pairs across
 hundreds of thousands of entries.  So a matrix is written as pieces: each
@@ -19,6 +21,7 @@ is read whole by ``json.loads``, with the same entity or SchemaError.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -30,7 +33,7 @@ import stat
 import numpy as np
 
 from .errors import BzinfoError, SchemaError
-from .invariants import REPORT_KINDS, BzReport, closed_forms
+from .invariants import REPORT_KINDS, BzReport, reconcile
 from .linalg import hermitian
 from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, verify
 from .sampler import CountTable
@@ -52,24 +55,7 @@ _NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)
 # what the encoder writes between two rows of [re, im] pairs, in a matrix or across two
 _ROW_SEPARATOR = b"]], [["
 
-_REPORT_FIELDS = (
-    "dim",
-    "kind",
-    "parameter",
-    "purity",
-    "C_direct",
-    "C_closed",
-    "V_direct",
-    "V_closed",
-    "V_min",
-    "V_max",
-    "I_direct",
-    "I_closed",
-    "U_direct",
-    "U_closed",
-    "max_abs_discrepancy",
-    "negatives_clamped",
-)
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(BzReport))
 
 
 @contextlib.contextmanager
@@ -139,6 +125,9 @@ def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
         raise SchemaError(f"matrix entries are not [re, im] numbers: {exc}") from exc
     if a.shape != (*shape, 2):
         raise SchemaError(f"expected shape {shape} of [re, im] pairs, got shape {a.shape}")
+    # JSON numbers only: float64 would parse a numeric string, and bool is an int subclass
+    if not set(map(type, np.asarray(rows, dtype=object).flat)) <= {int, float}:
+        raise SchemaError("matrix entries are not [re, im] numbers: a string or a boolean")
     # checked before 1j * inf could turn an infinite part into nan
     if not np.isfinite(a).all():
         raise SchemaError("matrix entries must be finite numbers")
@@ -488,10 +477,13 @@ def _decode_measurement(doc: dict):
     if not isinstance(kind, str) or kind not in PARAMETER_NAMES:
         raise SchemaError(f"unknown measurement kind {kind!r}")
     name = PARAMETER_NAMES[kind]
+    t, parameter = _require(doc, "t"), _require(doc, name)
+    for key, value in (("t", t), (name, parameter)):  # float() would parse a numeric string
+        if type(value) not in (int, float):
+            raise SchemaError(f"malformed measurement document: invalid {key} {value!r}")
 
     try:
-        t = float(_require(doc, "t"))
-        parameter = float(_require(doc, name))
+        t, parameter = float(t), float(parameter)
         if not (math.isfinite(t) and math.isfinite(parameter)):
             raise SchemaError(f"t and {name} must be finite numbers, got {t!r} and {parameter!r}")
         if not isinstance(effects, np.ndarray):  # the direct parse gives the checked stack
@@ -544,29 +536,21 @@ def _decode_report(doc: dict) -> BzReport:
             valid = type(value) in (int, float)
         if not valid:
             raise SchemaError(f"malformed report document: invalid {name} {value!r}")
+        try:  # the arithmetic of reconcile is float arithmetic
+            values[name] = value if value is None else float(value)
+        except OverflowError as exc:  # a huge integer
+            raise SchemaError(f"malformed report document: {exc}") from exc
     try:
-        report = BzReport(**values)
-        closed = closed_forms(kind, d, report.parameter, report.purity)
-        pairs = [
-            (report.V_direct, report.V_closed),
-            (report.I_direct, report.I_closed),
-            (report.U_direct, report.U_closed),
-        ]
-        if report.C_direct is not None:
-            pairs.append((report.C_direct, report.C_closed))
-        recomputed = max(abs(x - y) for x, y in pairs)
-        inconsistent = abs(recomputed - report.max_abs_discrepancy) > 1e-15
+        expected = reconcile(kind, d, values["parameter"], values["purity"], values["C_direct"],
+                             values["V_direct"], clamped)
     except BzinfoError as exc:  # a parameter or purity out of its range
         raise SchemaError(f"decoded report fails validation: {exc}") from exc
-    except OverflowError as exc:  # a huge integer overflows a float
-        raise SchemaError(f"malformed report document: {exc}") from exc
-    stored = (report.C_closed, report.V_closed, report.V_min, report.V_max, report.I_closed,
-              report.U_closed)
-    if stored != (closed.C, closed.V, closed.V_min, closed.V_max, closed.I, closed.U):
+    wrong = [name for name in _REPORT_FIELDS if values[name] != getattr(expected, name)]
+    if any(name.endswith("_closed") or name in ("V_min", "V_max") for name in wrong):
         raise SchemaError("stored closed forms inconsistent with kind, dim, parameter and purity")
-    if inconsistent:
-        raise SchemaError("stored max_abs_discrepancy inconsistent with fields")
-    return report
+    if wrong:
+        raise SchemaError(f"stored {wrong[0]} inconsistent with fields")
+    return expected
 
 
 def _decode_counts(doc: dict) -> CountTable:

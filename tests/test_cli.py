@@ -386,3 +386,19 @@ def test_oversized_dimension_exits_two_without_allocating(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "GiB" in err
     assert peak < 2**20
+
+
+def test_sweep_kind_with_a_measurement_file_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "mum", "--dim", "2", "--out", "m.json")
+    for kind in ("gsm", "mum"):
+        code, out, err = run(capsys, "sweep", "--dim", "2", "--states", "1", "--kind", kind,
+                             "--measurement", "m.json", "--out", "s.csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --kind applies to a built family, not to a --measurement file\n"
+        assert not (tmp_path / "s.csv").exists()
+    # unset, --kind builds a mum family
+    built = run(capsys, "sweep", "--dim", "2", "--states", "3")[1]
+    assert built == run(capsys, "sweep", "--dim", "2", "--states", "3", "--kind", "mum")[1]
+    assert built == run(capsys, "sweep", "--dim", "2", "--states", "3", "--measurement", "m.json")[1]

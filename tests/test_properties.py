@@ -27,6 +27,7 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
+from bzinfo.invariants import reconcile
 from conftest import random_unitary
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -85,3 +86,19 @@ def test_random_states_satisfy_the_balance(d, rank, seed):
         spread = r.V_max - r.V_min
         assert abs(r.I_direct + r.U_direct - spread) <= 1e-12 * r.V_max
         assert abs(r.I_closed + r.U_closed - spread) <= 1e-12 * r.V_max
+
+
+@lru_cache(maxsize=None)
+def evaluator(spec):
+    kind, d = spec[:2]
+    return DirectEvaluator(None, dim=d) if kind == "state-only" else DirectEvaluator(family(*spec))
+
+
+@SETTINGS
+@given(st.one_of(FAMILIES, st.tuples(st.just("state-only"), st.integers(2, 5))), SEEDS,
+       st.integers(1, 5))
+def test_reconcile_rebuilds_every_report_exactly(spec, seed, rank):
+    ev = evaluator(spec)
+    r = ev.report(random_density(ev.dim, min(rank, ev.dim), seed))
+    assert reconcile(r.kind, r.dim, r.parameter, r.purity, r.C_direct, r.V_direct,
+                     r.negatives_clamped) == r

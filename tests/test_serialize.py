@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import io
 import json
+import math
 import os
 import warnings
 
@@ -487,3 +489,63 @@ def test_document_size_limit_admits_d32_families():
     for kind in ("mum", "gsm"):
         entries = int(np.prod(_effects_shape(kind, 32)))
         assert entries * per_entry + 1000 < serialize.MAX_DOCUMENT_BYTES
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm", "state-only"])
+@pytest.mark.parametrize("field", ["I_direct", "U_direct", "V_direct"])
+def test_report_with_a_direct_field_moved_one_ulp_rejected(kind, field):
+    family, d = {"mum": (build_mum(3), 3), "gsm": (build_gsm(2), 2), "state-only": (None, 3)}[kind]
+    for seed in range(20):
+        report = bz_report(family, random_density(d, 1 + seed % d, seed))
+        doc = json.loads(encode(report))
+        doc[field] = math.nextafter(doc[field], math.inf)
+        with pytest.raises(SchemaError, match="inconsistent with fields"):
+            decode(json.dumps(doc))
+
+
+def test_report_with_a_moved_direct_field_names_it():
+    doc = json.loads(encode(MUM_REPORT))
+    doc["U_direct"] = math.nextafter(doc["U_direct"], -math.inf)
+    with pytest.raises(SchemaError, match="^stored U_direct inconsistent with fields$"):
+        decode(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", serialize._REPORT_FIELDS[2:-1])  # the number fields
+def test_report_with_a_huge_integer_field_is_malformed(field):
+    doc = json.loads(encode(MUM_REPORT))
+    doc[field] = 10**400
+    with pytest.raises(SchemaError, match="malformed report document"):
+        decode(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [("t", "0.2928932188134525"), ("t", True),
+                                          ("kappa", "0.8535533905932737"), ("kappa", True)])
+def test_measurement_with_non_number_t_or_parameter_rejected(field, value):
+    doc = json.loads(encode(build_mub(2)))
+    doc[field] = value
+    text = json.dumps(doc)
+    # the bytes are in the encoder's layout, so they take the direct parse
+    assert serialize._parse_canonical_measurement(io.BytesIO(text.encode()).read, len(text)) is not None
+    for data in (text, text.encode("utf-8")):  # the json.loads and the bytes route
+        with pytest.raises(SchemaError) as info:
+            decode(data)
+        assert str(info.value) == f"malformed measurement document: invalid {field} {value!r}"
+
+
+@pytest.mark.parametrize("entry", ['["1.0", 0.0]', "[1.0, false]", '[true, 0]', '[1, "0"]'])
+def test_state_with_non_number_entry_rejected(entry):
+    data = '{"v": 1, "schema": "state", "dim": 1, "rho": [[%s]]}' % entry
+    for doc in (data, data.encode("utf-8")):
+        with pytest.raises(SchemaError, match=r"matrix entries are not \[re, im\] numbers"):
+            decode(doc)
+
+
+@pytest.mark.parametrize("entry", ['"1.0"', "true", "false"])
+def test_respaced_measurement_with_non_number_entry_rejected(entry):
+    data = encode(build_mub(2))
+    at = data.index(b"[[[[[1.0, ") + 5  # the real part of the first entry
+    # without the separator's space the document is left to json.loads
+    variant = data[:at] + entry.encode() + data[at + 3:].replace(b", ", b",", 1)
+    assert serialize._parse_canonical_measurement(io.BytesIO(variant).read, len(variant)) is None
+    with pytest.raises(SchemaError, match=r"matrix entries are not \[re, im\] numbers"):
+        decode(variant)
