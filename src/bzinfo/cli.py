@@ -11,6 +11,9 @@ Subcommands, one verb per capability:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical failure (a numerical routine missed its accuracy contract).
+A file of another schema than its argument names (a state file as
+--measurement, a counts file as --state) exits 2, as does a ``verify
+--tol`` that is not a finite positive number.
 All randomness is traced to --seed, any integer in [0, 2^64 - 1]: each
 seeded command reads one Philox(seed) stream in order.  Sweep state i is
 the i-th state of that stream, so state 0 is that of ``state gen --seed
@@ -18,7 +21,7 @@ the i-th state of that stream, so state 0 is that of ``state gen --seed
 
 Loading a measurement file rejects any verification deviation >= 1e-10
 with exit 2, so ``verify --tol`` looser than 1e-10 has no effect: verify
-exits 1 only for a degenerate family or a --tol below 1e-10.
+exits 1 only for a degenerate family or a positive --tol below 1e-10.
 
 Every document and CSV reaches its --out file or stdout through one
 binary writer, opened only once the arguments are checked.  ``sweep``
@@ -38,10 +41,10 @@ import sys
 
 from .errors import DomainError, NumericalError, SchemaError, VerificationError
 from .invariants import DirectEvaluator, bz_report
-from .measurements import build_gsm, build_mub, build_mum, sic2_fixture, verify
+from .measurements import DEFAULT_TOL, Family, build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import dump, encode, load
-from .states import RNG_ALGORITHM, check_seed, density_stream, random_density
+from .states import RNG_ALGORITHM, DensityMatrix, check_seed, density_stream, random_density
 from . import __version__
 
 SWEEP_HEADER = (
@@ -79,6 +82,14 @@ def _emit(entity, out: str | None, meta: dict | None = None) -> None:
         dump(entity, write, meta)
 
 
+def _load(path: str, schema: str):
+    """The entity in the file ``path``; a SchemaError unless it is a measurement or state as named."""
+    entity = load(path)
+    if not isinstance(entity, Family if schema == "measurement" else DensityMatrix):
+        raise SchemaError(f"{path} holds no {schema}")
+    return entity
+
+
 def _build_family(kind: str, dim: int | None, t: str | None):
     if t is not None and kind not in ("mum", "gsm"):
         raise DomainError(f"--t applies to a built mum or gsm family, not to {kind}")
@@ -106,7 +117,9 @@ def _cmd_state_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family = load(args.measurement)
+    if not 0.0 < args.tol < float("inf"):
+        raise DomainError(f"--tol must be a finite positive number, got {args.tol!r}")
+    family = _load(args.measurement, "measurement")
     report = verify(family, args.tol)
     if args.json:
         print(
@@ -126,8 +139,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bz(args) -> int:
-    family = load(args.measurement)
-    state = load(args.state)
+    family = _load(args.measurement, "measurement")
+    state = _load(args.state, "state")
     report = bz_report(family, state)
     if args.out:
         _emit(report, args.out)
@@ -144,8 +157,8 @@ def _cmd_bz(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    family = load(args.measurement)
-    state = load(args.state)
+    family = _load(args.measurement, "measurement")
+    state = _load(args.state, "state")
     if args.estimate:
         estimate, std_error = estimate_bz_info(family, state, args.shots, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))
@@ -162,7 +175,7 @@ def _cmd_sweep(args) -> int:
             raise DomainError("--t applies to a built mum or gsm family, not to a --measurement file")
         if args.kind is not None:
             raise DomainError("--kind applies to a built family, not to a --measurement file")
-        family = load(args.measurement)
+        family = _load(args.measurement, "measurement")
     else:
         family = _build_family(args.kind or "mum", args.dim, args.t)
     if family.dim != args.dim:
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="verify a measurement file")
     ver.add_argument("--measurement", required=True)
-    ver.add_argument("--tol", type=float, default=1e-10)
+    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ver.add_argument("--json", action="store_true", help="machine output to stdout")
     ver.set_defaults(func=_cmd_verify)
 

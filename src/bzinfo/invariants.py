@@ -172,14 +172,14 @@ def reconcile(kind: str, d: int, parameter, purity: float, c_direct: float | Non
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
-    Verifies the family at REPORT_VERIFY_TOL and precomputes one stack of
-    the effects and their squares, ``moments``, so a report pays one
-    batched trace product per state; ``observables`` and ``observables_sq``
-    are views of its two halves.  ``probs`` gives the checked outcome
-    probabilities and ``report`` the reconciled quantities.  Pass
+    Verifies the family at REPORT_VERIFY_TOL.  ``observables`` is the
+    family's effect stack itself, read in place, and ``observables_sq`` the
+    one stack the evaluator derives, the effects' squares.  ``probs`` gives
+    the checked outcome probabilities and ``report`` the reconciled
+    quantities; both take the Born traces from ``_traces``.  Pass
     family=None for the state-only quantities, where the direct total
     variance sums observable variances over a complete orthonormal
-    Hermitian operator basis.
+    Hermitian operator basis, a stack the evaluator builds and owns.
     """
 
     def __init__(self, family: Family | None, dim: int | None = None):
@@ -205,16 +205,14 @@ class DirectEvaluator:
             self.dim = family.dim
             ops = family.effects
             self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
-        n = len(ops)
-        self.moments = np.empty((2 * n,) + ops.shape[1:], dtype=np.complex128)
-        self.moments[:n] = ops
-        self.observables = self.moments[:n]
-        self.observables_sq = self.moments[n:]
-        np.matmul(self.observables, self.observables, out=self.observables_sq)
+        self.observables = ops
+        self.observables_sq = ops @ ops
 
-    def _check_dim(self, rho: DensityMatrix) -> None:
+    def _traces(self, rho: DensityMatrix) -> np.ndarray:
+        """The Born traces Tr(A rho) of every observable A, for a state of the evaluator's d."""
         if rho.dim != self.dim:
             raise DomainError(f"dimension mismatch: family d={self.dim}, state d={rho.dim}")
+        return np.einsum("kij,ji->k", self.observables, rho.matrix)
 
     def probs(self, rho: DensityMatrix) -> np.ndarray:
         """Born probabilities Tr(P rho) of every effect, POVM after POVM.
@@ -224,8 +222,7 @@ class DirectEvaluator:
         """
         if self.group_starts is None:
             raise DomainError("state-only evaluation has no outcome probabilities")
-        self._check_dim(rho)
-        return self._checked_probs(np.einsum("kij,ji->k", self.observables, rho.matrix))
+        return self._checked_probs(self._traces(rho))
 
     def _checked_probs(self, traces: np.ndarray) -> np.ndarray:
         """The real parts of the effects' traces, checked as ``probs`` describes."""
@@ -242,17 +239,11 @@ class DirectEvaluator:
         return p
 
     def report(self, rho: DensityMatrix) -> BzReport:
-        d = self.dim
-        self._check_dim(rho)
-        traces = np.einsum("kij,ji->k", self.moments, rho.matrix)
-        n = len(self.observables)
-        if self.group_starts is None:
-            p = traces[:n].real
-        else:
-            p = self._checked_probs(traces[:n])
+        traces = self._traces(rho)
+        p = traces.real if self.group_starts is None else self._checked_probs(traces)
         squares = p * p  # the bits of p**2
         c_direct = None if self.group_starts is None else float(np.add.reduce(squares))
-        terms = traces[n:].real - squares
+        terms = np.einsum("kij,ji->k", self.observables_sq, rho.matrix).real - squares
         smallest = np.minimum.reduce(terms)
         if smallest < VAR_FLOOR:
             raise NumericalError(f"effect variance {smallest!r} below {VAR_FLOOR}")
@@ -266,7 +257,7 @@ class DirectEvaluator:
 
         r = rho.matrix
         pur = float(np.einsum("ij,ji->", r, r).real)  # purity, Tr(rho^2)
-        return reconcile(self.kind, d, self.parameter, pur, c_direct, v_direct, clamped)
+        return reconcile(self.kind, self.dim, self.parameter, pur, c_direct, v_direct, clamped)
 
 
 def bz_report(family, rho: DensityMatrix) -> BzReport:

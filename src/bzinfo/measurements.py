@@ -58,6 +58,11 @@ class Family:
     effects) or "gsm" or "sic" (``parameter`` is a; one POVM of d^2
     effects).  ``effects`` stacks every effect, POVM after POVM.
 
+    Every effect is exactly Hermitian, equal to its conjugate transpose bit
+    for bit: the builders form them so, and ``decode`` symmetrizes what it
+    reads.  ``verify`` and ``DirectEvaluator`` rely on it and read the stack
+    in place.
+
     ``verify`` computes a family's deviations once per object and keeps
     them, so ``effects`` must not change after construction;
     ``dataclasses.replace`` makes a new object, which computes its own.
@@ -270,13 +275,14 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
 
 
 def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
-    """Real part of the Gram matrix Tr(P_i P_j) of a stack of effects.
+    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects.
 
-    Tr(P_i P_j) is the dot product of P_i and P_j^T flattened, so the whole
-    matrix is one BLAS product; no effect is assumed Hermitian.
+    For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag), the dot product of
+    the two effects' entries as float64 pairs; so the whole matrix is one
+    real symmetric product of the stack's float64 view with itself.
     """
-    n = effects.shape[0]
-    return (effects.reshape(n, -1) @ effects.transpose(0, 2, 1).reshape(n, -1).T).real
+    r = effects.reshape(len(effects), -1).view(np.float64)
+    return r @ r.T
 
 
 def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
@@ -328,7 +334,8 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
     Both: positivity, per-measurement completeness (equivalently the
     generators of each measurement summing to zero) and the parameter(t)
-    formula.
+    formula.  The overlaps are one real Gram matrix of the family's effect
+    stack, read in place, which holds because the effects are Hermitian.
 
     No tolerance enters the deviations, so they are computed once per family
     object and kept on it.  Each call judges a fresh copy of them at its own

@@ -545,6 +545,8 @@ def _decode_report(doc: dict) -> BzReport:
                              values["V_direct"], clamped)
     except BzinfoError as exc:  # a parameter or purity out of its range
         raise SchemaError(f"decoded report fails validation: {exc}") from exc
+    except OverflowError as exc:  # a dim too large for float arithmetic
+        raise SchemaError(f"malformed report document: {exc}") from exc
     wrong = [name for name in _REPORT_FIELDS if values[name] != getattr(expected, name)]
     if any(name.endswith("_closed") or name in ("V_min", "V_max") for name in wrong):
         raise SchemaError("stored closed forms inconsistent with kind, dim, parameter and purity")

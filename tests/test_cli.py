@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from bzinfo import NumericalError, load, measurements, purity, sampler
-from bzinfo.cli import SWEEP_HEADER, main
+from bzinfo.cli import SWEEP_HEADER, build_parser, main
 from bzinfo.invariants import DirectEvaluator
 
 
@@ -402,3 +402,50 @@ def test_sweep_kind_with_a_measurement_file_exits_two(tmp_path, capsys, monkeypa
     built = run(capsys, "sweep", "--dim", "2", "--states", "3")[1]
     assert built == run(capsys, "sweep", "--dim", "2", "--states", "3", "--kind", "mum")[1]
     assert built == run(capsys, "sweep", "--dim", "2", "--states", "3", "--measurement", "m.json")[1]
+
+
+
+WRONG_SCHEMA = {  # each verb's other arguments, beside the one given a file of the wrong schema
+    ("verify", "measurement"): ["verify"],
+    ("bz", "measurement"): ["bz", "--state", "state.json", "--out", "out.json"],
+    ("bz", "state"): ["bz", "--measurement", "measurement.json", "--out", "out.json"],
+    ("sample", "measurement"): ["sample", "--state", "state.json", "--shots", "10", "--out", "out.json"],
+    ("sample", "state"): ["sample", "--measurement", "measurement.json", "--shots", "10",
+                          "--estimate", "--out", "out.json"],
+    ("sweep", "measurement"): ["sweep", "--dim", "2", "--states", "2", "--out", "out.json"],
+}
+
+
+@pytest.mark.parametrize("verb, argument, schema", [
+    (verb, argument, schema) for verb, argument in sorted(WRONG_SCHEMA)
+    for schema in ("measurement", "state", "report", "counts") if schema != argument
+])
+def test_a_file_of_another_schema_exits_two(tmp_path, capsys, monkeypatch, verb, argument, schema):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "mum", "--dim", "2", "--out", "measurement.json")
+    run(capsys, "state", "gen", "--dim", "2", "--out", "state.json")
+    files = ["--measurement", "measurement.json", "--state", "state.json"]
+    run(capsys, "bz", *files, "--out", "report.json")
+    run(capsys, "sample", *files, "--shots", "10", "--out", "counts.json")
+    code, out, err = run(capsys, *WRONG_SCHEMA[verb, argument], f"--{argument}", f"{schema}.json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {schema}.json holds no {argument}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_tol_not_finite_and_positive_exits_two(tmp_path, capsys, tol):
+    m = tmp_path / "m.json"
+    run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
+    code, out, err = run(capsys, "verify", "--measurement", str(m), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol must be a finite positive number, got {float(tol)!r}\n"
+
+
+def test_verify_tol_defaults_to_the_library_tolerance(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
+    assert build_parser().parse_args(["verify", "--measurement", str(m)]).tol is measurements.DEFAULT_TOL
+    assert json.loads(run(capsys, "verify", "--measurement", str(m), "--json")[1])["tol"] == 1e-10

@@ -28,11 +28,12 @@ GEN = {
     ("gsm", "--dim", "4", "--t", "0.003"): "aeb22f5397857d9764637bebc802d49e95d4687d762a169885349974758990c6",
 }
 # verify --json prints the ~1e-16 rounding residues of the overlap checks, so
-# these pins follow the arithmetic of the Gram matrix (one BLAS product)
+# these pins follow the arithmetic of the Gram matrix (one real product of the
+# effects' float64 view with itself)
 VERIFY = {
     "mum": "742f03d926ca6366429a1c73d2e3f479c7c293ef2d46bb8fdb7ef0c612c2ea9c",
     "gsm": "0b1fdfa91c0a9a4540f4ddaed8025c0df40ffe67872cd5d1f4a2d550b21f203d",
-    "mub": "5c8142a10449a3d1d47be6143f252073f91dc4a58da3828ecf0753d85f9e805b",
+    "mub": "85690e4d6717a804b71b851d650afdfd15110c7aa068c679ac19516a350f26ba",
 }
 BZ = {
     "mum": "599fa194d28665705024f29b4016ae0f77eddd2d9610ea7cb06d244e0fbbcd16",

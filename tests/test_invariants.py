@@ -338,9 +338,12 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
     evaluator = DirectEvaluator(family, dim=d if family is None else None)
     effects = evaluator.observables.copy() if family is None else family.effects
     squares = effects @ effects
-    assert np.shares_memory(evaluator.observables, evaluator.moments)
-    assert np.shares_memory(evaluator.observables_sq, evaluator.moments)
-    assert evaluator.moments.tobytes() == np.concatenate([effects, squares]).tobytes()
+    # a family's effects are read in place; the squares are the one stack derived
+    assert family is None or evaluator.observables is family.effects
+    assert not hasattr(evaluator, "moments")
+    assert not np.shares_memory(evaluator.observables_sq, evaluator.observables)
+    assert evaluator.observables.tobytes() == effects.tobytes()
+    assert evaluator.observables_sq.tobytes() == squares.tobytes()
     for rank in sorted({1, d}):
         for rho in density_stream(d, rank, 300, 40):
             p = np.einsum("kij,ji->k", effects, rho.matrix).real

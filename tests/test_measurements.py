@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
+    decode,
+    encode,
     gell_mann_basis,
     grid_partition,
     herm_eig,
@@ -17,10 +21,12 @@ from bzinfo import (
     max_t_gsm,
     max_t_mum,
     measurements,
+    serialize,
     sic2_fixture,
     verify,
 )
 from bzinfo.measurements import _pairwise_overlaps, family_bytes, gsm_operators, mum_operators
+from conftest import random_hermitian
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -248,16 +254,37 @@ def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
     assert sorted(calls) == ["eigvalsh", operators]
 
 
+def decoded_both_routes(family) -> list:
+    """The family's effects decoded from its file, once by the direct parse and once
+    by json.loads, as saved and with one off-diagonal entry nudged off Hermitian."""
+    data = encode(family)
+    doc = json.loads(data)
+    matrix = doc["effects"]
+    while isinstance(matrix[0][0][0], list):  # down to the first effect's rows of [re, im]
+        matrix = matrix[0]
+    matrix[0][1][0] += 1e-13
+    stacks = []
+    for text in (data, json.dumps(doc).encode()):
+        assert serialize._parse_canonical_measurement(io.BytesIO(text).read, len(text)) is not None
+        stacks += [decode(text).effects, decode(text.decode()).effects]
+    return stacks
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_generators_and_effects_equal_their_conjugate_transpose(d):
-    """``eigvalsh`` reads one triangle, so the spectrum route needs exact Hermiticity."""
+    """``eigvalsh`` reads one triangle and verification's Gram matrix drops the
+    imaginary parts, so both need effects that are exactly Hermitian."""
     basis = gell_mann_basis(d)
     stacks = [mum_operators(grid_partition(basis)), gsm_operators(basis)]
-    stacks += [build_mum(d).effects, build_gsm(d).effects, build_gsm(d, 0.5 * max_t_gsm(basis)).effects]
+    families = [build_mum(d), build_gsm(d), build_gsm(d, 0.5 * max_t_gsm(basis))]
     if d in (2, 3, 5):
-        stacks.append(build_mub(d).effects)
+        families.append(build_mub(d))
     if d == 2:
-        stacks.append(sic2_fixture().effects)
+        families.append(sic2_fixture())
+    for family in families:
+        stacks.append(family.effects)
+        if d < 8:
+            stacks += decoded_both_routes(family)
     for stack in stacks:
         assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
@@ -277,9 +304,9 @@ def test_pairwise_overlaps_match_per_pair_traces(family):
     assert np.abs(_pairwise_overlaps(family.effects) - oracle).max() < 1e-14
 
 
-def test_pairwise_overlaps_do_not_assume_hermitian_effects():
+def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces():
     rng = np.random.default_rng(3)
-    stack = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    stack = np.stack([random_hermitian(4, rng) for _ in range(7)])
     oracle = per_pair_overlaps(stack)
     assert np.abs(_pairwise_overlaps(stack) - oracle).max() < 1e-14
 

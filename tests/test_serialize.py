@@ -518,6 +518,16 @@ def test_report_with_a_huge_integer_field_is_malformed(field):
         decode(json.dumps(doc))
 
 
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+@pytest.mark.parametrize("dim", [10**160, 10**400], ids=["1e160", "1e400"])
+def test_report_with_a_dim_too_large_for_floats_is_malformed(kind, dim):
+    family = build_mum(3) if kind == "mum" else build_gsm(3)
+    doc = json.loads(encode(bz_report(family, random_density(3, 3, 0))))
+    doc["dim"] = dim
+    with pytest.raises(SchemaError, match="malformed report document"):
+        decode(json.dumps(doc))
+
+
 @pytest.mark.parametrize("field, value", [("t", "0.2928932188134525"), ("t", True),
                                           ("kappa", "0.8535533905932737"), ("kappa", True)])
 def test_measurement_with_non_number_t_or_parameter_rejected(field, value):

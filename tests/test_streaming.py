@@ -34,6 +34,7 @@ from bzinfo import (
 )
 from bzinfo import serialize
 from bzinfo.cli import main
+from bzinfo.invariants import DirectEvaluator
 
 SEPARATOR = b"]], [["
 BUILDERS = {
@@ -293,10 +294,11 @@ def traced_peak(thunk):
 
 # traced peaks over the bytes of the effects, at d=16: the build holds its
 # basis (or grid) and its generators, which become the effects; save holds the
-# distinct rows' texts and a block; load holds the stack, and verification a
-# transposed copy of it and the Gram matrix, as large again; a load from a
-# pipe holds one copy of the text besides, until the entity is validated
-PEAK_FACTORS = {"build": 2.5, "save": 2.5, "load": 3.5, "load from a pipe": 3.5}
+# distinct rows' texts and a block; load holds the stack and the parse's
+# buffers, and verification reads the stack in place beside a real Gram matrix
+# of half its size; a load from a pipe holds one copy of the text besides,
+# until the entity is validated
+PEAK_FACTORS = {"build": 2.5, "save": 2.5, "load": 2.5, "load from a pipe": 3.5}
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
@@ -315,6 +317,16 @@ def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
     assert loaded.effects.tobytes() == family.effects.tobytes()
     for step, factor in PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_evaluator_holds_one_stack_beside_the_family(kind):
+    """The evaluator reads the effects in place and derives only their squares;
+    verifying the fresh family inside it holds a Gram matrix, freed before."""
+    family = BUILDERS[kind](16)
+    peak, evaluator = traced_peak(lambda: DirectEvaluator(family))
+    assert np.shares_memory(evaluator.observables, family.effects)
+    assert peak < 1.25 * family.effects.nbytes, peak / family.effects.nbytes
 
 
 def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
