@@ -25,13 +25,13 @@ from .errors import (
 )
 from .invariants import (
     BzReport,
+    BzReports,
     ClosedForms,
     DirectEvaluator,
     bz_report,
     closed_forms,
-    variance,
 )
-from .linalg import expectation, herm_eig, hermitian, purity
+from .linalg import expectation, herm_eig, hermitian, purity, variance
 from .measurements import (
     Family,
     VerificationReport,
@@ -57,6 +57,7 @@ from .states import (
 
 __all__ = [
     "BzReport",
+    "BzReports",
     "BzinfoError",
     "ClosedForms",
     "CountTable",

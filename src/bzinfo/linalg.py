@@ -12,6 +12,8 @@ from .errors import DomainError, NumericalError
 
 TOL_HERM = 1e-12
 IMAG_TOL = 1e-10
+# a variance below this is a failure, not rounding
+VAR_FLOOR = -1e-10
 # largest dense complex data a builder or state generator may allocate
 MAX_DENSE_BYTES = 2**30
 COMPLEX_BYTES = 16
@@ -109,7 +111,53 @@ def expectation(x, rho) -> float:
     return float(tr.real)
 
 
-def purity(rho) -> float:
-    """Tr(rho^2), in [1/d, 1] for a valid state."""
+def variance(x, rho) -> float:
+    """V(X|rho) = <X^2> - <X>^2 for an observable X, one complex ``einsum`` each.
+
+    A reference for one observable; the evaluator's batched path does not
+    use it.
+    """
+    a = _as_matrix(x)
     r = _as_matrix(rho)
-    return float(np.einsum("ij,ji->", r, r).real)
+    if a.shape != r.shape:
+        raise DomainError(f"dimension mismatch: {a.shape} vs {r.shape}")
+    mean = np.einsum("ij,ji->", r, a)
+    second = np.einsum("ij,jk,ki->", r, a, a)
+    if max(abs(mean.imag), abs(second.imag)) >= IMAG_TOL:
+        raise NumericalError("variance has a non-negligible imaginary part")
+    v = float(second.real - mean.real**2)
+    if v < VAR_FLOOR:
+        raise NumericalError(f"variance {v!r} below the rounding floor {VAR_FLOOR}")
+    return v
+
+
+def trace_rows(m: np.ndarray) -> np.ndarray:
+    """The float64 rows that make Born traces real dot products, shape (2, n, 2 d^2).
+
+    Tr(A rho) = sum_ij A_ij rho_ji for any complex A and rho.  Row [0, i]
+    is the float64 view of conj(rho_i^T) and row [1, i] that of
+    i conj(rho_i^T), so the dot product of A's float64 view with them is
+    Re and Im Tr(A rho_i), each term formed as complex arithmetic forms it.
+    m is a (n, d, d) complex stack.
+    """
+    n, d = m.shape[:2]
+    rows = np.empty((2, n, d, d), dtype=np.complex128)
+    np.conjugate(m.transpose(0, 2, 1), out=rows[0])
+    np.negative(rows[0].imag, out=rows[1].real)
+    rows[1].imag = rows[0].real
+    return rows.view(np.float64).reshape(2, n, 2 * d * d)
+
+
+def purities(m: np.ndarray, re_rows: np.ndarray) -> np.ndarray:
+    """Re Tr(rho_i^2) of a contiguous (n, d, d) stack, from its ``trace_rows(m)[0]``.
+
+    One real ``einsum`` without ``optimize``: no BLAS call, so the bits do
+    not depend on the BLAS kernel, nor on n.
+    """
+    return np.einsum("nx,nx->n", m.view(np.float64).reshape(re_rows.shape), re_rows)
+
+
+def purity(rho) -> float:
+    """Tr(rho^2), in [1/d, 1] for a valid state; the bits of ``purities``."""
+    r = np.ascontiguousarray(_as_matrix(rho))[None]
+    return float(purities(r, trace_rows(r)[0])[0])

@@ -14,8 +14,10 @@ order, from one ``Generator(Philox(seed))``: state i is made from normals
 generator's draws do not depend on how they are split into calls, so the
 batch size never shows in the states.  Per batch, the complex G, one 3-D
 matmul G G^dag, the trace normalisation and the symmetrisation run once,
-each the same arithmetic, bit for bit, as for one state.  The states are
-read-only views of the batch's array.
+each the same arithmetic, bit for bit, as for one state.
+``density_batches`` yields each batch as one read-only (k, d, d) array,
+which ``DirectEvaluator.report_many`` takes whole; ``density_stream``
+yields its states as read-only views of those arrays.
 """
 
 from __future__ import annotations
@@ -69,29 +71,25 @@ def maximally_mixed(d: int) -> DensityMatrix:
     return _make_state(np.eye(d, dtype=np.complex128) / d)
 
 
-def _ginibre_batch(normals: np.ndarray) -> Iterator[DensityMatrix]:
+def _ginibre_batch(normals: np.ndarray) -> np.ndarray:
     """rho = G G^dag / Tr(G G^dag) per state, G = normals[i, 0] + 1j normals[i, 1].
 
     One 3-D matmul and one pass of each elementwise step serve the whole
-    batch; the yielded matrices are read-only views of one array.
+    batch; the result is one read-only (k, d, d) array.
     """
     g = normals[:, 0] + 1j * normals[:, 1]
     rho = g @ g.conj().transpose(0, 2, 1)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     rho.setflags(write=False)
-    d = rho.shape[1]
-    for matrix in rho:
-        yield DensityMatrix(dim=d, matrix=matrix)
+    return rho
 
 
-def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
-    """The first n Ginibre-induced random states of the stream ``Philox(seed)``, in order.
+def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray]:
+    """The states of ``density_stream(d, rank, seed, n)`` as read-only (k, d, d) arrays, in order.
 
-    rank = 1 yields pure states; rank = d generic full-support states.
-    The arguments are checked here, once; the states are drawn as the
-    iterator is consumed, one batch of at most ``BATCH_BYTES`` of matrices
-    at a time.
+    The arguments are checked here, once; each batch holds at most
+    ``BATCH_BYTES`` of matrices and is drawn as the iterator is consumed.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -100,13 +98,24 @@ def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatr
     if n < 0:
         raise DomainError(f"number of states must be >= 0, got {n}")
     check_dense_bytes(COMPLEX_BYTES * d * d, f"a state of dimension {d}")
-    return _states(d, rank, rng_from_seed(seed), n)
+    return _batches(d, rank, rng_from_seed(seed), n)
 
 
-def _states(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[DensityMatrix]:
+def _batches(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
     batch = max(1, BATCH_BYTES // (COMPLEX_BYTES * d * d))
     for start in range(0, n, batch):
-        yield from _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
+        yield _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
+
+
+def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
+    """The first n Ginibre-induced random states of the stream ``Philox(seed)``, in order.
+
+    rank = 1 yields pure states; rank = d generic full-support states.
+    The arguments are checked here, once; the states are read-only views
+    of the arrays of ``density_batches``.
+    """
+    batches = density_batches(d, rank, seed, n)
+    return (DensityMatrix(dim=d, matrix=matrix) for batch in batches for matrix in batch)
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:

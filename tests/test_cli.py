@@ -4,9 +4,19 @@ import json
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from bzinfo import NumericalError, load, measurements, purity, sampler
+from bzinfo import (
+    DensityMatrix,
+    DomainError,
+    NumericalError,
+    build_mum,
+    load,
+    measurements,
+    purity,
+    sampler,
+)
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
 from bzinfo.invariants import DirectEvaluator
 
@@ -185,26 +195,92 @@ def test_sweep_traced_peak_does_not_grow_with_states(tmp_path, capsys):
     assert abs(peaks[8000] - peaks[2000]) < 64 * 1024, peaks
 
 
-@pytest.mark.parametrize("k", [0, 5])
+def fail_at(monkeypatch, k, bad):
+    """Make state k of a sweep the matrix ``bad``, in whichever batch of report_many holds it."""
+    report_many = DirectEvaluator.report_many
+    sizes = []
+
+    def replacing(self, batch):
+        start = sum(sizes)
+        sizes.append(len(batch))
+        if start <= k < start + len(batch):
+            batch = batch.copy()
+            batch[k - start] = bad
+        return report_many(self, batch)
+
+    monkeypatch.setattr(DirectEvaluator, "report_many", replacing)
+    return sizes
+
+
+@pytest.mark.parametrize("k", [0, 5, 300])
 def test_sweep_failing_partway_keeps_the_rows_before(tmp_path, capsys, monkeypatch, k):
-    report = DirectEvaluator.report
-    calls = []
-
-    def fail_at_k(self, rho):
-        calls.append(1)
-        if len(calls) > k:
-            raise NumericalError("probabilities have imaginary part 1e-3")
-        return report(self, rho)
-
-    monkeypatch.setattr(DirectEvaluator, "report", fail_at_k)
+    argv = ["sweep", "--dim", "2", "--states", "600"]
+    clean = tmp_path / "clean.csv"
+    assert main([*argv, "--out", str(clean)]) == 0
+    sizes = fail_at(monkeypatch, k, np.eye(2) / 2 + 1e-3j * np.eye(2))
     out = tmp_path / "s.csv"
-    code, stdout, err = run(capsys, "sweep", "--dim", "2", "--states", "10", "--out", str(out))
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert code == 3
     assert stdout == ""
-    assert err == "error: probabilities have imaginary part 1e-3\n"
+    assert err == "error: outcome probability has a non-negligible imaginary part\n"
+    # d=2 states come 256 to a batch: state 300 fails in the second batch
+    assert sizes == [256] * (k // 256 + 1)
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
-    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(k)]
+    assert lines == clean.read_text().splitlines()[:k + 1]
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+# a state that fails each check of report_many and passes the checks before it,
+# with its exit code and the start of its message; the qubit MUM of t = 0.15
+# has unsharp effects (eigenvalues 0.24 and 0.76)
+CHECKS = {
+    "1 imaginary part": (np.eye(2) / 2 + 1e-6j * np.eye(2), 3, "outcome probability has"),
+    "2 [0, 1] range": (np.diag([2.0, -1.0]).astype(complex), 3, "probability out of [0, 1]"),
+    "3 POVM sum": (0.45 * np.eye(2, dtype=complex), 3, "POVM probabilities sum to"),
+    # <Z> = 1.1 keeps the probabilities in [0, 1] and makes the Z effects'
+    # variances negative, the purity above 1 too
+    "4 variance floor": ((np.eye(2) + 1.1 * PAULI_Z) / 2, 3, "effect variance"),
+    # |<X>|, |<Y>| <= 1 keep every variance positive, yet the purity is 1.31
+    "5 purity domain": ((np.eye(2) + 0.9 * PAULI_X + 0.9 * PAULI_Y) / 2, 2, "purity 1.31"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, check):
+    bad, exit_code, start = CHECKS[check]
+    with pytest.raises((NumericalError, DomainError)) as info:
+        DirectEvaluator(build_mum(2, 0.15)).report(DensityMatrix(dim=2, matrix=bad))
+    message = str(info.value)
+    assert message.startswith(start)
+    argv = ["sweep", "--dim", "2", "--t", "0.15", "--states", "10"]
+    clean = tmp_path / "clean.csv"
+    assert main([*argv, "--out", str(clean)]) == 0
+    sizes = fail_at(monkeypatch, 5, bad)
+    out = tmp_path / "s.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (exit_code, "", f"error: {message}\n")
+    assert sizes == [10]
+    assert out.read_text().splitlines() == clean.read_text().splitlines()[:6]
+
+
+@pytest.mark.parametrize("kind, d, rank, seed", [
+    ("mum", 3, 3, 5), ("gsm", 2, 1, 9), ("mub", 5, 2, 2**64 - 1), ("sic2", 2, 2, 0), ("gsm", 8, 8, 1),
+])
+def test_bz_json_is_sweep_row_zero(tmp_path, capsys, kind, d, rank, seed):
+    m = tmp_path / "m.json"
+    s = tmp_path / "s.json"
+    dim = [] if kind == "sic2" else ["--dim", str(d)]
+    run(capsys, "gen", kind, *dim, "--out", str(m))
+    state = ["--dim", str(d), "--rank", str(rank), "--seed", str(seed)]
+    run(capsys, "state", "gen", *state, "--out", str(s))
+    _, out, _ = run(capsys, "bz", "--measurement", str(m), "--state", str(s), "--json")
+    doc = json.loads(out)
+    _, csv, _ = run(capsys, "sweep", "--kind", kind, *state, "--states", "3")
+    names = ("purity", "C_direct", "C_closed", "V_direct", "V_closed", "I_direct", "I_closed",
+             "U_direct", "U_closed", "max_abs_discrepancy")
+    assert csv.splitlines()[1].split(",") == ["0", *(repr(doc[name]) for name in names)]
 
 
 def test_sweep_stdout_bytes_are_its_file_bytes(tmp_path, capsys):
@@ -345,9 +421,16 @@ def test_sample_outcomes_calls_per_verb(tmp_path, capsys, monkeypatch):
 
 
 def test_report_calls_per_verb(tmp_path, capsys, monkeypatch):
-    # one report per sweep state (the sweep here has --states 4) and one per bz
+    # one report per bz; sweep makes its reports with report_many
     counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, DirectEvaluator, "report")
-    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 1, "sample": 0, "sweep": 4}
+    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 1, "sample": 0, "sweep": 0}
+
+
+def test_report_many_calls_per_verb(tmp_path, capsys, monkeypatch):
+    # one per batch of sweep states (the 4 here are one batch) and one per bz,
+    # through report; sample takes only probabilities
+    counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, DirectEvaluator, "report_many")
+    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 1, "sample": 0, "sweep": 1}
 
 
 @pytest.mark.parametrize("estimate", [False, True])

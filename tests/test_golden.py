@@ -35,20 +35,22 @@ VERIFY = {
     "gsm": "0b1fdfa91c0a9a4540f4ddaed8025c0df40ffe67872cd5d1f4a2d550b21f203d",
     "mub": "85690e4d6717a804b71b851d650afdfd15110c7aa068c679ac19516a350f26ba",
 }
+# bz and sweep take their traces from one real contraction of float64 views
+# per batch of states (DirectEvaluator.report_many)
 BZ = {
-    "mum": "599fa194d28665705024f29b4016ae0f77eddd2d9610ea7cb06d244e0fbbcd16",
-    "gsm": "fc521abed8bd498ef7d2ef135df75a1e2e9966a2f019a39b52588b3b9f809d31",
+    "mum": "ab0948f7b74e4011d35b7f9a5928b87463fe93c17151de913b14d9cc946db400",
+    "gsm": "bdc92c73b17a088074dd6bd79afa78f1cf10f72b4b75e08f381d45ffb8b9ec8d",
 }
 # sweep state i is the i-th state of one Philox(seed) stream
 SWEEP = {
     ("--dim", "3", "--states", "50", "--seed", "123"):
-        "3da6b2a3807aa34e7640a4bd31a5cf7420c954b5d8002c100fc23bdddbbb0247",
+        "d3a03b1806d0677eec5135298d2312b37734999a7d5aabc850d583bee57afc9f",
     ("--kind", "mub", "--dim", "3", "--states", "20", "--seed", "9"):
-        "6518a04287a039c69d4f255c98fe71d74e67f158bccfc24334de9d40dc7d2ca9",
+        "beec748d881e2452ebbcf542c376734f9d9b93b9e95ba47d2ef0a33de9f17ec5",
     ("--kind", "gsm", "--dim", "2", "--states", "20", "--seed", "9"):
-        "165c6da8b2ae4b948c0fc8025f62282d1982a2514aa4be73b04051727bb506e2",
+        "b7e30985da1f6308c7c5865c599f4db5d6bb252747cd6d257d3d049f5306d028",
     ("--kind", "sic2", "--dim", "2", "--states", "20", "--seed", "9"):
-        "bef4d14b4b1114e725519dc43c09e5dc7d697c2ea90916b7723a8932c6545577",
+        "e6b79911e011a1b4146f055a4a3d04acda02031d1ff8ccb581977f75c760e311",
 }
 # counts are one Generator.multinomial draw per POVM, POVM after POVM from
 # one Philox(seed) stream, so this pin follows the sampling method as well

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bzinfo import (
+    BzReports,
     DensityMatrix,
     DirectEvaluator,
     DomainError,
@@ -13,6 +16,7 @@ from bzinfo import (
     bz_report,
     closed_forms,
     density_stream,
+    sample_outcomes,
     maximally_mixed,
     purity,
     random_density,
@@ -21,6 +25,8 @@ from bzinfo import (
     variance,
 )
 
+from bzinfo import states
+from bzinfo.states import density_batches
 from conftest import random_unitary
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
@@ -108,6 +114,18 @@ def test_probs_check_names_the_povm_sum_that_is_off():
     with pytest.raises(NumericalError) as info:
         evaluator.probs(maximally_mixed(3))
     assert str(info.value) == f"POVM probabilities sum to {totals[1]!r}, not 1"
+
+
+def test_probs_check_names_the_first_povm_sum_that_is_off():
+    evaluator = DirectEvaluator(build_mub(3))
+    evaluator.observables = evaluator.observables.copy()
+    evaluator.observables[3:6] *= 0.9
+    evaluator.observables[6:9] *= 0.8
+    totals = np.add.reduceat(born(evaluator.observables, np.eye(3) / 3), [0, 3, 6, 9]).tolist()
+    for check in (evaluator.probs, evaluator.report):
+        with pytest.raises(NumericalError) as info:
+            check(maximally_mixed(3))
+        assert str(info.value) == f"POVM probabilities sum to {totals[1]!r}, not 1"
 
 
 def test_report_variance_floor_and_clamp_count():
@@ -344,15 +362,81 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
     assert not np.shares_memory(evaluator.observables_sq, evaluator.observables)
     assert evaluator.observables.tobytes() == effects.tobytes()
     assert evaluator.observables_sq.tobytes() == squares.tobytes()
+    real_effects = effects.view(np.float64).reshape(len(effects), -1)
+    real_squares = squares.view(np.float64).reshape(len(effects), -1)
     for rank in sorted({1, d}):
         for rho in density_stream(d, rank, 300, 40):
-            p = np.einsum("kij,ji->k", effects, rho.matrix).real
-            m2 = np.einsum("kij,ji->k", squares, rho.matrix).real
+            # Re Tr(A rho) is the dot product of A's float64 view with conj(rho^T)'s
+            rows = np.ascontiguousarray(rho.matrix.T.conj()).view(np.float64).reshape(1, -1)
+            p = np.einsum("kx,nx->nk", real_effects, rows)[0]
+            m2 = np.einsum("kx,nx->nk", real_squares, rows)[0]
             r = evaluator.report(rho)
             assert r.V_direct == float(np.add.reduce(np.maximum(m2 - p * p, 0.0)))
             if family is not None:
                 assert r.C_direct == float(np.add.reduce(p * p))
                 assert evaluator.probs(rho).tobytes() == p.tobytes()
+            # an independent oracle: the complex per-state contraction
+            np.testing.assert_allclose(p, born(effects, rho.matrix), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(m2, born(squares, rho.matrix), rtol=0, atol=1e-15)
+
+
+def test_probs_forms_no_squares(monkeypatch):
+    family = build_mum(8, "auto")
+    rho = random_density(8, 8, 3)
+    evaluator = DirectEvaluator(family)
+    evaluator.probs(rho)
+    assert "observables_sq" not in vars(evaluator)
+    evaluator.report(rho)
+    assert vars(evaluator)["observables_sq"].tobytes() == (family.effects @ family.effects).tobytes()
+
+    def no_squares(self):
+        raise AssertionError("squares formed")
+
+    monkeypatch.setattr(DirectEvaluator, "observables_sq", property(no_squares))
+    table = sample_outcomes(family, rho, 1000, 5)
+    assert [int(c.sum()) for c in table.counts] == [1000] * (8 + 1)
+
+
+REPORT_FAMILIES = [
+    ("mum", d, lambda d: build_mum(d, "auto")) for d in (2, 3, 5, 8)
+] + [
+    ("gsm", d, lambda d: build_gsm(d, "auto")) for d in (2, 3, 5, 8)
+] + [
+    ("mub", d, build_mub) for d in (2, 3, 5)
+] + [("sic2", 2, lambda d: sic2_fixture())]
+
+
+def fields(report):
+    return [repr(value) for value in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("kind, d, make", REPORT_FAMILIES,
+                         ids=[f"{kind}{d}" for kind, d, _ in REPORT_FAMILIES])
+def test_report_many_rows_are_report_bit_for_bit(monkeypatch, kind, d, make):
+    evaluator = DirectEvaluator(make(d))
+    n = 11
+    columns = {}
+    for per_batch in (1, 3, None):  # one state, three states, the default batch
+        if per_batch is not None:
+            monkeypatch.setattr(states, "BATCH_BYTES", per_batch * 16 * d * d)
+        for rank in sorted({1, d}):
+            rows = []
+            for batch in density_batches(d, rank, 11, n):
+                reports = evaluator.report_many(batch)
+                assert isinstance(reports, BzReports) and len(reports) == len(batch)
+                for i, matrix in enumerate(batch):
+                    row = fields(reports.report(i))
+                    assert row == fields(evaluator.report(DensityMatrix(dim=d, matrix=matrix)))
+                    rows.append(row)
+            # the rows do not depend on how the states are batched
+            assert columns.setdefault(rank, rows) == rows
+        monkeypatch.undo()
+    assert len(columns[1]) == n
+
+
+def test_report_many_of_no_states_is_empty():
+    reports = DirectEvaluator(build_mum(3, "auto")).report_many(np.empty((0, 3, 3), complex))
+    assert len(reports) == 0
 
 
 def test_report_rejects_degenerate_family():

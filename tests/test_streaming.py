@@ -321,12 +321,14 @@ def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_evaluator_holds_one_stack_beside_the_family(kind):
-    """The evaluator reads the effects in place and derives only their squares;
-    verifying the fresh family inside it holds a Gram matrix, freed before."""
+    """The evaluator reads the effects in place and forms their squares only on
+    first use; verifying the fresh family inside it holds a Gram matrix, freed
+    before.  The construction peak measured 0.80 (mum) and 0.69 (gsm) of a
+    stack, under the one stack the squares would add."""
     family = BUILDERS[kind](16)
     peak, evaluator = traced_peak(lambda: DirectEvaluator(family))
     assert np.shares_memory(evaluator.observables, family.effects)
-    assert peak < 1.25 * family.effects.nbytes, peak / family.effects.nbytes
+    assert peak < 0.9 * family.effects.nbytes, peak / family.effects.nbytes
 
 
 def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
