@@ -31,7 +31,7 @@ from .invariants import (
     bz_report,
     closed_forms,
 )
-from .linalg import expectation, herm_eig, hermitian, purity, variance
+from .linalg import hermitian, purity
 from .measurements import (
     Family,
     VerificationReport,
@@ -82,11 +82,9 @@ __all__ = [
     "encode",
     "estimate_bz_info",
     "estimate_coincidence",
-    "expectation",
     "gell_mann_basis",
     "grid_partition",
     "gsm_a",
-    "herm_eig",
     "hermitian",
     "load",
     "max_t_gsm",
@@ -99,6 +97,5 @@ __all__ = [
     "save",
     "sic2_fixture",
     "validate_state",
-    "variance",
     "verify",
 ]

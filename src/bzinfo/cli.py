@@ -163,10 +163,10 @@ def _cmd_bz(args) -> int:
 def _cmd_sample(args) -> int:
     family = _load(args.measurement, "measurement")
     state = _load(args.state, "state")
-    if args.estimate:
-        estimate, std_error = estimate_bz_info(family, state, args.shots, args.seed)
-        print(json.dumps({"estimate": estimate, "std_error": std_error}))
     table = sample_outcomes(family, state, args.shots, args.seed)
+    if args.estimate:
+        estimate, std_error = estimate_bz_info(family, table, args.seed)
+        print(json.dumps({"estimate": estimate, "std_error": std_error}))
     if args.out or not args.estimate:
         _emit(table, args.out)
     return 0

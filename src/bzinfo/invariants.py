@@ -8,7 +8,6 @@ intermediate the paths share is the outcome probabilities themselves.
 
 Closed forms (p = Tr rho^2):
 
-* state only:      V = d - p,                         V_min = d - 1,      V_max = d - 1/d
 * MUM, kappa:      V = (kappa d - 1)/(d - 1) (d - p), V_min = kappa d - 1, V_max = (kappa d - 1)(d + 1)/d,
                    C = ((kappa d - 1)(d p - 1) + d^2 - 1)/(d (d - 1))
 * general SIC, a:  with w = (a d^3 - 1)/(d (d^2 - 1)):
@@ -45,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gell_mann_basis
 from .errors import DomainError, NumericalError, VerificationError
 from .linalg import IMAG_TOL, VAR_FLOOR, purities, trace_rows
 from .measurements import GSM_KINDS, MUM_KINDS, Family, verify
@@ -57,12 +55,12 @@ REPORT_VERIFY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ClosedForms:
-    """Closed-form quantities at a given purity; C is None for state-only.
+    """Closed-form quantities at a given purity.
 
     At an array of purities, C, V, I and U are arrays of the same shape.
     """
 
-    C: float | np.ndarray | None
+    C: float | np.ndarray
     V: float | np.ndarray
     V_min: float
     V_max: float
@@ -70,9 +68,8 @@ class ClosedForms:
     U: float | np.ndarray
 
 
-_STATE_KINDS = {None, "state", "state-only"}
 # the kinds a report carries: a SIC-POVM reports as the rank-one general SIC case
-REPORT_KINDS = ("state-only", "mum", "mub", "gsm")
+REPORT_KINDS = ("mum", "mub", "gsm")
 
 
 def _purity_outside(d: int, p):
@@ -87,8 +84,8 @@ def _purity_error(d: int, p) -> DomainError:
 def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
     """Closed forms for a family kind at the given purity, a float or an array of them.
 
-    kind is one of "state"/None, "mum"/"mub" (parameter kappa) or
-    "gsm"/"sic" (parameter a).  I and U are formed as the variance
+    kind is one of "mum"/"mub" (parameter kappa) or "gsm"/"sic"
+    (parameter a).  I and U are formed as the variance
     differences V_max - V and V - V_min.  On an array the arithmetic is
     elementwise, the same bits as on each float; V_min and V_max do not
     depend on the purity and stay floats.  The first purity out of range
@@ -100,12 +97,7 @@ def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
     if np.any(outside):
         raise _purity_error(d, np.asarray(purity_value)[outside][0])
     p = purity_value
-    if kind in _STATE_KINDS:
-        c = None
-        v = d - p
-        v_min = d - 1.0
-        v_max = d - 1.0 / d
-    elif kind in MUM_KINDS:
+    if kind in MUM_KINDS:
         kappa = float(parameter)
         if not (1.0 / d < kappa <= 1.0 + 1e-12):
             raise DomainError(f"kappa {kappa!r} outside (1/{d}, 1]")
@@ -135,10 +127,10 @@ class BzReport:
 
     dim: int
     kind: str
-    parameter: float | None
+    parameter: float
     purity: float
-    C_direct: float | None
-    C_closed: float | None
+    C_direct: float
+    C_closed: float
     V_direct: float
     V_closed: float
     V_min: float
@@ -156,15 +148,15 @@ class BzReports:
     """The reports of a batch of states as columns, one entry per state, in order.
 
     The fields are those of ``BzReport``; V_min and V_max depend on the
-    family alone and are floats, the C columns are None for state-only.
+    family alone and are floats.
     """
 
     dim: int
     kind: str
-    parameter: float | None
+    parameter: float
     purity: np.ndarray
-    C_direct: np.ndarray | None
-    C_closed: np.ndarray | None
+    C_direct: np.ndarray
+    C_closed: np.ndarray
     V_direct: np.ndarray
     V_closed: np.ndarray
     V_min: float
@@ -181,26 +173,22 @@ class BzReports:
 
     def report(self, i: int) -> BzReport:
         """The report of state i, its numbers Python floats and ints."""
-
-        def at(column):
-            return None if column is None else float(column[i])
-
         return BzReport(
             dim=self.dim,
             kind=self.kind,
             parameter=self.parameter,
-            purity=at(self.purity),
-            C_direct=at(self.C_direct),
-            C_closed=at(self.C_closed),
-            V_direct=at(self.V_direct),
-            V_closed=at(self.V_closed),
+            purity=float(self.purity[i]),
+            C_direct=float(self.C_direct[i]),
+            C_closed=float(self.C_closed[i]),
+            V_direct=float(self.V_direct[i]),
+            V_closed=float(self.V_closed[i]),
             V_min=self.V_min,
             V_max=self.V_max,
-            I_direct=at(self.I_direct),
-            I_closed=at(self.I_closed),
-            U_direct=at(self.U_direct),
-            U_closed=at(self.U_closed),
-            max_abs_discrepancy=at(self.max_abs_discrepancy),
+            I_direct=float(self.I_direct[i]),
+            I_closed=float(self.I_closed[i]),
+            U_direct=float(self.U_direct[i]),
+            U_closed=float(self.U_closed[i]),
+            max_abs_discrepancy=float(self.max_abs_discrepancy[i]),
             negatives_clamped=int(self.negatives_clamped[i]),
         )
 
@@ -209,16 +197,16 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
     """The reports of states' direct C and V against the closed forms at their purities.
 
     Given one state's numbers, returns its BzReport; given arrays, with one
-    entry per state, the BzReports of them all.  c_direct is None for
-    state-only.  The arithmetic is elementwise, the same bits as float
-    arithmetic on each state, overflow to inf included.
+    entry per state, the BzReports of them all.  The arithmetic is
+    elementwise, the same bits as float arithmetic on each state, overflow
+    to inf included.
     I_direct = V_max - V_direct and U_direct = V_direct - V_min.
     """
     if np.ndim(purity) == 0:
-        c_direct = None if c_direct is None else [c_direct]
-        return reconcile(kind, d, parameter, [purity], c_direct, [v_direct],
+        return reconcile(kind, d, parameter, [purity], [c_direct], [v_direct],
                          [negatives_clamped]).report(0)
     purity = np.asarray(purity, dtype=np.float64)
+    c_direct = np.asarray(c_direct, dtype=np.float64)
     v_direct = np.asarray(v_direct, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         cf = closed_forms(kind, d, parameter, purity)
@@ -226,9 +214,7 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
         u_direct = v_direct - cf.V_min
         discrepancy = np.maximum(np.abs(v_direct - cf.V), np.abs(i_direct - cf.I))
         np.maximum(discrepancy, np.abs(u_direct - cf.U), out=discrepancy)
-        if c_direct is not None:
-            c_direct = np.asarray(c_direct, dtype=np.float64)
-            np.maximum(discrepancy, np.abs(c_direct - cf.C), out=discrepancy)
+        np.maximum(discrepancy, np.abs(c_direct - cf.C), out=discrepancy)
 
     return BzReports(
         dim=d,
@@ -271,35 +257,20 @@ class DirectEvaluator:
     first use by ``report_many``.  ``probs`` gives the checked outcome
     probabilities of one state and ``report_many`` the reconciled
     quantities of a batch; both take the Born traces from ``_traces``.
-    Pass family=None for the state-only quantities, where the direct total
-    variance sums observable variances over a complete orthonormal
-    Hermitian operator basis, a stack the evaluator builds and owns.
     """
 
-    def __init__(self, family: Family | None, dim: int | None = None):
-        if family is None:
-            if dim is None:
-                raise DomainError("state-only evaluation needs an explicit dim")
-            self.kind = "state-only"
-            self.parameter = None
-            self.dim = dim
-            basis = gell_mann_basis(dim)
-            eye = np.eye(dim, dtype=np.complex128) / np.sqrt(dim)
-            ops = np.concatenate([basis.ops, eye[None]])
-            self.group_starts = None
-        else:
-            report = verify(family, REPORT_VERIFY_TOL)
-            if not report.passed:
-                raise VerificationError(
-                    f"family failed verification at {REPORT_VERIFY_TOL:g}: "
-                    + ", ".join(report.failures())
-                )
-            self.kind = "gsm" if family.kind == "sic" else family.kind
-            self.parameter = family.parameter
-            self.dim = family.dim
-            ops = family.effects
-            self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
-        self.observables = ops
+    def __init__(self, family: Family):
+        report = verify(family, REPORT_VERIFY_TOL)
+        if not report.passed:
+            raise VerificationError(
+                f"family failed verification at {REPORT_VERIFY_TOL:g}: "
+                + ", ".join(report.failures())
+            )
+        self.kind = "gsm" if family.kind == "sic" else family.kind
+        self.parameter = family.parameter
+        self.dim = family.dim
+        self.observables = family.effects
+        self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
 
     @functools.cached_property
     def observables_sq(self) -> np.ndarray:
@@ -326,8 +297,6 @@ class DirectEvaluator:
         Each is checked real and within [0, 1], and each POVM's sum within
         1e-10 of one.
         """
-        if self.group_starts is None:
-            raise DomainError("state-only evaluation has no outcome probabilities")
         p, failure = self._checked_probs(self._traces(rho.matrix[None])[2])
         if failure is not None:
             raise failure[1]
@@ -341,6 +310,7 @@ class DirectEvaluator:
         """
         n = len(traces) // 2
         p = traces[:n]
+        # a DensityMatrix built by hand need not be Hermitian
         imaginary = np.maximum.reduce(np.abs(traces[n:]), axis=1) >= IMAG_TOL
         low, high = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
         out_of_range = (low < -PROB_TOL) | (high > 1.0 + PROB_TOL)
@@ -352,7 +322,7 @@ class DirectEvaluator:
         if imaginary[j]:
             error = NumericalError("outcome probability has a non-negligible imaginary part")
         elif out_of_range[j]:
-            error = NumericalError(f"probability out of [0, 1]: {low[j]!r}..{high[j]!r}")
+            error = NumericalError(f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}")
         else:
             error = NumericalError(f"POVM probabilities sum to {totals[j][off[j]][0].item()!r}, not 1")
         return p, (j, error)
@@ -368,12 +338,9 @@ class DirectEvaluator:
         """
         m, rows, traces = self._traces(states)
         n = len(m)
-        if self.group_starts is None:
-            p, failure = traces[:n], None
-        else:
-            p, failure = self._checked_probs(traces)
+        p, failure = self._checked_probs(traces)
         squares = p * p  # the bits of p**2
-        c_direct = None if self.group_starts is None else np.add.reduce(squares, axis=1)
+        c_direct = np.add.reduce(squares, axis=1)
         terms = np.einsum("kx,nx->nk", _real_view(self.observables_sq), rows[0])
         terms -= squares
         smallest = np.minimum.reduce(terms, axis=1)
@@ -392,7 +359,7 @@ class DirectEvaluator:
         elif j == n:
             error = None
         elif low_variance[j]:
-            error = NumericalError(f"effect variance {smallest[j]!r} below {VAR_FLOOR}")
+            error = NumericalError(f"effect variance {smallest[j].item()!r} below {VAR_FLOOR}")
         else:
             error = _purity_error(self.dim, pur[j])
         if error is not None and j == 0:
@@ -400,8 +367,8 @@ class DirectEvaluator:
             # parameter check of the closed forms
             error.reports = None
             raise error
-        reports = reconcile(self.kind, self.dim, self.parameter, pur[:j],
-                            None if c_direct is None else c_direct[:j], v_direct[:j], clamped[:j])
+        reports = reconcile(self.kind, self.dim, self.parameter, pur[:j], c_direct[:j],
+                            v_direct[:j], clamped[:j])
         if error is not None:
             error.reports = reports
             raise error
@@ -412,7 +379,6 @@ class DirectEvaluator:
         return self.report_many(rho.matrix[None]).report(0)
 
 
-def bz_report(family, rho: DensityMatrix) -> BzReport:
-    """One-shot report for a family (or None for state-only) and a state."""
-    dim = rho.dim if family is None else None
-    return DirectEvaluator(family, dim=dim).report(rho)
+def bz_report(family: Family, rho: DensityMatrix) -> BzReport:
+    """One-shot report for a family and a state."""
+    return DirectEvaluator(family).report(rho)

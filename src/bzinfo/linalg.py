@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers and Hermitian spectral analysis.
+"""Dense complex matrix helpers: validation, Born-trace rows and purities.
 
 Everything here targets small dimensions (d up to a few dozen), so plain
 dense double-precision algorithms are used throughout.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 TOL_HERM = 1e-12
 IMAG_TOL = 1e-10
@@ -83,52 +83,6 @@ def hermitian(m, tol: float = TOL_HERM, overwrite: bool = False) -> np.ndarray:
         np.add(adjoint, stack[block], out=out[block])
         out[block] /= 2.0
     return result
-
-
-def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix with eigenvectors
-    in columns).  Satisfies H v_k = w_k v_k to 1e-10 * max(1, |H|_max).
-    """
-    a = hermitian(_as_matrix(h))
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return w, v
-
-
-def expectation(x, rho) -> float:
-    """<X>_rho = Tr(rho X), checked to be real to 1e-10."""
-    a = _as_matrix(x)
-    r = _as_matrix(rho)
-    if a.shape != r.shape:
-        raise DomainError(f"dimension mismatch: {a.shape} vs {r.shape}")
-    tr = np.einsum("ij,ji->", r, a)
-    if abs(tr.imag) >= IMAG_TOL:
-        raise NumericalError(f"expectation value has imaginary part {tr.imag:.3e}")
-    return float(tr.real)
-
-
-def variance(x, rho) -> float:
-    """V(X|rho) = <X^2> - <X>^2 for an observable X, one complex ``einsum`` each.
-
-    A reference for one observable; the evaluator's batched path does not
-    use it.
-    """
-    a = _as_matrix(x)
-    r = _as_matrix(rho)
-    if a.shape != r.shape:
-        raise DomainError(f"dimension mismatch: {a.shape} vs {r.shape}")
-    mean = np.einsum("ij,ji->", r, a)
-    second = np.einsum("ij,jk,ki->", r, a, a)
-    if max(abs(mean.imag), abs(second.imag)) >= IMAG_TOL:
-        raise NumericalError("variance has a non-negligible imaginary part")
-    v = float(second.real - mean.real**2)
-    if v < VAR_FLOOR:
-        raise NumericalError(f"variance {v!r} below the rounding floor {VAR_FLOOR}")
-    return v
 
 
 def trace_rows(m: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .invariants import DirectEvaluator, closed_forms
 from .measurements import Family
-from .states import DensityMatrix, rng_from_seed
+from .states import DensityMatrix, check_seed, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
 # Generator.multinomial takes the shot budget as a signed 64-bit integer
@@ -64,19 +64,21 @@ def estimate_coincidence(table: CountTable) -> float:
 
 def estimate_bz_info(
     family: Family,
-    rho: DensityMatrix,
-    shots: int,
+    table: CountTable,
     seed: int,
     resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> tuple[float, float]:
     """Finite-shot estimate of the invariant information, with bootstrap error.
 
-    The estimate is the sampled coincidence minus the closed-form
+    The estimate is the coincidence of ``table``, the family's counts
+    drawn with ``sample_outcomes`` at ``seed``, minus the closed-form
     coincidence of the maximally mixed state for this family.  The
     standard error comes from ``resamples`` multinomial resamples of the
     count table, drawn from ``Generator(Philox(seed).jumped())``.
     """
-    table = sample_outcomes(family, rho, shots, seed)
+    check_seed(seed)
+    if tuple(len(counts) for counts in table.counts) != family.group_sizes:
+        raise DomainError("count table does not match the family's POVMs")
     d = family.dim
     coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     estimate = estimate_coincidence(table) - coincidence_at_mixed

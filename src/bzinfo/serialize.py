@@ -529,15 +529,10 @@ def _decode_report(doc: dict) -> BzReport:
         raise SchemaError(f"invalid negatives_clamped {clamped!r}")
     for name in _REPORT_FIELDS[2:-1]:  # "parameter" to "max_abs_discrepancy": numbers
         value = values[name]
-        # a state-only report has no parameter and no coincidence
-        if kind == "state-only" and name in ("parameter", "C_direct", "C_closed"):
-            valid = value is None
-        else:
-            valid = type(value) in (int, float)
-        if not valid:
+        if type(value) not in (int, float):
             raise SchemaError(f"malformed report document: invalid {name} {value!r}")
         try:  # the arithmetic of reconcile is float arithmetic
-            values[name] = value if value is None else float(value)
+            values[name] = float(value)
         except OverflowError as exc:  # a huge integer
             raise SchemaError(f"malformed report document: {exc}") from exc
     try:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bzinfo import DomainError, hermitian
+
 
 @pytest.fixture
 def rng():
@@ -16,3 +18,19 @@ def random_unitary(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def herm_eig(h):
+    """Oracle: eigenvalues ascending and eigenvectors in columns of a Hermitian matrix."""
+    return np.linalg.eigh(hermitian(np.asarray(h, dtype=np.complex128)))
+
+
+def expectation(x, rho):
+    """Oracle: <X>_rho = Tr(rho X), one complex ``einsum``, checked to be real to 1e-10."""
+    a = np.asarray(x, dtype=np.complex128)
+    r = np.asarray(getattr(rho, "matrix", rho), dtype=np.complex128)
+    if a.shape != r.shape:
+        raise DomainError(f"dimension mismatch: {a.shape} vs {r.shape}")
+    tr = np.einsum("ij,ji->", r, a)
+    assert abs(tr.imag) < 1e-10, tr
+    return float(tr.real)

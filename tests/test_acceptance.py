@@ -295,9 +295,9 @@ def test_criterion_8_sampler_statistics():
             true_info = purity(rho) - 1 / d  # unit-kappa closed form
             hits = 0
             for run in range(100):
-                estimate, std_error = estimate_bz_info(
-                    mub, rho, shots, seed=1_000_000 * d + 1000 * (label == "pure") + run
-                )
+                seed = 1_000_000 * d + 1000 * (label == "pure") + run
+                table = sample_outcomes(mub, rho, shots, seed)
+                estimate, std_error = estimate_bz_info(mub, table, seed)
                 if abs(estimate - true_info) <= 3 * std_error:
                     hits += 1
             results.append(f"d={d} {label}: {hits}/100")

@@ -353,7 +353,7 @@ OTHER_SEEDS = [
     encode(random_density(2, 2, 0)),
     encode(random_density(3, 1, 5), meta={"rng": "philox", "seed": 5, "rank": 1}),
     encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))),
-    encode(bz_report(None, random_density(3, 3, 4))),
+    encode(bz_report(build_gsm(3, "auto"), random_density(3, 3, 4))),
     encode(sample_outcomes(build_mub(3), random_density(3, 3, 2), 50, seed=4)),
 ]
 # integers and floats at the edges of int64, uint64 and float64

@@ -22,15 +22,20 @@ from bzinfo import (
     random_density,
     sic2_fixture,
     validate_state,
-    variance,
 )
 
 from bzinfo import states
 from bzinfo.states import density_batches
-from conftest import random_unitary
+from conftest import expectation, random_unitary
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def variance(x, rho):
+    """Oracle: V(X|rho) = <X^2> - <X>^2 for one observable X."""
+    x = np.asarray(x, dtype=np.complex128)
+    return expectation(x @ x, rho) - expectation(x, rho) ** 2
 
 
 def explicit_variance_sum(family, rho):
@@ -70,8 +75,6 @@ def test_probs_normalize_over_random_states():
 def test_probs_dimension_mismatch():
     with pytest.raises(DomainError):
         DirectEvaluator(build_mub(2)).probs(maximally_mixed(3))
-    with pytest.raises(DomainError, match="state-only"):
-        DirectEvaluator(None, dim=2).probs(KET0)
 
 
 # Each check of probs and report, reached with a state or an effect stack that
@@ -102,7 +105,7 @@ def test_probs_check_unit_interval():
     p = born(family.effects, m)
     with pytest.raises(NumericalError) as info:
         DirectEvaluator(family).probs(unchecked_state(m))
-    assert str(info.value) == f"probability out of [0, 1]: {p.min()!r}..{p.max()!r}"
+    assert str(info.value) == f"probability out of [0, 1]: {p.min().item()!r}..{p.max().item()!r}"
 
 
 def test_probs_check_names_the_povm_sum_that_is_off():
@@ -142,7 +145,7 @@ def test_report_variance_floor_and_clamp_count():
     terms = born(evaluator.observables_sq, KET0.matrix) - p * p
     with pytest.raises(NumericalError) as info:
         evaluator.report(KET0)
-    assert str(info.value) == f"effect variance {terms.min()!r} below -1e-10"
+    assert str(info.value) == f"effect variance {terms.min().item()!r} below -1e-10"
 
 
 # ---------------------------------------------------------------- variance
@@ -216,12 +219,16 @@ def test_total_variance_sic_fixture_pure():
 
 
 def test_closed_forms_state_at_maximally_mixed():
+    # the maximally mixed state: no information, the largest variance, and
+    # uniform outcomes, so C is 1/d for each of the d + 1 POVMs of a MUM and
+    # 1/d^2 for the one d^2-outcome POVM of a general SIC
     d = 4
-    cf = closed_forms("state", d, None, 1 / d)
-    assert cf.C is None
-    assert cf.I == pytest.approx(0.0, abs=1e-15)
-    assert cf.U == pytest.approx(1 - 1 / d, abs=1e-15)
-    assert cf.V == pytest.approx(d - 1 / d, abs=1e-15)
+    for kind, parameter, c in (("mum", 0.7, (d + 1) / d), ("gsm", 1 / d**2 - 1e-3, 1 / d**2)):
+        cf = closed_forms(kind, d, parameter, 1 / d)
+        assert cf.I == pytest.approx(0.0, abs=1e-15)
+        assert cf.U == pytest.approx(cf.V_max - cf.V_min, abs=1e-15)
+        assert cf.V == pytest.approx(cf.V_max, abs=1e-15)
+        assert cf.C == pytest.approx(c, abs=1e-15)
 
 
 def test_closed_forms_mum_unit_kappa_pure():
@@ -302,9 +309,8 @@ def test_unitary_invariance_at_purity_level(rng):
     w = random_unitary(d, rng)
     rotated = validate_state(w @ rho.matrix @ w.conj().T)
     assert abs(purity(rotated) - purity(rho)) < 1e-10
-    a, b = closed_forms("state", d, None, purity(rho)), closed_forms(
-        "state", d, None, purity(rotated)
-    )
+    a, b = closed_forms("mum", d, 0.7, purity(rho)), closed_forms("mum", d, 0.7, purity(rotated))
+    assert abs(a.C - b.C) < 1e-10
     assert abs(a.I - b.I) < 1e-10
     assert abs(a.U - b.U) < 1e-10
 
@@ -327,14 +333,10 @@ def test_sic2_pure_state_information():
 
 
 def test_state_only_report():
-    d = 4
-    rho = random_density(d, d, 13)
-    r = bz_report(None, rho)
-    assert r.kind == "state-only"
-    assert r.C_direct is None and r.C_closed is None
-    assert abs(r.V_direct - (d - r.purity)) < 1e-9
-    assert abs(r.I_direct - (r.purity - 1 / d)) < 1e-9
-    assert r.max_abs_discrepancy < 1e-9
+    # every report is of a family: the closed forms know no state-only kind
+    for kind in (None, "state", "state-only"):
+        with pytest.raises(DomainError, match="unknown family kind"):
+            closed_forms(kind, 4, None, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -346,18 +348,16 @@ def test_state_only_report():
         (lambda: build_gsm(8, "auto"), 8),
         (lambda: build_mub(5), 5),
         (sic2_fixture, 2),
-        (lambda: None, 2),
-        (lambda: None, 8),
     ],
-    ids=["mum2", "mum5", "gsm3", "gsm8", "mub5", "sic2", "state2", "state8"],
+    ids=["mum2", "mum5", "gsm3", "gsm8", "mub5", "sic2"],
 )
 def test_stacked_contraction_equals_two_separate_ones(make, d):
     family = make()
-    evaluator = DirectEvaluator(family, dim=d if family is None else None)
-    effects = evaluator.observables.copy() if family is None else family.effects
+    evaluator = DirectEvaluator(family)
+    effects = family.effects
     squares = effects @ effects
     # a family's effects are read in place; the squares are the one stack derived
-    assert family is None or evaluator.observables is family.effects
+    assert evaluator.observables is family.effects
     assert not hasattr(evaluator, "moments")
     assert not np.shares_memory(evaluator.observables_sq, evaluator.observables)
     assert evaluator.observables.tobytes() == effects.tobytes()
@@ -372,9 +372,8 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
             m2 = np.einsum("kx,nx->nk", real_squares, rows)[0]
             r = evaluator.report(rho)
             assert r.V_direct == float(np.add.reduce(np.maximum(m2 - p * p, 0.0)))
-            if family is not None:
-                assert r.C_direct == float(np.add.reduce(p * p))
-                assert evaluator.probs(rho).tobytes() == p.tobytes()
+            assert r.C_direct == float(np.add.reduce(p * p))
+            assert evaluator.probs(rho).tobytes() == p.tobytes()
             # an independent oracle: the complex per-state contraction
             np.testing.assert_allclose(p, born(effects, rho.matrix), rtol=0, atol=1e-15)
             np.testing.assert_allclose(m2, born(squares, rho.matrix), rtol=0, atol=1e-15)

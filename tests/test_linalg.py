@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, expectation, herm_eig, hermitian, purity
+from bzinfo import DomainError, hermitian, purity
 from bzinfo.states import maximally_mixed, random_density, validate_state
 
-from conftest import random_hermitian
+from conftest import expectation, herm_eig, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = validate_state(np.diag([1.0, 0.0]))
+
+# herm_eig and expectation are oracles, in conftest, that other tests compare against
 
 
 def test_herm_eig_pauli_z():

@@ -16,7 +16,6 @@ from bzinfo import (
     encode,
     gell_mann_basis,
     grid_partition,
-    herm_eig,
     linalg,
     max_t_gsm,
     max_t_mum,
@@ -26,7 +25,7 @@ from bzinfo import (
     verify,
 )
 from bzinfo.measurements import _pairwise_overlaps, family_bytes, gsm_operators, mum_operators
-from conftest import random_hermitian
+from conftest import herm_eig, random_hermitian
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):

@@ -70,11 +70,7 @@ def test_a_unitarily_rotated_family_verifies_and_reconciles(spec, seed, rank):
 
 @lru_cache(maxsize=None)
 def evaluators(d):
-    return (
-        DirectEvaluator(None, dim=d),
-        DirectEvaluator(family("mum", d)),
-        DirectEvaluator(family("gsm", d)),
-    )
+    return DirectEvaluator(family("mum", d)), DirectEvaluator(family("gsm", d))
 
 
 @SETTINGS
@@ -90,13 +86,11 @@ def test_random_states_satisfy_the_balance(d, rank, seed):
 
 @lru_cache(maxsize=None)
 def evaluator(spec):
-    kind, d = spec[:2]
-    return DirectEvaluator(None, dim=d) if kind == "state-only" else DirectEvaluator(family(*spec))
+    return DirectEvaluator(family(*spec))
 
 
 @SETTINGS
-@given(st.one_of(FAMILIES, st.tuples(st.just("state-only"), st.integers(2, 5))), SEEDS,
-       st.integers(1, 5))
+@given(FAMILIES, SEEDS, st.integers(1, 5))
 def test_reconcile_rebuilds_every_report_exactly(spec, seed, rank):
     ev = evaluator(spec)
     r = ev.report(random_density(ev.dim, min(rank, ev.dim), seed))

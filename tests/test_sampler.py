@@ -18,10 +18,15 @@ from bzinfo import (
     sample_outcomes,
     validate_state,
 )
-from bzinfo import _kernels, sampler
+from bzinfo import _kernels
 from bzinfo.states import rng_from_seed
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
+
+
+def draw_and_estimate(family, rho, shots, seed):
+    """The estimate and error from the count table ``sample_outcomes`` draws at the same seed."""
+    return estimate_bz_info(family, sample_outcomes(family, rho, shots, seed), seed)
 
 
 def test_deterministic_distribution_gives_deterministic_counts():
@@ -137,20 +142,29 @@ def test_bootstrap_matches_per_resample_loop(family, rank, seed, shots):
     table = sample_outcomes(family, rho, shots, seed)
     coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     expected = _loop_std_error(table, seed, coincidence_at_mixed, 200)
-    assert estimate_bz_info(family, rho, shots, seed)[1] == expected
+    assert estimate_bz_info(family, table, seed)[1] == expected
 
 
-def test_bootstrap_matches_loop_on_hand_built_table(monkeypatch):
+def test_bootstrap_matches_loop_on_hand_built_table():
     # zero-count outcomes and one deterministic POVM
     table = CountTable(
         shots_per_povm=6,
         counts=(np.array([6, 0]), np.array([3, 3]), np.array([1, 5])),
     )
-    monkeypatch.setattr(sampler, "sample_outcomes", lambda *args: table)
     coincidence_at_mixed = closed_forms("mub", 2, 1.0, 0.5).C
     expected = _loop_std_error(table, 9, coincidence_at_mixed, 50)
-    _, std_error = estimate_bz_info(build_mub(2), KET0, 6, seed=9, resamples=50)
+    _, std_error = estimate_bz_info(build_mub(2), table, 9, resamples=50)
     assert std_error == expected
+
+
+def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():
+    table = sample_outcomes(build_mub(2), KET0, 10, seed=1)
+    with pytest.raises(DomainError, match="count table does not match"):
+        estimate_bz_info(build_mub(3), table, 1)
+    with pytest.raises(DomainError, match="count table does not match"):
+        estimate_bz_info(build_gsm(2, "auto"), table, 1)
+    with pytest.raises(DomainError, match="seed must be"):
+        estimate_bz_info(build_mub(2), table, -1)
 
 
 def test_collision_estimator_deterministic_counts():
@@ -186,22 +200,20 @@ def test_estimate_bz_info_pure_qubit():
     mset = build_mub(2)
     rho = random_density(2, 1, 7)
     true_i = purity(rho) - 0.5  # unit-kappa closed form
-    estimate, std_error = estimate_bz_info(mset, rho, 10**5, seed=3)
+    estimate, std_error = draw_and_estimate(mset, rho, 10**5, seed=3)
     assert std_error > 0
     assert abs(estimate - true_i) < 3 * std_error
 
 
 def test_estimate_bz_info_maximally_mixed():
-    estimate, std_error = estimate_bz_info(build_mub(2), maximally_mixed(2), 10**5, seed=8)
+    estimate, std_error = draw_and_estimate(build_mub(2), maximally_mixed(2), 10**5, seed=8)
     assert abs(estimate) < 3 * std_error
 
 
 def test_estimate_bz_info_deterministic():
     mset = build_mub(2)
     rho = random_density(2, 2, 30)
-    assert estimate_bz_info(mset, rho, 2000, seed=5) == estimate_bz_info(
-        mset, rho, 2000, seed=5
-    )
+    assert draw_and_estimate(mset, rho, 2000, seed=5) == draw_and_estimate(mset, rho, 2000, seed=5)
 
 
 def test_more_shots_reduce_error():
@@ -212,7 +224,7 @@ def test_more_shots_reduce_error():
     mean_abs_error = []
     for shots in (500, 1000, 2000, 4000, 8000):
         errors = [
-            abs(estimate_bz_info(mset, rho, shots, seed=100 * s)[0] - true_i)
+            abs(draw_and_estimate(mset, rho, shots, seed=100 * s)[0] - true_i)
             for s in range(20)
         ]
         mean_abs_error.append(np.mean(errors))

@@ -208,7 +208,6 @@ def test_measurement_with_non_finite_t_or_parameter_rejected(field, value):
 
 
 MUM_REPORT = bz_report(build_mum(2, "auto"), random_density(2, 2, 3))
-STATE_REPORT = bz_report(None, random_density(3, 3, 4))
 
 
 @pytest.mark.parametrize(
@@ -232,9 +231,8 @@ STATE_REPORT = bz_report(None, random_density(3, 3, 4))
         (MUM_REPORT, "purity", MUM_REPORT.purity + 1e-9, "closed forms inconsistent"),
         (MUM_REPORT, "V_min", MUM_REPORT.V_min + 1e-15, "closed forms inconsistent"),
         (MUM_REPORT, "C_direct", None, "invalid C_direct None"),
-        (STATE_REPORT, "parameter", 0.5, "invalid parameter 0.5"),
-        (STATE_REPORT, "C_closed", 1.0, "invalid C_closed 1.0"),
-        (STATE_REPORT, "V_max", STATE_REPORT.V_max * 2, "closed forms inconsistent"),
+        # every report is of a family: the state-only kind is no longer read
+        (MUM_REPORT, "kind", "state-only", "unknown report kind 'state-only'"),
     ],
 )
 def test_report_fields_validated(report, field, value, message):
@@ -245,8 +243,8 @@ def test_report_fields_validated(report, field, value, message):
 
 
 def test_reports_of_every_kind_round_trip():
-    for family in (build_mum(3), build_gsm(2, 0.01), build_mub(5), sic2_fixture(), None):
-        d = 3 if family is None else family.dim
+    for family in (build_mum(3), build_gsm(2, 0.01), build_mub(5), sic2_fixture()):
+        d = family.dim
         for seed in range(10):
             report = bz_report(family, random_density(d, 1 + seed % d, seed))
             assert decode(encode(report)) == report
@@ -491,10 +489,10 @@ def test_document_size_limit_admits_d32_families():
         assert entries * per_entry + 1000 < serialize.MAX_DOCUMENT_BYTES
 
 
-@pytest.mark.parametrize("kind", ["mum", "gsm", "state-only"])
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
 @pytest.mark.parametrize("field", ["I_direct", "U_direct", "V_direct"])
 def test_report_with_a_direct_field_moved_one_ulp_rejected(kind, field):
-    family, d = {"mum": (build_mum(3), 3), "gsm": (build_gsm(2), 2), "state-only": (None, 3)}[kind]
+    family, d = {"mum": (build_mum(3), 3), "gsm": (build_gsm(2), 2)}[kind]
     for seed in range(20):
         report = bz_report(family, random_density(d, 1 + seed % d, seed))
         doc = json.loads(encode(report))
