@@ -19,9 +19,11 @@ seeded command reads one Philox(seed) stream in order.  Sweep state i is
 the i-th state of that stream, so state 0 is that of ``state gen --seed
 <seed>``.
 
-Loading a measurement file rejects any verification deviation >= 1e-10
-with exit 2, so ``verify --tol`` looser than 1e-10 has no effect: verify
-exits 1 only for a degenerate family or a positive --tol below 1e-10.
+Loading a measurement file checks only its format (exit 2 if bad).  Each
+verb verifies the family it uses once: ``verify`` at --tol, which alone
+decides its exit 0 or 1, and ``bz``, ``sample`` and ``sweep`` at 1e-10
+(``measurements.DEFAULT_TOL``), exiting 1 with ``family failed
+verification at 1e-10: ...`` and writing no --out file.
 
 Every document and CSV reaches its --out file or stdout through one
 binary writer, opened only once the arguments are checked.  ``sweep``

@@ -46,11 +46,10 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, VerificationError
 from .linalg import IMAG_TOL, VAR_FLOOR, purities, trace_rows
-from .measurements import GSM_KINDS, MUM_KINDS, Family, verify
+from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 from .states import DensityMatrix
 
 PROB_TOL = 1e-10
-REPORT_VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -251,19 +250,21 @@ def _first(mask: np.ndarray) -> int:
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
-    Verifies the family at REPORT_VERIFY_TOL.  ``observables`` is the
-    family's effect stack itself, read in place, and ``observables_sq`` the
-    one stack the evaluator derives, the effects' squares, formed on their
+    Verifies the family at ``DEFAULT_TOL`` and raises VerificationError on
+    a failure: the one verification of a family, loaded or built, in
+    ``bz``, ``sample`` and ``sweep``.  ``observables`` is the family's
+    effect stack itself, read in place, and ``observables_sq`` the one
+    stack the evaluator derives, the effects' squares, formed on their
     first use by ``report_many``.  ``probs`` gives the checked outcome
     probabilities of one state and ``report_many`` the reconciled
     quantities of a batch; both take the Born traces from ``_traces``.
     """
 
     def __init__(self, family: Family):
-        report = verify(family, REPORT_VERIFY_TOL)
+        report = verify(family, DEFAULT_TOL)
         if not report.passed:
             raise VerificationError(
-                f"family failed verification at {REPORT_VERIFY_TOL:g}: "
+                f"family failed verification at {DEFAULT_TOL:g}: "
                 + ", ".join(report.failures())
             )
         self.kind = "gsm" if family.kind == "sic" else family.kind

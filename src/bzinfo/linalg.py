@@ -53,10 +53,10 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitian(m, tol: float = TOL_HERM, overwrite: bool = False) -> np.ndarray:
+def hermitian(m, overwrite: bool = False) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 
-    Defects below ``tol`` are absorbed by H <- (H + H^dag)/2; larger
+    Defects below ``TOL_HERM`` are absorbed by H <- (H + H^dag)/2; larger
     defects raise, so genuine errors are not masked.  Each matrix of a
     stack is checked on its own; the first defective one is named by its
     row-major index in the stack.  The stack is taken a block of matrices
@@ -73,12 +73,12 @@ def hermitian(m, tol: float = TOL_HERM, overwrite: bool = False) -> np.ndarray:
         block = slice(start, start + step)
         adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
         per_matrix = np.abs(stack[block] - adjoint).reshape(len(adjoint), -1).max(axis=1)
-        bad = np.flatnonzero(per_matrix >= tol)
+        bad = np.flatnonzero(per_matrix >= TOL_HERM)
         if bad.size:
             i = start + int(bad[0])
             where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
             raise DomainError(
-                f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {tol:.0e})"
+                f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {TOL_HERM:.0e})"
             )
         np.add(adjoint, stack[block], out=out[block])
         out[block] /= 2.0

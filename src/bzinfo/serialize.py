@@ -3,10 +3,14 @@
 Numbers are emitted with Python's shortest round-trip float repr, complex
 entries as [re, im] pairs in row-major order.  Every document carries the
 schema version field "v": 1 and a "schema" discriminator.  Decoding
-re-validates the entity, so a tampered or truncated file never yields a
-usable object; a document longer than ``MAX_DOCUMENT_BYTES`` is rejected.
-A report is rebuilt from its direct inputs by ``invariants.reconcile``,
-which makes every report, and must equal the stored fields exactly.
+checks each document's format, so a tampered or truncated file never
+yields a malformed object: a state must be a density matrix, and a
+measurement's effects finite, of its kind's shape and Hermitian within
+``linalg.TOL_HERM``.  Whether a family meets its defining conditions is
+not decoding's question: ``measurements.verify`` judges it, once, in the
+verb that uses the family.  A report is rebuilt from its direct inputs by
+``invariants.reconcile``, which makes every report, and must equal the
+stored fields exactly.
 
 A family repeats a few thousand distinct rows of [re, im] pairs across
 hundreds of thousands of entries.  So a matrix is written as pieces: each
@@ -15,7 +19,10 @@ separators; ``encode`` joins them, ``save`` writes them in blocks of about
 ``_CHUNK_BYTES``.  A measurement file in exactly that layout is read back
 in blocks cut at the row separators, each distinct row checked and parsed
 once and gathered straight into a complex stack.  Any other JSON document
-is read whole by ``json.loads``, with the same entity or SchemaError.
+is read whole by ``json.loads``, with the same entity or SchemaError.  So
+the whole text is held only on that route, and only there does the text
+limit ``MAX_DOCUMENT_BYTES`` apply: a file in the encoder's layout may be
+longer, its limit the builders' limit on its family, ``MAX_DENSE_BYTES``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import contextlib
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -32,18 +40,16 @@ import stat
 
 import numpy as np
 
-from .errors import BzinfoError, SchemaError
+from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
-from .linalg import hermitian
-from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, verify
+from .linalg import check_dense_bytes, hermitian
+from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, family_bytes
 from .sampler import CountTable
 from .states import DensityMatrix, validate_state
 
 SCHEMA_VERSION = 1
-# longest document decode accepts; a d=32 general SIC file is about 50 MB
+# longest document decode holds whole; a d=32 general SIC file is about 50 MB
 MAX_DOCUMENT_BYTES = 256 * 2**20
-PARAMETER_TOL = 1e-9
-CONDITION_TOL = 1e-10
 
 # bytes per block that save writes and the direct parse reads
 _CHUNK_BYTES = 2**18
@@ -265,7 +271,10 @@ def _parse_canonical_measurement(read, size: int) -> dict | None:
     gives the array's shape, and ``_Rows`` reads the array into a complex
     stack.  None, leaving the document to ``_parse_json``, unless ``_Rows``
     accepts the array and the head and tail, parsed with a 0 in the array's
-    place, are what ``encode`` writes (or that and the newline ``save`` adds).
+    place, are what ``encode`` writes (or that and the newline ``save`` adds)
+    and at most ``MAX_DOCUMENT_BYTES`` long.  A head whose family the
+    builders would refuse as too large raises SchemaError before the stack
+    is allocated.
     """
     text = read(min(_HEAD_BYTES, size + 1))
     opening = text.find(_EFFECTS_OPENING)
@@ -276,12 +285,19 @@ def _parse_canonical_measurement(read, size: int) -> dict | None:
     # the encoder writes at least "[0.0, 0.0]" per entry, so a shorter file cannot hold the stack
     if not (valid and 10 * math.prod(shape := _effects_shape(kind, d)) <= size):
         return None
+    try:
+        check_dense_bytes(family_bytes(kind, d), f"a {kind} family of dimension {d}")
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from exc
     blocks = _blocks(read, size + 1 - len(text))
     parsed = _Rows(shape).parse(text[start:], blocks)
     if parsed is None:
         return None
-    spliced = text[:start] + b"0" + parsed[1] + b"".join(blocks)
-    doc = _json_object(spliced)
+    # json.loads holds the text around the array whole; blocks are full up to
+    # the end, so taking one more than the limit's worth shows a longer tail
+    tail = itertools.islice(blocks, MAX_DOCUMENT_BYTES // _CHUNK_BYTES + 1)
+    spliced = text[:start] + b"0" + parsed[1] + b"".join(tail)
+    doc = _json_object(spliced) if len(spliced) <= MAX_DOCUMENT_BYTES else None
     if doc is None:
         return None
     # equal bytes put the 0 under the one "effects" key, with no key repeated or moved
@@ -394,11 +410,13 @@ class _Rows(dict):
 
 
 def decode(data: bytes | str):
-    """Parse and re-validate a serialized entity, from bytes as ``load`` reads a file.
+    """Parse a serialized entity and check its format, from bytes as ``load`` reads a file.
 
     A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
-    a str) raises SchemaError before it is parsed, as do bytes that are not
-    UTF-8.  A str is read by ``json.loads``.
+    a str) raises SchemaError before ``json.loads`` reads it, as do bytes
+    that are not UTF-8; bytes that hold a measurement in the layout
+    ``encode`` writes are parsed as ``_parse_file`` parses them, at any
+    length.  A str is read by ``json.loads``.
     """
     if isinstance(data, str):
         _check_document_size(len(data))
@@ -409,31 +427,38 @@ def decode(data: bytes | str):
 def _parse_file(fh, size: int):
     """The document in a seekable binary file of ``size`` bytes, read up to ``size + 1`` bytes.
 
-    A measurement in the layout ``encode`` writes is parsed as it is read;
-    any other document is read again, whole, for ``json.loads``.
+    A measurement in the layout ``encode`` writes is parsed as it is read,
+    never held whole, so its limit is the builders' limit on its family,
+    whatever the file's size.  Any other document is held whole by
+    ``json.loads``: it must be at most ``MAX_DOCUMENT_BYTES`` long, and is
+    read again from the start.
     """
-    _check_document_size(size)
     doc = _parse_canonical_measurement(fh.read, size)
     if doc is None:
+        _check_document_size(size)
         fh.seek(0)
         doc = _parse_json(fh.read(size + 1))
     return doc
 
 
 def _read_stream(read) -> tuple[io.BytesIO, int]:
-    """A stream that can be read once, a pipe say, read whole in blocks into a file, and its size."""
+    """A stream that can be read once, a pipe say, read whole in blocks into a file, and its size.
+
+    The stream is held whole, so it must be at most ``MAX_DOCUMENT_BYTES`` long.
+    """
     whole = io.BytesIO()
     for block in _blocks(read, MAX_DOCUMENT_BYTES + 1):
         whole.write(block)
     # trims the buffer in place, so that reading it whole from the start copies nothing
     whole.getvalue()
     size = whole.tell()
+    _check_document_size(size)
     whole.seek(0)
     return whole, size
 
 
 def _decode_document(doc):
-    """The entity a parsed document describes, re-validated."""
+    """The entity a parsed document describes, its format checked."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
     if doc.get("v") != SCHEMA_VERSION:
@@ -491,26 +516,14 @@ def _decode_measurement(doc: dict):
         # a new stack, symmetrized in place: a second stack, freed before
         # verification, would leave the allocator holding as much again
         stack = hermitian(effects.reshape(-1, d, d), overwrite=True)
-        del effects, doc["effects"]  # the parsed lists go before verification
         stack.setflags(write=False)
-        family = Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
+        return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
     except SchemaError:
         raise
     except BzinfoError as exc:
         raise SchemaError(f"decoded measurement fails validation: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer overflows
         raise SchemaError(f"malformed measurement document: {exc}") from exc
-
-    report = verify(family, CONDITION_TOL)
-    parameter_dev = report.deviations.pop("parameter")
-    if not parameter_dev < PARAMETER_TOL:
-        raise SchemaError(
-            f"stored {name} inconsistent with t (deviation {parameter_dev:.3e})"
-        )
-    bad = [key for key, v in report.deviations.items() if not v < CONDITION_TOL]
-    if bad:
-        raise SchemaError(f"decoded measurement violates: {', '.join(bad)}")
-    return family
 
 
 def _decode_report(doc: dict) -> BzReport:
@@ -585,9 +598,11 @@ def save(entity, path, meta: dict | None = None) -> None:
 def load(path):
     """The entity a file holds, as ``decode`` gives it for the file's bytes.
 
-    A regular file is checked against ``MAX_DOCUMENT_BYTES`` by its size and
-    read as ``_parse_file`` does; any other, a pipe say, is first read whole
-    in blocks.  The text is dropped before the entity is validated.
+    A regular file is read as ``_parse_file`` reads it, its size known from
+    the file system; any other, a pipe say, is first read whole in blocks,
+    up to ``MAX_DOCUMENT_BYTES``.  The text is dropped before the entity is
+    built.  A family comes back unverified, for the caller to judge with
+    ``verify``.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import COMPLEX_BYTES, TOL_HERM, as_complex_matrix, check_dense_bytes, hermitian
+from .linalg import COMPLEX_BYTES, as_complex_matrix, check_dense_bytes, hermitian
 
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
@@ -135,7 +135,7 @@ def validate_state(m) -> DensityMatrix:
     less than 1e-10 are accepted unmodified.
     """
     a = as_complex_matrix(m)
-    rho = hermitian(a, tol=TOL_HERM)  # raises DomainError if non-Hermitian
+    rho = hermitian(a)  # raises DomainError if non-Hermitian
     tr = rho.trace()
     if abs(tr - 1.0) >= TRACE_TOL:
         raise DomainError(f"state trace is {tr.real!r}, not 1 within {TRACE_TOL:.0e}")

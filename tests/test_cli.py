@@ -12,6 +12,7 @@ from bzinfo import (
     DomainError,
     NumericalError,
     build_mum,
+    encode,
     load,
     measurements,
     purity,
@@ -44,7 +45,7 @@ def test_verify_json_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["deviations"]["completeness"] < 1e-10
-    # the decode before it verifies the same family and drops "parameter" from its own report
+    # the parameter(t) consistency is one of the deviations verify reports
     assert doc["deviations"]["parameter"] < 1e-12
 
 
@@ -130,6 +131,40 @@ def test_truncated_measurement_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--measurement", str(m))
     assert code == 2
     assert "malformed" in err
+
+
+def tampered_family(tmp_path):
+    """A mum file whose first effect has a diagonal entry moved by 1e-6: well formed, not a family."""
+    doc = json.loads(encode(build_mum(2, "auto")))
+    doc["effects"][0][0][0][0][0] += 1e-6
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_tol_decides_a_loaded_family(tmp_path, capsys):
+    m = str(tampered_family(tmp_path))
+    code, out, _ = run(capsys, "verify", "--measurement", m)
+    assert code == 1
+    assert "FAIL" in out
+    assert run(capsys, "verify", "--measurement", m, "--tol", "1e-5")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bz", "--state", "s.json"],
+    ["sample", "--state", "s.json", "--shots", "10"],
+    ["sweep", "--dim", "2", "--states", "3"],
+])
+def test_a_family_failing_verification_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "state", "gen", "--dim", "2", "--out", "s.json")
+    m = str(tampered_family(tmp_path))
+    code, out, err = run(capsys, *argv, "--measurement", m, "--out", "out.json")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: family failed verification at 1e-10: effect_trace, cross_overlap, "
+                   "within_overlap_diag, within_overlap_offdiag, completeness\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_non_prime_mub_exits_two(capsys):
@@ -414,7 +449,7 @@ def count_calls_per_verb(tmp_path, capsys, monkeypatch, owner, attr):
 # the self-test follows at the next change to the benchmark
 def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
     counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, measurements, "verify")
-    assert counts == {"gen": 0, "state": 0, "verify": 2, "bz": 2, "sample": 2, "sweep": 1}
+    assert counts == {"gen": 0, "state": 0, "verify": 1, "bz": 1, "sample": 1, "sweep": 1}
 
 
 def test_sample_outcomes_calls_per_verb(tmp_path, capsys, monkeypatch):

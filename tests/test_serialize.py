@@ -24,8 +24,9 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo import serialize
-from bzinfo.measurements import MUM_KINDS, PARAMETER_NAMES
+from bzinfo import linalg, serialize
+from bzinfo.cli import main
+from bzinfo.measurements import MUM_KINDS, PARAMETER_NAMES, Family, family_bytes
 from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_pieces
 
 
@@ -92,25 +93,33 @@ def test_truncated_file_is_malformed(tmp_path):
         load(path)
 
 
+# decode reads a well-formed family as stored; verify rejects it, on exactly
+# the conditions the tampering breaks.  A stored parameter off its t also
+# misplaces the overlaps whose target it is.
 def test_inconsistent_kappa_rejected():
     doc = json.loads(encode(build_mum(3, "auto")))
     doc["kappa"] = doc["kappa"] + 1e-6
-    with pytest.raises(SchemaError, match="kappa inconsistent"):
-        decode(json.dumps(doc))
+    family = decode(json.dumps(doc))
+    assert isinstance(family, Family) and family.parameter == doc["kappa"]
+    assert set(verify(family).failures()) == {"parameter", "within_overlap_diag", "within_overlap_offdiag"}
 
 
 def test_inconsistent_a_rejected():
     doc = json.loads(encode(build_gsm(2, "auto")))
     doc["a"] = doc["a"] - 1e-5
-    with pytest.raises(SchemaError, match="a inconsistent"):
-        decode(json.dumps(doc))
+    family = decode(json.dumps(doc))
+    assert isinstance(family, Family) and family.parameter == doc["a"]
+    assert set(verify(family).failures()) == {"parameter", "self_overlap", "pair_overlap"}
 
 
 def test_tampered_effect_rejected():
     doc = json.loads(encode(build_mum(2, "auto")))
-    doc["effects"][0][0][0][0][0] += 1e-6
-    with pytest.raises(SchemaError, match="violates"):
-        decode(json.dumps(doc))
+    doc["effects"][0][0][0][0][0] += 1e-6  # a diagonal entry, so the effect stays Hermitian
+    family = decode(json.dumps(doc))
+    assert isinstance(family, Family)
+    assert set(verify(family).failures()) == {
+        "effect_trace", "cross_overlap", "within_overlap_diag", "within_overlap_offdiag", "completeness",
+    }
 
 
 def test_degenerate_measurement_still_loads():
@@ -468,14 +477,74 @@ def test_decode_rejects_document_above_size_limit(monkeypatch):
 
 
 def test_load_checks_file_size_before_reading(tmp_path, monkeypatch):
-    path = tmp_path / "m.json"
-    save(build_mum(2, "auto"), path)
+    # json.loads holds a state whole, so its file's size is checked before its text is parsed
+    path = tmp_path / "s.json"
+    save(random_density(2, 2, 0), path)
     size = path.stat().st_size
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size)
     assert load(path).dim == 2
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size - 1)
-    monkeypatch.setattr(serialize, "decode", lambda data: pytest.fail("file was read"))
+    monkeypatch.setattr(serialize, "_parse_json", lambda data: pytest.fail("file was parsed"))
     with pytest.raises(SchemaError, match="above the limit"):
+        load(path)
+
+
+# the caps are patched small, so that no test writes a large file
+GEN_ARGS = {"mum": ["mum", "--dim", "3"], "gsm": ["gsm", "--dim", "3"], "mub": ["mub", "--dim", "3"],
+            "sic": ["sic2"]}
+BUILT = {"mum": lambda: build_mum(3, "auto"), "gsm": lambda: build_gsm(3, "auto"),
+         "mub": lambda: build_mub(3), "sic": sic2_fixture}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_ARGS))
+def test_gen_file_above_the_text_limit_loads(tmp_path, monkeypatch, capsys, kind):
+    family = BUILT[kind]()
+    path = tmp_path / "m.json"
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", family_bytes(kind, family.dim))  # gen's largest
+    assert main(["gen", *GEN_ARGS[kind], "--out", str(path)]) == 0
+    data = path.read_bytes()
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data) // 4)
+    for loaded in (load(path), decode(data)):
+        assert (loaded.kind, loaded.dim, loaded.t, loaded.parameter) == (
+            family.kind, family.dim, family.t, family.parameter)
+        assert loaded.effects.tobytes() == family.effects.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["re-spaced", "rows re-spaced"])
+def test_other_layout_above_the_text_limit_is_refused_unparsed(tmp_path, monkeypatch, variant):
+    path = tmp_path / "m.json"
+    save(build_mum(3, "auto"), path)
+    data = path.read_bytes()
+    respaced = {"re-spaced": json.dumps(json.loads(data), indent=1).encode(),
+                "rows re-spaced": data.replace(b"]], [[", b"]],  [[")}[variant]
+    path.write_bytes(respaced)
+    limit = len(data) // 4
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", limit)
+    parsed, parse_json = [], serialize._parse_json
+    monkeypatch.setattr(serialize, "_parse_json", lambda text: parsed.append(len(text)) or parse_json(text))
+    with pytest.raises(SchemaError, match=f"{len(respaced)} bytes long, above the limit of {limit}"):
+        load(path)
+    assert all(n < limit for n in parsed)  # json.loads saw at most the head
+
+
+def test_family_above_the_family_limit_is_refused_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save(build_gsm(3, "auto"), path)
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", path.stat().st_size // 4)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", family_bytes("gsm", 3) - 1)
+    monkeypatch.setattr(serialize, "_Rows", lambda shape: pytest.fail("stack allocated"))
+    with pytest.raises(SchemaError, match="a gsm family of dimension 3 needs .* above the limit"):
+        load(path)
+
+
+def test_text_around_a_canonical_array_is_held_to_the_text_limit(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save(build_mum(3, "auto"), path, meta={"note": "x" * 1000})
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", 1200)
+    assert path.stat().st_size > 1200
+    assert load(path).dim == 3
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", 1000)
+    with pytest.raises(SchemaError, match="above the limit of 1000"):
         load(path)
 
 
