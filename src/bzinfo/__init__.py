@@ -28,7 +28,6 @@ from .invariants import (
     BzReports,
     ClosedForms,
     DirectEvaluator,
-    bz_report,
     closed_forms,
 )
 from .linalg import hermitian, purity
@@ -49,7 +48,6 @@ from .sampler import CountTable, estimate_bz_info, estimate_coincidence, sample_
 from .serialize import decode, encode, load, save
 from .states import (
     DensityMatrix,
-    density_stream,
     maximally_mixed,
     random_density,
     validate_state,
@@ -75,10 +73,8 @@ __all__ = [
     "build_gsm",
     "build_mub",
     "build_mum",
-    "bz_report",
     "closed_forms",
     "decode",
-    "density_stream",
     "encode",
     "estimate_bz_info",
     "estimate_coincidence",

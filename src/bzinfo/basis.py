@@ -30,9 +30,6 @@ class OperatorBasis:
     dim: int
     ops: np.ndarray  # (d*d - 1, d, d) complex
 
-    def __len__(self) -> int:
-        return self.ops.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MumGrid:

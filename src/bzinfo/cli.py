@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NumericalError, SchemaError, VerificationError
-from .invariants import BzReports, DirectEvaluator, bz_report
+from .invariants import BzReports, DirectEvaluator
 from .measurements import DEFAULT_TOL, Family, build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import dump, encode, load
@@ -147,7 +147,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bz(args) -> int:
     family = _load(args.measurement, "measurement")
     state = _load(args.state, "state")
-    report = bz_report(family, state)
+    report = DirectEvaluator(family).report(state)
     if args.out:
         _emit(report, args.out)
     if args.json:
@@ -165,7 +165,7 @@ def _cmd_bz(args) -> int:
 def _cmd_sample(args) -> int:
     family = _load(args.measurement, "measurement")
     state = _load(args.state, "state")
-    table = sample_outcomes(family, state, args.shots, args.seed)
+    table = sample_outcomes(DirectEvaluator(family), state, args.shots, args.seed)
     if args.estimate:
         estimate, std_error = estimate_bz_info(family, table, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))

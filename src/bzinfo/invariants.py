@@ -378,8 +378,3 @@ class DirectEvaluator:
     def report(self, rho: DensityMatrix) -> BzReport:
         """The report of one state: ``report_many`` of it, bit for bit."""
         return self.report_many(rho.matrix[None]).report(0)
-
-
-def bz_report(family: Family, rho: DensityMatrix) -> BzReport:
-    """One-shot report for a family and a state."""
-    return DirectEvaluator(family).report(rho)

@@ -26,7 +26,6 @@ unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +62,8 @@ class Family:
     reads.  ``verify`` and ``DirectEvaluator`` rely on it and read the stack
     in place.
 
-    ``verify`` computes a family's deviations once per object and keeps
-    them, so ``effects`` must not change after construction;
-    ``dataclasses.replace`` makes a new object, which computes its own.
+    ``verify`` keeps nothing on the family; a verb verifies it once, by
+    building the ``DirectEvaluator`` through which it reads its numbers.
     """
 
     kind: str
@@ -93,15 +91,6 @@ class Family:
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Split a per-effect array (effects, probabilities) into one part per POVM."""
         return np.split(values, np.cumsum(self.group_sizes)[:-1])
-
-    @cached_property
-    def _verification(self) -> tuple[dict[str, float], bool]:
-        """The deviations ``verify`` judges and the degeneracy flag, computed on first use.
-
-        No tolerance enters either.  ``verify`` hands out copies, so the
-        cached dict is never changed.
-        """
-        return _condition_deviations(self)
 
 
 @dataclass
@@ -259,7 +248,7 @@ def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
     return _build("mum", t, mum_operators(grid), 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
 
 
-def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
+def build_gsm(d: int, t="auto") -> Family:
     """Build the complete general SIC measurement of d^2 effects at sharpness t.
 
     As build_mum, with a violating alpha named; one eigensolve of the generators.
@@ -267,11 +256,7 @@ def build_gsm(d: int, t="auto", basis: OperatorBasis | None = None) -> Family:
     if d < 2:
         raise DomainError(f"general SIC measurements need dimension >= 2, got {d}")
     _check_family_size("gsm", d)
-    if basis is None:
-        basis = gell_mann_basis(d)
-    elif basis.dim != d:
-        raise DomainError(f"basis dimension {basis.dim} does not match d={d}")
-    return _build("gsm", t, gsm_operators(basis), 1.0 / d**2, lambda i: f"alpha={i + 1}")
+    return _build("gsm", t, gsm_operators(gell_mann_basis(d)), 1.0 / d**2, lambda i: f"alpha={i + 1}")
 
 
 def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
@@ -337,14 +322,10 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     formula.  The overlaps are one real Gram matrix of the family's effect
     stack, read in place, which holds because the effects are Hermitian.
 
-    No tolerance enters the deviations, so they are computed once per family
-    object and kept on it.  Each call judges a fresh copy of them at its own
-    ``tol``, which the caller may change freely.
+    Each call computes the deviations anew and judges them at its ``tol``.
     """
-    deviations, degenerate = family._verification
-    return VerificationReport(
-        kind=family.kind, tol=tol, deviations=dict(deviations), degenerate=degenerate
-    )
+    deviations, degenerate = _condition_deviations(family)
+    return VerificationReport(kind=family.kind, tol=tol, deviations=deviations, degenerate=degenerate)
 
 
 def smallest_factor(n: int) -> int:

@@ -2,7 +2,8 @@
 
 Each POVM's outcome counts are one multinomial draw of the shot budget
 over its Born probabilities, so time and memory grow with the number of
-outcomes, not of shots.  The POVMs draw their counts one after another
+outcomes, not of shots.  The probabilities come from a verified
+``DirectEvaluator``.  The POVMs draw their counts one after another
 from one ``Generator(Philox(seed))``, so sampling is deterministic.  The
 bootstrap reads ``Philox(seed).jumped()``: the same key, 2^128 outputs
 ahead, a stream that never meets the count table's.
@@ -35,14 +36,14 @@ class CountTable:
     counts: tuple[np.ndarray, ...]
 
 
-def sample_outcomes(family: Family, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
-    """Draw ``shots`` outcomes from every POVM of a verified family."""
+def sample_outcomes(evaluator: DirectEvaluator, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
+    """Draw ``shots`` outcomes from every POVM of the evaluator's verified family."""
     if not isinstance(shots, (int, np.integer)) or not 1 <= int(shots) <= MAX_SHOTS:
         raise DomainError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
     shots = int(shots)
     rng = rng_from_seed(seed)
     rows = []
-    for probs in family.split(DirectEvaluator(family).probs(rho)):
+    for probs in np.split(evaluator.probs(rho), evaluator.group_starts[1:]):
         p = np.maximum(probs, 0.0)
         counts = rng.multinomial(shots, p / p.sum())
         counts.setflags(write=False)

@@ -235,13 +235,12 @@ def _check_document_size(size: int) -> None:
         )
 
 
-def _parse_json(data: bytes | str):
-    """The document as ``json.loads`` reads it; bytes must be UTF-8."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"document is not UTF-8: {exc}") from exc
+def _parse_json(data: bytes):
+    """The document as ``json.loads`` reads the UTF-8 text ``data``."""
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"document is not UTF-8: {exc}") from exc
     try:
         with _gc_paused():
             return json.loads(data)
@@ -412,15 +411,14 @@ class _Rows(dict):
 def decode(data: bytes | str):
     """Parse a serialized entity and check its format, from bytes as ``load`` reads a file.
 
-    A document longer than ``MAX_DOCUMENT_BYTES`` (counted in characters for
-    a str) raises SchemaError before ``json.loads`` reads it, as do bytes
-    that are not UTF-8; bytes that hold a measurement in the layout
-    ``encode`` writes are parsed as ``_parse_file`` parses them, at any
-    length.  A str is read by ``json.loads``.
+    A str is read as its UTF-8 bytes.  A document longer than
+    ``MAX_DOCUMENT_BYTES`` bytes raises SchemaError before ``json.loads``
+    reads it, as do bytes that are not UTF-8 (a lone surrogate in a str);
+    a measurement in the layout ``encode`` writes is parsed as
+    ``_parse_file`` parses it, at any length.
     """
     if isinstance(data, str):
-        _check_document_size(len(data))
-        return _decode_document(_parse_json(data))
+        data = data.encode("utf-8", "surrogatepass")
     return _decode_document(_parse_file(io.BytesIO(data), len(data)))
 
 

@@ -6,18 +6,18 @@ uses the counter-based Philox generator, one stream per seed: a 64-bit seed
 fully determines the output, and distinct seeds key distinct streams
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
-``density_stream(d, rank, seed, n)`` reads the normals of n states, in
-order, from one ``Generator(Philox(seed))``: state i is made from normals
-2 d rank i, ..., 2 d rank (i + 1) - 1 of that stream.  State 0 is
-``random_density(d, rank, seed)``, the state of ``state gen --seed <seed>
---rank <rank>``.  A batch of states is one ``standard_normal`` draw, and a
-generator's draws do not depend on how they are split into calls, so the
-batch size never shows in the states.  Per batch, the complex G, one 3-D
-matmul G G^dag, the trace normalisation and the symmetrisation run once,
-each the same arithmetic, bit for bit, as for one state.
-``density_batches`` yields each batch as one read-only (k, d, d) array,
-which ``DirectEvaluator.report_many`` takes whole; ``density_stream``
-yields its states as read-only views of those arrays.
+``density_batches(d, rank, seed, n)`` is the stream of seeded states: it
+reads the normals of n states, in order, from one
+``Generator(Philox(seed))``, state i made from normals 2 d rank i, ...,
+2 d rank (i + 1) - 1 of that stream, and yields them as read-only
+(k, d, d) arrays, which ``DirectEvaluator.report_many`` takes whole.
+State 0 is ``random_density(d, rank, seed)``, the state of ``state gen
+--seed <seed> --rank <rank>``.  A batch of states is one
+``standard_normal`` draw, and a generator's draws do not depend on how
+they are split into calls, so the batch size never shows in the states.
+Per batch, the complex G, one 3-D matmul G G^dag, the trace
+normalisation and the symmetrisation run once, each the same arithmetic,
+bit for bit, as for one state.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _ginibre_batch(normals: np.ndarray) -> np.ndarray:
 
 
 def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray]:
-    """The states of ``density_stream(d, rank, seed, n)`` as read-only (k, d, d) arrays, in order.
+    """The first n Ginibre-induced states of ``Philox(seed)``, as read-only (k, d, d) arrays.
 
     The arguments are checked here, once; each batch holds at most
     ``BATCH_BYTES`` of matrices and is drawn as the iterator is consumed.
@@ -107,25 +107,14 @@ def _batches(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[np
         yield _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
 
 
-def density_stream(d: int, rank: int, seed: int, n: int) -> Iterator[DensityMatrix]:
-    """The first n Ginibre-induced random states of the stream ``Philox(seed)``, in order.
-
-    rank = 1 yields pure states; rank = d generic full-support states.
-    The arguments are checked here, once; the states are read-only views
-    of the arrays of ``density_batches``.
-    """
-    batches = density_batches(d, rank, seed, n)
-    return (DensityMatrix(dim=d, matrix=matrix) for batch in batches for matrix in batch)
-
-
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded Ginibre-induced random state of the given rank.
 
     rank = 1 yields a pure state; rank = d a generic full-support state.
     Identical seeds give identical output: the state is the first of
-    ``density_stream(d, rank, seed, n)``.
+    ``density_batches(d, rank, seed, n)``.
     """
-    return next(density_stream(d, rank, seed, 1))
+    return DensityMatrix(dim=d, matrix=next(density_batches(d, rank, seed, 1))[0])
 
 
 def validate_state(m) -> DensityMatrix:

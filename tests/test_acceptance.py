@@ -17,7 +17,6 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
-    bz_report,
     decode,
     encode,
     estimate_bz_info,
@@ -288,6 +287,7 @@ def test_criterion_8_sampler_statistics():
     results = []
     for d in (2, 3):
         mub = build_mub(d)
+        evaluator = DirectEvaluator(mub)
         for label, rho in (
             ("pure", random_density(d, 1, 4242 + d)),
             ("mixed", maximally_mixed(d)),
@@ -296,7 +296,7 @@ def test_criterion_8_sampler_statistics():
             hits = 0
             for run in range(100):
                 seed = 1_000_000 * d + 1000 * (label == "pure") + run
-                table = sample_outcomes(mub, rho, shots, seed)
+                table = sample_outcomes(evaluator, rho, shots, seed)
                 estimate, std_error = estimate_bz_info(mub, table, seed)
                 if abs(estimate - true_info) <= 3 * std_error:
                     hits += 1
@@ -310,10 +310,11 @@ def test_criterion_8_sampler_statistics():
             families.append(sic2_fixture())
         for family in families:
             rho = random_density(d, d, 31 * d)
-            c_direct = coincidence_direct(DirectEvaluator(family), rho)
+            evaluator = DirectEvaluator(family)
+            c_direct = coincidence_direct(evaluator, rho)
             estimates = np.array(
                 [
-                    estimate_coincidence(sample_outcomes(family, rho, 100, seed=2000 + i))
+                    estimate_coincidence(sample_outcomes(evaluator, rho, 100, seed=2000 + i))
                     for i in range(1000)
                 ]
             )
@@ -339,12 +340,11 @@ def test_criterion_9_serialization(tmp_path):
     entities += [sic2_fixture() for _ in range(5)]
     entities += [random_density(2 + i % 7, 1 + i % (2 + i % 7), i) for i in range(20)]
     entities += [
-        bz_report(build_mum(2 + i % 4, "auto"), random_density(2 + i % 4, 2 + i % 4, i))
+        DirectEvaluator(build_mum(2 + i % 4, "auto")).report(random_density(2 + i % 4, 2 + i % 4, i))
         for i in range(10)
     ]
-    entities += [
-        sample_outcomes(build_mub(3), random_density(3, 3, i), 50, seed=i) for i in range(5)
-    ]
+    mub3 = DirectEvaluator(build_mub(3))
+    entities += [sample_outcomes(mub3, random_density(3, 3, i), 50, seed=i) for i in range(5)]
     assert len(entities) == 100
 
     ok = True

@@ -339,6 +339,17 @@ def test_gen_huge_finite_t_exits_two(capsys):
     assert err == "error: effect (b=1, n=1) has eigenvalue -inf; t exceeds the positivity bound\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "mum", "--dim", "3", "--t", "abc"], "--t must be a number or 'auto', got 'abc'"),
+    (["sweep", "--dim", "4", "--states", "1", "--measurement", "m.json"],
+     "family dimension 3 does not match --dim 4"),
+], ids=["t not a number", "sweep dim mismatch"])
+def test_a_bad_argument_exits_two(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "mum", "--dim", "3", "--out", "m.json")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_state_zero_is_state_gen(tmp_path, capsys):
     s = tmp_path / "s.json"
     run(capsys, "state", "gen", "--dim", "3", "--seed", "5", "--out", str(s))
@@ -450,6 +461,12 @@ def count_calls_per_verb(tmp_path, capsys, monkeypatch, owner, attr):
 def test_verify_calls_per_verb(tmp_path, capsys, monkeypatch):
     counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, measurements, "verify")
     assert counts == {"gen": 0, "state": 0, "verify": 1, "bz": 1, "sample": 1, "sweep": 1}
+
+
+def test_evaluator_calls_per_verb(tmp_path, capsys, monkeypatch):
+    # the evaluator is a verb's one handle on its family: building it is the verification
+    counts = count_calls_per_verb(tmp_path, capsys, monkeypatch, DirectEvaluator, "__init__")
+    assert counts == {"gen": 0, "state": 0, "verify": 0, "bz": 1, "sample": 1, "sweep": 1}
 
 
 def test_sample_outcomes_calls_per_verb(tmp_path, capsys, monkeypatch):

@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bzinfo import (
+    DirectEvaluator,
     SchemaError,
     build_gsm,
     build_mub,
     build_mum,
-    bz_report,
     decode,
     encode,
     random_density,
@@ -352,9 +352,9 @@ def test_non_utf8_document_rejected_on_both_routes(bad):
 OTHER_SEEDS = [
     encode(random_density(2, 2, 0)),
     encode(random_density(3, 1, 5), meta={"rng": "philox", "seed": 5, "rank": 1}),
-    encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))),
-    encode(bz_report(build_gsm(3, "auto"), random_density(3, 3, 4))),
-    encode(sample_outcomes(build_mub(3), random_density(3, 3, 2), 50, seed=4)),
+    encode(DirectEvaluator(build_mum(2, "auto")).report(random_density(2, 2, 3))),
+    encode(DirectEvaluator(build_gsm(3, "auto")).report(random_density(3, 3, 4))),
+    encode(sample_outcomes(DirectEvaluator(build_mub(3)), random_density(3, 3, 2), 50, seed=4)),
 ]
 # integers and floats at the edges of int64, uint64 and float64
 WIDE_LEXEMES = [

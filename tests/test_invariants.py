@@ -13,9 +13,7 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
-    bz_report,
     closed_forms,
-    density_stream,
     sample_outcomes,
     maximally_mixed,
     purity,
@@ -287,7 +285,7 @@ def test_closed_form_equivalence(d):
 
 def test_report_zero_information_at_maximally_mixed():
     for family in (build_mum(3, "auto"), build_gsm(3, "auto"), build_mub(3)):
-        r = bz_report(family, maximally_mixed(3))
+        r = DirectEvaluator(family).report(maximally_mixed(3))
         assert abs(r.I_direct) < 1e-10
 
 
@@ -317,17 +315,17 @@ def test_unitary_invariance_at_purity_level(rng):
 
 def test_mub_report_matches_unit_kappa_mum_forms():
     d = 3
-    mset = build_mub(d)
+    evaluator = DirectEvaluator(build_mub(d))
     for seed in range(5):
         rho = random_density(d, d, seed)
-        r = bz_report(mset, rho)
+        r = evaluator.report(rho)
         assert r.kind == "mub" and r.parameter == 1.0
         assert abs(r.C_closed - (1 + r.purity)) < 1e-12
         assert r.max_abs_discrepancy < 1e-9
 
 
 def test_sic2_pure_state_information():
-    r = bz_report(sic2_fixture(), KET0)
+    r = DirectEvaluator(sic2_fixture()).report(KET0)
     assert abs(r.I_direct - 1 / 12) < 1e-10
     assert abs(r.I_closed - 1 / 12) < 1e-12
 
@@ -365,7 +363,8 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
     real_effects = effects.view(np.float64).reshape(len(effects), -1)
     real_squares = squares.view(np.float64).reshape(len(effects), -1)
     for rank in sorted({1, d}):
-        for rho in density_stream(d, rank, 300, 40):
+        for matrix in np.concatenate(list(density_batches(d, rank, 300, 40))):
+            rho = DensityMatrix(dim=d, matrix=matrix)
             # Re Tr(A rho) is the dot product of A's float64 view with conj(rho^T)'s
             rows = np.ascontiguousarray(rho.matrix.T.conj()).view(np.float64).reshape(1, -1)
             p = np.einsum("kx,nx->nk", real_effects, rows)[0]
@@ -392,7 +391,7 @@ def test_probs_forms_no_squares(monkeypatch):
         raise AssertionError("squares formed")
 
     monkeypatch.setattr(DirectEvaluator, "observables_sq", property(no_squares))
-    table = sample_outcomes(family, rho, 1000, 5)
+    table = sample_outcomes(evaluator, rho, 1000, 5)
     assert [int(c.sum()) for c in table.counts] == [1000] * (8 + 1)
 
 
@@ -440,9 +439,9 @@ def test_report_many_of_no_states_is_empty():
 
 def test_report_rejects_degenerate_family():
     with pytest.raises(VerificationError):
-        bz_report(build_mum(2, 0.0), maximally_mixed(2))
+        DirectEvaluator(build_mum(2, 0.0)).report(maximally_mixed(2))
 
 
 def test_report_dimension_mismatch():
     with pytest.raises(DomainError):
-        bz_report(build_mum(2, "auto"), maximally_mixed(3))
+        DirectEvaluator(build_mum(2, "auto")).report(maximally_mixed(3))

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 import bzinfo
-from bzinfo import build_gsm, build_mum, density_stream, save
+from bzinfo import build_gsm, build_mum, save
+from bzinfo.states import density_batches
 
 CHILD = r"""
 import ctypes, glob, hashlib, os, sys
@@ -64,7 +65,7 @@ def test_probs_c_and_purity_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     for name, family in (("gsm3", build_gsm(3, "auto")), ("mum8", build_mum(8, "auto"))):
         d = family.dim
         save(family, tmp_path / f"{name}.json")
-        states = [rho.matrix for rank in (1, d) for rho in density_stream(d, rank, 17, 40)]
+        states = [m for rank in (1, d) for batch in density_batches(d, rank, 17, 40) for m in batch]
         np.save(tmp_path / f"{name}.npy", np.stack(states))
         args += [str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.npy")]
     src = str(Path(bzinfo.__file__).resolve().parents[1])

@@ -18,7 +18,6 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
-    bz_report,
     gell_mann_basis,
     grid_partition,
     max_t_gsm,
@@ -65,7 +64,7 @@ def test_a_unitarily_rotated_family_verifies_and_reconciles(spec, seed, rank):
     report = verify(rotated, 1e-10)
     assert report.passed, report.summary()
     rho = random_density(d, min(rank, d), seed)
-    assert bz_report(rotated, rho).max_abs_discrepancy < 1e-9
+    assert DirectEvaluator(rotated).report(rho).max_abs_discrepancy < 1e-9
 
 
 @lru_cache(maxsize=None)

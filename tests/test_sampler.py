@@ -26,11 +26,11 @@ KET0 = validate_state(np.diag([1.0, 0.0]))
 
 def draw_and_estimate(family, rho, shots, seed):
     """The estimate and error from the count table ``sample_outcomes`` draws at the same seed."""
-    return estimate_bz_info(family, sample_outcomes(family, rho, shots, seed), seed)
+    return estimate_bz_info(family, sample_outcomes(DirectEvaluator(family), rho, shots, seed), seed)
 
 
 def test_deterministic_distribution_gives_deterministic_counts():
-    table = sample_outcomes(build_mub(2), KET0, 1000, seed=1)
+    table = sample_outcomes(DirectEvaluator(build_mub(2)), KET0, 1000, seed=1)
     # the first POVM is the computational basis, and |0><0| is its eigenstate
     np.testing.assert_array_equal(table.counts[0], [1000, 0])
 
@@ -38,21 +38,22 @@ def test_deterministic_distribution_gives_deterministic_counts():
 def test_same_seed_same_table():
     mset = build_mum(3, "auto")
     rho = random_density(3, 3, 4)
-    a = sample_outcomes(mset, rho, 500, seed=77)
-    b = sample_outcomes(mset, rho, 500, seed=77)
+    evaluator = DirectEvaluator(mset)
+    a = sample_outcomes(evaluator, rho, 500, seed=77)
+    b = sample_outcomes(evaluator, rho, 500, seed=77)
     for x, y in zip(a.counts, b.counts):
         np.testing.assert_array_equal(x, y)
 
 
 def test_counts_sum_to_shots():
     gset = build_gsm(3, "auto")
-    table = sample_outcomes(gset, random_density(3, 2, 5), 400, seed=2)
+    table = sample_outcomes(DirectEvaluator(gset), random_density(3, 2, 5), 400, seed=2)
     assert all(int(row.sum()) == 400 for row in table.counts)
 
 
 def test_binomial_concentration_on_mixed_qubit():
     n = 10**6
-    table = sample_outcomes(build_mub(2), maximally_mixed(2), n, seed=12)
+    table = sample_outcomes(DirectEvaluator(build_mub(2)), maximally_mixed(2), n, seed=12)
     for row in table.counts:
         for count in row:
             assert abs(int(count) - n / 2) < 5 * np.sqrt(n / 4)
@@ -60,24 +61,25 @@ def test_binomial_concentration_on_mixed_qubit():
 
 def test_sample_rejects_degenerate_family():
     with pytest.raises(VerificationError):
-        sample_outcomes(build_mum(2, 0.0), maximally_mixed(2), 10, seed=0)
+        sample_outcomes(DirectEvaluator(build_mum(2, 0.0)), maximally_mixed(2), 10, seed=0)
 
 
 def test_sample_rejects_bad_shots():
+    evaluator = DirectEvaluator(build_mub(2))
     for shots in (0, -1, 2**63, 2**64, 1.5):
         with pytest.raises(DomainError, match=rf"\[1, {2**63 - 1}\], got {shots!r}"):
-            sample_outcomes(build_mub(2), KET0, shots, seed=0)
+            sample_outcomes(evaluator, KET0, shots, seed=0)
 
 
 def test_sample_takes_shots_beyond_memory():
     n = 10**12
-    table = sample_outcomes(build_mum(3, "auto"), random_density(3, 2, 4), n, seed=6)
+    table = sample_outcomes(DirectEvaluator(build_mum(3, "auto")), random_density(3, 2, 4), n, seed=6)
     assert table.shots_per_povm == n
     assert all(int(row.sum()) == n for row in table.counts)
 
 
 def test_largest_shot_budget():
-    table = sample_outcomes(build_mub(2), KET0, 2**63 - 1, seed=0)
+    table = sample_outcomes(DirectEvaluator(build_mub(2)), KET0, 2**63 - 1, seed=0)
     assert [int(c) for c in table.counts[0]] == [2**63 - 1, 0]
 
 
@@ -92,8 +94,9 @@ def test_multinomial_counts_follow_the_inverse_cdf_law():
     family = build_mum(8, "auto")
     rho = random_density(8, 3, 40)
     n = 10**6
-    probs = family.split(DirectEvaluator(family).probs(rho))
-    table = sample_outcomes(family, rho, n, seed=41)
+    evaluator = DirectEvaluator(family)
+    probs = family.split(evaluator.probs(rho))
+    table = sample_outcomes(evaluator, rho, n, seed=41)
     statistic = 0.0
     for b, (p, counts) in enumerate(zip(probs, table.counts)):
         p = np.maximum(p, 0.0) / np.maximum(p, 0.0).sum()
@@ -139,7 +142,7 @@ def _loop_std_error(table, seed, coincidence_at_mixed, resamples):
 def test_bootstrap_matches_per_resample_loop(family, rank, seed, shots):
     d = family.dim
     rho = random_density(d, rank, seed + 1)
-    table = sample_outcomes(family, rho, shots, seed)
+    table = sample_outcomes(DirectEvaluator(family), rho, shots, seed)
     coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     expected = _loop_std_error(table, seed, coincidence_at_mixed, 200)
     assert estimate_bz_info(family, table, seed)[1] == expected
@@ -158,7 +161,7 @@ def test_bootstrap_matches_loop_on_hand_built_table():
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():
-    table = sample_outcomes(build_mub(2), KET0, 10, seed=1)
+    table = sample_outcomes(DirectEvaluator(build_mub(2)), KET0, 10, seed=1)
     with pytest.raises(DomainError, match="count table does not match"):
         estimate_bz_info(build_mub(3), table, 1)
     with pytest.raises(DomainError, match="count table does not match"):
@@ -185,10 +188,11 @@ def test_collision_estimator_needs_two_shots():
 def test_collision_estimator_unbiased():
     mset = build_mub(3)
     rho = random_density(3, 3, 21)
-    c_direct = float((DirectEvaluator(mset).probs(rho) ** 2).sum())
+    evaluator = DirectEvaluator(mset)
+    c_direct = float((evaluator.probs(rho) ** 2).sum())
     estimates = np.array(
         [
-            estimate_coincidence(sample_outcomes(mset, rho, 60, seed=1000 + i))
+            estimate_coincidence(sample_outcomes(evaluator, rho, 60, seed=1000 + i))
             for i in range(1000)
         ]
     )

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from bzinfo import (
+    DirectEvaluator,
     SchemaError,
     build_gsm,
     build_mub,
     build_mum,
-    bz_report,
     decode,
     encode,
     load,
@@ -66,12 +66,12 @@ def test_state_roundtrip_exact():
 
 
 def test_report_roundtrip_exact():
-    report = bz_report(build_mum(3, "auto"), random_density(3, 2, 1))
+    report = DirectEvaluator(build_mum(3, "auto")).report(random_density(3, 2, 1))
     assert roundtrip(report) == report
 
 
 def test_counts_roundtrip_exact():
-    table = sample_outcomes(build_mub(3), random_density(3, 3, 2), 250, seed=4)
+    table = sample_outcomes(DirectEvaluator(build_mub(3)), random_density(3, 3, 2), 250, seed=4)
     back = roundtrip(table)
     assert back.shots_per_povm == table.shots_per_povm
     for x, y in zip(back.counts, table.counts):
@@ -153,7 +153,7 @@ def test_counts_row_sum_mismatch_rejected():
 
 
 def test_tampered_report_discrepancy_rejected():
-    doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
+    doc = json.loads(encode(DirectEvaluator(build_mum(2, "auto")).report(random_density(2, 2, 3))))
     doc["max_abs_discrepancy"] = 1e-3
     with pytest.raises(SchemaError, match="discrepancy"):
         decode(json.dumps(doc))
@@ -169,7 +169,7 @@ def test_counts_row_sum_beyond_int64_rejected():
 
 @pytest.mark.parametrize("value", ["x", [1.0], {"a": 1}, None, 10**400])
 def test_report_with_non_numeric_discrepancy_rejected(value):
-    doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
+    doc = json.loads(encode(DirectEvaluator(build_mum(2, "auto")).report(random_density(2, 2, 3))))
     doc["max_abs_discrepancy"] = value
     with pytest.raises(SchemaError, match="malformed report"):
         decode(json.dumps(doc))
@@ -185,6 +185,18 @@ def test_counts_rows_of_non_integers_rejected(rows):
         decode(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[-1, 11]]}', "nonnegative integers"),
+    (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[%d, 0]]}' % 2**63,
+     "counts rows must be integers"),
+    (b"[1]", "top-level JSON value must be an object"),
+    ('"\ud800"', "not UTF-8"),
+], ids=["negative count", "count beyond int64", "array document", "lone surrogate in a str"])
+def test_decode_rejects_a_malformed_document(data, message):
+    with pytest.raises(SchemaError, match=message):
+        decode(data)
+
+
 @pytest.mark.parametrize("shots", [True, 1.0])
 def test_counts_non_integer_shots_rejected(shots):
     data = json.dumps({"v": 1, "schema": "counts", "shots": shots, "counts": [[1, 0]]})
@@ -197,7 +209,7 @@ def test_counts_non_integer_shots_rejected(shots):
     "fields", [("V_direct", "max_abs_discrepancy"), ("purity",), ("C_closed",), ("parameter",)]
 )
 def test_report_with_non_finite_field_rejected(fields, value):
-    doc = json.loads(encode(bz_report(build_mum(2, "auto"), random_density(2, 2, 3))))
+    doc = json.loads(encode(DirectEvaluator(build_mum(2, "auto")).report(random_density(2, 2, 3))))
     for name in fields:
         doc[name] = value
     with pytest.raises(SchemaError) as info:
@@ -216,7 +228,7 @@ def test_measurement_with_non_finite_t_or_parameter_rejected(field, value):
             decode(data)
 
 
-MUM_REPORT = bz_report(build_mum(2, "auto"), random_density(2, 2, 3))
+MUM_REPORT = DirectEvaluator(build_mum(2, "auto")).report(random_density(2, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -253,9 +265,9 @@ def test_report_fields_validated(report, field, value, message):
 
 def test_reports_of_every_kind_round_trip():
     for family in (build_mum(3), build_gsm(2, 0.01), build_mub(5), sic2_fixture()):
-        d = family.dim
+        d, evaluator = family.dim, DirectEvaluator(family)
         for seed in range(10):
-            report = bz_report(family, random_density(d, 1 + seed % d, seed))
+            report = evaluator.report(random_density(d, 1 + seed % d, seed))
             assert decode(encode(report)) == report
 
 
@@ -457,23 +469,27 @@ def test_encode_matches_single_json_dumps_for_every_entity():
         }
     )
 
-    report = bz_report(build_gsm(2, "auto"), random_density(2, 2, 1))
+    report = DirectEvaluator(build_gsm(2, "auto")).report(random_density(2, 2, 1))
     fields = {name: getattr(report, name) for name in serialize._REPORT_FIELDS}
     assert encode(report) == reference_encode({"schema": "report", **fields})
 
-    table = sample_outcomes(build_mub(3), random_density(3, 3, 2), 100, seed=4)
+    table = sample_outcomes(DirectEvaluator(build_mub(3)), random_density(3, 3, 2), 100, seed=4)
     counts = [row.tolist() for row in table.counts]
     assert encode(table) == reference_encode({"schema": "counts", "shots": 100, "counts": counts})
 
 
 def test_decode_rejects_document_above_size_limit(monkeypatch):
-    data = encode(random_density(2, 2, 0))
+    # a two-byte UTF-8 character: the str is one character shorter than its bytes
+    data = encode(random_density(2, 2, 0), meta={"note": "x"}).replace(b'"x"', '"\u00e9"'.encode())
+    text = data.decode("utf-8")
+    assert len(text) == len(data) - 1
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data))
     assert decode(data).dim == 2
-    assert decode(data.decode("utf-8")).dim == 2
+    assert decode(text).dim == 2
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data) - 1)
-    with pytest.raises(SchemaError, match=f"{len(data)} bytes long, above the limit of {len(data) - 1}"):
-        decode(data)
+    for document in (data, text):
+        with pytest.raises(SchemaError, match=f"{len(data)} bytes long, above the limit of {len(data) - 1}"):
+            decode(document)
 
 
 def test_load_checks_file_size_before_reading(tmp_path, monkeypatch):
@@ -562,8 +578,9 @@ def test_document_size_limit_admits_d32_families():
 @pytest.mark.parametrize("field", ["I_direct", "U_direct", "V_direct"])
 def test_report_with_a_direct_field_moved_one_ulp_rejected(kind, field):
     family, d = {"mum": (build_mum(3), 3), "gsm": (build_gsm(2), 2)}[kind]
+    evaluator = DirectEvaluator(family)
     for seed in range(20):
-        report = bz_report(family, random_density(d, 1 + seed % d, seed))
+        report = evaluator.report(random_density(d, 1 + seed % d, seed))
         doc = json.loads(encode(report))
         doc[field] = math.nextafter(doc[field], math.inf)
         with pytest.raises(SchemaError, match="inconsistent with fields"):
@@ -589,7 +606,7 @@ def test_report_with_a_huge_integer_field_is_malformed(field):
 @pytest.mark.parametrize("dim", [10**160, 10**400], ids=["1e160", "1e400"])
 def test_report_with_a_dim_too_large_for_floats_is_malformed(kind, dim):
     family = build_mum(3) if kind == "mum" else build_gsm(3)
-    doc = json.loads(encode(bz_report(family, random_density(3, 3, 0))))
+    doc = json.loads(encode(DirectEvaluator(family).report(random_density(3, 3, 0))))
     doc["dim"] = dim
     with pytest.raises(SchemaError, match="malformed report document"):
         decode(json.dumps(doc))

@@ -3,7 +3,6 @@ import pytest
 
 from bzinfo import (
     DomainError,
-    density_stream,
     linalg,
     maximally_mixed,
     purity,
@@ -113,23 +112,24 @@ def test_density_stream_equals_one_philox_draw(monkeypatch, d):
         monkeypatch.setattr(states, "BATCH_BYTES", nbytes)
         for rank in sorted({1, d}):
             for seed in (0, 2**32, 2**64 - 1):
-                stream = list(density_stream(d, rank, seed, n))
+                batches = list(states.density_batches(d, rank, seed, n))
+                stream = [matrix for batch in batches for matrix in batch]
                 expected = list(reference_stream(d, rank, seed, n))
                 assert len(stream) == n
-                for i, (state, matrix) in enumerate(zip(stream, expected)):
-                    assert state.matrix.tobytes() == matrix.tobytes(), (nbytes, rank, seed, i)
-                    assert not state.matrix.flags.writeable
-                assert stream[0].matrix.tobytes() == random_density(d, rank, seed).matrix.tobytes()
+                assert not any(batch.flags.writeable for batch in batches)
+                for i, (got, matrix) in enumerate(zip(stream, expected)):
+                    assert got.tobytes() == matrix.tobytes(), (nbytes, rank, seed, i)
+                assert stream[0].tobytes() == random_density(d, rank, seed).matrix.tobytes()
 
 
 def test_density_stream_at_the_largest_seed():
-    assert len(list(density_stream(3, 3, 2**64 - 1, 12))) == 12
+    assert sum(map(len, states.density_batches(3, 3, 2**64 - 1, 12))) == 12
     with pytest.raises(DomainError, match=f"seed must be an integer in \\[0, {2**64 - 1}\\]"):
-        density_stream(3, 3, 2**64, 1)
+        states.density_batches(3, 3, 2**64, 1)
 
 
 def test_density_stream_checks_arguments_before_drawing():
     for d, rank, seed, n in ((0, 1, 0, 1), (3, 4, 0, 1), (3, 0, 0, 1), (2, 1, -1, 1), (2, 1, 0, -5)):
         with pytest.raises(DomainError):
-            density_stream(d, rank, seed, n)
-    assert list(density_stream(2, 1, 5, 0)) == []
+            states.density_batches(d, rank, seed, n)
+    assert list(states.density_batches(2, 1, 5, 0)) == []
