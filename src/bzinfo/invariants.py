@@ -38,7 +38,6 @@ those for larger batches (measured at d = 2, 3 and 8).
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,6 +49,8 @@ from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 from .states import DensityMatrix
 
 PROB_TOL = 1e-10
+# bytes of one block of the effects' squares that report_many forms
+SQUARES_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -253,11 +254,13 @@ class DirectEvaluator:
     Verifies the family at ``DEFAULT_TOL`` and raises VerificationError on
     a failure: the one verification of a family, loaded or built, in
     ``bz``, ``sample`` and ``sweep``.  ``observables`` is the family's
-    effect stack itself, read in place, and ``observables_sq`` the one
-    stack the evaluator derives, the effects' squares, formed on their
-    first use by ``report_many``.  ``probs`` gives the checked outcome
-    probabilities of one state and ``report_many`` the reconciled
-    quantities of a batch; both take the Born traces from ``_traces``.
+    effect stack itself, read in place, and the evaluator keeps no stack of
+    its own: on each call ``report_many`` forms the effects' squares a block
+    of ``SQUARES_BLOCK_BYTES`` at a time (``_square_blocks``), each block
+    read before the next overwrites it.  ``probs`` gives the
+    checked outcome probabilities of one state and ``report_many`` the
+    reconciled quantities of a batch; both take the Born traces from
+    ``_traces``.
     """
 
     def __init__(self, family: Family):
@@ -273,9 +276,20 @@ class DirectEvaluator:
         self.observables = family.effects
         self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
 
-    @functools.cached_property
-    def observables_sq(self) -> np.ndarray:
-        return self.observables @ self.observables
+    def _square_blocks(self):
+        """The effects' squares P @ P, as (start, block) for blocks of effects, in order.
+
+        A block holds at most ``SQUARES_BLOCK_BYTES`` (one effect at least),
+        and is overwritten by the next: the blocks share one buffer, which
+        spares the allocator a fresh block each time.  Each square is the
+        ``@`` of its effect, the same bits in any block.
+        """
+        effects = self.observables
+        step = max(1, SQUARES_BLOCK_BYTES // effects[0].nbytes)
+        buffer = np.empty_like(effects[:step])
+        for a in range(0, len(effects), step):
+            block = effects[a:a + step]
+            yield a, np.matmul(block, block, out=buffer[:len(block)])
 
     def _traces(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A (n, d, d) stack of states, its ``trace_rows`` and the Born traces.
@@ -342,7 +356,9 @@ class DirectEvaluator:
         p, failure = self._checked_probs(traces)
         squares = p * p  # the bits of p**2
         c_direct = np.add.reduce(squares, axis=1)
-        terms = np.einsum("kx,nx->nk", _real_view(self.observables_sq), rows[0])
+        terms = np.empty_like(p)
+        for a, block in self._square_blocks():
+            np.einsum("kx,nx->nk", _real_view(block), rows[0], out=terms[:, a:a + len(block)])
         terms -= squares
         smallest = np.minimum.reduce(terms, axis=1)
         # a row whose smallest term is negative or nan is clamped at 0 term by

@@ -36,6 +36,9 @@ from .linalg import COMPLEX_BYTES, check_dense_bytes
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
 DEFAULT_TOL = 1e-10
+# bytes of one block of rows of the Gram matrix that verification forms; a
+# family of up to about 360 effects (mum d <= 18, gsm d <= 19) is one block
+GRAM_BLOCK_BYTES = 2**20
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -259,47 +262,70 @@ def build_gsm(d: int, t="auto") -> Family:
     return _build("gsm", t, gsm_operators(gell_mann_basis(d)), 1.0 / d**2, lambda i: f"alpha={i + 1}")
 
 
-def _pairwise_overlaps(effects: np.ndarray) -> np.ndarray:
-    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects.
+def _pairwise_overlaps(effects: np.ndarray):
+    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects, a block of rows at a time.
 
-    For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag), the dot product of
-    the two effects' entries as float64 pairs; so the whole matrix is one
-    real symmetric product of the stack's float64 view with itself.
+    Yields (a, block) with block[i, j] = Tr(P_{a+i} P_{a+j}) for the block's
+    rows a, a+1, ... and every column from a on, so that each pair i <= j
+    lies in one block.  For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag),
+    the dot product of the two effects' entries as float64 pairs; so a block
+    is one real product of the stack's float64 view with itself, from the
+    block's diagonal on, and the blocks take about the flops of one
+    symmetric product.  A block holds at most ``GRAM_BLOCK_BYTES`` (one row at least);
+    a stack of one block is the one symmetric product ``r @ r.T``.
     """
-    r = effects.reshape(len(effects), -1).view(np.float64)
-    return r @ r.T
+    n = len(effects)
+    r = effects.reshape(n, -1).view(np.float64)
+    step = max(1, GRAM_BLOCK_BYTES // (r.itemsize * n))
+    for a in range(0, n, step):
+        yield a, r[a:a + step] @ r[a:].T
 
 
 def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
-    """Each condition ``verify`` checks, as its maximum absolute deviation, and the degeneracy flag."""
+    """Each condition ``verify`` checks, as its maximum absolute deviation, and the degeneracy flag.
+
+    The overlaps' largest and smallest values on the diagonal, within one
+    POVM off it and across two POVMs are folded block by block, so no
+    whole Gram matrix and no whole mask is held.
+    """
     d, param, effects = family.dim, family.parameter, family.effects
-    overlaps = _pairwise_overlaps(effects)
     group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
-    same = group[:, None] == group[None, :]
-    diag = np.eye(effects.shape[0], dtype=bool)
+    # running extrema of the classes: the diagonal, same POVM off it, two POVMs
+    highs, lows = np.full(3, -np.inf), np.full(3, np.inf)
+
+    def fold(c, values, where=True) -> None:
+        highs[c] = np.maximum(highs[c], values.max(where=where, initial=-np.inf))
+        lows[c] = np.minimum(lows[c], values.min(where=where, initial=np.inf))
+
+    for a, block in _pairwise_overlaps(effects):
+        fold(0, block.diagonal())  # a block's diagonal is the Gram's
+        pairs = np.equal.outer(group[a:a + len(block)], group[a:])  # one mask, reused
+        np.fill_diagonal(pairs, False)
+        fold(1, block, pairs)
+        np.logical_not(pairs, out=pairs)
+        np.fill_diagonal(pairs, False)
+        fold(2, block, pairs)
 
     def worst(values, target) -> float:
         return float(np.abs(values - target).max())
 
-    def worst_overlap(where, target) -> float:
-        # worst(overlaps[where], target) without copying the selection: rounding is
-        # monotone, so the largest |x - target| is at the largest or the smallest x
-        largest = overlaps.max(where=where, initial=-np.inf)
-        smallest = overlaps.min(where=where, initial=np.inf)
+    def worst_overlap(classes, target) -> float:
+        # rounding is monotone, so the largest |x - target| is at the largest or the smallest x
+        largest, smallest = highs[classes].max(), lows[classes].min()
         return float(max(largest - target, target - smallest))
 
     if family.kind in MUM_KINDS:
         deviations = {
             "effect_trace": worst(np.trace(effects, axis1=1, axis2=2), 1.0),
-            "cross_overlap": worst_overlap(~same, 1.0 / d),
-            "within_overlap_diag": worst_overlap(diag, param),
-            "within_overlap_offdiag": worst_overlap(same & ~diag, (1.0 - param) / (d - 1)),
+            "cross_overlap": worst_overlap([2], 1.0 / d),
+            "within_overlap_diag": worst_overlap([0], param),
+            "within_overlap_offdiag": worst_overlap([1], (1.0 - param) / (d - 1)),
         }
         expected, floor = mum_kappa(d, family.t), 1.0 / d
     else:
         deviations = {
-            "self_overlap": worst_overlap(diag, param),
-            "pair_overlap": worst_overlap(~diag, (1.0 - param * d) / (d * (d * d - 1))),
+            "self_overlap": worst_overlap([0], param),
+            "pair_overlap": worst_overlap([1, 2], (1.0 - param * d) / (d * (d * d - 1))),
         }
         expected, floor = gsm_a(d, family.t), 1.0 / d**3
     eye = np.eye(d, dtype=np.complex128)
@@ -319,8 +345,13 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
     Both: positivity, per-measurement completeness (equivalently the
     generators of each measurement summing to zero) and the parameter(t)
-    formula.  The overlaps are one real Gram matrix of the family's effect
+    formula.  The overlaps are a real Gram matrix of the family's effect
     stack, read in place, which holds because the effects are Hermitian.
+    It is formed one block of rows at a time (``_pairwise_overlaps``) and
+    folded into running extrema, so the working set beside the stack is one
+    block of ``GRAM_BLOCK_BYTES`` and its mask.  A family of more than one
+    block (more than about 360 effects) may differ from the whole product in
+    the last digits of its overlap deviations.
 
     Each call computes the deviations anew and judges them at its ``tol``.
     """

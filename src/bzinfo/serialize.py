@@ -95,7 +95,8 @@ def _matrix_pieces(m: np.ndarray) -> list[bytes]:
     m.imag], -1).tolist(), allow_nan=False)``, non-finite entries raising its
     ValueError.  Each distinct row of pairs, keyed a block at a time by the
     bytes of the entries' float64 view (so -0.0 keeps its own key), is
-    written once from words of each distinct float formatted once.
+    written once from words of each distinct float formatted once, a block
+    of distinct rows at a time finding its words by ``searchsorted``.
     """
     entries = np.ascontiguousarray(m, dtype=np.complex128)
     if entries.size == 0:
@@ -107,15 +108,21 @@ def _matrix_pieces(m: np.ndarray) -> list[bytes]:
     for start in range(0, len(rows), step):
         raw = rows[start:start + step].tobytes()
         row_of += [index.setdefault(raw[i:i + width], len(index)) for i in range(0, len(raw), width)]
-    # bit patterns, not values, so that -0.0 keeps its own word
-    bits, word_of = np.unique(np.frombuffer(b"".join(index), np.uint64), return_inverse=True)
+    distinct = list(index)
+    # the sorted distinct bit patterns, not values, so that -0.0 keeps its own
+    # word; np.unique would import numpy.ma on its first call (12 ms, 1.2 MiB)
+    bits = np.sort(np.frombuffer(b"".join(distinct), np.uint64))
+    bits = bits[np.insert(bits[1:] != bits[:-1], 0, True)]
     values = bits.view(np.float64)
     if not np.isfinite(values).all():  # json's ValueError, for the first non-finite entry
         json.dumps(float(next(x for x in rows.flat if not math.isfinite(x))), allow_nan=False)
-    words = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    words = list(map(float.__repr__, values.tolist()))
     row_format = _skeleton((m.shape[-1], 2), "%s")
-    row_words = words[word_of].reshape(len(index), -1).tolist()
-    texts = [(row_format % tuple(row)).encode("ascii") for row in row_words]
+    texts = []
+    for start in range(0, len(distinct), step):
+        block = np.frombuffer(b"".join(distinct[start:start + step]), np.uint64)
+        at = np.searchsorted(bits, block).reshape(-1, rows.shape[1]).tolist()
+        texts += [(row_format % tuple(map(words.__getitem__, row))).encode("ascii") for row in at]
     separators = _skeleton(m.shape[:-1], "%s").encode("ascii").split(b"%s")
     pieces = [b""] * (2 * len(separators) - 1)
     pieces[::2] = separators

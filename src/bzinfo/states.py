@@ -37,6 +37,9 @@ EIG_FLOOR = -1e-10
 # matrices (and as many of normals); a 256 KiB batch raised a sweep's peak
 # RSS by about 0.6 MiB, a 16 KiB one did not
 BATCH_BYTES = 16 * 1024
+# but of at least this many states per dimension: report_many forms the
+# effects' squares once per call, about the flops of d states' traces
+MIN_BATCH_PER_DIM = 4
 
 
 def check_seed(seed: int) -> None:
@@ -89,7 +92,8 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
     """The first n Ginibre-induced states of ``Philox(seed)``, as read-only (k, d, d) arrays.
 
     The arguments are checked here, once; each batch holds at most
-    ``BATCH_BYTES`` of matrices and is drawn as the iterator is consumed.
+    ``BATCH_BYTES`` of matrices or ``MIN_BATCH_PER_DIM * d`` states, whichever
+    is more, and is drawn as the iterator is consumed.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -102,7 +106,7 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
 
 
 def _batches(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    batch = max(1, BATCH_BYTES // (COMPLEX_BYTES * d * d))
+    batch = max(1, MIN_BATCH_PER_DIM * d, BATCH_BYTES // (COMPLEX_BYTES * d * d))
     for start in range(0, n, batch):
         yield _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,13 @@ def expectation(x, rho):
     tr = np.einsum("ij,ji->", r, a)
     assert abs(tr.imag) < 1e-10, tr
     return float(tr.real)
+
+
+def traced_peak(thunk):
+    """The peak of traced memory while ``thunk`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = thunk()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

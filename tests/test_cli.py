@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from bzinfo import (
 )
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
 from bzinfo.invariants import DirectEvaluator
+from conftest import traced_peak
 
 
 def run(capsys, *argv):
@@ -219,12 +219,8 @@ def test_sweep_traced_peak_does_not_grow_with_states(tmp_path, capsys):
     main(["sweep", "--dim", "2", "--states", "10", "--out", out])  # imports and caches
     peaks = {}
     for n in (2000, 8000):
-        tracemalloc.start()
-        try:
-            assert main(["sweep", "--dim", "2", "--states", str(n), "--out", out]) == 0
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[n], code = traced_peak(lambda: main(["sweep", "--dim", "2", "--states", str(n), "--out", out]))
+        assert code == 0
     assert len(open(out).read().splitlines()) == 8001
     # the parent, which joined every row before writing, grew by about 3.8 MiB
     assert abs(peaks[8000] - peaks[2000]) < 64 * 1024, peaks
@@ -514,12 +510,7 @@ def test_sample_shots_out_of_range_exits_two(tmp_path, capsys, estimate, shots):
     ],
 )
 def test_oversized_dimension_exits_two_without_allocating(capsys, argv):
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, *argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (code, out, err) = traced_peak(lambda: run(capsys, *argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "GiB" in err

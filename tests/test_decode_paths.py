@@ -10,7 +10,6 @@ fuzzed the same way, decode or raise SchemaError and nothing else.
 import io
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from bzinfo import (
 )
 from bzinfo import serialize
 from bzinfo.measurements import Family
+from conftest import traced_peak
 
 SEEDS = [
     encode(build_mum(2, "auto")),
@@ -320,21 +320,10 @@ def test_encoder_output_takes_the_fast_route(kind, d):
         np.testing.assert_array_equal(decode(data).effects, family.effects)
 
 
-def traced_peak(thunk) -> int:
-    tracemalloc.start()
-    try:
-        thunk()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_fast_route_peak_memory_below_json_loads_route():
     data = encode(build_gsm(12, "auto"))
-    fast = traced_peak(
-        lambda: serialize._decode_document(parse_canonical(data))
-    )
-    fallback = traced_peak(lambda: serialize._decode_document(serialize._parse_json(data)))
+    fast, _ = traced_peak(lambda: serialize._decode_document(parse_canonical(data)))
+    fallback, _ = traced_peak(lambda: serialize._decode_document(serialize._parse_json(data)))
     assert fast < fallback
 
 

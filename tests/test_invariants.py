@@ -22,7 +22,7 @@ from bzinfo import (
     validate_state,
 )
 
-from bzinfo import states
+from bzinfo import invariants, states
 from bzinfo.states import density_batches
 from conftest import expectation, random_unitary
 
@@ -129,18 +129,28 @@ def test_probs_check_names_the_first_povm_sum_that_is_off():
         assert str(info.value) == f"POVM probabilities sum to {totals[1]!r}, not 1"
 
 
-def test_report_variance_floor_and_clamp_count():
+def square_stack(evaluator):
+    """The effects' squares as ``report_many`` forms them, its blocks joined."""
+    # each block is copied before the next overwrites it
+    return np.concatenate([block.copy() for _, block in evaluator._square_blocks()])
+
+
+def test_report_variance_floor_and_clamp_count(monkeypatch):
     evaluator = DirectEvaluator(build_mub(2))
-    second_moments = evaluator.observables_sq.copy()
+    second_moments = square_stack(evaluator)
+
+    def use_squares(squares):
+        monkeypatch.setattr(evaluator, "_square_blocks", lambda: iter([(0, squares)]))
+
     # Z projectors on |0>: p (1 - p) = 0, so m2 - p^2 is the shift itself; the
-    # squares are written in place, in the stack report contracts
-    evaluator.observables_sq[:] = second_moments - 1e-12 * np.eye(2)
+    # squares are shifted at the seam report contracts them from
+    use_squares(second_moments - 1e-12 * np.eye(2))
     assert evaluator.report(KET0).negatives_clamped == 2
-    evaluator.observables_sq[:] = second_moments
+    use_squares(second_moments)
     assert evaluator.report(KET0).negatives_clamped == 0
-    evaluator.observables_sq[:] = second_moments - 1e-9 * np.eye(2)
+    use_squares(second_moments - 1e-9 * np.eye(2))
     p = born(evaluator.observables, KET0.matrix)
-    terms = born(evaluator.observables_sq, KET0.matrix) - p * p
+    terms = born(square_stack(evaluator), KET0.matrix) - p * p
     with pytest.raises(NumericalError) as info:
         evaluator.report(KET0)
     assert str(info.value) == f"effect variance {terms.min().item()!r} below -1e-10"
@@ -354,12 +364,12 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
     evaluator = DirectEvaluator(family)
     effects = family.effects
     squares = effects @ effects
-    # a family's effects are read in place; the squares are the one stack derived
+    # a family's effects are read in place; the squares are derived a block at a time
     assert evaluator.observables is family.effects
     assert not hasattr(evaluator, "moments")
-    assert not np.shares_memory(evaluator.observables_sq, evaluator.observables)
+    assert not np.shares_memory(square_stack(evaluator), evaluator.observables)
     assert evaluator.observables.tobytes() == effects.tobytes()
-    assert evaluator.observables_sq.tobytes() == squares.tobytes()
+    assert square_stack(evaluator).tobytes() == squares.tobytes()
     real_effects = effects.view(np.float64).reshape(len(effects), -1)
     real_squares = squares.view(np.float64).reshape(len(effects), -1)
     for rank in sorted({1, d}):
@@ -382,15 +392,28 @@ def test_probs_forms_no_squares(monkeypatch):
     family = build_mum(8, "auto")
     rho = random_density(8, 8, 3)
     evaluator = DirectEvaluator(family)
-    evaluator.probs(rho)
-    assert "observables_sq" not in vars(evaluator)
-    evaluator.report(rho)
-    assert vars(evaluator)["observables_sq"].tobytes() == (family.effects @ family.effects).tobytes()
+    formed = []
+    square_blocks = evaluator._square_blocks
 
-    def no_squares(self):
+    def recorded():
+        for start, block in square_blocks():
+            formed.append(block.copy())
+            yield start, block
+
+    monkeypatch.setattr(evaluator, "_square_blocks", recorded)
+    evaluator.probs(rho)
+    assert formed == []
+    evaluator.report(rho)
+    assert np.concatenate(formed).tobytes() == (family.effects @ family.effects).tobytes()
+    # and the evaluator keeps no stack but the family's
+    arrays = [v for v in vars(evaluator).values() if isinstance(v, np.ndarray)]
+    stacks = [v for v in arrays if v.size > len(family.effects)]
+    assert len(stacks) == 1 and stacks[0] is family.effects
+
+    def no_squares():
         raise AssertionError("squares formed")
 
-    monkeypatch.setattr(DirectEvaluator, "observables_sq", property(no_squares))
+    monkeypatch.setattr(evaluator, "_square_blocks", no_squares)
     table = sample_outcomes(evaluator, rho, 1000, 5)
     assert [int(c.sum()) for c in table.counts] == [1000] * (8 + 1)
 
@@ -417,9 +440,11 @@ def test_report_many_rows_are_report_bit_for_bit(monkeypatch, kind, d, make):
     for per_batch in (1, 3, None):  # one state, three states, the default batch
         if per_batch is not None:
             monkeypatch.setattr(states, "BATCH_BYTES", per_batch * 16 * d * d)
+            monkeypatch.setattr(states, "MIN_BATCH_PER_DIM", 0)
         for rank in sorted({1, d}):
             rows = []
             for batch in density_batches(d, rank, 11, n):
+                assert per_batch is None or len(batch) <= per_batch
                 reports = evaluator.report_many(batch)
                 assert isinstance(reports, BzReports) and len(reports) == len(batch)
                 for i, matrix in enumerate(batch):
@@ -430,6 +455,24 @@ def test_report_many_rows_are_report_bit_for_bit(monkeypatch, kind, d, make):
             assert columns.setdefault(rank, rows) == rows
         monkeypatch.undo()
     assert len(columns[1]) == n
+
+
+@pytest.mark.parametrize("kind, d, make", REPORT_FAMILIES,
+                         ids=[f"{kind}{d}" for kind, d, _ in REPORT_FAMILIES])
+def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, d, make):
+    family = make(d)
+    evaluator = DirectEvaluator(family)
+    batch = np.concatenate([*density_batches(d, 1, 12, 5), *density_batches(d, d, 13, 5)])
+    columns = []
+    for per_block in (1, 3, None):  # one effect, three effects, the default block
+        with monkeypatch.context() as patched:
+            if per_block is not None:
+                patched.setattr(invariants, "SQUARES_BLOCK_BYTES", per_block * 16 * d * d)
+            reports = evaluator.report_many(batch)
+            squares = square_stack(evaluator)
+        assert squares.tobytes() == (family.effects @ family.effects).tobytes()
+        columns.append([fields(reports.report(i)) for i in range(len(batch))])
+    assert columns[0] == columns[1] == columns[2]
 
 
 def test_report_many_of_no_states_is_empty():

@@ -293,21 +293,107 @@ def per_pair_overlaps(effects):
     return np.array([[np.trace(effects[i] @ effects[j]).real for j in range(n)] for i in range(n)])
 
 
+# rows of a Gram block: one, seven (a block edge inside a POVM of 3, 4 or 5
+# effects), and the default, under which each family here is one block
+GRAM_ROWS = [1, 7, None]
+
+
+def patch_gram_rows(monkeypatch, rows, n):
+    """Make the Gram block of a stack of n effects ``rows`` rows; None keeps the default."""
+    if rows is not None:
+        monkeypatch.setattr(measurements, "GRAM_BLOCK_BYTES", rows * 8 * n)
+
+
+def blocked_overlaps(monkeypatch, effects, rows):
+    """The Gram matrix from the blocks ``_pairwise_overlaps`` yields, NaN where no block reaches."""
+    n = len(effects)
+    gram = np.full((n, n), np.nan)
+    with monkeypatch.context() as patched:
+        patch_gram_rows(patched, rows, n)
+        for a, block in _pairwise_overlaps(effects):
+            assert block.shape == (min(rows or n, n - a), n - a)
+            gram[a:a + len(block), a:] = block
+    return gram
+
+
+def assert_blocks_match_per_pair_traces(monkeypatch, effects):
+    oracle = per_pair_overlaps(effects)
+    upper = np.triu_indices(len(effects))  # each pair i <= j, which the blocks cover
+    for rows in GRAM_ROWS:
+        gram = blocked_overlaps(monkeypatch, effects, rows)
+        assert np.abs(gram[upper] - oracle[upper]).max() < 1e-14, rows
+
+
 @pytest.mark.parametrize(
     "family",
     [build_mum(3), build_mum(4), build_gsm(3), build_gsm(5), build_mub(5), sic2_fixture()],
     ids=["mum3", "mum4", "gsm3", "gsm5", "mub5", "sic2"],
 )
-def test_pairwise_overlaps_match_per_pair_traces(family):
-    oracle = per_pair_overlaps(family.effects)
-    assert np.abs(_pairwise_overlaps(family.effects) - oracle).max() < 1e-14
+def test_pairwise_overlaps_match_per_pair_traces(monkeypatch, family):
+    assert_blocks_match_per_pair_traces(monkeypatch, family.effects)
 
 
-def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces():
+def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces(monkeypatch):
     rng = np.random.default_rng(3)
     stack = np.stack([random_hermitian(4, rng) for _ in range(7)])
-    oracle = per_pair_overlaps(stack)
-    assert np.abs(_pairwise_overlaps(stack) - oracle).max() < 1e-14
+    assert_blocks_match_per_pair_traces(monkeypatch, stack)
+
+
+def oracle_overlap_deviations(family):
+    """The overlap deviations ``verify`` reports, from per-pair traces and whole masks."""
+    gram = per_pair_overlaps(family.effects)
+    group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
+    same = group[:, None] == group
+    diag = np.eye(len(group), dtype=bool)
+    d, param = family.dim, family.parameter
+
+    def worst(where, target):
+        return np.abs(gram[where] - target).max()
+
+    if family.kind in ("mum", "mub"):
+        return {
+            "cross_overlap": worst(~same, 1.0 / d),
+            "within_overlap_diag": worst(diag, param),
+            "within_overlap_offdiag": worst(same & ~diag, (1.0 - param) / (d - 1)),
+        }
+    return {
+        "self_overlap": worst(diag, param),
+        "pair_overlap": worst(~diag, (1.0 - param * d) / (d * (d * d - 1))),
+    }
+
+
+def perturbed(family, index, scale):
+    """The family with one effect moved by a seeded Hermitian perturbation of this scale."""
+    effects = family.effects.copy()
+    effects[index] += scale * random_hermitian(family.dim, np.random.default_rng(index))
+    return dataclasses.replace(family, effects=effects)
+
+
+@pytest.mark.parametrize(
+    "family, passed, degenerate",
+    [
+        (build_mum(3), True, False),
+        (build_mum(4), True, False),
+        (build_gsm(3), True, False),
+        (build_gsm(5), True, False),
+        (build_mub(5), True, False),
+        (sic2_fixture(), True, False),
+        (build_mum(3, 0.0), False, True),
+        (build_gsm(4, 0.0), False, True),
+        (perturbed(build_mum(4), 7, 1e-7), False, False),
+        (perturbed(build_gsm(3), 6, 1e-7), False, False),
+    ],
+    ids=["mum3", "mum4", "gsm3", "gsm5", "mub5", "sic2", "mum3-t0", "gsm4-t0", "mum4-off", "gsm3-off"],
+)
+def test_blocked_deviations_match_the_per_pair_oracle(monkeypatch, family, passed, degenerate):
+    expected = oracle_overlap_deviations(family)
+    for rows in GRAM_ROWS:
+        with monkeypatch.context() as patched:
+            patch_gram_rows(patched, rows, len(family.effects))
+            report = verify(family)
+        for name, value in expected.items():
+            assert abs(report.deviations[name] - value) < 1e-14, (rows, name)
+        assert (report.passed, report.degenerate) == (passed, degenerate), rows
 
 
 def test_family_rejects_unknown_kind_and_wrong_effect_count():

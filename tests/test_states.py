@@ -110,9 +110,11 @@ def test_density_stream_equals_one_philox_draw(monkeypatch, d):
     # batches of 1, 4 and 5 states
     for nbytes in (1, 4 * matrix_bytes + matrix_bytes // 2, 5 * matrix_bytes):
         monkeypatch.setattr(states, "BATCH_BYTES", nbytes)
+        monkeypatch.setattr(states, "MIN_BATCH_PER_DIM", 0)
         for rank in sorted({1, d}):
             for seed in (0, 2**32, 2**64 - 1):
                 batches = list(states.density_batches(d, rank, seed, n))
+                assert len(batches[0]) == max(1, nbytes // matrix_bytes)
                 stream = [matrix for batch in batches for matrix in batch]
                 expected = list(reference_stream(d, rank, seed, n))
                 assert len(stream) == n
@@ -120,6 +122,13 @@ def test_density_stream_equals_one_philox_draw(monkeypatch, d):
                 for i, (got, matrix) in enumerate(zip(stream, expected)):
                     assert got.tobytes() == matrix.tobytes(), (nbytes, rank, seed, i)
                 assert stream[0].tobytes() == random_density(d, rank, seed).matrix.tobytes()
+
+
+@pytest.mark.parametrize("d, batch", [(2, 256), (8, 32), (16, 64)])
+def test_density_batches_hold_at_least_four_states_per_dimension(d, batch):
+    # BATCH_BYTES of matrices up to d=6, MIN_BATCH_PER_DIM * d states from d=7 on
+    sizes = [len(b) for b in states.density_batches(d, 1, 0, 2 * batch + 1)]
+    assert sizes == [batch, batch, 1]
 
 
 def test_density_stream_at_the_largest_seed():

@@ -15,7 +15,6 @@ import re
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +30,12 @@ from bzinfo import (
     random_density,
     save,
     sic2_fixture,
+    verify,
 )
 from bzinfo import serialize
 from bzinfo.cli import main
 from bzinfo.invariants import DirectEvaluator
+from conftest import traced_peak
 
 SEPARATOR = b"]], [["
 BUILDERS = {
@@ -282,16 +283,6 @@ def test_loaded_effects_are_the_json_loads_route_bits(tmp_path, monkeypatch, kin
         assert results[0] is not None
 
 
-def traced_peak(thunk):
-    """The peak of traced memory while ``thunk`` runs, and its result."""
-    tracemalloc.start()
-    try:
-        result = thunk()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 # traced peaks over the bytes of the effects, at d=16: the build holds its
 # basis (or grid) and its generators, which become the effects; save holds the
 # distinct rows' texts and a block; load holds the stack and the parse's
@@ -321,14 +312,37 @@ def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_evaluator_holds_one_stack_beside_the_family(kind):
-    """The evaluator reads the effects in place and forms their squares only on
-    first use; verifying the fresh family inside it holds a Gram matrix, freed
-    before.  The construction peak measured 0.80 (mum) and 0.69 (gsm) of a
-    stack, under the one stack the squares would add."""
+    """The evaluator reads the effects in place and keeps no stack of its own;
+    verifying the fresh family inside it holds one block of the Gram matrix
+    (at d=16 the whole of it) and one mask of the block, freed before.  The
+    construction peak measured 0.72 (mum) and 0.69 (gsm) of a stack."""
     family = BUILDERS[kind](16)
     peak, evaluator = traced_peak(lambda: DirectEvaluator(family))
     assert np.shares_memory(evaluator.observables, family.effects)
     assert peak < 0.9 * family.effects.nbytes, peak / family.effects.nbytes
+
+
+# traced peaks over the bytes of the effects at d=24, where the whole Gram
+# matrix is more than half a stack: verification holds one block of the Gram
+# matrix and its mask, a report one block of squares, and the encoder the
+# distinct rows and their texts; measured 0.33-0.34, 0.06 and 0.65-0.72
+LARGE_PEAK_FACTORS = {"verify": 0.5, "report": 0.25, "encode": 1.0}
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
+    family = BUILDERS[kind](24)
+    stack = family.effects.nbytes
+    peaks = {}
+    peaks["verify"], report = traced_peak(lambda: verify(family))
+    assert report.passed
+    evaluator = DirectEvaluator(family)
+    rho = random_density(24, 24, 5)
+    peaks["report"], _ = traced_peak(lambda: evaluator.report(rho))
+    peaks["encode"], pieces = traced_peak(lambda: serialize._matrix_pieces(family.effects))
+    assert len(pieces) == 2 * len(family.effects) * 24 + 1
+    for step, factor in LARGE_PEAK_FACTORS.items():
+        assert peaks[step] < factor * stack, (step, peaks[step] / stack)
 
 
 def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
