@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # (perfbench/tracing.py) wraps its functions and looks the module up among
 # the loaded bzinfo modules
 from . import _kernels  # noqa: F401
-from .basis import MumGrid, OperatorBasis, gell_mann_basis, grid_partition
+from .basis import gell_mann_basis
 from .errors import (
     BzinfoError,
     DomainError,
@@ -63,9 +63,7 @@ __all__ = [
     "DirectEvaluator",
     "DomainError",
     "Family",
-    "MumGrid",
     "NumericalError",
-    "OperatorBasis",
     "PositivityError",
     "SchemaError",
     "VerificationError",
@@ -79,7 +77,6 @@ __all__ = [
     "estimate_bz_info",
     "estimate_coincidence",
     "gell_mann_basis",
-    "grid_partition",
     "gsm_a",
     "hermitian",
     "load",

@@ -1,13 +1,14 @@
 """Construction and verification of complete complementary measurement families.
 
-Two explicit constructions are provided, both driven by an orthonormal
-traceless Hermitian operator basis and a sharpness parameter t bounded by
-positivity of the effects:
+Two explicit constructions are provided, both driven by the generalized
+Gell-Mann basis of orthonormal traceless Hermitian operators and a
+sharpness parameter t bounded by positivity of the effects:
 
 * mutually unbiased measurements (MUMs): d + 1 POVMs of d effects
-  P_n^(b) = I/d + t F_n^(b), built from the grid columns via
+  P_n^(b) = I/d + t F_n^(b), with POVM b taking basis operators
+  F_{n,b} = F_{b(d-1)+n}, n < d - 1, via
   F_n^(b) = F^(b) - (d + sqrt(d)) F_{n,b} for n < d and
-  F_d^(b) = (1 + sqrt(d)) F^(b), where F^(b) sums column b.  The sharpness
+  F_d^(b) = (1 + sqrt(d)) F^(b), where F^(b) sums POVM b's.  The sharpness
   index is kappa = 1/d + t^2 (1 + sqrt(d))^2 (d - 1), with kappa = 1
   exactly for rank-one projectors (mutually unbiased bases).
 
@@ -16,8 +17,9 @@ positivity of the effects:
   The purity parameter is a = 1/d^3 + t^2 (d - 1)(d + 1)^3, with
   a = 1/d^2 exactly in the rank-one (SIC-POVM) case.
 
-Each builder forms its generators once; the bound on t and the positivity
-check read one eigensolve of them.
+Each builder writes the basis straight into its stack and forms the
+generators there, once; the bound on t and the positivity check read one
+eigensolve of them, and the generators are scaled into the effects in place.
 
 Rank-one families are available directly: quadratic-phase mutually
 unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MumGrid, OperatorBasis, gell_mann_basis, grid_partition
+from .basis import write_gell_mann
 from .errors import DomainError, NumericalError, PositivityError
 from .linalg import COMPLEX_BYTES, check_dense_bytes
 
@@ -39,6 +41,9 @@ DEFAULT_TOL = 1e-10
 # bytes of one block of rows of the Gram matrix that verification forms; a
 # family of up to about 360 effects (mum d <= 18, gsm d <= 19) is one block
 GRAM_BLOCK_BYTES = 2**20
+# the fewest rows a block takes past that: BLAS runs a product of a few dozen
+# rows well below its full speed (blocks at d <= 24 hold 218 rows or more)
+GRAM_MIN_ROWS = 200
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -132,10 +137,12 @@ class VerificationReport:
 
 
 def family_bytes(kind: str, d: int) -> int:
-    """Estimated bytes of a dimension-d family of this kind: its effects plus the basis.
+    """Estimated bytes of a dimension-d family of this kind: its effects plus an allowance.
 
-    MUM-like kinds stack (d + 1) d^3 complex entries, general SIC kinds d^4;
-    the Gell-Mann basis adds (d^2 - 1) d^2.
+    MUM-like kinds stack (d + 1) d^3 complex entries, general SIC kinds d^4.
+    The allowance is one operator basis, (d^2 - 1) d^2 entries: a build holds
+    no basis beside its stack, but the allowance keeps the limits on d where
+    they are.
     """
     effects = (d + 1) * d**3 if kind in MUM_KINDS else d**4
     return COMPLEX_BYTES * (effects + (d * d - 1) * d * d)
@@ -155,30 +162,39 @@ def gsm_a(d: int, t: float) -> float:
     return 1.0 / d**3 + t * t * (d - 1) * (d + 1) ** 3
 
 
-def mum_operators(grid: MumGrid) -> np.ndarray:
-    """The d(d+1) traceless generators F_n^(b), shape (d+1, d, d, d)."""
-    d = grid.dim
-    col_sums = grid.grid.sum(axis=1)  # F^(b), shape (d+1, d, d)
-    ops = np.empty((d + 1, d, d, d), dtype=np.complex128)
-    # F^(b) - (d + sqrt(d)) F_{n,b}, formed in place
-    head = ops[:, : d - 1]
-    np.multiply(d + np.sqrt(d), grid.grid, out=head)
-    np.subtract(col_sums[:, None, :, :], head, out=head)
-    np.multiply(1.0 + np.sqrt(d), col_sums, out=ops[:, d - 1])
-    return ops
+def _degenerate(kind: str, d: int, parameter: float) -> bool:
+    """Whether the parameter is within DEGENERACY_EPS of its floor, kappa = 1/d or a = 1/d^3."""
+    return parameter <= (1.0 / d if kind in MUM_KINDS else 1.0 / d**3) + DEGENERACY_EPS
 
 
-def gsm_operators(basis: OperatorBasis) -> np.ndarray:
-    """The d^2 traceless generators of the general SIC construction."""
-    d = basis.dim
-    total = basis.ops.sum(axis=0)  # F
-    ops = np.empty((d * d, d, d), dtype=np.complex128)
-    # F - d(d + 1) F_a, formed in place
-    head = ops[:-1]
-    np.multiply(d * (d + 1), basis.ops, out=head)
-    np.subtract(total[None, :, :], head, out=head)
-    np.multiply(d + 1, total, out=ops[-1])
-    return ops
+def _generators(kind: str, d: int) -> np.ndarray:
+    """The traceless generators of the dimension-d "mum" or "gsm" family, stacked, shape (n, d, d).
+
+    The Gell-Mann operators are written straight into the stack: for mum,
+    operator b(d-1) + n into slot n of POVM b, leaving each POVM's last slot;
+    for gsm, the first d^2 - 1 slots.  Their sums F^(b) (or F) are read off,
+    and each generator is formed in its slot: F^(b) - (d + sqrt(d)) F_{n,b}
+    and (1 + sqrt(d)) F^(b), or F - d(d + 1) F_a and (d + 1) F.  So the stack
+    and its sums are all a build holds.
+    """
+    if d < 2:
+        name = "MUMs" if kind == "mum" else "general SIC measurements"
+        raise DomainError(f"{name} need dimension >= 2, got {d}")
+    _check_family_size(kind, d)
+    if kind == "mum":
+        stack = np.zeros((d + 1, d, d, d), dtype=np.complex128)
+        scale, last = d + np.sqrt(d), 1.0 + np.sqrt(d)
+    else:
+        stack = np.zeros((1, d * d, d, d), dtype=np.complex128)
+        scale, last = d * (d + 1), d + 1
+    write_gell_mann(stack[:, :-1])
+    # one POVM at a time: a ufunc buffers a broadcast operand, up to the size of its output
+    for povm, total in zip(stack, stack[:, :-1].sum(axis=1)):
+        head = povm[:-1]
+        head *= scale
+        np.subtract(total, head, out=head)
+        np.multiply(last, total, out=povm[-1])
+    return stack.reshape(-1, d, d)
 
 
 def _generator_spectrum(generators: np.ndarray, identity_weight: float) -> tuple[np.ndarray, float]:
@@ -193,14 +209,14 @@ def _generator_spectrum(generators: np.ndarray, identity_weight: float) -> tuple
     return smallest, float(-identity_weight / lam)
 
 
-def max_t_mum(grid: MumGrid) -> float:
-    """Largest sharpness parameter with all MUM effects positive semidefinite."""
-    return _generator_spectrum(mum_operators(grid), 1.0 / grid.dim)[1]
+def max_t_mum(d: int) -> float:
+    """Largest t with every dimension-d MUM effect positive semidefinite."""
+    return _generator_spectrum(_generators("mum", d), 1.0 / d)[1]
 
 
-def max_t_gsm(basis: OperatorBasis) -> float:
-    """Largest sharpness parameter with all general SIC effects positive semidefinite."""
-    return _generator_spectrum(gsm_operators(basis), 1.0 / basis.dim**2)[1]
+def max_t_gsm(d: int) -> float:
+    """Largest t with every dimension-d general SIC effect positive semidefinite."""
+    return _generator_spectrum(_generators("gsm", d), 1.0 / d**2)[1]
 
 
 def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_of) -> Family:
@@ -210,7 +226,9 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
 
     For t >= 0 an effect's smallest eigenvalue is identity_weight + t*lam, lam its
     generator's, so the bound and the check, naming the first bad effect by
-    ``label_of``, read one eigensolve of the generators.
+    ``label_of``, read one eigensolve of the generators.  A t that leaves
+    the parameter degenerate (t = 0 gives kappa = 1/d, a = 1/d^3), which
+    every verb would refuse, is a DomainError.
     """
     d = generators.shape[-1]
     smallest, t_max = _generator_spectrum(generators, identity_weight)
@@ -227,28 +245,23 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
         raise PositivityError(
             f"effect {label_of(i)} has eigenvalue {lowest:.3e}; t exceeds the positivity bound"
         )
-    effects = generators.reshape(-1, d, d)
-    effects *= t
-    effects += identity_weight * np.eye(d, dtype=np.complex128)
     parameter = mum_kappa(d, t) if kind == "mum" else gsm_a(d, t)
-    return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=_frozen(effects))
+    if _degenerate(kind, d, parameter):
+        name = PARAMETER_NAMES[kind]
+        raise DomainError(f"t={t} gives a degenerate {kind} family ({name}={parameter})")
+    generators *= t
+    generators += identity_weight * np.eye(d, dtype=np.complex128)
+    return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=_frozen(generators))
 
 
-def build_mum(d: int, t="auto", grid: MumGrid | None = None) -> Family:
+def build_mum(d: int, t="auto") -> Family:
     """Build the complete set of d + 1 MUMs at sharpness t.
 
     t = "auto" resolves to the positivity bound max_t_mum.  Effects are
     checked positive semidefinite, a violating (b, n) named on failure; the
     bound and the check read one eigensolve of the generators.
     """
-    if d < 2:
-        raise DomainError(f"MUMs need dimension >= 2, got {d}")
-    _check_family_size("mum", d)
-    if grid is None:
-        grid = grid_partition(gell_mann_basis(d))
-    elif grid.dim != d:
-        raise DomainError(f"grid dimension {grid.dim} does not match d={d}")
-    return _build("mum", t, mum_operators(grid), 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
+    return _build("mum", t, _generators("mum", d), 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
 
 
 def build_gsm(d: int, t="auto") -> Family:
@@ -256,10 +269,7 @@ def build_gsm(d: int, t="auto") -> Family:
 
     As build_mum, with a violating alpha named; one eigensolve of the generators.
     """
-    if d < 2:
-        raise DomainError(f"general SIC measurements need dimension >= 2, got {d}")
-    _check_family_size("gsm", d)
-    return _build("gsm", t, gsm_operators(gell_mann_basis(d)), 1.0 / d**2, lambda i: f"alpha={i + 1}")
+    return _build("gsm", t, _generators("gsm", d), 1.0 / d**2, lambda i: f"alpha={i + 1}")
 
 
 def _pairwise_overlaps(effects: np.ndarray):
@@ -271,12 +281,13 @@ def _pairwise_overlaps(effects: np.ndarray):
     the dot product of the two effects' entries as float64 pairs; so a block
     is one real product of the stack's float64 view with itself, from the
     block's diagonal on, and the blocks take about the flops of one
-    symmetric product.  A block holds at most ``GRAM_BLOCK_BYTES`` (one row at least);
-    a stack of one block is the one symmetric product ``r @ r.T``.
+    symmetric product.  A block holds at most ``GRAM_BLOCK_BYTES``, or
+    ``GRAM_MIN_ROWS`` rows if that is more; a stack of one block is the one
+    symmetric product ``r @ r.T``.
     """
     n = len(effects)
     r = effects.reshape(n, -1).view(np.float64)
-    step = max(1, GRAM_BLOCK_BYTES // (r.itemsize * n))
+    step = max(GRAM_MIN_ROWS, GRAM_BLOCK_BYTES // (r.itemsize * n))
     for a in range(0, n, step):
         yield a, r[a:a + step] @ r[a:].T
 
@@ -321,18 +332,18 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
             "within_overlap_diag": worst_overlap([0], param),
             "within_overlap_offdiag": worst_overlap([1], (1.0 - param) / (d - 1)),
         }
-        expected, floor = mum_kappa(d, family.t), 1.0 / d
+        expected = mum_kappa(d, family.t)
     else:
         deviations = {
             "self_overlap": worst_overlap([0], param),
             "pair_overlap": worst_overlap([1, 2], (1.0 - param * d) / (d * (d * d - 1))),
         }
-        expected, floor = gsm_a(d, family.t), 1.0 / d**3
+        expected = gsm_a(d, family.t)
     eye = np.eye(d, dtype=np.complex128)
     deviations["positivity"] = max(0.0, -float(np.linalg.eigvalsh(effects)[:, 0].min()))
     deviations["completeness"] = max(worst(g.sum(axis=0), eye) for g in family.split(effects))
     deviations["parameter"] = abs(param - expected)
-    return deviations, param <= floor + DEGENERACY_EPS
+    return deviations, _degenerate(family.kind, d, param)
 
 
 def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -349,9 +360,9 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     stack, read in place, which holds because the effects are Hermitian.
     It is formed one block of rows at a time (``_pairwise_overlaps``) and
     folded into running extrema, so the working set beside the stack is one
-    block of ``GRAM_BLOCK_BYTES`` and its mask.  A family of more than one
-    block (more than about 360 effects) may differ from the whole product in
-    the last digits of its overlap deviations.
+    block of ``GRAM_BLOCK_BYTES`` (or ``GRAM_MIN_ROWS`` rows) and its mask.
+    A family of more than one block (more than about 360 effects) may differ
+    from the whole product in the last digits of its overlap deviations.
 
     Each call computes the deviations anew and judges them at its ``tol``.
     """

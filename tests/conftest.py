@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, hermitian
+from bzinfo import DomainError, Family, hermitian
 
 
 @pytest.fixture
@@ -20,6 +20,14 @@ def random_unitary(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def degenerate_family(kind, d):
+    """The t = 0 family of this kind, which the builders refuse: every effect is
+    I/d (mum) or I/d^2 (gsm), and the parameter sits at its floor, 1/d or 1/d^3."""
+    n, weight, floor = (d * (d + 1), 1 / d, 1 / d) if kind == "mum" else (d * d, 1 / d**2, 1 / d**3)
+    effects = np.repeat(weight * np.eye(d, dtype=np.complex128)[None], n, axis=0)
+    return Family(kind, d, t=0.0, parameter=floor, effects=effects)
 
 
 def herm_eig(h):

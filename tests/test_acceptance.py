@@ -21,8 +21,6 @@ from bzinfo import (
     encode,
     estimate_bz_info,
     estimate_coincidence,
-    gell_mann_basis,
-    grid_partition,
     max_t_gsm,
     max_t_mum,
     maximally_mixed,
@@ -33,7 +31,7 @@ from bzinfo import (
     verify,
 )
 from bzinfo.cli import main as cli_main
-from bzinfo.measurements import gsm_operators, mum_operators
+from bzinfo.measurements import _generators
 
 from test_measurements import bisect_max_t
 
@@ -76,9 +74,8 @@ class Cell:
 def cells():
     out = []
     for d in DIMS:
-        grid = grid_partition(gell_mann_basis(d))
-        mum_bound = max_t_mum(grid)
-        gsm_bound = max_t_gsm(gell_mann_basis(d))
+        mum_bound = max_t_mum(d)
+        gsm_bound = max_t_gsm(d)
         states = [random_density(d, d, 10_000 * d + i) for i in range(N_STATES)]
         purities = np.array([purity(rho) for rho in states])
         star = maximally_mixed(d)
@@ -232,13 +229,11 @@ def test_criterion_5_information_balance(cells):
 
 
 def test_criterion_6_exact_anchors():
-    grid2 = grid_partition(gell_mann_basis(2))
-    basis2 = gell_mann_basis(2)
     # independent oracles first: bisection on the PSD predicate
-    mum_oracle = bisect_max_t(mum_operators(grid2), 1 / 2)
-    gsm_oracle = bisect_max_t(gsm_operators(basis2), 1 / 4, hi=0.5)
-    mum_t = max_t_mum(grid2)
-    gsm_t = max_t_gsm(basis2)
+    mum_oracle = bisect_max_t(_generators("mum", 2), 1 / 2)
+    gsm_oracle = bisect_max_t(_generators("gsm", 2), 1 / 4, hi=0.5)
+    mum_t = max_t_mum(2)
+    gsm_t = max_t_gsm(2)
     checks = {
         "mum bisection": abs(mum_t - mum_oracle),
         "mum t_max": abs(mum_t - (2 - np.sqrt(2)) / 2),
@@ -263,14 +258,13 @@ def test_criterion_6_exact_anchors():
 def test_criterion_7_t_maximality():
     ok = True
     for d in DIMS:
-        grid = grid_partition(gell_mann_basis(d))
         try:
-            build_mum(d, 1.000001 * max_t_mum(grid))
+            build_mum(d, 1.000001 * max_t_mum(d))
             ok = False
         except PositivityError:
             pass
         try:
-            build_gsm(d, 1.000001 * max_t_gsm(gell_mann_basis(d)))
+            build_gsm(d, 1.000001 * max_t_gsm(d))
             ok = False
         except PositivityError:
             pass
@@ -332,10 +326,10 @@ def test_criterion_9_serialization(tmp_path):
     entities = []
     for i in range(25):
         d = 2 + i % 5
-        entities.append(build_mum(d, (0.3 + 0.07 * (i % 10)) * max_t_mum(grid_partition(gell_mann_basis(d)))))
+        entities.append(build_mum(d, (0.3 + 0.07 * (i % 10)) * max_t_mum(d)))
     for i in range(25):
         d = 2 + i % 5
-        entities.append(build_gsm(d, (0.2 + 0.08 * (i % 10)) * max_t_gsm(gell_mann_basis(d))))
+        entities.append(build_gsm(d, (0.2 + 0.08 * (i % 10)) * max_t_gsm(d)))
     entities += [build_mub(d) for d in (2, 3, 5, 7, 2, 3, 5, 7, 2, 3)]
     entities += [sic2_fixture() for _ in range(5)]
     entities += [random_density(2 + i % 7, 1 + i % (2 + i % 7), i) for i in range(20)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, gell_mann_basis, grid_partition
+from bzinfo import DomainError, gell_mann_basis
+from bzinfo.basis import write_gell_mann
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -9,19 +10,19 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_d2_is_scaled_paulis():
-    ops = gell_mann_basis(2).ops
+    ops = gell_mann_basis(2)
     expected = np.stack([SX, SY, SZ]) / np.sqrt(2)
     np.testing.assert_allclose(ops, expected, atol=1e-15)
 
 
 def test_sum_identity_d2_direct_arithmetic():
-    ops = gell_mann_basis(2).ops
+    ops = gell_mann_basis(2)
     total = sum(op @ op for op in ops)
     np.testing.assert_allclose(total, 1.5 * np.eye(2), atol=1e-14)
 
 
 def test_sum_identity_d3_direct_arithmetic():
-    ops = gell_mann_basis(3).ops
+    ops = gell_mann_basis(3)
     assert ops.shape[0] == 8
     total = sum(op @ op for op in ops)
     np.testing.assert_allclose(total, (8 / 3) * np.eye(3), atol=1e-14)
@@ -29,8 +30,7 @@ def test_sum_identity_d3_direct_arithmetic():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_basis_invariants(d):
-    basis = gell_mann_basis(d)
-    ops = basis.ops
+    ops = gell_mann_basis(d)
     assert ops.shape == (d * d - 1, d, d)
     # Hermitian and traceless
     assert np.abs(ops - ops.conj().transpose(0, 2, 1)).max() < 1e-15
@@ -48,25 +48,10 @@ def test_gell_mann_rejects_small_dim():
         gell_mann_basis(1)
 
 
-@pytest.mark.parametrize("d,cols,rows", [(2, 3, 1), (3, 4, 2), (5, 6, 4)])
-def test_grid_partition_counts(d, cols, rows):
-    basis = gell_mann_basis(d)
-    grid = grid_partition(basis)
-    assert grid.grid.shape == (cols, rows, d, d)
-    # bijective relabeling: every basis element appears exactly once
-    flattened = grid.grid.reshape(d * d - 1, d, d)
-    np.testing.assert_array_equal(flattened, basis.ops)
-
-
-def test_grid_partition_permutation():
-    basis = gell_mann_basis(3)
-    order = np.random.Generator(np.random.Philox(5)).permutation(8)
-    grid = grid_partition(basis, order=order)
-    flattened = grid.grid.reshape(8, 3, 3)
-    np.testing.assert_array_equal(flattened, basis.ops[order])
-
-
-def test_grid_partition_rejects_bad_order():
-    basis = gell_mann_basis(2)
-    with pytest.raises(DomainError):
-        grid_partition(basis, order=[0, 1, 1])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_write_gell_mann_fills_the_mum_slots_povm_by_povm(d):
+    # operator b(d-1) + n lands in slot n of POVM b, and each POVM's last slot stays zero
+    stack = np.zeros((d + 1, d, d, d), dtype=complex)
+    write_gell_mann(stack[:, :-1])
+    assert np.array_equal(stack[:, :-1].reshape(d * d - 1, d, d), gell_mann_basis(d))
+    assert not stack[:, -1].any()

@@ -16,10 +16,11 @@ from bzinfo import (
     measurements,
     purity,
     sampler,
+    save,
 )
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
 from bzinfo.invariants import DirectEvaluator
-from conftest import traced_peak
+from conftest import degenerate_family, traced_peak
 
 
 def run(capsys, *argv):
@@ -51,9 +52,23 @@ def test_verify_json_output(tmp_path, capsys):
 
 def test_verify_degenerate_exits_one(tmp_path, capsys):
     path = tmp_path / "m.json"
-    run(capsys, "gen", "mum", "--dim", "2", "--t", "0", "--out", str(path))
+    save(degenerate_family("mum", 2), path)
     code, _, _ = run(capsys, "verify", "--measurement", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "mum", "--dim", "3", "--t", "0"],
+    ["gen", "mum", "--dim", "3", "--t", "-0.0"],
+    ["gen", "gsm", "--dim", "2", "--t", "0"],
+])
+def test_gen_degenerate_t_exits_two_and_writes_nothing(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "gives a degenerate" in err
+    assert not path.exists()
 
 
 def test_bz_json_report(tmp_path, capsys):

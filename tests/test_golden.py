@@ -23,6 +23,9 @@ GEN = {
     ("mum", "--dim", "12"): "9b53ec1274b1dfe3182d8fec02bb2f3f2555b74e0cb352fbbb538b12a3b2d2d7",
     ("gsm", "--dim", "12"): "03318d7a803bb93a04e7a3df61d6375d833b6765f771bde14bf8ceb334eea182",
     ("mub", "--dim", "11"): "34107770537684d3ffd2448739af040313393eb34496d40876cf29d4175adffa",
+    # the largest pinned builds
+    ("mum", "--dim", "16"): "a4369eab31f9a479c227777cabb7828719681b113b193c68238d558930606eb6",
+    ("gsm", "--dim", "16"): "d94c9cdea31492a11faee459a77a67bc850818771e394a64118d7432e1692102",
     # an explicit t below the positivity bound
     ("mum", "--dim", "4", "--t", "0.05"): "30c84ff6e0af1165027dac579c636f80ae81e2cccf8fdec4ca4e670c446e8ef6",
     ("gsm", "--dim", "4", "--t", "0.003"): "aeb22f5397857d9764637bebc802d49e95d4687d762a169885349974758990c6",

@@ -24,7 +24,7 @@ from bzinfo import (
 
 from bzinfo import invariants, states
 from bzinfo.states import density_batches
-from conftest import expectation, random_unitary
+from conftest import degenerate_family, expectation, random_unitary
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -482,7 +482,7 @@ def test_report_many_of_no_states_is_empty():
 
 def test_report_rejects_degenerate_family():
     with pytest.raises(VerificationError):
-        DirectEvaluator(build_mum(2, 0.0)).report(maximally_mixed(2))
+        DirectEvaluator(degenerate_family("mum", 2)).report(maximally_mixed(2))
 
 
 def test_report_dimension_mismatch():

@@ -14,8 +14,6 @@ from bzinfo import (
     build_mum,
     decode,
     encode,
-    gell_mann_basis,
-    grid_partition,
     linalg,
     max_t_gsm,
     max_t_mum,
@@ -24,8 +22,8 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo.measurements import _pairwise_overlaps, family_bytes, gsm_operators, mum_operators
-from conftest import herm_eig, random_hermitian
+from bzinfo.measurements import _generators, _pairwise_overlaps, family_bytes
+from conftest import degenerate_family, herm_eig, random_hermitian
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -55,8 +53,7 @@ def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
 
 
 def test_max_t_mum_d2_anchor():
-    grid = grid_partition(gell_mann_basis(2))
-    generators = mum_operators(grid)
+    generators = _generators("mum", 2)
     # eigenvalue oracle: every generator has spectrum +-(1 + sqrt(2))/sqrt(2)
     lam = (1 + np.sqrt(2)) / np.sqrt(2)
     bounds = []
@@ -66,32 +63,29 @@ def test_max_t_mum_d2_anchor():
         bounds.append(-1 / (2 * w[0]))
     oracle = min(bounds)
     assert abs(oracle - (2 - np.sqrt(2)) / 2) < 1e-12
-    assert abs(max_t_mum(grid) - (2 - np.sqrt(2)) / 2) < 1e-12
+    assert abs(max_t_mum(2) - (2 - np.sqrt(2)) / 2) < 1e-12
 
 
 def test_max_t_mum_d3_bisection_oracle():
-    grid = grid_partition(gell_mann_basis(3))
-    oracle = bisect_max_t(mum_operators(grid), 1 / 3)
-    assert abs(max_t_mum(grid) - oracle) < 1e-10
+    oracle = bisect_max_t(_generators("mum", 3), 1 / 3)
+    assert abs(max_t_mum(3) - oracle) < 1e-10
 
 
 def test_max_t_gsm_d2_anchor():
-    basis = gell_mann_basis(2)
-    generators = gsm_operators(basis)
+    generators = _generators("gsm", 2)
     lam = 3 * np.sqrt(3) / np.sqrt(2)
     for g in generators:
         w, _ = herm_eig(g)
         np.testing.assert_allclose(w, [-lam, lam], atol=1e-12)
     oracle = bisect_max_t(generators, 1 / 4, hi=0.5)
-    t_max = max_t_gsm(basis)
+    t_max = max_t_gsm(2)
     assert abs(t_max - oracle) < 1e-10
     assert abs(t_max - 1 / (6 * np.sqrt(6))) < 1e-12
 
 
 def test_max_t_gsm_d3_bisection_oracle():
-    basis = gell_mann_basis(3)
-    oracle = bisect_max_t(gsm_operators(basis), 1 / 9, hi=0.5)
-    assert abs(max_t_gsm(basis) - oracle) < 1e-10
+    oracle = bisect_max_t(_generators("gsm", 3), 1 / 9, hi=0.5)
+    assert abs(max_t_gsm(3) - oracle) < 1e-10
 
 
 # ---------------------------------------------------------------- MUM construction
@@ -116,7 +110,7 @@ def test_build_mum_d2_auto_is_mub():
 
 
 def test_build_mum_t0_degenerate():
-    mset = build_mum(3, 0.0)
+    mset = degenerate_family("mum", 3)
     assert mset.parameter == pytest.approx(1 / 3, abs=1e-15)
     np.testing.assert_allclose(mset.effects[0], np.eye(3) / 3, atol=1e-15)
     report = verify(mset, 1e-10)
@@ -137,6 +131,13 @@ def test_build_rejects_a_non_finite_or_negative_t(build, t):
         build(3, t)
 
 
+@pytest.mark.parametrize("build", [build_mum, build_gsm])
+@pytest.mark.parametrize("t", [0.0, -0.0, 1e-12])
+def test_build_refuses_a_t_that_leaves_the_family_degenerate(build, t):
+    with pytest.raises(DomainError, match=f"t={t} gives a degenerate"):
+        build(3, t)
+
+
 def test_build_mum_d3_kappa_formula():
     mset = build_mum(3, "auto")
     expected = 1 / 3 + mset.t**2 * (1 + np.sqrt(3)) ** 2 * 2
@@ -145,8 +146,7 @@ def test_build_mum_d3_kappa_formula():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_mum_defining_conditions(d):
-    grid = grid_partition(gell_mann_basis(d))
-    t_max = max_t_mum(grid)
+    t_max = max_t_mum(d)
     for frac in (0.12, 0.25, 0.5, 0.8, 1.0):
         mset = build_mum(d, frac * t_max)
         report = verify(mset, 1e-10)
@@ -155,22 +155,20 @@ def test_mum_defining_conditions(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_generators_sum_to_zero(d):
-    generators = mum_operators(grid_partition(gell_mann_basis(d)))
+    generators = _generators("mum", d).reshape(d + 1, d, d, d)
     assert np.abs(generators.sum(axis=1)).max() < 1e-12
 
 
 def test_kappa_strictly_increasing_in_t():
-    grid = grid_partition(gell_mann_basis(4))
-    t_max = max_t_mum(grid)
+    t_max = max_t_mum(4)
     kappas = [build_mum(4, f * t_max).parameter for f in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
     assert all(a < b for a, b in zip(kappas, kappas[1:]))
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_t_above_bound_fails_positivity(d):
-    grid = grid_partition(gell_mann_basis(d))
     with pytest.raises(PositivityError, match=r"b=\d+, n=\d+"):
-        build_mum(d, 1.000001 * max_t_mum(grid))
+        build_mum(d, 1.000001 * max_t_mum(d))
 
 
 def test_negative_t_rejected():
@@ -196,12 +194,11 @@ def test_batched_eigenvalue_checks_match_per_effect_loop():
     for family in (build_mum(d, "auto"), build_gsm(d, "auto"), build_mub(d)):
         loop = max(0.0, max(-float(np.linalg.eigvalsh(e)[0]) for e in family.effects))
         assert verify(family).deviations["positivity"] == loop
-    grid = grid_partition(gell_mann_basis(d))
     bounds = []
-    for op in mum_operators(grid).reshape(-1, d, d):
+    for op in _generators("mum", d):
         lams = np.linalg.eigvalsh(op)
         bounds.append(float((-(1.0 / d) / lams[lams < 0.0]).min()))
-    assert max_t_mum(grid) == min(bounds)
+    assert max_t_mum(d) == min(bounds)
 
 
 BUILD = {"mum": build_mum, "gsm": build_gsm}
@@ -211,12 +208,11 @@ BUILD = {"mum": build_mum, "gsm": build_gsm}
 @pytest.mark.parametrize("kind", sorted(BUILD))
 @pytest.mark.parametrize("d", range(2, 9))
 def test_positivity_error_names_the_effect_an_effect_eigensolve_names(d, kind, factor):
-    basis = gell_mann_basis(d)
     if kind == "mum":
-        grid = grid_partition(basis)
-        t, weight, generators = factor * max_t_mum(grid), 1.0 / d, mum_operators(grid).reshape(-1, d, d)
+        t, weight = factor * max_t_mum(d), 1.0 / d
     else:
-        t, weight, generators = factor * max_t_gsm(basis), 1.0 / d**2, gsm_operators(basis)
+        t, weight = factor * max_t_gsm(d), 1.0 / d**2
+    generators = _generators(kind, d)
     smallest = np.linalg.eigvalsh(weight * np.eye(d) + t * generators)[:, 0]
     i = int(np.flatnonzero(smallest < measurements.PSD_FLOOR)[0])
     label = f"(b={i // d + 1}, n={i % d + 1})" if kind == "mum" else f"alpha={i + 1}"
@@ -246,11 +242,10 @@ def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
 
         monkeypatch.setattr(owner, name, counting)
 
-    operators = f"{kind}_operators"
     count(np.linalg, "eigvalsh")
-    count(measurements, operators)
+    count(measurements, "_generators")
     BUILD[kind](5, t)
-    assert sorted(calls) == ["eigvalsh", operators]
+    assert sorted(calls) == ["_generators", "eigvalsh"]
 
 
 def decoded_both_routes(family) -> list:
@@ -273,9 +268,8 @@ def decoded_both_routes(family) -> list:
 def test_generators_and_effects_equal_their_conjugate_transpose(d):
     """``eigvalsh`` reads one triangle and verification's Gram matrix drops the
     imaginary parts, so both need effects that are exactly Hermitian."""
-    basis = gell_mann_basis(d)
-    stacks = [mum_operators(grid_partition(basis)), gsm_operators(basis)]
-    families = [build_mum(d), build_gsm(d), build_gsm(d, 0.5 * max_t_gsm(basis))]
+    stacks = [_generators("mum", d), _generators("gsm", d)]
+    families = [build_mum(d), build_gsm(d), build_gsm(d, 0.5 * max_t_gsm(d))]
     if d in (2, 3, 5):
         families.append(build_mub(d))
     if d == 2:
@@ -302,6 +296,7 @@ def patch_gram_rows(monkeypatch, rows, n):
     """Make the Gram block of a stack of n effects ``rows`` rows; None keeps the default."""
     if rows is not None:
         monkeypatch.setattr(measurements, "GRAM_BLOCK_BYTES", rows * 8 * n)
+        monkeypatch.setattr(measurements, "GRAM_MIN_ROWS", 1)
 
 
 def blocked_overlaps(monkeypatch, effects, rows):
@@ -378,8 +373,8 @@ def perturbed(family, index, scale):
         (build_gsm(5), True, False),
         (build_mub(5), True, False),
         (sic2_fixture(), True, False),
-        (build_mum(3, 0.0), False, True),
-        (build_gsm(4, 0.0), False, True),
+        (degenerate_family("mum", 3), False, True),
+        (degenerate_family("gsm", 4), False, True),
         (perturbed(build_mum(4), 7, 1e-7), False, False),
         (perturbed(build_gsm(3), 6, 1e-7), False, False),
     ],
@@ -407,7 +402,7 @@ def test_family_rejects_unknown_kind_and_wrong_effect_count():
 
 
 def test_cross_overlaps_are_inverse_dim():
-    mset = build_mum(4, 0.5 * max_t_mum(grid_partition(gell_mann_basis(4))))
+    mset = build_mum(4, 0.5 * max_t_mum(4))
     povms = mset.split(mset.effects)
     for b1, p1 in enumerate(povms):
         for b2, p2 in enumerate(povms):
@@ -415,21 +410,6 @@ def test_cross_overlaps_are_inverse_dim():
                 continue
             overlaps = np.einsum("aij,bji->ab", p1, p2).real
             assert np.abs(overlaps - 1 / 4).max() < 1e-10
-
-
-def test_random_grid_partition_valid_downstream():
-    d = 4
-    basis = gell_mann_basis(d)
-    order = np.random.Generator(np.random.Philox(99)).permutation(d * d - 1)
-    grid = grid_partition(basis, order=order)
-    mset = build_mum(d, 0.7 * max_t_mum(grid), grid=grid)
-    assert verify(mset, 1e-10).passed
-
-
-def test_build_mum_grid_dim_mismatch():
-    grid = grid_partition(gell_mann_basis(3))
-    with pytest.raises(DomainError):
-        build_mum(4, "auto", grid=grid)
 
 
 # ---------------------------------------------------------------- general SIC
@@ -442,7 +422,7 @@ def test_build_gsm_d2_auto_is_sic():
 
 
 def test_build_gsm_t0_degenerate():
-    gset = build_gsm(2, 0.0)
+    gset = degenerate_family("gsm", 2)
     assert gset.parameter == pytest.approx(1 / 8, abs=1e-15)
     report = verify(gset, 1e-10)
     assert report.degenerate and not report.passed
@@ -457,8 +437,7 @@ def test_build_gsm_d3_parameter_matches_direct_traces():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_gsm_defining_conditions(d):
-    basis = gell_mann_basis(d)
-    t_max = max_t_gsm(basis)
+    t_max = max_t_gsm(d)
     for frac in (0.12, 0.25, 0.5, 0.8, 1.0):
         gset = build_gsm(d, frac * t_max)
         report = verify(gset, 1e-10)
@@ -470,7 +449,7 @@ def test_gsm_defining_conditions(d):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_gsm_t_above_bound_fails_positivity(d):
     with pytest.raises(PositivityError, match=r"alpha=\d+"):
-        build_gsm(d, 1.000001 * max_t_gsm(gell_mann_basis(d)))
+        build_gsm(d, 1.000001 * max_t_gsm(d))
 
 
 # ---------------------------------------------------------------- MUB and SIC fixtures

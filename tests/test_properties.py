@@ -18,8 +18,6 @@ from bzinfo import (
     build_gsm,
     build_mub,
     build_mum,
-    gell_mann_basis,
-    grid_partition,
     max_t_gsm,
     max_t_mum,
     random_density,
@@ -37,9 +35,9 @@ SEEDS = st.integers(0, 2**64 - 1)
 def family(kind, d, fraction=1.0):
     """A family of this kind, its sharpness t the given fraction of the positivity bound."""
     if kind == "mum":
-        return build_mum(d, fraction * max_t_mum(grid_partition(gell_mann_basis(d))))
+        return build_mum(d, fraction * max_t_mum(d))
     if kind == "gsm":
-        return build_gsm(d, fraction * max_t_gsm(gell_mann_basis(d)))
+        return build_gsm(d, fraction * max_t_gsm(d))
     if kind == "mub":
         return build_mub(d)
     return sic2_fixture()

@@ -20,6 +20,7 @@ from bzinfo import (
 )
 from bzinfo import _kernels
 from bzinfo.states import rng_from_seed
+from conftest import degenerate_family
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
 
@@ -61,7 +62,7 @@ def test_binomial_concentration_on_mixed_qubit():
 
 def test_sample_rejects_degenerate_family():
     with pytest.raises(VerificationError):
-        sample_outcomes(DirectEvaluator(build_mum(2, 0.0)), maximally_mixed(2), 10, seed=0)
+        sample_outcomes(DirectEvaluator(degenerate_family("mum", 2)), maximally_mixed(2), 10, seed=0)
 
 
 def test_sample_rejects_bad_shots():

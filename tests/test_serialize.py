@@ -28,6 +28,7 @@ from bzinfo import linalg, serialize
 from bzinfo.cli import main
 from bzinfo.measurements import MUM_KINDS, PARAMETER_NAMES, Family, family_bytes
 from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_pieces
+from conftest import degenerate_family
 
 
 def matrix_to_json(m: np.ndarray) -> str:
@@ -123,8 +124,8 @@ def test_tampered_effect_rejected():
 
 
 def test_degenerate_measurement_still_loads():
-    # constructors are total; degeneracy is a verification policy
-    family = roundtrip(build_mum(2, 0.0))
+    # decoding accepts a degenerate family; verification refuses it, and the builders never make one
+    family = roundtrip(degenerate_family("mum", 2))
     assert family.parameter == pytest.approx(0.5)
 
 
