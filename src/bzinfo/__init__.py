@@ -25,7 +25,6 @@ from .errors import (
 )
 from .invariants import (
     BzReport,
-    BzReports,
     ClosedForms,
     DirectEvaluator,
     closed_forms,
@@ -55,7 +54,6 @@ from .states import (
 
 __all__ = [
     "BzReport",
-    "BzReports",
     "BzinfoError",
     "ClosedForms",
     "CountTable",

@@ -41,12 +41,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SchemaError, VerificationError
-from .invariants import BzReports, DirectEvaluator
+from .invariants import BzReport, DirectEvaluator
 from .measurements import DEFAULT_TOL, Family, build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import dump, encode, load
@@ -135,7 +136,9 @@ def _cmd_verify(args) -> int:
                     "tol": report.tol,
                     "passed": report.passed,
                     "degenerate": report.degenerate,
-                    "deviations": report.deviations,
+                    # JSON has no inf or nan: a non-finite deviation is null
+                    "deviations": {name: v if math.isfinite(v) else None
+                                   for name, v in report.deviations.items()},
                 }
             )
         )
@@ -202,12 +205,12 @@ def _cmd_sweep(args) -> int:
                     write(_sweep_rows(start, exc.reports))
                 raise
             write(_sweep_rows(start, reports))
-            start += len(reports)
+            start += len(reports.purity)
     return 0
 
 
-def _sweep_rows(start: int, r: BzReports) -> bytes:
-    """The CSV rows of a batch of reports, its states numbered from start."""
+def _sweep_rows(start: int, r: BzReport) -> bytes:
+    """The CSV rows of a batch's report, its states numbered from start."""
     columns = np.column_stack((r.purity, r.C_direct, r.C_closed, r.V_direct, r.V_closed,
                                r.I_direct, r.I_closed, r.U_direct, r.U_closed,
                                r.max_abs_discrepancy))

@@ -18,7 +18,8 @@ and always I = V_max - V, U = V - V_min.
 
 ``reconcile`` makes every BzReport from the direct C and V, for the
 evaluator and for the report decoder in ``serialize`` alike; on arrays it
-makes the columns of a batch, a ``BzReports``.
+makes a BzReport of a batch's columns, and ``BzReport.row(i)`` is state
+i's report, as ``ClosedForms`` holds a float or a column in each field.
 
 ``DirectEvaluator.report_many`` is the one direct-evaluation path: it takes
 a (k, d, d) stack of states and makes every check and every quantity as
@@ -39,7 +40,7 @@ those for larger batches (measured at d = 2, 3 and 8).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,90 +122,56 @@ def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
     return ClosedForms(C=c, V=v, V_min=v_min, V_max=v_max, I=v_max - v, U=v - v_min)
 
 
+def _item(value):
+    """A numpy scalar as the Python float or int it holds; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class BzReport:
-    """Direct and closed-form invariant-information quantities, reconciled."""
+    """Direct and closed-form invariant-information quantities, reconciled.
 
-    dim: int
-    kind: str
-    parameter: float
-    purity: float
-    C_direct: float
-    C_closed: float
-    V_direct: float
-    V_closed: float
-    V_min: float
-    V_max: float
-    I_direct: float
-    I_closed: float
-    U_direct: float
-    U_closed: float
-    max_abs_discrepancy: float
-    negatives_clamped: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class BzReports:
-    """The reports of a batch of states as columns, one entry per state, in order.
-
-    The fields are those of ``BzReport``; V_min and V_max depend on the
-    family alone and are floats.
+    The report of one state holds floats; that of a batch of states holds
+    one column per quantity that depends on the state, an entry per state
+    in order, and ``row(i)`` is the report of state i.  V_min and V_max
+    depend on the family alone and are floats either way.
     """
 
     dim: int
     kind: str
     parameter: float
-    purity: np.ndarray
-    C_direct: np.ndarray
-    C_closed: np.ndarray
-    V_direct: np.ndarray
-    V_closed: np.ndarray
+    purity: float | np.ndarray
+    C_direct: float | np.ndarray
+    C_closed: float | np.ndarray
+    V_direct: float | np.ndarray
+    V_closed: float | np.ndarray
     V_min: float
     V_max: float
-    I_direct: np.ndarray
-    I_closed: np.ndarray
-    U_direct: np.ndarray
-    U_closed: np.ndarray
-    max_abs_discrepancy: np.ndarray
-    negatives_clamped: Sequence[int]
+    I_direct: float | np.ndarray
+    I_closed: float | np.ndarray
+    U_direct: float | np.ndarray
+    U_closed: float | np.ndarray
+    max_abs_discrepancy: float | np.ndarray
+    negatives_clamped: int | Sequence[int] = 0
 
-    def __len__(self) -> int:
-        return len(self.purity)
-
-    def report(self, i: int) -> BzReport:
-        """The report of state i, its numbers Python floats and ints."""
-        return BzReport(
-            dim=self.dim,
-            kind=self.kind,
-            parameter=self.parameter,
-            purity=float(self.purity[i]),
-            C_direct=float(self.C_direct[i]),
-            C_closed=float(self.C_closed[i]),
-            V_direct=float(self.V_direct[i]),
-            V_closed=float(self.V_closed[i]),
-            V_min=self.V_min,
-            V_max=self.V_max,
-            I_direct=float(self.I_direct[i]),
-            I_closed=float(self.I_closed[i]),
-            U_direct=float(self.U_direct[i]),
-            U_closed=float(self.U_closed[i]),
-            max_abs_discrepancy=float(self.max_abs_discrepancy[i]),
-            negatives_clamped=int(self.negatives_clamped[i]),
-        )
+    def row(self, i: int) -> BzReport:
+        """The report of state i of a batch, its numbers Python floats and ints."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return BzReport(*(_item(v[i] if np.ndim(v) else v) for v in values))
 
 
 def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negatives_clamped):
     """The reports of states' direct C and V against the closed forms at their purities.
 
     Given one state's numbers, returns its BzReport; given arrays, with one
-    entry per state, the BzReports of them all.  The arithmetic is
+    entry per state, the BzReport of their columns.  The arithmetic is
     elementwise, the same bits as float arithmetic on each state, overflow
     to inf included.
     I_direct = V_max - V_direct and U_direct = V_direct - V_min.
     """
     if np.ndim(purity) == 0:
         return reconcile(kind, d, parameter, [purity], [c_direct], [v_direct],
-                         [negatives_clamped]).report(0)
+                         [negatives_clamped]).row(0)
     purity = np.asarray(purity, dtype=np.float64)
     c_direct = np.asarray(c_direct, dtype=np.float64)
     v_direct = np.asarray(v_direct, dtype=np.float64)
@@ -216,7 +183,7 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
         np.maximum(discrepancy, np.abs(u_direct - cf.U), out=discrepancy)
         np.maximum(discrepancy, np.abs(c_direct - cf.C), out=discrepancy)
 
-    return BzReports(
+    return BzReport(
         dim=d,
         kind=kind,
         parameter=parameter,
@@ -325,12 +292,13 @@ class DirectEvaluator:
         """
         n = len(traces) // 2
         p = traces[:n]
-        # a DensityMatrix built by hand need not be Hermitian
-        imaginary = np.maximum.reduce(np.abs(traces[n:]), axis=1) >= IMAG_TOL
+        # a DensityMatrix built by hand need not be Hermitian, nor finite: each
+        # check is "not within", which a nan fails
+        imaginary = np.logical_not(np.maximum.reduce(np.abs(traces[n:]), axis=1) < IMAG_TOL)
         low, high = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
-        out_of_range = (low < -PROB_TOL) | (high > 1.0 + PROB_TOL)
+        out_of_range = np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL))
         totals = np.add.reduceat(p, self.group_starts, axis=1)
-        off = np.abs(totals - 1.0) >= PROB_TOL
+        off = np.logical_not(np.abs(totals - 1.0) < PROB_TOL)
         j = _first(imaginary | out_of_range | np.logical_or.reduce(off, axis=1))
         if j == n:
             return p, None
@@ -342,13 +310,13 @@ class DirectEvaluator:
             error = NumericalError(f"POVM probabilities sum to {totals[j][off[j]][0].item()!r}, not 1")
         return p, (j, error)
 
-    def report_many(self, states) -> BzReports:
-        """The reports of a (n, d, d) stack of states, computed as arrays.
+    def report_many(self, states) -> BzReport:
+        """The report of a (n, d, d) stack of states, its columns computed as arrays.
 
         Each state is checked in the order of ``probs`` (imaginary part,
         [0, 1] range, POVM sums), then for the variance floor and the purity
         domain.  At the first state j that fails, the error of its first
-        failing check is raised, with the reports of states 0..j-1 as its
+        failing check is raised, with the report of states 0..j-1 as its
         ``reports`` attribute (None when j is 0).
         """
         m, rows, traces = self._traces(states)
@@ -393,4 +361,4 @@ class DirectEvaluator:
 
     def report(self, rho: DensityMatrix) -> BzReport:
         """The report of one state: ``report_many`` of it, bit for bit."""
-        return self.report_many(rho.matrix[None]).report(0)
+        return self.report_many(rho.matrix[None]).row(0)

@@ -57,7 +57,8 @@ def hermitian(m, overwrite: bool = False) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 
     Defects below ``TOL_HERM`` are absorbed by H <- (H + H^dag)/2; larger
-    defects raise, so genuine errors are not masked.  Each matrix of a
+    defects raise, so genuine errors are not masked, as does a sum that
+    overflows (entries near the float64 limit).  Each matrix of a
     stack is checked on its own; the first defective one is named by its
     row-major index in the stack.  The stack is taken a block of matrices
     at a time, so the temporaries stay small; with ``overwrite`` a
@@ -72,16 +73,20 @@ def hermitian(m, overwrite: bool = False) -> np.ndarray:
     for start in range(0, len(stack), step):
         block = slice(start, start + step)
         adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
-        per_matrix = np.abs(stack[block] - adjoint).reshape(len(adjoint), -1).max(axis=1)
-        bad = np.flatnonzero(per_matrix >= TOL_HERM)
-        if bad.size:
-            i = start + int(bad[0])
-            where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
-            raise DomainError(
-                f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {TOL_HERM:.0e})"
-            )
-        np.add(adjoint, stack[block], out=out[block])
-        out[block] /= 2.0
+        # entries near the float64 limit overflow: a defect of inf raises, a sum of inf below
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_matrix = np.abs(stack[block] - adjoint).reshape(len(adjoint), -1).max(axis=1)
+            bad = np.flatnonzero(per_matrix >= TOL_HERM)
+            if bad.size:
+                i = start + int(bad[0])
+                where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
+                raise DomainError(
+                    f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {TOL_HERM:.0e})"
+                )
+            np.add(adjoint, stack[block], out=out[block])
+            out[block] /= 2.0
+        if not np.isfinite(out[block]).all():
+            raise DomainError("matrix entries too large to symmetrize")
     return result
 
 

@@ -340,7 +340,8 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         }
         expected = gsm_a(d, family.t)
     eye = np.eye(d, dtype=np.complex128)
-    deviations["positivity"] = max(0.0, -float(np.linalg.eigvalsh(effects)[:, 0].min()))
+    lowest = float(np.linalg.eigvalsh(effects)[:, 0].min())
+    deviations["positivity"] = 0.0 if lowest >= 0.0 else -lowest  # nan stays nan, and fails
     deviations["completeness"] = max(worst(g.sum(axis=0), eye) for g in family.split(effects))
     deviations["parameter"] = abs(param - expected)
     return deviations, _degenerate(family.kind, d, param)
@@ -365,8 +366,11 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     from the whole product in the last digits of its overlap deviations.
 
     Each call computes the deviations anew and judges them at its ``tol``.
+    Entries so large that the products overflow give deviations of inf or
+    nan, which fail, without a warning.
     """
-    deviations, degenerate = _condition_deviations(family)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations, degenerate = _condition_deviations(family)
     return VerificationReport(kind=family.kind, tol=tol, deviations=deviations, degenerate=degenerate)
 
 

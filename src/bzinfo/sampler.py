@@ -63,19 +63,14 @@ def estimate_coincidence(table: CountTable) -> float:
     return total
 
 
-def estimate_bz_info(
-    family: Family,
-    table: CountTable,
-    seed: int,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-) -> tuple[float, float]:
+def estimate_bz_info(family: Family, table: CountTable, seed: int) -> tuple[float, float]:
     """Finite-shot estimate of the invariant information, with bootstrap error.
 
     The estimate is the coincidence of ``table``, the family's counts
     drawn with ``sample_outcomes`` at ``seed``, minus the closed-form
     coincidence of the maximally mixed state for this family.  The
-    standard error comes from ``resamples`` multinomial resamples of the
-    count table, drawn from ``Generator(Philox(seed).jumped())``.
+    standard error comes from ``BOOTSTRAP_RESAMPLES`` multinomial resamples
+    of the count table, drawn from ``Generator(Philox(seed).jumped())``.
     """
     check_seed(seed)
     if tuple(len(counts) for counts in table.counts) != family.group_sizes:
@@ -89,10 +84,10 @@ def estimate_bz_info(
     frequencies = np.stack(table.counts) / n
     # one draw of shape (resamples, povms, outcomes), in the order of a
     # resample-major loop over the POVMs
-    c = rng.multinomial(n, frequencies, size=(resamples, len(table.counts))).astype(np.float64)
+    c = rng.multinomial(n, frequencies, size=(BOOTSTRAP_RESAMPLES, len(table.counts))).astype(np.float64)
     per_povm = (c * (c - 1.0)).sum(axis=2) / (n * (n - 1.0))
     # accumulate POVM by POVM, the float order of a per-resample running sum
-    totals = np.zeros(resamples)
+    totals = np.zeros(BOOTSTRAP_RESAMPLES)
     for b in range(per_povm.shape[1]):
         totals += per_povm[:, b]
     replicas = totals - coincidence_at_mixed

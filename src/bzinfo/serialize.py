@@ -174,9 +174,10 @@ def _encode_measurement(family: Family) -> dict:
 
 
 def _encode_report(report: BzReport) -> dict:
-    doc = {"schema": "report"}
-    doc.update({name: getattr(report, name) for name in _REPORT_FIELDS})
-    return doc
+    values = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    if any(np.ndim(value) for value in values.values()):
+        raise SchemaError("cannot encode the report of a batch of states; encode each row")
+    return {"schema": "report", **values}
 
 
 def _encode_counts(table: CountTable) -> dict:
@@ -486,11 +487,16 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _integer(key: str, value, least: int) -> int:
+    """The field ``key``'s value, checked to be a JSON integer of at least ``least``."""
+    # JSON integers only: bool is an int subclass, and int64 would truncate floats
+    if type(value) is not int or value < least:
+        raise SchemaError(f"invalid {key} {value!r}")
+    return value
+
+
 def _decode_state(doc: dict) -> DensityMatrix:
-    d = _require(doc, "dim")
-    # JSON integers only: bool is an int subclass
-    if type(d) is not int or d < 1:
-        raise SchemaError(f"invalid dim {d!r}")
+    d = _integer("dim", _require(doc, "dim"), 1)
     rho = _matrix_from_json(_require(doc, "rho"), (d, d))
     try:
         return validate_state(rho)
@@ -500,9 +506,7 @@ def _decode_state(doc: dict) -> DensityMatrix:
 
 def _decode_measurement(doc: dict):
     kind = _require(doc, "kind")
-    d = _require(doc, "dim")
-    if type(d) is not int or d < 2:
-        raise SchemaError(f"invalid dim {d!r}")
+    d = _integer("dim", _require(doc, "dim"), 2)
     effects = _require(doc, "effects")
     if not isinstance(kind, str) or kind not in PARAMETER_NAMES:
         raise SchemaError(f"unknown measurement kind {kind!r}")
@@ -537,14 +541,10 @@ def _decode_report(doc: dict) -> BzReport:
     non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"report fields must be finite numbers: {', '.join(non_finite)}")
-    d, kind, clamped = values["dim"], values["kind"], values["negatives_clamped"]
-    # JSON integers only: bool is an int subclass
-    if type(d) is not int or d < 1:
-        raise SchemaError(f"invalid dim {d!r}")
+    d, kind = _integer("dim", values["dim"], 1), values["kind"]
     if kind not in REPORT_KINDS:
         raise SchemaError(f"unknown report kind {kind!r}")
-    if type(clamped) is not int or clamped < 0:
-        raise SchemaError(f"invalid negatives_clamped {clamped!r}")
+    clamped = _integer("negatives_clamped", values["negatives_clamped"], 0)
     for name in _REPORT_FIELDS[2:-1]:  # "parameter" to "max_abs_discrepancy": numbers
         value = values[name]
         if type(value) not in (int, float):
@@ -571,9 +571,7 @@ def _decode_report(doc: dict) -> BzReport:
 def _decode_counts(doc: dict) -> CountTable:
     shots = _require(doc, "shots")
     rows = _require(doc, "counts")
-    # JSON integers only: bool is an int subclass, and int64 would truncate floats
-    if type(shots) is not int or shots < 1:
-        raise SchemaError(f"invalid shots {shots!r}")
+    _integer("shots", shots, 1)
     if not isinstance(rows, list) or not rows:
         raise SchemaError("counts must be a non-empty list of rows")
     decoded = []

@@ -129,9 +129,10 @@ def validate_state(m) -> DensityMatrix:
     """
     a = as_complex_matrix(m)
     rho = hermitian(a)  # raises DomainError if non-Hermitian
-    tr = rho.trace()
+    with np.errstate(over="ignore"):  # a sum past the float64 limit is a trace of inf
+        tr = rho.trace()
     if abs(tr - 1.0) >= TRACE_TOL:
-        raise DomainError(f"state trace is {tr.real!r}, not 1 within {TRACE_TOL:.0e}")
+        raise DomainError(f"state trace is {tr.real.item()!r}, not 1 within {TRACE_TOL:.0e}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < EIG_FLOOR:
         raise DomainError(f"state has negative eigenvalue {smallest:.3e}")

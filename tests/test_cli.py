@@ -312,6 +312,66 @@ def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, che
     assert out.read_text().splitlines() == clean.read_text().splitlines()[:6]
 
 
+# state files that fail validation, with the message bz and sample give for each
+BAD_STATES = {
+    "trace": ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+              "state trace is 1.5, not 1 within 1e-12"),
+    "eigenvalue": ([[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+                   "state has negative eigenvalue -5.000e-01"),
+    "hermitian": ([[[0.5, 0.0], [0.25, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                  "matrix is not Hermitian (defect 2.500e-01 >= 1e-12)"),
+    # finite entries whose symmetrized sum overflows
+    "huge": ([[[0.5, 0.0], [1.5e308, 0.0]], [[1.5e308, 0.0], [0.5, 0.0]]],
+             "matrix entries too large to symmetrize"),
+    # finite entries whose trace overflows
+    "huge trace": ([[[8e307 * (i == j), 0.0] for j in range(3)] for i in range(3)],
+                   "state trace is inf, not 1 within 1e-12"),
+}
+
+
+@pytest.mark.parametrize("verb", [["bz"], ["sample", "--shots", "10"]], ids=["bz", "sample"])
+@pytest.mark.parametrize("defect", sorted(BAD_STATES))
+def test_a_state_file_failing_validation_exits_two_with_one_line(tmp_path, capsys, verb, defect):
+    rho, message = BAD_STATES[defect]
+    m, s = tmp_path / "m.json", tmp_path / "s.json"
+    run(capsys, "gen", "mum", "--dim", str(len(rho)), "--out", str(m))
+    s.write_text(json.dumps({"v": 1, "schema": "state", "dim": len(rho), "rho": rho}))
+    code, out, err = run(capsys, *verb, "--measurement", str(m), "--state", str(s))
+    assert (code, out) == (2, "")
+    assert err == f"error: decoded state fails validation: {message}\n"
+    assert "np.float64(" not in err
+
+
+def test_a_measurement_file_too_large_to_symmetrize_exits_two(tmp_path, capsys):
+    m, s = tmp_path / "m.json", tmp_path / "s.json"
+    run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
+    run(capsys, "state", "gen", "--dim", "2", "--out", str(s))
+    doc = json.loads(m.read_text())
+    doc["effects"][0][0][0][1] = doc["effects"][0][0][1][0] = [1.5e308, 0.0]
+    m.write_text(json.dumps(doc))
+    message = "error: decoded measurement fails validation: matrix entries too large to symmetrize\n"
+    for argv in (["verify"], ["bz", "--state", str(s)], ["sample", "--state", str(s), "--shots", "10"]):
+        assert run(capsys, *argv, "--measurement", str(m)) == (2, "", message)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_json_writes_a_non_finite_deviation_as_null(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
+    doc = json.loads(m.read_text())
+    doc["effects"][0][0][0][1] = doc["effects"][0][0][1][0] = [1e200, 0.0]
+    m.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--measurement", str(m), "--json")
+    assert (code, err) == (1, "")
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert report["passed"] is False
+    assert report["deviations"]["within_overlap_diag"] is None
+    assert report["deviations"]["positivity"] == 1e200
+
+
 @pytest.mark.parametrize("kind, d, rank, seed", [
     ("mum", 3, 3, 5), ("gsm", 2, 1, 9), ("mub", 5, 2, 2**64 - 1), ("sic2", 2, 2, 0), ("gsm", 8, 8, 1),
 ])

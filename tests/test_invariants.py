@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bzinfo import (
-    BzReports,
+    BzReport,
     DensityMatrix,
     DirectEvaluator,
     DomainError,
@@ -446,9 +446,9 @@ def test_report_many_rows_are_report_bit_for_bit(monkeypatch, kind, d, make):
             for batch in density_batches(d, rank, 11, n):
                 assert per_batch is None or len(batch) <= per_batch
                 reports = evaluator.report_many(batch)
-                assert isinstance(reports, BzReports) and len(reports) == len(batch)
+                assert isinstance(reports, BzReport) and len(reports.purity) == len(batch)
                 for i, matrix in enumerate(batch):
-                    row = fields(reports.report(i))
+                    row = fields(reports.row(i))
                     assert row == fields(evaluator.report(DensityMatrix(dim=d, matrix=matrix)))
                     rows.append(row)
             # the rows do not depend on how the states are batched
@@ -471,13 +471,13 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
             reports = evaluator.report_many(batch)
             squares = square_stack(evaluator)
         assert squares.tobytes() == (family.effects @ family.effects).tobytes()
-        columns.append([fields(reports.report(i)) for i in range(len(batch))])
+        columns.append([fields(reports.row(i)) for i in range(len(batch))])
     assert columns[0] == columns[1] == columns[2]
 
 
 def test_report_many_of_no_states_is_empty():
     reports = DirectEvaluator(build_mum(3, "auto")).report_many(np.empty((0, 3, 3), complex))
-    assert len(reports) == 0
+    assert len(reports.purity) == 0
 
 
 def test_report_rejects_degenerate_family():

@@ -102,6 +102,20 @@ def test_hermitian_bits_equal_the_symmetrized_sum(rng, shape):
 def test_hermitian_rejects_large_defect():
     with pytest.raises(DomainError):
         hermitian(SX + 1e-6 * np.array([[0, 1j], [0, 0]]))
+    # a defect that overflows is a defect, with no RuntimeWarning
+    with pytest.raises(DomainError, match=r"not Hermitian \(defect inf"):
+        hermitian(np.array([[0.5, 1.5e308], [-1.5e308, 0.5]]))
+
+
+@pytest.mark.parametrize("entry", [1.5e308, -1.5e308, 1.5e308j])
+def test_hermitian_refuses_a_sum_that_overflows(entry):
+    # finite and Hermitian, but H + H^dag overflows; no RuntimeWarning escapes
+    m = np.array([[0.5, entry], [np.conj(entry), 0.5]])
+    with pytest.raises(DomainError, match="^matrix entries too large to symmetrize$"):
+        hermitian(m)
+    stack = np.stack([np.eye(2), m])
+    with pytest.raises(DomainError, match="^matrix entries too large to symmetrize$"):
+        hermitian(stack, overwrite=True)
 
 
 def test_stacked_hermitian_matches_per_matrix_calls(rng):

@@ -189,6 +189,20 @@ def test_verify_mum_flags_perturbation():
     assert "completeness" in report.failures()
 
 
+def test_verify_overflow_and_nan_fail_without_a_warning(monkeypatch):
+    family = build_mum(2, "auto")
+    effects = family.effects.copy()
+    effects[0, 0, 1] = effects[0, 1, 0] = 1e200  # the Gram's diagonal overflows
+    report = verify(dataclasses.replace(family, effects=effects))
+    assert report.deviations["within_overlap_diag"] == np.inf
+    assert {"within_overlap_diag", "positivity", "completeness"} <= set(report.failures())
+    # a nan eigenvalue is a positivity failure, not a deviation of 0
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    report = verify(family)
+    assert np.isnan(report.deviations["positivity"])
+    assert report.failures() == ["positivity"]
+
+
 def test_batched_eigenvalue_checks_match_per_effect_loop():
     d = 5
     for family in (build_mum(d, "auto"), build_gsm(d, "auto"), build_mub(d)):

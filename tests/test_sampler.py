@@ -3,8 +3,10 @@ import pytest
 
 from bzinfo import (
     CountTable,
+    DensityMatrix,
     DirectEvaluator,
     DomainError,
+    NumericalError,
     VerificationError,
     build_gsm,
     build_mub,
@@ -19,6 +21,7 @@ from bzinfo import (
     validate_state,
 )
 from bzinfo import _kernels
+from bzinfo.sampler import BOOTSTRAP_RESAMPLES
 from bzinfo.states import rng_from_seed
 from conftest import degenerate_family
 
@@ -156,9 +159,24 @@ def test_bootstrap_matches_loop_on_hand_built_table():
         counts=(np.array([6, 0]), np.array([3, 3]), np.array([1, 5])),
     )
     coincidence_at_mixed = closed_forms("mub", 2, 1.0, 0.5).C
-    expected = _loop_std_error(table, 9, coincidence_at_mixed, 50)
-    _, std_error = estimate_bz_info(build_mub(2), table, 9, resamples=50)
+    expected = _loop_std_error(table, 9, coincidence_at_mixed, BOOTSTRAP_RESAMPLES)
+    _, std_error = estimate_bz_info(build_mub(2), table, 9)
     assert std_error == expected
+
+
+def test_a_hand_built_nan_state_raises_before_sampling():
+    evaluator = DirectEvaluator(build_mub(2))
+    nan_state = DensityMatrix(dim=2, matrix=np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex))
+    with pytest.raises(NumericalError):
+        sample_outcomes(evaluator, nan_state, 10, seed=0)
+    with pytest.raises(NumericalError):
+        evaluator.report(nan_state)
+    # a nan in the real parts alone, past the imaginary check, fails the [0, 1] range
+    traces = np.zeros((2, 6))
+    traces[0] = 0.5
+    traces[0, 1] = np.nan
+    _, (j, error) = evaluator._checked_probs(traces)
+    assert j == 0 and str(error) == "probability out of [0, 1]: nan..nan"
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():

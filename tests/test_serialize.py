@@ -71,6 +71,14 @@ def test_report_roundtrip_exact():
     assert roundtrip(report) == report
 
 
+def test_report_of_a_batch_is_not_encoded():
+    evaluator = DirectEvaluator(build_mum(2, "auto"))
+    reports = evaluator.report_many(np.stack([random_density(2, 2, 1).matrix] * 3))
+    with pytest.raises(SchemaError, match="report of a batch of states"):
+        encode(reports)
+    assert roundtrip(reports.row(2)) == reports.row(2)
+
+
 def test_counts_roundtrip_exact():
     table = sample_outcomes(DirectEvaluator(build_mub(3)), random_density(3, 3, 2), 250, seed=4)
     back = roundtrip(table)
