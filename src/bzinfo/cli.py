@@ -168,9 +168,10 @@ def _cmd_bz(args) -> int:
 def _cmd_sample(args) -> int:
     family = _load(args.measurement, "measurement")
     state = _load(args.state, "state")
-    table = sample_outcomes(DirectEvaluator(family), state, args.shots, args.seed)
+    evaluator = DirectEvaluator(family)
+    table = sample_outcomes(evaluator, state, args.shots, args.seed)
     if args.estimate:
-        estimate, std_error = estimate_bz_info(family, table, args.seed)
+        estimate, std_error = estimate_bz_info(evaluator, table, args.seed)
         print(json.dumps({"estimate": estimate, "std_error": std_error}))
     if args.out or not args.estimate:
         _emit(table, args.out)

@@ -241,7 +241,7 @@ class DirectEvaluator:
         self.parameter = family.parameter
         self.dim = family.dim
         self.observables = family.effects
-        self.group_starts = np.cumsum((0,) + family.group_sizes[:-1])
+        self.layout = family.layout
 
     def _square_blocks(self):
         """The effects' squares P @ P, as (start, block) for blocks of effects, in order.
@@ -276,33 +276,39 @@ class DirectEvaluator:
     def probs(self, rho: DensityMatrix) -> np.ndarray:
         """Born probabilities Tr(P rho) of every effect, POVM after POVM.
 
-        Each is checked real and within [0, 1], and each POVM's sum within
-        1e-10 of one.
+        The state is checked finite; each probability real and within
+        [0, 1], and each POVM's sum within 1e-10 of one.
         """
-        p, failure = self._checked_probs(self._traces(rho.matrix[None])[2])
+        _, rows, traces = self._traces(rho.matrix[None])
+        p, failure = self._checked_probs(rows, traces)
         if failure is not None:
             raise failure[1]
         return p[0]
 
-    def _checked_probs(self, traces: np.ndarray):
+    def _checked_probs(self, rows: np.ndarray, traces: np.ndarray):
         """The probabilities, the real rows of the traces, checked as ``probs`` describes.
 
-        Returns them with the first state whose probabilities fail a check,
-        as (index, error), or with None.
+        ``rows`` are the states' ``trace_rows``, finite exactly where the
+        states are.  Returns the probabilities with the first state that
+        fails a check, as (index, error), or with None.
         """
         n = len(traces) // 2
         p = traces[:n]
-        # a DensityMatrix built by hand need not be Hermitian, nor finite: each
-        # check is "not within", which a nan fails
+        # a DensityMatrix built by hand need not be Hermitian, nor finite: a
+        # nan reaches every trace, so finiteness is checked first, on the state
+        non_finite = np.logical_not(np.isfinite(rows[0]).all(axis=1))
+        # each later check is "not within", which a nan fails
         imaginary = np.logical_not(np.maximum.reduce(np.abs(traces[n:]), axis=1) < IMAG_TOL)
         low, high = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
         out_of_range = np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL))
-        totals = np.add.reduceat(p, self.group_starts, axis=1)
+        totals = np.add.reduceat(p, np.arange(0, p.shape[1], self.layout[1]), axis=1)
         off = np.logical_not(np.abs(totals - 1.0) < PROB_TOL)
-        j = _first(imaginary | out_of_range | np.logical_or.reduce(off, axis=1))
+        j = _first(non_finite | imaginary | out_of_range | np.logical_or.reduce(off, axis=1))
         if j == n:
             return p, None
-        if imaginary[j]:
+        if non_finite[j]:
+            error = NumericalError("state has non-finite entries")
+        elif imaginary[j]:
             error = NumericalError("outcome probability has a non-negligible imaginary part")
         elif out_of_range[j]:
             error = NumericalError(f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}")
@@ -313,15 +319,15 @@ class DirectEvaluator:
     def report_many(self, states) -> BzReport:
         """The report of a (n, d, d) stack of states, its columns computed as arrays.
 
-        Each state is checked in the order of ``probs`` (imaginary part,
-        [0, 1] range, POVM sums), then for the variance floor and the purity
-        domain.  At the first state j that fails, the error of its first
-        failing check is raised, with the report of states 0..j-1 as its
-        ``reports`` attribute (None when j is 0).
+        Each state is checked in the order of ``probs`` (finite entries,
+        imaginary part, [0, 1] range, POVM sums), then for the variance
+        floor and the purity domain.  At the first state j that fails, the
+        error of its first failing check is raised, with the report of
+        states 0..j-1 as its ``reports`` attribute (None when j is 0).
         """
         m, rows, traces = self._traces(states)
         n = len(m)
-        p, failure = self._checked_probs(traces)
+        p, failure = self._checked_probs(rows, traces)
         squares = p * p  # the bits of p**2
         c_direct = np.add.reduce(squares, axis=1)
         terms = np.empty_like(p)

@@ -45,14 +45,6 @@ def _as_square_stack(m) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate a square complex matrix with finite entries."""
-    a = _as_square_stack(m)
-    if a.ndim != 2:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def hermitian(m, overwrite: bool = False) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 

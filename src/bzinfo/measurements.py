@@ -27,6 +27,7 @@ unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +58,22 @@ GSM_KINDS = ("gsm", "sic")
 PARAMETER_NAMES = {"mum": "kappa", "mub": "kappa", "gsm": "a", "sic": "a"}
 
 
+def layout(kind: str, d: int) -> tuple[int, int]:
+    """(POVMs, outcomes) of a dimension-d family: (d + 1, d) if MUM-like, (1, d^2) if general SIC.
+
+    Effects, probabilities and counts all group so: entry i is outcome
+    i % outcomes of POVM i // outcomes.
+    """
+    return (d + 1, d) if kind in MUM_KINDS else (1, d * d)
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """A complete measurement family: its effects, grouped into POVMs.
 
-    ``kind`` is "mum" or "mub" (``parameter`` is kappa; d + 1 POVMs of d
-    effects) or "gsm" or "sic" (``parameter`` is a; one POVM of d^2
-    effects).  ``effects`` stacks every effect, POVM after POVM.
+    ``kind`` is "mum" or "mub" (``parameter`` is kappa) or "gsm" or "sic"
+    (``parameter`` is a).  ``effects`` stacks every effect, POVM after
+    POVM, as ``layout`` groups them.
 
     Every effect is exactly Hermitian, equal to its conjugate transpose bit
     for bit: the builders form them so, and ``decode`` symmetrizes what it
@@ -78,12 +88,12 @@ class Family:
     dim: int
     t: float
     parameter: float
-    effects: np.ndarray  # (sum(group_sizes), d, d) complex
+    effects: np.ndarray  # (povms * outcomes, d, d) complex
 
     def __post_init__(self) -> None:
         if self.kind not in PARAMETER_NAMES:
             raise DomainError(f"unknown measurement kind {self.kind!r}")
-        n = sum(self.group_sizes)
+        n = math.prod(self.layout)
         if self.effects.shape != (n, self.dim, self.dim):
             raise DomainError(
                 f"a {self.kind} family of dimension {self.dim} needs {n} effects "
@@ -91,14 +101,9 @@ class Family:
             )
 
     @property
-    def group_sizes(self) -> tuple[int, ...]:
-        """Effects per POVM, in the order they are stacked."""
-        d = self.dim
-        return (d,) * (d + 1) if self.kind in MUM_KINDS else (d * d,)
-
-    def split(self, values: np.ndarray) -> list[np.ndarray]:
-        """Split a per-effect array (effects, probabilities) into one part per POVM."""
-        return np.split(values, np.cumsum(self.group_sizes)[:-1])
+    def layout(self) -> tuple[int, int]:
+        """(POVMs, outcomes) of the family: ``layout(kind, dim)``."""
+        return layout(self.kind, self.dim)
 
 
 @dataclass
@@ -139,13 +144,12 @@ class VerificationReport:
 def family_bytes(kind: str, d: int) -> int:
     """Estimated bytes of a dimension-d family of this kind: its effects plus an allowance.
 
-    MUM-like kinds stack (d + 1) d^3 complex entries, general SIC kinds d^4.
-    The allowance is one operator basis, (d^2 - 1) d^2 entries: a build holds
+    The effects are povms * outcomes d x d matrices (``layout``).  The
+    allowance is one operator basis, (d^2 - 1) d^2 entries: a build holds
     no basis beside its stack, but the allowance keeps the limits on d where
     they are.
     """
-    effects = (d + 1) * d**3 if kind in MUM_KINDS else d**4
-    return COMPLEX_BYTES * (effects + (d * d - 1) * d * d)
+    return COMPLEX_BYTES * (math.prod(layout(kind, d)) + d * d - 1) * d * d
 
 
 def _check_family_size(kind: str, d: int) -> None:
@@ -181,12 +185,8 @@ def _generators(kind: str, d: int) -> np.ndarray:
         name = "MUMs" if kind == "mum" else "general SIC measurements"
         raise DomainError(f"{name} need dimension >= 2, got {d}")
     _check_family_size(kind, d)
-    if kind == "mum":
-        stack = np.zeros((d + 1, d, d, d), dtype=np.complex128)
-        scale, last = d + np.sqrt(d), 1.0 + np.sqrt(d)
-    else:
-        stack = np.zeros((1, d * d, d, d), dtype=np.complex128)
-        scale, last = d * (d + 1), d + 1
+    stack = np.zeros((*layout(kind, d), d, d), dtype=np.complex128)
+    scale, last = (d + np.sqrt(d), 1.0 + np.sqrt(d)) if kind == "mum" else (d * (d + 1), d + 1)
     write_gell_mann(stack[:, :-1])
     # one POVM at a time: a ufunc buffers a broadcast operand, up to the size of its output
     for povm, total in zip(stack, stack[:, :-1].sum(axis=1)):
@@ -300,7 +300,7 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
     whole Gram matrix and no whole mask is held.
     """
     d, param, effects = family.dim, family.parameter, family.effects
-    group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
+    group = np.arange(len(effects)) // family.layout[1]  # each effect's POVM
     # running extrema of the classes: the diagonal, same POVM off it, two POVMs
     highs, lows = np.full(3, -np.inf), np.full(3, np.inf)
 
@@ -340,9 +340,11 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         }
         expected = gsm_a(d, family.t)
     eye = np.eye(d, dtype=np.complex128)
-    lowest = float(np.linalg.eigvalsh(effects)[:, 0].min())
+    # eigvalsh may call a matrix with a nan entry positive ([0, -0] for
+    # [[nan, 0], [0, 1]]); the Gram diagonal, the effects' squared norms, is nan exactly then
+    lowest = np.nan if np.isnan(highs[0]) else float(np.linalg.eigvalsh(effects)[:, 0].min())
     deviations["positivity"] = 0.0 if lowest >= 0.0 else -lowest  # nan stays nan, and fails
-    deviations["completeness"] = max(worst(g.sum(axis=0), eye) for g in family.split(effects))
+    deviations["completeness"] = worst(effects.reshape(*family.layout, d, d).sum(axis=1), eye)
     deviations["parameter"] = abs(param - expected)
     return deviations, _degenerate(family.kind, d, param)
 

@@ -1,11 +1,10 @@
 """Finite-shot simulation of measurement families and collision estimation.
 
-Each POVM's outcome counts are one multinomial draw of the shot budget
-over its Born probabilities, so time and memory grow with the number of
-outcomes, not of shots.  The probabilities come from a verified
-``DirectEvaluator``.  The POVMs draw their counts one after another
-from one ``Generator(Philox(seed))``, so sampling is deterministic.  The
-bootstrap reads ``Philox(seed).jumped()``: the same key, 2^128 outputs
+A count table is one (POVMs, outcomes) array, the family's ``layout``.  One
+``multinomial`` call draws its rows, POVM after POVM, from one
+``Generator(Philox(seed))`` over the Born probabilities of a verified
+``DirectEvaluator``, so time and memory grow with the outcomes, not the shots.
+The bootstrap reads ``Philox(seed).jumped()``: the same key, 2^128 outputs
 ahead, a stream that never meets the count table's.
 The coincidence estimator is the unbiased collision statistic
 sum_j n_j (n_j - 1) / (N (N - 1)); the plug-in sum of squared frequencies
@@ -20,7 +19,6 @@ import numpy as np
 
 from .errors import DomainError
 from .invariants import DirectEvaluator, closed_forms
-from .measurements import Family
 from .states import DensityMatrix, check_seed, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
@@ -30,10 +28,10 @@ MAX_SHOTS = 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Outcome counts per POVM, each row summing to the shot budget."""
+    """Outcome counts: a read-only (POVMs, outcomes) int64 array, each row summing to the shots."""
 
     shots_per_povm: int
-    counts: tuple[np.ndarray, ...]
+    counts: np.ndarray
 
 
 def sample_outcomes(evaluator: DirectEvaluator, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
@@ -42,13 +40,21 @@ def sample_outcomes(evaluator: DirectEvaluator, rho: DensityMatrix, shots: int, 
         raise DomainError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
     shots = int(shots)
     rng = rng_from_seed(seed)
-    rows = []
-    for probs in np.split(evaluator.probs(rho), evaluator.group_starts[1:]):
-        p = np.maximum(probs, 0.0)
-        counts = rng.multinomial(shots, p / p.sum())
-        counts.setflags(write=False)
-        rows.append(counts)
-    return CountTable(shots_per_povm=shots, counts=tuple(rows))
+    p = np.maximum(evaluator.probs(rho), 0.0).reshape(evaluator.layout)
+    counts = rng.multinomial(shots, p / p.sum(axis=1, keepdims=True))
+    counts.setflags(write=False)
+    return CountTable(shots_per_povm=shots, counts=counts)
+
+
+def _collisions(counts: np.ndarray, n: int) -> np.ndarray:
+    """The collision statistic of (..., POVMs, outcomes) counts of ``n`` shots per POVM.
+
+    The POVMs' sums are added in POVM order, which ``add.accumulate`` keeps
+    and ``add.reduce`` would not.
+    """
+    c = counts.astype(np.float64)
+    per_povm = (c * (c - 1.0)).sum(axis=-1) / (n * (n - 1.0))
+    return np.add.accumulate(per_povm, axis=-1)[..., -1]
 
 
 def estimate_coincidence(table: CountTable) -> float:
@@ -56,40 +62,29 @@ def estimate_coincidence(table: CountTable) -> float:
     n = table.shots_per_povm
     if n < 2:
         raise DomainError(f"collision estimation needs >= 2 shots per POVM, got {n}")
-    total = 0.0
-    for counts in table.counts:
-        c = counts.astype(np.float64)
-        total += float((c * (c - 1.0)).sum()) / (n * (n - 1.0))
-    return total
+    return float(_collisions(table.counts, n))
 
 
-def estimate_bz_info(family: Family, table: CountTable, seed: int) -> tuple[float, float]:
+def estimate_bz_info(evaluator: DirectEvaluator, table: CountTable, seed: int) -> tuple[float, float]:
     """Finite-shot estimate of the invariant information, with bootstrap error.
 
-    The estimate is the coincidence of ``table``, the family's counts
+    The estimate is the coincidence of ``table``, the evaluator's counts
     drawn with ``sample_outcomes`` at ``seed``, minus the closed-form
     coincidence of the maximally mixed state for this family.  The
     standard error comes from ``BOOTSTRAP_RESAMPLES`` multinomial resamples
     of the count table, drawn from ``Generator(Philox(seed).jumped())``.
     """
     check_seed(seed)
-    if tuple(len(counts) for counts in table.counts) != family.group_sizes:
+    if table.counts.shape != evaluator.layout:
         raise DomainError("count table does not match the family's POVMs")
-    d = family.dim
-    coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
+    d = evaluator.dim
+    coincidence_at_mixed = closed_forms(evaluator.kind, d, evaluator.parameter, 1.0 / d).C
     estimate = estimate_coincidence(table) - coincidence_at_mixed
 
     n = table.shots_per_povm
     rng = np.random.Generator(np.random.Philox(int(seed)).jumped())
-    frequencies = np.stack(table.counts) / n
-    # one draw of shape (resamples, povms, outcomes), in the order of a
+    # one draw of shape (resamples, POVMs, outcomes), in the order of a
     # resample-major loop over the POVMs
-    c = rng.multinomial(n, frequencies, size=(BOOTSTRAP_RESAMPLES, len(table.counts))).astype(np.float64)
-    per_povm = (c * (c - 1.0)).sum(axis=2) / (n * (n - 1.0))
-    # accumulate POVM by POVM, the float order of a per-resample running sum
-    totals = np.zeros(BOOTSTRAP_RESAMPLES)
-    for b in range(per_povm.shape[1]):
-        totals += per_povm[:, b]
-    replicas = totals - coincidence_at_mixed
-    std_error = float(replicas.std(ddof=1))
-    return estimate, std_error
+    resamples = rng.multinomial(n, table.counts / n, size=(BOOTSTRAP_RESAMPLES, len(table.counts)))
+    replicas = _collisions(resamples, n) - coincidence_at_mixed
+    return estimate, float(replicas.std(ddof=1))

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
 from .linalg import check_dense_bytes, hermitian
-from .measurements import MUM_KINDS, PARAMETER_NAMES, Family, family_bytes
+from .measurements import PARAMETER_NAMES, Family, family_bytes, layout
 from .sampler import CountTable
 from .states import DensityMatrix, validate_state
 
@@ -152,8 +152,9 @@ def _encode_state(rho: DensityMatrix) -> dict:
 
 
 def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
-    """Stored shape of a family's effects: MUM-like kinds nest one list per POVM."""
-    return (d + 1, d, d, d) if kind in MUM_KINDS else (d * d, d, d)
+    """Stored shape of a family's effects: one list per POVM, unless the family is one POVM."""
+    povms, outcomes = layout(kind, d)
+    return (povms, outcomes, d, d) if povms > 1 else (outcomes, d, d)
 
 
 def _measurement_fields(kind: str, dim, t, parameter, effects) -> dict:
@@ -184,7 +185,7 @@ def _encode_counts(table: CountTable) -> dict:
     return {
         "schema": "counts",
         "shots": table.shots_per_povm,
-        "counts": [[int(c) for c in row] for row in table.counts],
+        "counts": table.counts.tolist(),
     }
 
 
@@ -574,22 +575,21 @@ def _decode_counts(doc: dict) -> CountTable:
     _integer("shots", shots, 1)
     if not isinstance(rows, list) or not rows:
         raise SchemaError("counts must be a non-empty list of rows")
-    decoded = []
-    for row in rows:
-        if not isinstance(row, list) or any(type(c) is not int for c in row):
-            raise SchemaError("counts rows must be lists of integers")
-        try:
-            counts = np.asarray(row, dtype=np.int64)
-        except OverflowError as exc:
-            raise SchemaError(f"counts rows must be integers: {exc}") from exc
-        if counts.size == 0 or counts.min() < 0:
-            raise SchemaError("counts rows must be nonnegative integers")
-        total = sum(counts.tolist())  # Python ints: an int64 sum could wrap
+    if any(not isinstance(row, list) or any(type(c) is not int for c in row) for row in rows):
+        raise SchemaError("counts rows must be lists of integers")
+    if len({len(row) for row in rows}) > 1:
+        raise SchemaError("counts rows must all have the same length")
+    try:
+        counts = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise SchemaError(f"counts rows must be integers: {exc}") from exc
+    if counts.size == 0 or counts.min() < 0:
+        raise SchemaError("counts rows must be nonnegative integers")
+    for total in map(sum, rows):  # Python ints: an int64 sum could wrap
         if total != shots:
             raise SchemaError(f"row sums to {total}, expected {shots}")
-        counts.setflags(write=False)
-        decoded.append(counts)
-    return CountTable(shots_per_povm=shots, counts=tuple(decoded))
+    counts.setflags(write=False)
+    return CountTable(shots_per_povm=shots, counts=counts)
 
 
 def save(entity, path, meta: dict | None = None) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import COMPLEX_BYTES, as_complex_matrix, check_dense_bytes, hermitian
+from .linalg import COMPLEX_BYTES, check_dense_bytes, hermitian
 
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
@@ -127,8 +127,10 @@ def validate_state(m) -> DensityMatrix:
     Each violation is reported distinctly.  States failing positivity by
     less than 1e-10 are accepted unmodified.
     """
-    a = as_complex_matrix(m)
-    rho = hermitian(a)  # raises DomainError if non-Hermitian
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:  # hermitian takes stacks too
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    rho = hermitian(a)  # raises DomainError if not square, not finite or not Hermitian
     with np.errstate(over="ignore"):  # a sum past the float64 limit is a trace of inf
         tr = rho.trace()
     if abs(tr - 1.0) >= TRACE_TOL:

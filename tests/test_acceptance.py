@@ -291,7 +291,7 @@ def test_criterion_8_sampler_statistics():
             for run in range(100):
                 seed = 1_000_000 * d + 1000 * (label == "pure") + run
                 table = sample_outcomes(evaluator, rho, shots, seed)
-                estimate, std_error = estimate_bz_info(mub, table, seed)
+                estimate, std_error = estimate_bz_info(evaluator, table, seed)
                 if abs(estimate - true_info) <= 3 * std_error:
                     hits += 1
             results.append(f"d={d} {label}: {hits}/100")

@@ -481,7 +481,7 @@ def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch):
     run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
     run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
 
-    def fail(self, traces):
+    def fail(self, rows, traces):
         raise NumericalError("probabilities have imaginary part 1e-3")
 
     # report checks the probabilities it takes from its one stacked contraction here

@@ -59,6 +59,9 @@ SWEEP = {
 # one Philox(seed) stream, so this pin follows the sampling method as well
 # as the seed
 SAMPLE_COUNTS = "697b79d7c696a7109b10bba6c539b0b6b996670f3cd00e2537d91986f23c421c"
+# the same run's --estimate stdout: the collision statistic of that table and
+# its bootstrap error, drawn from Philox(seed).jumped()
+SAMPLE_ESTIMATE = "91e9f7f5c20b676f3a11baa4b06452999f007808b2365bfaae8c230c0cb83182"
 
 
 def sha256(data: bytes) -> str:
@@ -137,5 +140,5 @@ def test_sample_count_file_bytes(capsys, files, tmp_path):
     argv = ["sample", "--measurement", files["mub"], "--state", files["s5"],
             "--shots", "1000", "--seed", "1", "--estimate", "--out", str(out)]
     assert main(argv) == 0
-    capsys.readouterr()
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SAMPLE_ESTIMATE
     assert sha256(out.read_bytes()) == SAMPLE_COUNTS

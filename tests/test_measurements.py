@@ -99,7 +99,7 @@ def test_build_mum_d2_auto_is_mub():
         np.array([[0, -1j], [1j, 0]], dtype=complex),
         np.diag([1.0, -1.0]).astype(complex),
     ]
-    for povm, sigma in zip(mset.split(mset.effects), paulis):
+    for povm, sigma in zip(mset.effects.reshape(3, 2, 2, 2), paulis):
         # effects are the rank-one Pauli eigenprojectors (I +- sigma)/2
         for effect in povm:
             np.testing.assert_allclose(effect @ effect, effect, atol=1e-12)
@@ -201,6 +201,17 @@ def test_verify_overflow_and_nan_fail_without_a_warning(monkeypatch):
     report = verify(family)
     assert np.isnan(report.deviations["positivity"])
     assert report.failures() == ["positivity"]
+
+
+def test_an_effect_with_a_nan_entry_fails_positivity():
+    # eigvalsh finds [[nan, 0], [0, 1]] positive, so positivity reads the Gram diagonal
+    family = build_mub(2)
+    effects = family.effects.copy()
+    effects[1, 0, 0] = np.nan
+    report = verify(dataclasses.replace(family, effects=effects))
+    assert np.isnan(report.deviations["positivity"])
+    assert "positivity" in report.failures()
+    assert "  positivity               nan  FAIL" in report.summary().splitlines()
 
 
 def test_batched_eigenvalue_checks_match_per_effect_loop():
@@ -351,7 +362,8 @@ def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces(mon
 def oracle_overlap_deviations(family):
     """The overlap deviations ``verify`` reports, from per-pair traces and whole masks."""
     gram = per_pair_overlaps(family.effects)
-    group = np.repeat(np.arange(len(family.group_sizes)), family.group_sizes)
+    povms, outcomes = family.layout
+    group = np.repeat(np.arange(povms), outcomes)
     same = group[:, None] == group
     diag = np.eye(len(group), dtype=bool)
     d, param = family.dim, family.parameter
@@ -417,7 +429,7 @@ def test_family_rejects_unknown_kind_and_wrong_effect_count():
 
 def test_cross_overlaps_are_inverse_dim():
     mset = build_mum(4, 0.5 * max_t_mum(4))
-    povms = mset.split(mset.effects)
+    povms = mset.effects.reshape(5, 4, 4, 4)
     for b1, p1 in enumerate(povms):
         for b2, p2 in enumerate(povms):
             if b1 == b2:
@@ -472,7 +484,7 @@ def test_gsm_t_above_bound_fails_positivity(d):
 def test_mub_d2_overlap_oracle():
     mset = build_mub(2)
     assert mset.kind == "mub"
-    povms = mset.split(mset.effects)
+    povms = mset.effects.reshape(3, 2, 2, 2)
     # direct inner-product oracle on the rank-one effects: Tr(P Q) = |<phi|psi>|^2
     for b1 in range(3):
         for b2 in range(b1 + 1, 3):
@@ -482,7 +494,7 @@ def test_mub_d2_overlap_oracle():
 
 def test_mub_d3_overlap_oracle():
     mset = build_mub(3)
-    povms = mset.split(mset.effects)
+    povms = mset.effects.reshape(4, 3, 3, 3)
     assert len(povms) == 4
     for b1 in range(4):
         for b2 in range(b1 + 1, 4):
@@ -494,7 +506,7 @@ def test_mub_d3_overlap_oracle():
 def test_mub_is_valid_mum_with_unit_kappa(d):
     mset = build_mub(d)
     assert mset.parameter == 1.0
-    assert mset.group_sizes == (d,) * (d + 1)
+    assert mset.layout == (d + 1, d)
     report = verify(mset, 1e-10)
     assert report.passed, report.summary()
     for effect in mset.effects:

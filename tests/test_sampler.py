@@ -21,6 +21,7 @@ from bzinfo import (
     validate_state,
 )
 from bzinfo import _kernels
+from bzinfo.linalg import trace_rows
 from bzinfo.sampler import BOOTSTRAP_RESAMPLES
 from bzinfo.states import rng_from_seed
 from conftest import degenerate_family
@@ -30,7 +31,8 @@ KET0 = validate_state(np.diag([1.0, 0.0]))
 
 def draw_and_estimate(family, rho, shots, seed):
     """The estimate and error from the count table ``sample_outcomes`` draws at the same seed."""
-    return estimate_bz_info(family, sample_outcomes(DirectEvaluator(family), rho, shots, seed), seed)
+    evaluator = DirectEvaluator(family)
+    return estimate_bz_info(evaluator, sample_outcomes(evaluator, rho, shots, seed), seed)
 
 
 def test_deterministic_distribution_gives_deterministic_counts():
@@ -53,6 +55,30 @@ def test_counts_sum_to_shots():
     gset = build_gsm(3, "auto")
     table = sample_outcomes(DirectEvaluator(gset), random_density(3, 2, 5), 400, seed=2)
     assert all(int(row.sum()) == 400 for row in table.counts)
+
+
+@pytest.mark.parametrize(
+    "family", [build_mub(2), build_mum(3, "auto"), build_gsm(3, "auto"), build_mum(8, "auto")],
+    ids=["mub2", "mum3", "gsm3", "mum8"],
+)
+def test_counts_and_coincidence_match_per_povm_loops(family):
+    d = family.dim
+    evaluator = DirectEvaluator(family)
+    rho = random_density(d, 2, 8)
+    for seed, shots in ((0, 2), (1, 1000), (2**64 - 1, 4 * 10**6)):
+        table = sample_outcomes(evaluator, rho, shots, seed)
+        assert table.counts.shape == family.layout
+        assert table.counts.dtype == np.int64 and not table.counts.flags.writeable
+        # reference: one multinomial call per POVM, POVM after POVM, from one
+        # stream, and a running sum of the POVMs' collision terms
+        rng = rng_from_seed(seed)
+        total = 0.0
+        for probs, counts in zip(evaluator.probs(rho).reshape(family.layout), table.counts):
+            p = np.maximum(probs, 0.0)
+            np.testing.assert_array_equal(counts, rng.multinomial(shots, p / p.sum()))
+            c = counts.astype(np.float64)
+            total += float((c * (c - 1.0)).sum()) / (shots * (shots - 1.0))
+        assert estimate_coincidence(table) == total
 
 
 def test_binomial_concentration_on_mixed_qubit():
@@ -99,7 +125,7 @@ def test_multinomial_counts_follow_the_inverse_cdf_law():
     rho = random_density(8, 3, 40)
     n = 10**6
     evaluator = DirectEvaluator(family)
-    probs = family.split(evaluator.probs(rho))
+    probs = evaluator.probs(rho).reshape(family.layout)
     table = sample_outcomes(evaluator, rho, n, seed=41)
     statistic = 0.0
     for b, (p, counts) in enumerate(zip(probs, table.counts)):
@@ -146,62 +172,71 @@ def _loop_std_error(table, seed, coincidence_at_mixed, resamples):
 def test_bootstrap_matches_per_resample_loop(family, rank, seed, shots):
     d = family.dim
     rho = random_density(d, rank, seed + 1)
-    table = sample_outcomes(DirectEvaluator(family), rho, shots, seed)
+    evaluator = DirectEvaluator(family)
+    table = sample_outcomes(evaluator, rho, shots, seed)
     coincidence_at_mixed = closed_forms(family.kind, d, family.parameter, 1.0 / d).C
     expected = _loop_std_error(table, seed, coincidence_at_mixed, 200)
-    assert estimate_bz_info(family, table, seed)[1] == expected
+    assert estimate_bz_info(evaluator, table, seed)[1] == expected
 
 
 def test_bootstrap_matches_loop_on_hand_built_table():
     # zero-count outcomes and one deterministic POVM
     table = CountTable(
         shots_per_povm=6,
-        counts=(np.array([6, 0]), np.array([3, 3]), np.array([1, 5])),
+        counts=np.array([[6, 0], [3, 3], [1, 5]]),
     )
     coincidence_at_mixed = closed_forms("mub", 2, 1.0, 0.5).C
     expected = _loop_std_error(table, 9, coincidence_at_mixed, BOOTSTRAP_RESAMPLES)
-    _, std_error = estimate_bz_info(build_mub(2), table, 9)
+    _, std_error = estimate_bz_info(DirectEvaluator(build_mub(2)), table, 9)
     assert std_error == expected
 
 
 def test_a_hand_built_nan_state_raises_before_sampling():
     evaluator = DirectEvaluator(build_mub(2))
     nan_state = DensityMatrix(dim=2, matrix=np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         sample_outcomes(evaluator, nan_state, 10, seed=0)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report(nan_state)
-    # a nan in the real parts alone, past the imaginary check, fails the [0, 1] range
+    # the first state of a batch that fails any check is named, with the reports before it
+    batch = np.stack([maximally_mixed(2).matrix, nan_state.matrix, np.eye(2) * 0.7])
+    with pytest.raises(NumericalError, match="^state has non-finite entries$") as info:
+        evaluator.report_many(batch)
+    assert info.value.reports.purity.tolist() == [0.5]
+    # a nan in the real parts of the traces alone, of a finite state, past the
+    # imaginary check, fails the [0, 1] range
+    rows = trace_rows(maximally_mixed(2).matrix[None])
     traces = np.zeros((2, 6))
     traces[0] = 0.5
     traces[0, 1] = np.nan
-    _, (j, error) = evaluator._checked_probs(traces)
+    _, (j, error) = evaluator._checked_probs(rows, traces)
     assert j == 0 and str(error) == "probability out of [0, 1]: nan..nan"
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():
-    table = sample_outcomes(DirectEvaluator(build_mub(2)), KET0, 10, seed=1)
+    evaluator = DirectEvaluator(build_mub(2))
+    table = sample_outcomes(evaluator, KET0, 10, seed=1)
     with pytest.raises(DomainError, match="count table does not match"):
-        estimate_bz_info(build_mub(3), table, 1)
+        estimate_bz_info(DirectEvaluator(build_mub(3)), table, 1)
     with pytest.raises(DomainError, match="count table does not match"):
-        estimate_bz_info(build_gsm(2, "auto"), table, 1)
+        estimate_bz_info(DirectEvaluator(build_gsm(2, "auto")), table, 1)
     with pytest.raises(DomainError, match="seed must be"):
-        estimate_bz_info(build_mub(2), table, -1)
+        estimate_bz_info(evaluator, table, -1)
 
 
 def test_collision_estimator_deterministic_counts():
-    table = CountTable(shots_per_povm=100, counts=(np.array([100, 0]), np.array([0, 100])))
+    table = CountTable(shots_per_povm=100, counts=np.array([[100, 0], [0, 100]]))
     assert estimate_coincidence(table) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_collision_estimator_no_collisions():
-    table = CountTable(shots_per_povm=4, counts=(np.array([1, 1, 1, 1]),))
+    table = CountTable(shots_per_povm=4, counts=np.array([[1, 1, 1, 1]]))
     assert estimate_coincidence(table) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_collision_estimator_needs_two_shots():
     with pytest.raises(DomainError):
-        estimate_coincidence(CountTable(shots_per_povm=1, counts=(np.array([1, 0]),)))
+        estimate_coincidence(CountTable(shots_per_povm=1, counts=np.array([[1, 0]])))
 
 
 def test_collision_estimator_unbiased():

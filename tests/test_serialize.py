@@ -83,8 +83,8 @@ def test_counts_roundtrip_exact():
     table = sample_outcomes(DirectEvaluator(build_mub(3)), random_density(3, 3, 2), 250, seed=4)
     back = roundtrip(table)
     assert back.shots_per_povm == table.shots_per_povm
-    for x, y in zip(back.counts, table.counts):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(back.counts, table.counts)
+    assert back.counts.dtype == np.int64 and not back.counts.flags.writeable
 
 
 def test_save_load(tmp_path):
@@ -198,9 +198,13 @@ def test_counts_rows_of_non_integers_rejected(rows):
     (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[-1, 11]]}', "nonnegative integers"),
     (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[%d, 0]]}' % 2**63,
      "counts rows must be integers"),
+    # a table is one (POVMs, outcomes) array, and matches no family when ragged
+    (b'{"v": 1, "schema": "counts", "shots": 2, "counts": [[1, 1], [2]]}',
+     "counts rows must all have the same length"),
     (b"[1]", "top-level JSON value must be an object"),
     ('"\ud800"', "not UTF-8"),
-], ids=["negative count", "count beyond int64", "array document", "lone surrogate in a str"])
+], ids=["negative count", "count beyond int64", "ragged counts", "array document",
+        "lone surrogate in a str"])
 def test_decode_rejects_a_malformed_document(data, message):
     with pytest.raises(SchemaError, match=message):
         decode(data)

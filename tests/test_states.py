@@ -70,6 +70,29 @@ def test_validate_rejects_bad_trace():
         validate_state(np.diag([0.6, 0.6]).astype(complex))
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (np.full((2, 2, 2), 0.25), "expected a square matrix, got shape (2, 2, 2)"),
+        (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.zeros(3), "expected a square matrix, got shape (3,)"),
+        # the shape is checked first, then finiteness, then the Hermitian
+        # defect, the trace and the eigenvalues
+        ([[np.nan, 1.0, 0.0], [0.0, 0.5, 0.0]], "expected a square matrix, got shape (2, 3)"),
+        ([[np.nan, 1.0], [0.0, 0.5]], "matrix has non-finite entries"),
+        ([[0.5, 0.0], [0.0, np.inf]], "matrix has non-finite entries"),
+        ([[0.7, 1.0], [0.0, 0.7]], "matrix is not Hermitian (defect 1.000e+00 >= 1e-12)"),
+        ([[1.1, 0.0], [0.0, -0.2]], "state trace is 0.9000000000000001, not 1 within 1e-12"),
+        ([[1.1, 0.0], [0.0, -0.1]], "state has negative eigenvalue -1.000e-01"),
+    ],
+    ids=["stack", "rectangle", "vector", "rectangle-nan", "nan", "inf", "hermitian", "trace", "eigenvalue"],
+)
+def test_validate_state_names_the_first_failing_check(entries, message):
+    with pytest.raises(DomainError) as info:
+        validate_state(np.asarray(entries, dtype=complex))
+    assert str(info.value) == message
+
+
 def test_generated_states_validate():
     for seed in range(10):
         d = 2 + seed % 5
