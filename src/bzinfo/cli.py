@@ -29,9 +29,10 @@ Every document and CSV reaches its --out file or stdout through one
 binary writer, opened only once the arguments are checked.  ``sweep``
 writes its header and then one block of rows per batch of states, each
 batch's reports made at once by ``DirectEvaluator.report_many``, so its
-memory does not grow with --states.  A failure partway still leaves the
-rows of every state before the failing one, and exits as ``bz`` on that
-state would.  ``sweep --t`` applies to a built mum or gsm family only
+memory does not grow with --states.  A batch that fails is evaluated
+again one state at a time, so a failure partway still leaves the rows of
+every state before the failing one, and exits as ``bz`` on that state
+would.  ``sweep --t`` applies to a built mum or gsm family only
 (unset means auto), and ``sweep --kind`` to a built family only (unset
 means mum); either, given for any other, exits 2.
 """
@@ -201,9 +202,11 @@ def _cmd_sweep(args) -> int:
         for batch in batches:
             try:
                 reports = evaluator.report_many(batch)
-            except (NumericalError, DomainError) as exc:  # write the rows before the failing state
-                if getattr(exc, "reports", None) is not None:
-                    write(_sweep_rows(start, exc.reports))
+            except (NumericalError, DomainError):
+                # one state at a time, the same bits: the rows before the
+                # failing state are written, and it raises its own error
+                for i in range(len(batch)):
+                    write(_sweep_rows(start + i, evaluator.report_many(batch[i:i + 1])))
                 raise
             write(_sweep_rows(start, reports))
             start += len(reports.purity)

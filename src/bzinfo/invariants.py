@@ -35,6 +35,15 @@ state included, so ``bz`` and row i of ``sweep`` agree bit for bit and
 neither depends on the BLAS kernel.  The complex batched ``einsum``
 (``"kij,nji->nk"``) was not used: its bits for a batch of one differ from
 those for larger batches (measured at d = 2, 3 and 8).
+
+Each check of a state is one mask over a batch, and raises at the first
+state it marks (``_raise_first``).  ``report_many`` checks, in this order,
+the states' entries finite, the probabilities' imaginary parts, their
+[0, 1] range and the POVM sums, the variance floor, and then, in
+``closed_forms``, the purity domain.  So a state alone raises its own
+first failure, while a batch whose states fail different checks raises
+the earliest of those checks, at the first state that fails it; ``cli
+sweep`` evaluates a failing batch again one state at a time.
 """
 
 from __future__ import annotations
@@ -73,13 +82,11 @@ class ClosedForms:
 REPORT_KINDS = ("mum", "mub", "gsm")
 
 
-def _purity_outside(d: int, p):
-    """Where the purity p, a float or an array, lies outside [1/d, 1] by more than 1e-12."""
-    return np.logical_not((1.0 / d - 1e-12 <= p) & (p <= 1.0 + 1e-12))
-
-
-def _purity_error(d: int, p) -> DomainError:
-    return DomainError(f"purity {p.item()!r} outside [1/{d}, 1]")
+def _raise_first(failing, error) -> None:
+    """Raise ``error(j)`` for the first state j that the mask ``failing`` marks, if any."""
+    hits = np.flatnonzero(failing)
+    if len(hits):
+        raise error(int(hits[0]))
 
 
 def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
@@ -94,10 +101,9 @@ def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    outside = _purity_outside(d, purity_value)
-    if np.any(outside):
-        raise _purity_error(d, np.asarray(purity_value)[outside][0])
     p = purity_value
+    _raise_first(np.logical_not((1.0 / d - 1e-12 <= p) & (p <= 1.0 + 1e-12)),
+                 lambda j: DomainError(f"purity {np.ravel(p)[j].item()!r} outside [1/{d}, 1]"))
     if kind in MUM_KINDS:
         kappa = float(parameter)
         if not (1.0 / d < kappa <= 1.0 + 1e-12):
@@ -209,12 +215,6 @@ def _real_view(ops: np.ndarray) -> np.ndarray:
     return ops.view(np.float64).reshape(len(ops), -1)
 
 
-def _first(mask: np.ndarray) -> int:
-    """The index of the first True entry of a 1-D mask, or its length."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if len(hits) else len(mask)
-
-
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
@@ -280,54 +280,44 @@ class DirectEvaluator:
         [0, 1], and each POVM's sum within 1e-10 of one.
         """
         _, rows, traces = self._traces(rho.matrix[None])
-        p, failure = self._checked_probs(rows, traces)
-        if failure is not None:
-            raise failure[1]
-        return p[0]
+        return self._checked_probs(rows, traces)[0]
 
-    def _checked_probs(self, rows: np.ndarray, traces: np.ndarray):
+    def _checked_probs(self, rows: np.ndarray, traces: np.ndarray) -> np.ndarray:
         """The probabilities, the real rows of the traces, checked as ``probs`` describes.
 
         ``rows`` are the states' ``trace_rows``, finite exactly where the
-        states are.  Returns the probabilities with the first state that
-        fails a check, as (index, error), or with None.
+        states are.  Each check in turn raises at the first state that fails it.
         """
         n = len(traces) // 2
         p = traces[:n]
         # a DensityMatrix built by hand need not be Hermitian, nor finite: a
         # nan reaches every trace, so finiteness is checked first, on the state
-        non_finite = np.logical_not(np.isfinite(rows[0]).all(axis=1))
+        _raise_first(np.logical_not(np.isfinite(rows[0]).all(axis=1)),
+                     lambda j: NumericalError("state has non-finite entries"))
         # each later check is "not within", which a nan fails
-        imaginary = np.logical_not(np.maximum.reduce(np.abs(traces[n:]), axis=1) < IMAG_TOL)
+        _raise_first(np.logical_not(np.maximum.reduce(np.abs(traces[n:]), axis=1) < IMAG_TOL),
+                     lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
         low, high = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
-        out_of_range = np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL))
+        _raise_first(np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL)), lambda j: NumericalError(
+            f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}"))
         totals = np.add.reduceat(p, np.arange(0, p.shape[1], self.layout[1]), axis=1)
         off = np.logical_not(np.abs(totals - 1.0) < PROB_TOL)
-        j = _first(non_finite | imaginary | out_of_range | np.logical_or.reduce(off, axis=1))
-        if j == n:
-            return p, None
-        if non_finite[j]:
-            error = NumericalError("state has non-finite entries")
-        elif imaginary[j]:
-            error = NumericalError("outcome probability has a non-negligible imaginary part")
-        elif out_of_range[j]:
-            error = NumericalError(f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}")
-        else:
-            error = NumericalError(f"POVM probabilities sum to {totals[j][off[j]][0].item()!r}, not 1")
-        return p, (j, error)
+        _raise_first(np.logical_or.reduce(off, axis=1), lambda j: NumericalError(
+            f"POVM probabilities sum to {totals[j][off[j]][0].item()!r}, not 1"))
+        return p
 
     def report_many(self, states) -> BzReport:
         """The report of a (n, d, d) stack of states, its columns computed as arrays.
 
-        Each state is checked in the order of ``probs`` (finite entries,
+        The states are checked in the order of ``probs`` (finite entries,
         imaginary part, [0, 1] range, POVM sums), then for the variance
-        floor and the purity domain.  At the first state j that fails, the
-        error of its first failing check is raised, with the report of
-        states 0..j-1 as its ``reports`` attribute (None when j is 0).
+        floor, then, in ``closed_forms``, for the purity domain.  Each check
+        raises at the first state that fails it, so a batch whose states
+        fail different checks raises the error of the earliest of those
+        checks; a batch of one state raises that state's first failure.
         """
         m, rows, traces = self._traces(states)
-        n = len(m)
-        p, failure = self._checked_probs(rows, traces)
+        p = self._checked_probs(rows, traces)
         squares = p * p  # the bits of p**2
         c_direct = np.add.reduce(squares, axis=1)
         terms = np.empty_like(p)
@@ -335,35 +325,16 @@ class DirectEvaluator:
             np.einsum("kx,nx->nk", _real_view(block), rows[0], out=terms[:, a:a + len(block)])
         terms -= squares
         smallest = np.minimum.reduce(terms, axis=1)
+        _raise_first(smallest < VAR_FLOOR,
+                     lambda j: NumericalError(f"effect variance {smallest[j].item()!r} below {VAR_FLOOR}"))
         # a row whose smallest term is negative or nan is clamped at 0 term by
         # term; its negative terms are counted
         clamped = np.add.reduce(terms < 0.0, axis=1)
         np.maximum(terms, 0.0, out=terms, where=np.logical_not(smallest >= 0.0)[:, None])
         v_direct = np.add.reduce(terms, axis=1)
-        pur = purities(m, rows[0])  # Tr(rho^2)
-
-        # the first failing state j, and the error of its first failing check
-        low_variance = smallest < VAR_FLOOR
-        j = _first(low_variance | _purity_outside(self.dim, pur))
-        if failure is not None and failure[0] <= j:
-            j, error = failure
-        elif j == n:
-            error = None
-        elif low_variance[j]:
-            error = NumericalError(f"effect variance {smallest[j].item()!r} below {VAR_FLOOR}")
-        else:
-            error = _purity_error(self.dim, pur[j])
-        if error is not None and j == 0:
-            # raised before reconcile: state 0's checks come before the
-            # parameter check of the closed forms
-            error.reports = None
-            raise error
-        reports = reconcile(self.kind, self.dim, self.parameter, pur[:j], c_direct[:j],
-                            v_direct[:j], clamped[:j])
-        if error is not None:
-            error.reports = reports
-            raise error
-        return reports
+        # Tr(rho^2), checked against [1/d, 1] by the closed forms
+        return reconcile(self.kind, self.dim, self.parameter, purities(m, rows[0]), c_direct,
+                         v_direct, clamped)
 
     def report(self, rho: DensityMatrix) -> BzReport:
         """The report of one state: ``report_many`` of it, bit for bit."""

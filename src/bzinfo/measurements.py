@@ -197,26 +197,14 @@ def _generators(kind: str, d: int) -> np.ndarray:
     return stack.reshape(-1, d, d)
 
 
-def _generator_spectrum(generators: np.ndarray, identity_weight: float) -> tuple[np.ndarray, float]:
-    """Each generator's smallest eigenvalue, from one eigensolve, and the bound on t they set.
-
-    I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F.
-    """
-    smallest = np.linalg.eigvalsh(generators)[..., 0].ravel()
-    lam = smallest.min()
-    if not lam < 0.0:
-        raise NumericalError("no generator bounds t; traceless nonzero operators must")
-    return smallest, float(-identity_weight / lam)
-
-
 def max_t_mum(d: int) -> float:
-    """Largest t with every dimension-d MUM effect positive semidefinite."""
-    return _generator_spectrum(_generators("mum", d), 1.0 / d)[1]
+    """Largest t with every dimension-d MUM effect positive semidefinite: ``build_mum(d).t``."""
+    return build_mum(d).t
 
 
 def max_t_gsm(d: int) -> float:
-    """Largest t with every dimension-d general SIC effect positive semidefinite."""
-    return _generator_spectrum(_generators("gsm", d), 1.0 / d**2)[1]
+    """Largest t with every dimension-d general SIC effect PSD: ``build_gsm(d).t``."""
+    return build_gsm(d).t
 
 
 def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_of) -> Family:
@@ -231,7 +219,12 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
     every verb would refuse, is a DomainError.
     """
     d = generators.shape[-1]
-    smallest, t_max = _generator_spectrum(generators, identity_weight)
+    # I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F
+    smallest = np.linalg.eigvalsh(generators)[:, 0].copy()  # the other eigenvalues are freed
+    lam = smallest.min()
+    if not lam < 0.0:
+        raise NumericalError("no generator bounds t; traceless nonzero operators must")
+    t_max = float(-identity_weight / lam)
     if isinstance(t, str) and t != "auto":
         raise DomainError(f"t must be a number or 'auto', got {t!r}")
     t = t_max if isinstance(t, str) else float(t)
@@ -402,27 +395,16 @@ def build_mub(d: int) -> Family:
     if factor != d:
         raise DomainError(f"dimension {d} is not prime (smallest factor {factor})")
 
-    if d == 2:
-        # columns of each array are the basis vectors (Z, X, Y eigenbases)
+    # bases[b][:, j] is vector j of basis b
+    if d == 2:  # the Z, X and Y eigenbases
         s = 1 / np.sqrt(2)
-        bases = [
-            np.eye(2, dtype=np.complex128),
-            np.array([[s, s], [s, -s]], dtype=np.complex128),
-            np.array([[s, s], [1j * s, -1j * s]], dtype=np.complex128),
-        ]
+        bases = np.array([[[1, 0], [0, 1]], [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]],
+                         dtype=np.complex128)
     else:
-        k = np.arange(d)
-        bases = [np.eye(d, dtype=np.complex128)]
-        for b in range(d):
-            cols = np.empty((d, d), dtype=np.complex128)
-            for j in range(d):
-                phase = (b * k * k + j * k) % d
-                cols[:, j] = np.exp(2j * np.pi * phase / d) / np.sqrt(d)
-            bases.append(cols)
-
-    effects = np.ascontiguousarray(
-        np.concatenate([np.einsum("ik,jk->kij", cols, cols.conj()) for cols in bases])
-    )
+        b, k, j = np.ogrid[:d, :d, :d]
+        phases = np.exp(2j * np.pi * ((b * k * k + j * k) % d) / d) / np.sqrt(d)
+        bases = np.concatenate([np.eye(d, dtype=np.complex128)[None], phases])
+    effects = np.einsum("bik,bjk->bkij", bases, bases.conj()).reshape(-1, d, d)
     t = 1.0 / (d + np.sqrt(d))
     return Family(kind="mub", dim=d, t=t, parameter=1.0, effects=_frozen(effects))
 

@@ -55,10 +55,20 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A quantum state: Hermitian, positive semidefinite, unit trace."""
+    """A quantum state: Hermitian, positive semidefinite, unit trace.
+
+    Only the shape is checked here, so that ``dim`` is the matrix's;
+    ``validate_state`` checks the rest.
+    """
 
     dim: int
     matrix: np.ndarray  # (d, d) complex
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.matrix)
+        if shape != (self.dim, self.dim):
+            raise DomainError(f"a state of dimension {self.dim} needs a ({self.dim}, {self.dim}) "
+                              f"matrix, got an array of shape {shape}")
 
 
 def _make_state(matrix: np.ndarray) -> DensityMatrix:

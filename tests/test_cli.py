@@ -18,8 +18,10 @@ from bzinfo import (
     sampler,
     save,
 )
+from bzinfo import cli
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
-from bzinfo.invariants import DirectEvaluator
+from bzinfo.invariants import SQUARES_BLOCK_BYTES, DirectEvaluator
+from bzinfo.states import density_batches
 from conftest import degenerate_family, traced_peak
 
 
@@ -242,19 +244,32 @@ def test_sweep_traced_peak_does_not_grow_with_states(tmp_path, capsys):
 
 
 def fail_at(monkeypatch, k, bad):
-    """Make state k of a sweep the matrix ``bad``, in whichever batch of report_many holds it."""
+    """Make state k of a sweep the matrix ``bad``; returns the sizes of the report_many calls.
+
+    The state is put into its batch as ``cli.density_batches`` yields it,
+    so a batch that sweep evaluates again holds it too.  Calls nest, each
+    putting in its own state.
+    """
+    density_batches = cli.density_batches
+
+    def replacing(*args):
+        start = 0
+        for batch in density_batches(*args):
+            if start <= k < start + len(batch):
+                batch = batch.copy()
+                batch[k - start] = bad
+            start += len(batch)
+            yield batch
+
     report_many = DirectEvaluator.report_many
     sizes = []
 
-    def replacing(self, batch):
-        start = sum(sizes)
+    def recording(self, batch):
         sizes.append(len(batch))
-        if start <= k < start + len(batch):
-            batch = batch.copy()
-            batch[k - start] = bad
         return report_many(self, batch)
 
-    monkeypatch.setattr(DirectEvaluator, "report_many", replacing)
+    monkeypatch.setattr(cli, "density_batches", replacing)
+    monkeypatch.setattr(DirectEvaluator, "report_many", recording)
     return sizes
 
 
@@ -269,8 +284,9 @@ def test_sweep_failing_partway_keeps_the_rows_before(tmp_path, capsys, monkeypat
     assert code == 3
     assert stdout == ""
     assert err == "error: outcome probability has a non-negligible imaginary part\n"
-    # d=2 states come 256 to a batch: state 300 fails in the second batch
-    assert sizes == [256] * (k // 256 + 1)
+    # d=2 states come 256 to a batch: state 300 fails in the second batch,
+    # which is then evaluated again one state at a time up to state 300
+    assert sizes == [256] * (k // 256 + 1) + [1] * (k % 256 + 1)
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert lines == clean.read_text().splitlines()[:k + 1]
@@ -308,8 +324,51 @@ def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, che
     sizes = fail_at(monkeypatch, 5, bad)
     out = tmp_path / "s.csv"
     assert run(capsys, *argv, "--out", str(out)) == (exit_code, "", f"error: {message}\n")
-    assert sizes == [10]
+    assert sizes == [10] + [1] * 6
     assert out.read_text().splitlines() == clean.read_text().splitlines()[:6]
+
+
+def test_sweep_failing_in_a_later_batch_of_a_large_dimension(tmp_path, capsys, monkeypatch):
+    family = build_mum(16)
+    # a report reads the 272 effects' squares in 5 blocks
+    assert -(-len(family.effects) // (SQUARES_BLOCK_BYTES // family.effects[0].nbytes)) == 5
+    bad = 0.9 * np.eye(16, dtype=complex) / 16
+    with pytest.raises(NumericalError) as info:
+        DirectEvaluator(family).report(DensityMatrix(dim=16, matrix=bad))
+    assert str(info.value).startswith("POVM probabilities sum to 0.9")
+    argv = ["sweep", "--dim", "16", "--states", "130"]
+    clean = tmp_path / "clean.csv"
+    assert main([*argv, "--out", str(clean)]) == 0
+    sizes = fail_at(monkeypatch, 70, bad)
+    out = tmp_path / "s.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (3, "", f"error: {info.value}\n")
+    # d=16 states come 64 to a batch: state 70 is state 6 of the second
+    assert sizes == [64, 64] + [1] * 7
+    assert out.read_text().splitlines() == clean.read_text().splitlines()[:71]
+
+
+def test_a_batch_raises_its_earliest_check_and_sweep_its_first_failing_state(tmp_path, capsys,
+                                                                             monkeypatch):
+    variance, imaginary = CHECKS["4 variance floor"][0], CHECKS["1 imaginary part"][0]
+    evaluator = DirectEvaluator(build_mum(2, 0.15))
+    with pytest.raises(NumericalError) as info:
+        evaluator.report(DensityMatrix(dim=2, matrix=variance))
+    assert str(info.value).startswith("effect variance")
+    # the sweep's states, state 2 failing the variance floor and state 7 the
+    # imaginary part, which is checked first
+    batch = np.concatenate(list(density_batches(2, 2, 0, 10)))
+    batch[2], batch[7] = variance, imaginary
+    with pytest.raises(NumericalError, match="^outcome probability has a non-negligible imaginary part$"):
+        evaluator.report_many(batch)
+    argv = ["sweep", "--dim", "2", "--t", "0.15", "--states", "10"]
+    clean = tmp_path / "clean.csv"
+    assert main([*argv, "--out", str(clean)]) == 0
+    fail_at(monkeypatch, 2, variance)
+    sizes = fail_at(monkeypatch, 7, imaginary)
+    out = tmp_path / "s.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (3, "", f"error: {info.value}\n")
+    assert sizes == [10, 1, 1, 1]
+    assert out.read_text().splitlines() == clean.read_text().splitlines()[:3]
 
 
 # state files that fail validation, with the message bz and sample give for each

@@ -481,6 +481,20 @@ def test_gsm_t_above_bound_fails_positivity(d):
 # ---------------------------------------------------------------- MUB and SIC fixtures
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_build_mub_matches_a_per_basis_reference_bit_for_bit(d):
+    # basis b's vector j has components omega^(b k^2 + j k)/sqrt(d), one vector and one basis at a time
+    k = np.arange(d)
+    bases = [np.eye(d, dtype=np.complex128)]
+    for b in range(d):
+        cols = np.empty((d, d), dtype=np.complex128)
+        for j in range(d):
+            cols[:, j] = np.exp(2j * np.pi * ((b * k * k + j * k) % d) / d) / np.sqrt(d)
+        bases.append(cols)
+    effects = np.concatenate([np.einsum("ik,jk->kij", cols, cols.conj()) for cols in bases])
+    assert build_mub(d).effects.tobytes() == effects.tobytes()
+
+
 def test_mub_d2_overlap_oracle():
     mset = build_mub(2)
     assert mset.kind == "mub"

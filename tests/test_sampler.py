@@ -198,19 +198,18 @@ def test_a_hand_built_nan_state_raises_before_sampling():
         sample_outcomes(evaluator, nan_state, 10, seed=0)
     with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report(nan_state)
-    # the first state of a batch that fails any check is named, with the reports before it
+    # a batch raises its earliest failing check, at the first state that fails it
     batch = np.stack([maximally_mixed(2).matrix, nan_state.matrix, np.eye(2) * 0.7])
-    with pytest.raises(NumericalError, match="^state has non-finite entries$") as info:
+    with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report_many(batch)
-    assert info.value.reports.purity.tolist() == [0.5]
     # a nan in the real parts of the traces alone, of a finite state, past the
     # imaginary check, fails the [0, 1] range
     rows = trace_rows(maximally_mixed(2).matrix[None])
     traces = np.zeros((2, 6))
     traces[0] = 0.5
     traces[0, 1] = np.nan
-    _, (j, error) = evaluator._checked_probs(rows, traces)
-    assert j == 0 and str(error) == "probability out of [0, 1]: nan..nan"
+    with pytest.raises(NumericalError, match=r"^probability out of \[0, 1\]: nan\.\.nan$"):
+        evaluator._checked_probs(rows, traces)
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():

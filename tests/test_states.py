@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bzinfo import (
+    DensityMatrix,
     DomainError,
     linalg,
     maximally_mixed,
@@ -48,6 +49,15 @@ def test_bad_seed():
         random_density(2, 1, -1)
     with pytest.raises(DomainError):
         random_density(2, 1, 2**64)
+
+
+@pytest.mark.parametrize("dim, matrix", [(3, np.eye(2) / 2), (2, [0.5, 0.5]), (2, np.eye(2)[None] / 2)])
+def test_a_density_matrix_needs_a_matrix_of_its_dimension(dim, matrix):
+    with pytest.raises(DomainError, match=rf"^a state of dimension {dim} needs a \({dim}, {dim}\) matrix, "
+                                          rf"got an array of shape \("):
+        DensityMatrix(dim=dim, matrix=matrix)
+    # so encode never writes a state file that decode refuses
+    assert DensityMatrix(dim=2, matrix=np.eye(2) / 2).dim == 2
 
 
 def test_validate_accepts_mixed_diagonal():
