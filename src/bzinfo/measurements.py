@@ -39,12 +39,12 @@ from .linalg import COMPLEX_BYTES, check_dense_bytes
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
 DEFAULT_TOL = 1e-10
-# bytes of one block of rows of the Gram matrix that verification forms; a
-# family of up to about 360 effects (mum d <= 18, gsm d <= 19) is one block
-GRAM_BLOCK_BYTES = 2**20
-# the fewest rows a block takes past that: BLAS runs a product of a few dozen
-# rows well below its full speed (blocks at d <= 24 hold 218 rows or more)
-GRAM_MIN_ROWS = 200
+# rows and columns of one square tile of the Gram matrix that verification
+# forms; a family of at most this many effects (mum d <= 10, gsm d <= 11) is
+# one tile.  BLAS packs both operands afresh for each tile, so smaller tiles
+# run slower (64 took 1.4 times as long as 128 at d=48) and larger ones hold
+# more (256 held about 1 MiB more at d=24)
+GRAM_TILE_ROWS = 128
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -266,31 +266,31 @@ def build_gsm(d: int, t="auto") -> Family:
 
 
 def _pairwise_overlaps(effects: np.ndarray):
-    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects, a block of rows at a time.
+    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects, one square tile at a time.
 
-    Yields (a, block) with block[i, j] = Tr(P_{a+i} P_{a+j}) for the block's
-    rows a, a+1, ... and every column from a on, so that each pair i <= j
-    lies in one block.  For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag),
-    the dot product of the two effects' entries as float64 pairs; so a block
-    is one real product of the stack's float64 view with itself, from the
-    block's diagonal on, and the blocks take about the flops of one
-    symmetric product.  A block holds at most ``GRAM_BLOCK_BYTES``, or
-    ``GRAM_MIN_ROWS`` rows if that is more; a stack of one block is the one
-    symmetric product ``r @ r.T``.
+    Yields (a, b, tile) with tile[i, j] = Tr(P_{a+i} P_{b+j}) for every tile
+    of ``GRAM_TILE_ROWS`` rows and columns with b >= a, so that each pair
+    i <= j lies in one tile.  For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag),
+    the dot product of the two effects' entries as float64 pairs; so a tile
+    is one real product of two row ranges of the stack's float64 view, and
+    the tiles take about the flops of one symmetric product.  A stack of at
+    most ``GRAM_TILE_ROWS`` effects is one tile, the symmetric product ``r @ r.T``.
     """
     n = len(effects)
     r = effects.reshape(n, -1).view(np.float64)
-    step = max(GRAM_MIN_ROWS, GRAM_BLOCK_BYTES // (r.itemsize * n))
-    for a in range(0, n, step):
-        yield a, r[a:a + step] @ r[a:].T
+    rows = GRAM_TILE_ROWS
+    for a in range(0, n, rows):
+        for b in range(a, n, rows):
+            yield a, b, r[a:a + rows] @ r[b:b + rows].T
 
 
 def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
     """Each condition ``verify`` checks, as its maximum absolute deviation, and the degeneracy flag.
 
     The overlaps' largest and smallest values on the diagonal, within one
-    POVM off it and across two POVMs are folded block by block, so no
-    whole Gram matrix and no whole mask is held.
+    POVM off it and across two POVMs are folded tile by tile, each tile
+    with a mask of its own size, so no whole Gram matrix and no whole mask
+    is held.  Only a tile with a == b holds part of the Gram's diagonal.
     """
     d, param, effects = family.dim, family.parameter, family.effects
     group = np.arange(len(effects)) // family.layout[1]  # each effect's POVM
@@ -301,14 +301,17 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         highs[c] = np.maximum(highs[c], values.max(where=where, initial=-np.inf))
         lows[c] = np.minimum(lows[c], values.min(where=where, initial=np.inf))
 
-    for a, block in _pairwise_overlaps(effects):
-        fold(0, block.diagonal())  # a block's diagonal is the Gram's
-        pairs = np.equal.outer(group[a:a + len(block)], group[a:])  # one mask, reused
-        np.fill_diagonal(pairs, False)
-        fold(1, block, pairs)
+    for a, b, tile in _pairwise_overlaps(effects):
+        # one mask of the tile's size, reused
+        pairs = np.equal.outer(group[a:a + len(tile)], group[b:b + tile.shape[1]])
+        if a == b:
+            fold(0, tile.diagonal())
+            np.fill_diagonal(pairs, False)
+        fold(1, tile, pairs)
         np.logical_not(pairs, out=pairs)
-        np.fill_diagonal(pairs, False)
-        fold(2, block, pairs)
+        if a == b:
+            np.fill_diagonal(pairs, False)
+        fold(2, tile, pairs)
 
     def worst(values, target) -> float:
         return float(np.abs(values - target).max())
@@ -354,11 +357,12 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     generators of each measurement summing to zero) and the parameter(t)
     formula.  The overlaps are a real Gram matrix of the family's effect
     stack, read in place, which holds because the effects are Hermitian.
-    It is formed one block of rows at a time (``_pairwise_overlaps``) and
-    folded into running extrema, so the working set beside the stack is one
-    block of ``GRAM_BLOCK_BYTES`` (or ``GRAM_MIN_ROWS`` rows) and its mask.
-    A family of more than one block (more than about 360 effects) may differ
-    from the whole product in the last digits of its overlap deviations.
+    It is formed one square tile of ``GRAM_TILE_ROWS`` rows and columns at
+    a time (``_pairwise_overlaps``) and folded into running extrema, so the
+    working set beside the stack is one tile and its mask, whatever the
+    family's size.  A family of more than one tile (more than
+    ``GRAM_TILE_ROWS`` effects) may differ from the whole product in the
+    last digits of its overlap deviations.
 
     Each call computes the deviations anew and judges them at its ``tol``.
     Entries so large that the products overflow give deviations of inf or

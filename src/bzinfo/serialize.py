@@ -13,12 +13,16 @@ verb that uses the family.  A report is rebuilt from its direct inputs by
 stored fields exactly.
 
 A family repeats a few thousand distinct rows of [re, im] pairs across
-hundreds of thousands of entries.  So a matrix is written as pieces: each
-distinct row's text, formatted once, between the array's brackets and
-separators; ``encode`` joins them, ``save`` writes them in blocks of about
-``_CHUNK_BYTES``.  A measurement file in exactly that layout is read back
-in blocks cut at the row separators, each distinct row checked and parsed
-once and gathered straight into a complex stack.  Any other JSON document
+hundreds of thousands of entries.  So a matrix is written as pieces of
+about ``_CHUNK_BYTES``, made one at a time: runs of rows, each row's text
+taken from a cache of the recent distinct rows (formatted from words of
+each distinct float formatted once), with the array's brackets and
+separators; ``encode`` joins them, ``save`` writes them as they come.  A
+measurement file in exactly that layout is read back in blocks cut at the
+row separators, each recent distinct row checked and parsed once and
+gathered straight into a complex stack.  Both caches are cleared when they
+hold ``_ROW_CACHE_ROWS`` rows, so beside the stack neither grows with the
+family.  Any other JSON document
 is read whole by ``json.loads``, with the same entity or SchemaError.  So
 the whole text is held only on that route, and only there does the text
 limit ``MAX_DOCUMENT_BYTES`` apply: a file in the encoder's layout may be
@@ -37,6 +41,7 @@ import math
 import os
 import re
 import stat
+import struct
 
 import numpy as np
 
@@ -53,6 +58,9 @@ MAX_DOCUMENT_BYTES = 256 * 2**20
 
 # bytes per block that save writes and the direct parse reads
 _CHUNK_BYTES = 2**18
+# distinct rows of pairs whose text the encoder, and whose value the direct
+# parse, keeps at once; a family repeats a few thousand distinct rows
+_ROW_CACHE_ROWS = 512
 # what precedes the effects array, within the first _HEAD_BYTES of a canonical file
 _EFFECTS_OPENING = b'"effects": ['
 _HEAD_BYTES = 2**12
@@ -88,46 +96,78 @@ def _skeleton(shape: tuple[int, ...], entry: str) -> str:
     return text
 
 
-def _matrix_pieces(m: np.ndarray) -> list[bytes]:
+class _Words(dict):
+    """Each float64's shortest repr, keyed by its bits (so -0.0 keeps its own word), formed once.
+
+    A non-finite value raises the ValueError ``json.dumps`` raises for it.
+    """
+
+    def __missing__(self, bits: int) -> bytes:
+        value = struct.unpack("=d", struct.pack("=Q", bits))[0]
+        if not math.isfinite(value):
+            json.dumps(value, allow_nan=False)
+        self[bits] = word = repr(value).encode("ascii")
+        return word
+
+
+class _RowTexts(dict):
+    """The text of each row of [re, im] pairs, keyed by its float64 bytes, for the recent rows.
+
+    The cache is cleared when it holds ``_ROW_CACHE_ROWS`` rows, so it holds
+    at most that many whatever the matrix's size.
+    """
+
+    def __init__(self, pairs: int) -> None:
+        super().__init__()
+        self.format = _skeleton((pairs, 2), "%s").encode("ascii")
+        self.bits = struct.Struct(f"={2 * pairs}Q").unpack
+        self.words = _Words()
+
+    def __missing__(self, row: bytes) -> bytes:
+        if len(self) >= _ROW_CACHE_ROWS:
+            self.clear()
+        self[row] = text = self.format % tuple(map(self.words.__getitem__, self.bits(row)))
+        return text
+
+
+def _matrix_pieces(m: np.ndarray):
     """Pieces of the JSON text of a matrix or a stack of them, as nested [re, im] pairs.
 
     Joined, the pieces are the ASCII bytes of ``json.dumps(np.stack([m.real,
-    m.imag], -1).tolist(), allow_nan=False)``, non-finite entries raising its
-    ValueError.  Each distinct row of pairs, keyed a block at a time by the
-    bytes of the entries' float64 view (so -0.0 keeps its own key), is
-    written once from words of each distinct float formatted once, a block
-    of distinct rows at a time finding its words by ``searchsorted``.
+    m.imag], -1).tolist(), allow_nan=False)``, the first non-finite entry
+    raising its ValueError.  Each piece is a run of rows of pairs and the
+    separators before them, at most about ``_CHUNK_BYTES`` long.  A row's
+    text comes from ``_RowTexts``, formatted from words of each float
+    formatted once; a run's separators, which close and open a bracket for
+    each matrix (and each POVM) that a row begins, come from its row numbers.
+    So what the pieces hold beside the matrix does not grow with it.
     """
     entries = np.ascontiguousarray(m, dtype=np.complex128)
     if entries.size == 0:
-        return [_skeleton((*m.shape, 2), "").encode("ascii")]
+        yield _skeleton((*m.shape, 2), "").encode("ascii")
+        return
     rows = entries.view(np.float64).reshape(-1, 2 * m.shape[-1])
     width = rows.itemsize * rows.shape[1]  # bytes of one row of pairs
-    index, row_of = {}, []  # bytes of each distinct row -> its position; each row's position
-    step = max(1, _CHUNK_BYTES // width)
+    depth = m.ndim - 1  # brackets around the rows
+    # a row at a multiple of one of these begins a matrix, or a POVM
+    periods = np.array([math.prod(m.shape[j:-1]) for j in range(1, depth)], dtype=np.intp)
+    separators = [b"]" * k + b", " + b"[" * k for k in range(m.ndim)]
+    texts = _RowTexts(m.shape[-1])
+    # a float's repr takes at most 24 bytes, so a run's text is at most about _CHUNK_BYTES
+    step = max(1, _CHUNK_BYTES // (54 * m.shape[-1]))
     for start in range(0, len(rows), step):
-        raw = rows[start:start + step].tobytes()
-        row_of += [index.setdefault(raw[i:i + width], len(index)) for i in range(0, len(raw), width)]
-    distinct = list(index)
-    # the sorted distinct bit patterns, not values, so that -0.0 keeps its own
-    # word; np.unique would import numpy.ma on its first call (12 ms, 1.2 MiB)
-    bits = np.sort(np.frombuffer(b"".join(distinct), np.uint64))
-    bits = bits[np.insert(bits[1:] != bits[:-1], 0, True)]
-    values = bits.view(np.float64)
-    if not np.isfinite(values).all():  # json's ValueError, for the first non-finite entry
-        json.dumps(float(next(x for x in rows.flat if not math.isfinite(x))), allow_nan=False)
-    words = list(map(float.__repr__, values.tolist()))
-    row_format = _skeleton((m.shape[-1], 2), "%s")
-    texts = []
-    for start in range(0, len(distinct), step):
-        block = np.frombuffer(b"".join(distinct[start:start + step]), np.uint64)
-        at = np.searchsorted(bits, block).reshape(-1, rows.shape[1]).tolist()
-        texts += [(row_format % tuple(map(words.__getitem__, row))).encode("ascii") for row in at]
-    separators = _skeleton(m.shape[:-1], "%s").encode("ascii").split(b"%s")
-    pieces = [b""] * (2 * len(separators) - 1)
-    pieces[::2] = separators
-    pieces[1::2] = map(texts.__getitem__, row_of)
-    return pieces
+        # each row's bytes, as one void item
+        keys = rows[start:start + step].view(f"V{width}").ravel().tolist()
+        count = len(keys)
+        opened = (np.arange(start, start + count)[:, None] % periods == 0).sum(axis=1)
+        pieces = [b""] * (2 * count)
+        pieces[0::2] = map(separators.__getitem__, opened.tolist())
+        if start == 0:
+            pieces[0] = b"[" * depth
+        pieces[1::2] = map(texts.__getitem__, keys)
+        if start + count == len(rows):
+            pieces.append(b"]" * depth)
+        yield b"".join(pieces)
 
 
 def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,17 +248,16 @@ def _document(entity, meta: dict | None) -> dict:
     return doc
 
 
-def _document_pieces(doc: dict) -> list[bytes]:
+def _document_pieces(doc: dict):
     """Pieces of the document's text: its fields in order, with the bytes ``json.dumps`` gives."""
-    pieces = [b"{"]
+    yield b"{"
     for i, (key, value) in enumerate(doc.items()):
-        pieces.append(f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii"))
+        yield f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii")
         if isinstance(value, np.ndarray):
-            pieces += _matrix_pieces(value)
+            yield from _matrix_pieces(value)
         else:
-            pieces.append(json.dumps(value, allow_nan=False).encode("ascii"))
-    pieces.append(b"}")
-    return pieces
+            yield json.dumps(value, allow_nan=False).encode("ascii")
+    yield b"}"
 
 
 def encode(entity, meta: dict | None = None) -> bytes:
@@ -227,14 +266,15 @@ def encode(entity, meta: dict | None = None) -> bytes:
 
 
 def dump(entity, write, meta: dict | None = None) -> None:
-    """Write the bytes ``encode`` gives and a newline, one join of whole pieces per ``write`` call.
+    """Write the bytes ``encode`` gives and a newline, one ``write`` per piece as the pieces are made.
 
-    Pieces alternate row texts and separators, so runs of equally many hold about ``_CHUNK_BYTES``.
+    A matrix's pieces are runs of rows of about ``_CHUNK_BYTES``, so the
+    text is never held whole; a non-finite entry raises json's ValueError
+    after the runs before it are written.
     """
-    pieces = _document_pieces(_document(entity, meta)) + [b"\n"]
-    step = max(1, len(pieces) * _CHUNK_BYTES // sum(map(len, pieces)))
-    for start in range(0, len(pieces), step):
-        write(b"".join(pieces[start:start + step]))
+    for piece in _document_pieces(_document(entity, meta)):
+        write(piece)
+    write(b"\n")
 
 
 def _check_document_size(size: int) -> None:
@@ -341,9 +381,12 @@ class _Rows(dict):
     """Reader of an effects array of a given stored shape, in the layout the encoder writes.
 
     The array is cut at the row separators into pieces, one row of [re, im]
-    pairs each; a piece maps to its position among the distinct pieces,
-    checked and parsed on first lookup.  A piece must be a row as the
-    encoder writes it, with the brackets its row's position takes.
+    pairs each; a piece maps to its position in a table of the distinct
+    pieces seen lately, checked and parsed on first lookup.  The table is
+    cleared before a block once it holds more than ``_ROW_CACHE_ROWS``
+    pieces, so whatever the family's size it holds at most that many and
+    one block's.  A piece must be a row as the encoder writes it, with the
+    brackets its row's position takes.
     """
 
     def __init__(self, shape: tuple[int, ...]) -> None:
@@ -374,7 +417,13 @@ class _Rows(dict):
         return position
 
     def gather(self, pieces: list[bytes], first: int, out: np.ndarray) -> None:
-        """Write the rows ``first`` onwards, which the pieces hold, into ``out``."""
+        """Write the rows ``first`` onwards, which the pieces hold, into ``out``.
+
+        The table starts afresh once it holds more than ``_ROW_CACHE_ROWS`` pieces.
+        """
+        if len(self) > _ROW_CACHE_ROWS:
+            self.clear()
+            self.brackets, self.values = [], self.values[:0]
         ids = np.fromiter(map(self.__getitem__, pieces), dtype=np.intp, count=len(pieces))
         if self.new:
             parsed = np.frombuffer(b"".join(self.new), dtype=np.float64).reshape(len(self.new), -1)

@@ -312,35 +312,38 @@ def per_pair_overlaps(effects):
     return np.array([[np.trace(effects[i] @ effects[j]).real for j in range(n)] for i in range(n)])
 
 
-# rows of a Gram block: one, seven (a block edge inside a POVM of 3, 4 or 5
-# effects), and the default, under which each family here is one block
+# rows of a Gram tile: one, seven (a tile edge inside a POVM of 3, 4 or 5
+# effects, and no divisor of 20, the effects of mum d=4), and the default,
+# under which each family here is one tile
 GRAM_ROWS = [1, 7, None]
 
 
-def patch_gram_rows(monkeypatch, rows, n):
-    """Make the Gram block of a stack of n effects ``rows`` rows; None keeps the default."""
+def patch_gram_rows(monkeypatch, rows):
+    """Make a Gram tile ``rows`` rows and columns; None keeps the default."""
     if rows is not None:
-        monkeypatch.setattr(measurements, "GRAM_BLOCK_BYTES", rows * 8 * n)
-        monkeypatch.setattr(measurements, "GRAM_MIN_ROWS", 1)
+        monkeypatch.setattr(measurements, "GRAM_TILE_ROWS", rows)
 
 
-def blocked_overlaps(monkeypatch, effects, rows):
-    """The Gram matrix from the blocks ``_pairwise_overlaps`` yields, NaN where no block reaches."""
+def tiled_overlaps(monkeypatch, effects, rows):
+    """The Gram matrix from the tiles ``_pairwise_overlaps`` yields, NaN where no tile reaches."""
     n = len(effects)
     gram = np.full((n, n), np.nan)
     with monkeypatch.context() as patched:
-        patch_gram_rows(patched, rows, n)
-        for a, block in _pairwise_overlaps(effects):
-            assert block.shape == (min(rows or n, n - a), n - a)
-            gram[a:a + len(block), a:] = block
+        patch_gram_rows(patched, rows)
+        for a, b, tile in _pairwise_overlaps(effects):
+            size = measurements.GRAM_TILE_ROWS
+            assert a % size == b % size == 0 and b >= a
+            assert tile.shape == (min(size, n - a), min(size, n - b))
+            assert np.isnan(gram[a:a + size, b:b + size]).all()  # each tile once
+            gram[a:a + size, b:b + size] = tile
     return gram
 
 
-def assert_blocks_match_per_pair_traces(monkeypatch, effects):
+def assert_tiles_match_per_pair_traces(monkeypatch, effects):
     oracle = per_pair_overlaps(effects)
-    upper = np.triu_indices(len(effects))  # each pair i <= j, which the blocks cover
+    upper = np.triu_indices(len(effects))  # each pair i <= j, which the tiles cover
     for rows in GRAM_ROWS:
-        gram = blocked_overlaps(monkeypatch, effects, rows)
+        gram = tiled_overlaps(monkeypatch, effects, rows)
         assert np.abs(gram[upper] - oracle[upper]).max() < 1e-14, rows
 
 
@@ -350,13 +353,13 @@ def assert_blocks_match_per_pair_traces(monkeypatch, effects):
     ids=["mum3", "mum4", "gsm3", "gsm5", "mub5", "sic2"],
 )
 def test_pairwise_overlaps_match_per_pair_traces(monkeypatch, family):
-    assert_blocks_match_per_pair_traces(monkeypatch, family.effects)
+    assert_tiles_match_per_pair_traces(monkeypatch, family.effects)
 
 
 def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces(monkeypatch):
     rng = np.random.default_rng(3)
     stack = np.stack([random_hermitian(4, rng) for _ in range(7)])
-    assert_blocks_match_per_pair_traces(monkeypatch, stack)
+    assert_tiles_match_per_pair_traces(monkeypatch, stack)
 
 
 def oracle_overlap_deviations(family):
@@ -410,11 +413,40 @@ def test_blocked_deviations_match_the_per_pair_oracle(monkeypatch, family, passe
     expected = oracle_overlap_deviations(family)
     for rows in GRAM_ROWS:
         with monkeypatch.context() as patched:
-            patch_gram_rows(patched, rows, len(family.effects))
+            patch_gram_rows(patched, rows)
             report = verify(family)
         for name, value in expected.items():
             assert abs(report.deviations[name] - value) < 1e-14, (rows, name)
         assert (report.passed, report.degenerate) == (passed, degenerate), rows
+
+
+@pytest.mark.parametrize(
+    "family, rows",
+    [
+        (build_mum(6), 5),
+        (build_gsm(6), 7),
+        (build_mub(7), 9),
+        (perturbed(build_mum(5), 11, 1e-7), 7),
+        (perturbed(build_gsm(5), 3, 1e-7), 4),
+        (build_mum(12), None),  # 156 effects: the default tiles
+        (build_gsm(12), None),  # 144 effects
+    ],
+    ids=["mum6", "gsm6", "mub7", "mum5-off", "gsm5-off", "mum12", "gsm12"],
+)
+def test_tiled_deviations_match_one_tile_within_a_few_ulps(monkeypatch, family, rows):
+    n = len(family.effects)
+    with monkeypatch.context() as patched:
+        patched.setattr(measurements, "GRAM_TILE_ROWS", n)
+        whole = verify(family)
+    with monkeypatch.context() as patched:
+        patch_gram_rows(patched, rows)
+        assert measurements.GRAM_TILE_ROWS < n  # more than one tile
+        tiled = verify(family)
+    # the rounding of the largest overlap, the diagonal's
+    ulp = np.spacing(np.abs(per_pair_overlaps(family.effects)).max())
+    for name, value in whole.deviations.items():
+        assert abs(tiled.deviations[name] - value) <= 4 * ulp, name
+    assert (tiled.passed, tiled.failures()) == (whole.passed, whole.failures())
 
 
 def test_family_rejects_unknown_kind_and_wrong_effect_count():

@@ -283,12 +283,34 @@ def test_loaded_effects_are_the_json_loads_route_bits(tmp_path, monkeypatch, kin
         assert results[0] is not None
 
 
+CACHED = [(kind, d) for kind in ("mum", "gsm") for d in range(3, 7)]
+CACHED += [("mub", 5), ("mub", 7), ("sic", 2)]
+
+
+@pytest.mark.parametrize("chunk", [None, "row"])
+@pytest.mark.parametrize("kind, d", CACHED)
+def test_row_caches_cleared_every_few_rows_give_the_same_bytes_and_bits(
+        tmp_path, monkeypatch, kind, d, chunk):
+    family = BUILDERS[kind](d)
+    path = tmp_path / "family.json"
+    save(family, path)
+    data, bits = path.read_bytes(), load(path).effects.tobytes()
+    rows = family.effects.reshape(-1, d)
+    assert len({row.tobytes() for row in rows}) > 3  # more distinct rows than the cache holds
+    monkeypatch.setattr(serialize, "_ROW_CACHE_ROWS", 3)
+    if chunk is not None:  # runs and blocks of about a row, so the caches clear between them
+        monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk_bytes(data, chunk))
+    assert encode(family) + b"\n" == data
+    results = parses(monkeypatch)
+    assert load(path).effects.tobytes() == bits
+    assert results[0] is not None
+
+
 # traced peaks over the bytes of the effects, at d=16: the build writes the
 # basis into the stack of its generators, which become the effects, and holds
 # besides their sums (measured 1.13 of a stack, mum and gsm); save holds the
-# distinct rows' texts and a block; load holds the stack and the parse's
-# buffers, and verification reads the stack in place beside a real Gram matrix
-# of half its size; a load from a pipe holds one copy of the text besides,
+# recent rows' texts and a run of rows; load holds the stack and the parse's
+# buffers; a load from a pipe holds one copy of the text besides,
 # until the entity is validated
 PEAK_FACTORS = {"build": 1.25, "save": 2.5, "load": 2.5, "load from a pipe": 3.5}
 
@@ -314,9 +336,9 @@ def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_evaluator_holds_one_stack_beside_the_family(kind):
     """The evaluator reads the effects in place and keeps no stack of its own;
-    verifying the fresh family inside it holds one block of the Gram matrix
-    (at d=16 the whole of it) and one mask of the block, freed before.  The
-    construction peak measured 0.72 (mum) and 0.69 (gsm) of a stack."""
+    verifying the fresh family inside it holds one tile of the Gram matrix
+    and the tile's mask, freed before.  The construction peak measured 0.27
+    (mum) and 0.29 (gsm) of a stack."""
     family = BUILDERS[kind](16)
     peak, evaluator = traced_peak(lambda: DirectEvaluator(family))
     assert np.shares_memory(evaluator.observables, family.effects)
@@ -324,10 +346,12 @@ def test_evaluator_holds_one_stack_beside_the_family(kind):
 
 
 # traced peaks over the bytes of the effects at d=24, where the whole Gram
-# matrix is more than half a stack: verification holds one block of the Gram
-# matrix and its mask, a report one block of squares, and the encoder the
-# distinct rows and their texts; measured 0.33-0.34, 0.06 and 0.65-0.72
-LARGE_PEAK_FACTORS = {"verify": 0.5, "report": 0.25, "encode": 1.0}
+# matrix is more than half a stack: verification holds one tile of the Gram
+# matrix and its mask, a report one block of squares, and the encoder one run
+# of rows and the texts of the recent rows; measured 0.06-0.12, 0.06 and
+# 0.13-0.27 (blocks of 218 rows and every distinct row's text took 0.33-0.34
+# and 0.65-0.72)
+LARGE_PEAK_FACTORS = {"verify": 0.2, "report": 0.25, "encode": 0.4}
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
@@ -340,8 +364,10 @@ def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
     evaluator = DirectEvaluator(family)
     rho = random_density(24, 24, 5)
     peaks["report"], _ = traced_peak(lambda: evaluator.report(rho))
-    peaks["encode"], pieces = traced_peak(lambda: serialize._matrix_pieces(family.effects))
-    assert len(pieces) == 2 * len(family.effects) * 24 + 1
+    peaks["encode"], sizes = traced_peak(
+        lambda: [len(piece) for piece in serialize._matrix_pieces(family.effects)])
+    # runs of rows, made one at a time, each at most about a block
+    assert len(sizes) > 1 and max(sizes) <= serialize._CHUNK_BYTES
     for step, factor in LARGE_PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
 
