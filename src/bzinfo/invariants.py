@@ -23,22 +23,26 @@ i's report, as ``ClosedForms`` holds a float or a column in each field.
 
 ``DirectEvaluator.report_many`` is the one direct-evaluation path: it takes
 a (k, d, d) stack of states and makes every check and every quantity as
-arrays, and ``report`` is its one-state case.  Its Born traces rest on
-Tr(A rho) = sum_ij A_ij rho_ji: the dot product of A's float64 view with
-that of conj(rho^T) is Re Tr(A rho), and with that of i conj(rho^T) it is
-Im Tr(A rho), exactly, for any complex A and rho (``linalg.trace_rows``).
-So one real ``np.einsum("kx,nx->nk")`` without ``optimize`` gives every
-trace of a batch; the squares' traces need only the real rows, and the
-purities are the same dot products of the states with themselves.  That
+arrays, and ``report`` is its one-state case.  The effects, their squares
+and the states are all Hermitian, so every trace it needs, Tr(P rho),
+Tr(P^2 rho) and Tr(rho^2), is the dot product of two ``linalg.real_rows``,
+one row per operator.  So one real ``np.einsum("kx,nx->nk")`` without
+``optimize`` gives every Born trace of a batch, another the squares' traces,
+and the purities are the states' rows dotted with themselves.  That
 contraction calls no BLAS and gives the same bits at every batch size, one
 state included, so ``bz`` and row i of ``sweep`` agree bit for bit and
 neither depends on the BLAS kernel.  The complex batched ``einsum``
 (``"kij,nji->nk"``) was not used: its bits for a batch of one differ from
 those for larger batches (measured at d = 2, 3 and 8).
 
+A state built by hand need not be Hermitian, and the rows do not show the
+imaginary parts of its traces.  Every family here is informationally
+complete, so Im Tr(P rho) = 0 for every effect exactly when rho is
+Hermitian: the check is the state's Hermitian defect, against ``IMAG_TOL``.
+
 Each check of a state is one mask over a batch, and raises at the first
 state it marks (``_raise_first``).  ``report_many`` checks, in this order,
-the states' entries finite, the probabilities' imaginary parts, their
+the states' entries finite, the states Hermitian, the probabilities'
 [0, 1] range and the POVM sums, the variance floor, and then, in
 ``closed_forms``, the purity domain.  So a state alone raises its own
 first failure, while a batch whose states fail different checks raises
@@ -54,13 +58,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, NumericalError, VerificationError
-from .linalg import IMAG_TOL, VAR_FLOOR, purities, trace_rows
+from .linalg import BLOCK_BYTES, IMAG_TOL, VAR_FLOOR, purities, real_rows
 from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 from .states import DensityMatrix
 
 PROB_TOL = 1e-10
-# bytes of one block of the effects' squares that report_many forms
-SQUARES_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,6 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
     )
 
 
-def _real_view(ops: np.ndarray) -> np.ndarray:
-    """The float64 view of a (k, d, d) complex stack as k rows of 2 d^2 numbers."""
-    ops = np.ascontiguousarray(ops)
-    return ops.view(np.float64).reshape(len(ops), -1)
-
-
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
@@ -223,7 +219,7 @@ class DirectEvaluator:
     ``bz``, ``sample`` and ``sweep``.  ``observables`` is the family's
     effect stack itself, read in place, and the evaluator keeps no stack of
     its own: on each call ``report_many`` forms the effects' squares a block
-    of ``SQUARES_BLOCK_BYTES`` at a time (``_square_blocks``), each block
+    of ``BLOCK_BYTES`` at a time (``_square_blocks``), each block
     read before the next overwrites it.  ``probs`` gives the
     checked outcome probabilities of one state and ``report_many`` the
     reconciled quantities of a batch; both take the Born traces from
@@ -246,83 +242,83 @@ class DirectEvaluator:
     def _square_blocks(self):
         """The effects' squares P @ P, as (start, block) for blocks of effects, in order.
 
-        A block holds at most ``SQUARES_BLOCK_BYTES`` (one effect at least),
+        A block holds at most ``BLOCK_BYTES`` (one effect at least),
         and is overwritten by the next: the blocks share one buffer, which
         spares the allocator a fresh block each time.  Each square is the
         ``@`` of its effect, the same bits in any block.
         """
         effects = self.observables
-        step = max(1, SQUARES_BLOCK_BYTES // effects[0].nbytes)
+        step = max(1, BLOCK_BYTES // effects[0].nbytes)
         buffer = np.empty_like(effects[:step])
         for a in range(0, len(effects), step):
             block = effects[a:a + step]
             yield a, np.matmul(block, block, out=buffer[:len(block)])
 
     def _traces(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A (n, d, d) stack of states, its ``trace_rows`` and the Born traces.
+        """A (n, d, d) stack of states, its ``real_rows`` and the (n, k) Born traces.
 
-        The traces are one (2n, k) array: row i holds Re Tr(A rho_i) of every
-        observable A, and row n + i the imaginary parts.
+        Row i holds Tr(A rho_i) of every observable A, exact for a Hermitian
+        rho_i; for any other it is Re Tr(A rho_i).
         """
-        m = np.ascontiguousarray(states, dtype=np.complex128)
+        m = np.asarray(states, dtype=np.complex128)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise DomainError(f"expected a (k, d, d) stack of states, got shape {m.shape}")
         if m.shape[1] != self.dim:
             raise DomainError(f"dimension mismatch: family d={self.dim}, state d={m.shape[1]}")
-        rows = trace_rows(m)
-        traces = np.einsum("kx,nx->nk", _real_view(self.observables), rows.reshape(-1, rows.shape[2]))
-        return m, rows, traces
+        rows = real_rows(m)
+        return m, rows, np.einsum("kx,nx->nk", real_rows(self.observables), rows)
 
     def probs(self, rho: DensityMatrix) -> np.ndarray:
         """Born probabilities Tr(P rho) of every effect, POVM after POVM.
 
-        The state is checked finite; each probability real and within
+        The state is checked finite and Hermitian; each probability within
         [0, 1], and each POVM's sum within 1e-10 of one.
         """
-        _, rows, traces = self._traces(rho.matrix[None])
-        return self._checked_probs(rows, traces)[0]
+        m, _, traces = self._traces(rho.matrix[None])
+        return self._checked_probs(m, traces)[0]
 
-    def _checked_probs(self, rows: np.ndarray, traces: np.ndarray) -> np.ndarray:
-        """The probabilities, the real rows of the traces, checked as ``probs`` describes.
+    def _checked_probs(self, m: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """The Born traces of the states m, checked as ``probs`` describes.
 
-        ``rows`` are the states' ``trace_rows``, finite exactly where the
-        states are.  Each check in turn raises at the first state that fails it.
+        Each check in turn raises at the first state that fails it.
         """
-        n = len(traces) // 2
-        p = traces[:n]
         # a DensityMatrix built by hand need not be Hermitian, nor finite: a
         # nan reaches every trace, so finiteness is checked first, on the state
-        _raise_first(np.logical_not(np.isfinite(rows[0]).all(axis=1)),
+        _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
                      lambda j: NumericalError("state has non-finite entries"))
-        # each later check is "not within", which a nan fails
-        _raise_first(np.logical_not(np.maximum.reduce(np.abs(traces[n:]), axis=1) < IMAG_TOL),
+        # each later check is "not within", which a nan fails; the family being
+        # informationally complete, a traced probability has an imaginary part
+        # exactly when the state has a Hermitian defect
+        with np.errstate(over="ignore"):  # entries near the float64 limit: a defect of inf
+            defect = np.abs(m - np.conjugate(m.transpose(0, 2, 1))).max(axis=(1, 2))
+        _raise_first(np.logical_not(defect < IMAG_TOL),
                      lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
-        low, high = np.minimum.reduce(p, axis=1), np.maximum.reduce(p, axis=1)
+        low, high = np.minimum.reduce(traces, axis=1), np.maximum.reduce(traces, axis=1)
         _raise_first(np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL)), lambda j: NumericalError(
             f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}"))
-        totals = np.add.reduceat(p, np.arange(0, p.shape[1], self.layout[1]), axis=1)
+        totals = np.add.reduceat(traces, np.arange(0, traces.shape[1], self.layout[1]), axis=1)
         off = np.logical_not(np.abs(totals - 1.0) < PROB_TOL)
         _raise_first(np.logical_or.reduce(off, axis=1), lambda j: NumericalError(
             f"POVM probabilities sum to {totals[j][off[j]][0].item()!r}, not 1"))
-        return p
+        return traces
 
     def report_many(self, states) -> BzReport:
         """The report of a (n, d, d) stack of states, its columns computed as arrays.
 
         The states are checked in the order of ``probs`` (finite entries,
-        imaginary part, [0, 1] range, POVM sums), then for the variance
+        Hermitian, [0, 1] range, POVM sums), then for the variance
         floor, then, in ``closed_forms``, for the purity domain.  Each check
         raises at the first state that fails it, so a batch whose states
         fail different checks raises the error of the earliest of those
         checks; a batch of one state raises that state's first failure.
         """
         m, rows, traces = self._traces(states)
-        p = self._checked_probs(rows, traces)
+        p = self._checked_probs(m, traces)
         squares = p * p  # the bits of p**2
         c_direct = np.add.reduce(squares, axis=1)
         terms = np.empty_like(p)
         for a, block in self._square_blocks():
-            np.einsum("kx,nx->nk", _real_view(block), rows[0], out=terms[:, a:a + len(block)])
+            np.einsum("kx,nx->nk", real_rows(block), rows, out=terms[:, a:a + len(block)])
         terms -= squares
         smallest = np.minimum.reduce(terms, axis=1)
         _raise_first(smallest < VAR_FLOOR,
@@ -333,7 +329,7 @@ class DirectEvaluator:
         np.maximum(terms, 0.0, out=terms, where=np.logical_not(smallest >= 0.0)[:, None])
         v_direct = np.add.reduce(terms, axis=1)
         # Tr(rho^2), checked against [1/d, 1] by the closed forms
-        return reconcile(self.kind, self.dim, self.parameter, purities(m, rows[0]), c_direct,
+        return reconcile(self.kind, self.dim, self.parameter, purities(rows), c_direct,
                          v_direct, clamped)
 
     def report(self, rho: DensityMatrix) -> BzReport:

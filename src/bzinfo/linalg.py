@@ -1,7 +1,10 @@
-"""Dense complex matrix helpers: validation, Born-trace rows and purities.
+"""Dense complex matrix helpers: validation, real rows and purities.
 
 Everything here targets small dimensions (d up to a few dozen), so plain
 dense double-precision algorithms are used throughout.
+
+Every Born trace, every trace of a product of two effects and every purity
+is a real dot product of two Hermitian operators' ``real_rows``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ VAR_FLOOR = -1e-10
 # largest dense complex data a builder or state generator may allocate
 MAX_DENSE_BYTES = 2**30
 COMPLEX_BYTES = 16
-# complex entries per block of matrices that ``hermitian`` checks and symmetrizes at once
-DEFECT_BLOCK_ENTRIES = 2**14
+# bytes of one block of matrices: ``hermitian`` checks and symmetrizes a stack,
+# and ``DirectEvaluator`` forms the effects' squares, a block at a time
+BLOCK_BYTES = 2**18
 
 
 def check_dense_bytes(nbytes: int, what: str) -> None:
@@ -61,7 +65,7 @@ def hermitian(m, overwrite: bool = False) -> np.ndarray:
     d = a.shape[-1]
     result = a if overwrite and a.flags.c_contiguous else np.empty(a.shape, dtype=np.complex128)
     stack, out = a.reshape(-1, d, d), result.reshape(-1, d, d)
-    step = max(1, DEFECT_BLOCK_ENTRIES // (d * d))
+    step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
     for start in range(0, len(stack), step):
         block = slice(start, start + step)
         adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
@@ -82,33 +86,28 @@ def hermitian(m, overwrite: bool = False) -> np.ndarray:
     return result
 
 
-def trace_rows(m: np.ndarray) -> np.ndarray:
-    """The float64 rows that make Born traces real dot products, shape (2, n, 2 d^2).
+def real_rows(stack) -> np.ndarray:
+    """A (k, d, d) complex stack as k rows of 2 d^2 float64 numbers, a view or a contiguous copy.
 
-    Tr(A rho) = sum_ij A_ij rho_ji for any complex A and rho.  Row [0, i]
-    is the float64 view of conj(rho_i^T) and row [1, i] that of
-    i conj(rho_i^T), so the dot product of A's float64 view with them is
-    Re and Im Tr(A rho_i), each term formed as complex arithmetic forms it.
-    m is a (n, d, d) complex stack.
+    The dot product of the rows of A and B is sum_ij Re(A_ij conj(B_ij)) =
+    Re Tr(A B^dag): for Hermitian A and B, it is Tr(AB).
     """
-    n, d = m.shape[:2]
-    rows = np.empty((2, n, d, d), dtype=np.complex128)
-    np.conjugate(m.transpose(0, 2, 1), out=rows[0])
-    np.negative(rows[0].imag, out=rows[1].real)
-    rows[1].imag = rows[0].real
-    return rows.view(np.float64).reshape(2, n, 2 * d * d)
+    m = np.ascontiguousarray(stack, dtype=np.complex128)
+    return m.view(np.float64).reshape(len(m), 2 * m.shape[1] * m.shape[2])
 
 
-def purities(m: np.ndarray, re_rows: np.ndarray) -> np.ndarray:
-    """Re Tr(rho_i^2) of a contiguous (n, d, d) stack, from its ``trace_rows(m)[0]``.
+def purities(rows: np.ndarray) -> np.ndarray:
+    """Tr(rho_i^2) of each state of a stack, from its ``real_rows``.
 
     One real ``einsum`` without ``optimize``: no BLAS call, so the bits do
-    not depend on the BLAS kernel, nor on n.
+    not depend on the BLAS kernel, nor on the number of rows.
     """
-    return np.einsum("nx,nx->n", m.view(np.float64).reshape(re_rows.shape), re_rows)
+    return np.einsum("nx,nx->n", rows, rows)
 
 
 def purity(rho) -> float:
-    """Tr(rho^2), in [1/d, 1] for a valid state; the bits of ``purities``."""
-    r = np.ascontiguousarray(_as_matrix(rho))[None]
-    return float(purities(r, trace_rows(r)[0])[0])
+    """Tr(rho^2), in [1/d, 1] for a valid state; the bits of ``purities``.
+
+    Defined for Hermitian rho; for any other array it is Tr(rho rho^dag).
+    """
+    return float(purities(real_rows(_as_matrix(rho)[None]))[0])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import write_gell_mann
 from .errors import DomainError, NumericalError, PositivityError
-from .linalg import COMPLEX_BYTES, check_dense_bytes
+from .linalg import COMPLEX_BYTES, check_dense_bytes, real_rows
 
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
@@ -73,7 +73,8 @@ class Family:
 
     ``kind`` is "mum" or "mub" (``parameter`` is kappa) or "gsm" or "sic"
     (``parameter`` is a).  ``effects`` stacks every effect, POVM after
-    POVM, as ``layout`` groups them.
+    POVM, as ``layout`` groups them, in one C-contiguous complex array (a
+    copy of a stack given otherwise), so every reader sums in one order.
 
     Every effect is exactly Hermitian, equal to its conjugate transpose bit
     for bit: the builders form them so, and ``decode`` symmetrizes what it
@@ -91,6 +92,7 @@ class Family:
     effects: np.ndarray  # (povms * outcomes, d, d) complex
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "effects", np.ascontiguousarray(self.effects, dtype=np.complex128))
         if self.kind not in PARAMETER_NAMES:
             raise DomainError(f"unknown measurement kind {self.kind!r}")
         n = math.prod(self.layout)
@@ -270,14 +272,13 @@ def _pairwise_overlaps(effects: np.ndarray):
 
     Yields (a, b, tile) with tile[i, j] = Tr(P_{a+i} P_{b+j}) for every tile
     of ``GRAM_TILE_ROWS`` rows and columns with b >= a, so that each pair
-    i <= j lies in one tile.  For Hermitian P_j, Tr(P_i P_j) = Re Tr(P_i P_j^dag),
-    the dot product of the two effects' entries as float64 pairs; so a tile
-    is one real product of two row ranges of the stack's float64 view, and
-    the tiles take about the flops of one symmetric product.  A stack of at
-    most ``GRAM_TILE_ROWS`` effects is one tile, the symmetric product ``r @ r.T``.
+    i <= j lies in one tile.  Each Tr(P_i P_j) is the dot product of two
+    ``real_rows``, so a tile is one real product of two row ranges of them,
+    and the tiles take about the flops of one symmetric product.  A stack of
+    at most ``GRAM_TILE_ROWS`` effects is one tile, the symmetric product ``r @ r.T``.
     """
     n = len(effects)
-    r = effects.reshape(n, -1).view(np.float64)
+    r = real_rows(effects)
     rows = GRAM_TILE_ROWS
     for a in range(0, n, rows):
         for b in range(a, n, rows):

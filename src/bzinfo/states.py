@@ -101,9 +101,10 @@ def _ginibre_batch(normals: np.ndarray) -> np.ndarray:
 def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray]:
     """The first n Ginibre-induced states of ``Philox(seed)``, as read-only (k, d, d) arrays.
 
-    The arguments are checked here, once; each batch holds at most
-    ``BATCH_BYTES`` of matrices or ``MIN_BATCH_PER_DIM * d`` states, whichever
-    is more, and is drawn as the iterator is consumed.
+    The arguments are checked here, once, and so are the bytes that drawing
+    a batch holds at its peak, about five of its matrices at rank d; each
+    batch holds at most ``BATCH_BYTES`` of matrices or ``MIN_BATCH_PER_DIM * d``
+    states, whichever is more, and is drawn as the iterator is consumed.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -111,14 +112,15 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     if n < 0:
         raise DomainError(f"number of states must be >= 0, got {n}")
-    check_dense_bytes(COMPLEX_BYTES * d * d, f"a state of dimension {d}")
-    return _batches(d, rank, rng_from_seed(seed), n)
-
-
-def _batches(d: int, rank: int, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
     batch = max(1, MIN_BATCH_PER_DIM * d, BATCH_BYTES // (COMPLEX_BYTES * d * d))
-    for start in range(0, n, batch):
-        yield _ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
+    k = min(batch, n)
+    # at its peak a batch holds its normals and G, each d x rank complex per
+    # state, and three (d, d) ones: rho, conj(rho) and their sum
+    check_dense_bytes(COMPLEX_BYTES * k * (2 * d * rank + 3 * d * d),
+                      f"a state of dimension {d}" if k == 1 else f"a batch of {k} states of dimension {d}")
+    rng = rng_from_seed(seed)
+    return (_ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
+            for start in range(0, n, batch))
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:

@@ -18,10 +18,11 @@ from bzinfo import (
     sampler,
     save,
 )
-from bzinfo import cli
+from bzinfo import cli, linalg, states
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
-from bzinfo.invariants import SQUARES_BLOCK_BYTES, DirectEvaluator
-from bzinfo.states import density_batches
+from bzinfo.invariants import DirectEvaluator
+from bzinfo.linalg import BLOCK_BYTES
+from bzinfo.states import density_batches, rng_from_seed
 from conftest import degenerate_family, traced_peak
 
 
@@ -331,7 +332,7 @@ def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, che
 def test_sweep_failing_in_a_later_batch_of_a_large_dimension(tmp_path, capsys, monkeypatch):
     family = build_mum(16)
     # a report reads the 272 effects' squares in 5 blocks
-    assert -(-len(family.effects) // (SQUARES_BLOCK_BYTES // family.effects[0].nbytes)) == 5
+    assert -(-len(family.effects) // (BLOCK_BYTES // family.effects[0].nbytes)) == 5
     bad = 0.9 * np.eye(16, dtype=complex) / 16
     with pytest.raises(NumericalError) as info:
         DirectEvaluator(family).report(DensityMatrix(dim=16, matrix=bad))
@@ -534,13 +535,27 @@ def test_sweep_seed_overflow_names_given_seed(capsys):
     assert code == 0
 
 
+def test_state_gen_checks_the_peak_of_drawing_before_any_draw(tmp_path, capsys, monkeypatch):
+    # drawing one state of rank d holds its normals and G, and three (d, d) matrices
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 5 * 6 * 6)
+    drawn = []
+    monkeypatch.setattr(states, "rng_from_seed", lambda seed: drawn.append(seed) or rng_from_seed(seed))
+    out = tmp_path / "s.json"
+    assert run(capsys, "state", "gen", "--dim", "6", "--seed", "3", "--out", str(out)) == (0, "", "")
+    assert drawn == [3]
+    code, stdout, err = run(capsys, "state", "gen", "--dim", "7", "--seed", "3", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: a state of dimension 7 needs about ")
+    assert drawn == [3]
+
+
 def test_numerical_error_exits_three(tmp_path, capsys, monkeypatch):
     m = tmp_path / "m.json"
     s = tmp_path / "s.json"
     run(capsys, "gen", "mum", "--dim", "2", "--out", str(m))
     run(capsys, "state", "gen", "--dim", "2", "--seed", "1", "--out", str(s))
 
-    def fail(self, rows, traces):
+    def fail(self, m, traces):
         raise NumericalError("probabilities have imaginary part 1e-3")
 
     # report checks the probabilities it takes from its one stacked contraction here

@@ -20,6 +20,7 @@ from bzinfo import (
     random_density,
     sic2_fixture,
     validate_state,
+    verify,
 )
 
 from bzinfo import invariants, states
@@ -95,6 +96,40 @@ def test_probs_check_imaginary_part():
         with pytest.raises(NumericalError) as info:
             check(state)
         assert str(info.value) == "outcome probability has a non-negligible imaginary part"
+
+
+HERMITIAN_CHECK_FAMILIES = {"mum3": lambda: build_mum(3, "auto"), "gsm3": lambda: build_gsm(3, "auto"),
+                            "mub3": lambda: build_mub(3), "sic2": sic2_fixture}
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN_CHECK_FAMILIES))
+def test_an_off_diagonal_anti_hermitian_defect_is_checked_on_the_state(name):
+    evaluator = DirectEvaluator(HERMITIAN_CHECK_FAMILIES[name]())
+    d = evaluator.dim
+    batch = np.concatenate(list(density_batches(d, d, 21, 6)))
+    # traceless, zero on the diagonal, and K^dag = -K
+    defect = np.zeros((d, d), dtype=complex)
+    defect[0, 1], defect[1, 0] = 1 + 1j, -1 + 1j
+    message = "^outcome probability has a non-negligible imaginary part$"
+    for j in (0, 4):
+        bad = batch.copy()
+        bad[j] = batch[j] + 1e-6 * defect
+        state = unchecked_state(bad[j])
+        for check in (evaluator.probs, evaluator.report, lambda rho: sample_outcomes(evaluator, rho, 100, 0)):
+            with pytest.raises(NumericalError, match=message):
+                check(state)
+        with pytest.raises(NumericalError, match=message):
+            evaluator.report_many(bad)
+        evaluator.report_many(bad[:j])  # the states before j pass
+    # a defect well inside the tolerance passes, its probabilities those of
+    # the symmetrized state
+    for matrix in batch:
+        near = matrix + 1e-13 * defect
+        p = evaluator.probs(unchecked_state(near))
+        np.testing.assert_allclose(p, evaluator.probs(unchecked_state((near + near.conj().T) / 2)),
+                                   rtol=0, atol=1e-15)
+        evaluator.report(unchecked_state(near))
+    evaluator.report_many(batch + 1e-13 * defect)
 
 
 def test_probs_check_unit_interval():
@@ -467,12 +502,26 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
     for per_block in (1, 3, None):  # one effect, three effects, the default block
         with monkeypatch.context() as patched:
             if per_block is not None:
-                patched.setattr(invariants, "SQUARES_BLOCK_BYTES", per_block * 16 * d * d)
+                patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
             reports = evaluator.report_many(batch)
             squares = square_stack(evaluator)
         assert squares.tobytes() == (family.effects @ family.effects).tobytes()
         columns.append([fields(reports.row(i)) for i in range(len(batch))])
     assert columns[0] == columns[1] == columns[2]
+
+
+@pytest.mark.parametrize("kind, d, make", REPORT_FAMILIES,
+                         ids=[f"{kind}{d}" for kind, d, _ in REPORT_FAMILIES])
+def test_a_non_contiguous_effect_stack_reads_as_its_contiguous_copy(kind, d, make):
+    family = make(d)
+    fortran = dataclasses.replace(family, effects=np.asfortranarray(family.effects))
+    deviations = verify(family).deviations
+    assert list(verify(fortran).deviations.items()) == list(deviations.items())
+    batch = np.concatenate([*density_batches(d, 1, 14, 5), *density_batches(d, d, 15, 5)])
+    reports = DirectEvaluator(family).report_many(batch)
+    fortran_reports = DirectEvaluator(fortran).report_many(batch)
+    assert ([fields(fortran_reports.row(i)) for i in range(len(batch))]
+            == [fields(reports.row(i)) for i in range(len(batch))])
 
 
 def test_report_many_of_no_states_is_empty():

@@ -21,7 +21,6 @@ from bzinfo import (
     validate_state,
 )
 from bzinfo import _kernels
-from bzinfo.linalg import trace_rows
 from bzinfo.sampler import BOOTSTRAP_RESAMPLES
 from bzinfo.states import rng_from_seed
 from conftest import degenerate_family
@@ -202,14 +201,12 @@ def test_a_hand_built_nan_state_raises_before_sampling():
     batch = np.stack([maximally_mixed(2).matrix, nan_state.matrix, np.eye(2) * 0.7])
     with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report_many(batch)
-    # a nan in the real parts of the traces alone, of a finite state, past the
-    # imaginary check, fails the [0, 1] range
-    rows = trace_rows(maximally_mixed(2).matrix[None])
-    traces = np.zeros((2, 6))
-    traces[0] = 0.5
+    # a nan in the traces alone, of a finite Hermitian state, past the
+    # Hermitian check, fails the [0, 1] range
+    traces = np.full((1, 6), 0.5)
     traces[0, 1] = np.nan
     with pytest.raises(NumericalError, match=r"^probability out of \[0, 1\]: nan\.\.nan$"):
-        evaluator._checked_probs(rows, traces)
+        evaluator._checked_probs(maximally_mixed(2).matrix[None], traces)
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():
