@@ -15,14 +15,17 @@ stored fields exactly.
 A family repeats a few thousand distinct rows of [re, im] pairs across
 hundreds of thousands of entries.  So a matrix is written as pieces of
 about ``_CHUNK_BYTES``, made one at a time: runs of rows, each row's text
-taken from a cache of the recent distinct rows (formatted from words of
-each distinct float formatted once), with the array's brackets and
-separators; ``encode`` joins them, ``save`` writes them as they come.  A
-measurement file in exactly that layout is read back in blocks cut at the
-row separators, each recent distinct row checked and parsed once and
-gathered straight into a complex stack.  Both caches are cleared when they
-hold ``_ROW_CACHE_ROWS`` rows, so beside the stack neither grows with the
-family.  Any other JSON document
+taken from a memo of the recent rows' texts, formatted from a memo of the
+recent floats' words, with the array's brackets and separators; ``encode``
+joins them, ``save`` writes them as they come.  A measurement file in
+exactly that layout is read back in blocks cut at the row separators, each
+recent distinct row checked and parsed once, its numbers from a memo of the
+recent tokens' values, and gathered straight into a complex stack.  Each
+of these caches is a ``_Memo``, which clears itself once it holds its
+limit: ``_ROW_CACHE_ROWS`` rows, or eight times as many words or tokens,
+more than the distinct floats of any family the builders make.  So beside
+the matrix none grows with the values it reads, for a family or a state.
+Any other JSON document
 is read whole by ``json.loads``, with the same entity or SchemaError.  So
 the whole text is held only on that route, and only there does the text
 limit ``MAX_DOCUMENT_BYTES`` apply: a file in the encoder's layout may be
@@ -59,7 +62,8 @@ MAX_DOCUMENT_BYTES = 256 * 2**20
 # bytes per block that save writes and the direct parse reads
 _CHUNK_BYTES = 2**18
 # distinct rows of pairs whose text the encoder, and whose value the direct
-# parse, keeps at once; a family repeats a few thousand distinct rows
+# parse, keeps at once; a family repeats a few thousand distinct rows, and
+# eight times as many words or tokens cover mum d=75's 3005 distinct floats
 _ROW_CACHE_ROWS = 512
 # what precedes the effects array, within the first _HEAD_BYTES of a canonical file
 _EFFECTS_OPENING = b'"effects": ['
@@ -96,38 +100,33 @@ def _skeleton(shape: tuple[int, ...], entry: str) -> str:
     return text
 
 
-class _Words(dict):
-    """Each float64's shortest repr, keyed by its bits (so -0.0 keeps its own word), formed once.
+class _Memo(dict):
+    """``make(key)`` for each key looked up, made on its first lookup.
+
+    The memo clears itself when it holds ``limit`` entries, so it holds at
+    most that many whatever it reads.  ``make`` may raise; nothing is kept then.
+    """
+
+    def __init__(self, make, limit: int) -> None:
+        super().__init__()
+        self.make, self.limit = make, limit
+
+    def __missing__(self, key):
+        if len(self) >= self.limit:
+            self.clear()
+        self[key] = value = self.make(key)
+        return value
+
+
+def _word(bits: int) -> bytes:
+    """The shortest repr of the float64 with these bits (so -0.0 keeps its own word).
 
     A non-finite value raises the ValueError ``json.dumps`` raises for it.
     """
-
-    def __missing__(self, bits: int) -> bytes:
-        value = struct.unpack("=d", struct.pack("=Q", bits))[0]
-        if not math.isfinite(value):
-            json.dumps(value, allow_nan=False)
-        self[bits] = word = repr(value).encode("ascii")
-        return word
-
-
-class _RowTexts(dict):
-    """The text of each row of [re, im] pairs, keyed by its float64 bytes, for the recent rows.
-
-    The cache is cleared when it holds ``_ROW_CACHE_ROWS`` rows, so it holds
-    at most that many whatever the matrix's size.
-    """
-
-    def __init__(self, pairs: int) -> None:
-        super().__init__()
-        self.format = _skeleton((pairs, 2), "%s").encode("ascii")
-        self.bits = struct.Struct(f"={2 * pairs}Q").unpack
-        self.words = _Words()
-
-    def __missing__(self, row: bytes) -> bytes:
-        if len(self) >= _ROW_CACHE_ROWS:
-            self.clear()
-        self[row] = text = self.format % tuple(map(self.words.__getitem__, self.bits(row)))
-        return text
+    value = struct.unpack("=d", struct.pack("=Q", bits))[0]
+    if not math.isfinite(value):
+        json.dumps(value, allow_nan=False)
+    return repr(value).encode("ascii")
 
 
 def _matrix_pieces(m: np.ndarray):
@@ -137,10 +136,11 @@ def _matrix_pieces(m: np.ndarray):
     m.imag], -1).tolist(), allow_nan=False)``, the first non-finite entry
     raising its ValueError.  Each piece is a run of rows of pairs and the
     separators before them, at most about ``_CHUNK_BYTES`` long.  A row's
-    text comes from ``_RowTexts``, formatted from words of each float
-    formatted once; a run's separators, which close and open a bracket for
-    each matrix (and each POVM) that a row begins, come from its row numbers.
-    So what the pieces hold beside the matrix does not grow with it.
+    text comes from a ``_Memo`` of the recent rows' texts, formatted from a
+    ``_Memo`` of the recent floats' words; a run's separators, which close
+    and open a bracket for each matrix (and each POVM) that a row begins,
+    come from its row numbers.  So what the pieces hold beside the matrix
+    does not grow with it, nor with its values.
     """
     entries = np.ascontiguousarray(m, dtype=np.complex128)
     if entries.size == 0:
@@ -152,19 +152,22 @@ def _matrix_pieces(m: np.ndarray):
     # a row at a multiple of one of these begins a matrix, or a POVM
     periods = np.array([math.prod(m.shape[j:-1]) for j in range(1, depth)], dtype=np.intp)
     separators = [b"]" * k + b", " + b"[" * k for k in range(m.ndim)]
-    texts = _RowTexts(m.shape[-1])
+    row_format = _skeleton((m.shape[-1], 2), "%s").encode("ascii")
+    bits = struct.Struct(f"={rows.shape[1]}Q").unpack
+    words = _Memo(_word, 8 * _ROW_CACHE_ROWS)
+    texts = _Memo(lambda row: row_format % tuple(map(words.__getitem__, bits(row))), _ROW_CACHE_ROWS)
     # a float's repr takes at most 24 bytes, so a run's text is at most about _CHUNK_BYTES
     step = max(1, _CHUNK_BYTES // (54 * m.shape[-1]))
     for start in range(0, len(rows), step):
-        # each row's bytes, as one void item
-        keys = rows[start:start + step].view(f"V{width}").ravel().tolist()
-        count = len(keys)
+        count = min(step, len(rows) - start)
         opened = (np.arange(start, start + count)[:, None] % periods == 0).sum(axis=1)
         pieces = [b""] * (2 * count)
         pieces[0::2] = map(separators.__getitem__, opened.tolist())
         if start == 0:
             pieces[0] = b"[" * depth
-        pieces[1::2] = map(texts.__getitem__, keys)
+        # each row's bytes, as one void item
+        pieces[1::2] = map(texts.__getitem__,
+                           rows[start:start + count].view(f"V{width}").ravel().tolist())
         if start + count == len(rows):
             pieces.append(b"]" * depth)
         yield b"".join(pieces)
@@ -363,46 +366,38 @@ def _parse_canonical_measurement(read, size: int) -> dict | None:
     return doc
 
 
-class _Numbers(dict):
-    """Value of each number token, parsed on first lookup, as ``json.loads`` parses it.
+def _number(token: bytes) -> float:
+    """The value of a number token as ``json.loads`` parses it.
 
     A token with no fraction or exponent (an int to json.loads), or not finite, raises ValueError.
     """
-
-    def __missing__(self, token: bytes) -> float:
-        value = float(token) if re.fullmatch(_NUMBER, token) else math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"not a finite number with a fraction or exponent: {token!r}")
-        self[token] = value
-        return value
+    value = float(token) if re.fullmatch(_NUMBER, token) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number with a fraction or exponent: {token!r}")
+    return value
 
 
-class _Rows(dict):
+class _Rows:
     """Reader of an effects array of a given stored shape, in the layout the encoder writes.
 
     The array is cut at the row separators into pieces, one row of [re, im]
-    pairs each; a piece maps to its position in a table of the distinct
-    pieces seen lately, checked and parsed on first lookup.  The table is
-    cleared before a block once it holds more than ``_ROW_CACHE_ROWS``
-    pieces, so whatever the family's size it holds at most that many and
-    one block's.  A piece must be a row as the encoder writes it, with the
-    brackets its row's position takes.
+    pairs each.  A piece must be a row as the encoder writes it, with the
+    brackets its row's position takes.  Each recent distinct piece is
+    checked and parsed once, into the float64 bytes of its numbers followed
+    by its bracket code, leading * (depth + 1) + trailing brackets.
     """
 
     def __init__(self, shape: tuple[int, ...]) -> None:
-        super().__init__()
         self.shape, self.count = shape, math.prod(shape[:-1])  # rows of the array
         self.depth = len(shape) + 1  # brackets that open the array before its first number
         # a row at a multiple of one of these starts a matrix, or a POVM, and the
         # separator before it has one more bracket on each side for each
         self.periods = np.array([math.prod(shape[j:-1]) for j in range(1, len(shape) - 1)])
         self.row_format = (b"%s, %s], [" * shape[-1])[:-4]
-        self.numbers = _Numbers()
-        self.brackets = []  # leading * (depth + 1) + trailing brackets of each piece
-        self.new = []  # float64 bytes of the rows first seen since the last gather
-        self.values = np.empty((0, shape[-1]), dtype=np.complex128)
+        self.pack = struct.Struct(f"={2 * shape[-1] + 1}d").pack
+        self.numbers = _Memo(_number, 8 * _ROW_CACHE_ROWS)
 
-    def __missing__(self, piece: bytes) -> int:
+    def _entry(self, piece: bytes) -> bytes:
         key = piece.lstrip(b"[")
         stripped = key.rstrip(b"]")
         leading, trailing = len(piece) - len(key), len(key) - len(stripped)
@@ -410,34 +405,22 @@ class _Rows(dict):
         if (max(leading, trailing) > self.depth or len(tokens) != 2 * self.shape[-1]
                 or self.row_format % tuple(tokens) != stripped):
             raise ValueError(f"not a row as the encoder writes it: {piece[:80]!r}")
-        row = np.fromiter(map(self.numbers.__getitem__, tokens), dtype=np.float64, count=len(tokens))
-        self.new.append(row.tobytes())
-        self.brackets.append(leading * (self.depth + 1) + trailing)
-        self[piece] = position = len(self)
-        return position
+        code = leading * (self.depth + 1) + trailing
+        return self.pack(*map(self.numbers.__getitem__, tokens), code)
 
-    def gather(self, pieces: list[bytes], first: int, out: np.ndarray) -> None:
-        """Write the rows ``first`` onwards, which the pieces hold, into ``out``.
-
-        The table starts afresh once it holds more than ``_ROW_CACHE_ROWS`` pieces.
-        """
-        if len(self) > _ROW_CACHE_ROWS:
-            self.clear()
-            self.brackets, self.values = [], self.values[:0]
-        ids = np.fromiter(map(self.__getitem__, pieces), dtype=np.intp, count=len(pieces))
-        if self.new:
-            parsed = np.frombuffer(b"".join(self.new), dtype=np.float64).reshape(len(self.new), -1)
-            self.new = []
-            # the arithmetic of _matrix_from_json, so the bits, signed zeros too, are its bits
-            self.values = np.concatenate([self.values, parsed[:, 0::2] + 1j * parsed[:, 1::2]])
-        rows = np.arange(first, first + len(pieces) + 1)
+    def gather(self, joined: bytes, first: int, out: np.ndarray) -> None:
+        """Write the rows ``first`` onwards into ``out``, from their pieces' entries joined."""
+        entries = np.frombuffer(joined, dtype=np.float64).reshape(-1, 2 * self.shape[-1] + 1)
+        rows = np.arange(first, first + len(entries) + 1)
         extra = (rows[:, None] % self.periods == 0).sum(axis=1)
         extra[rows == 0] = self.depth
         extra[rows == self.count] = 0  # the last piece ends before the array's closing brackets
-        expected = extra[:-1] * (self.depth + 1) + extra[1:]
-        if not np.array_equal(np.asarray(self.brackets)[ids], expected):
+        if not np.array_equal(entries[:, -1], extra[:-1] * (self.depth + 1) + extra[1:]):
             raise ValueError("row brackets out of place")
-        np.take(self.values, ids, axis=0, out=out[first:first + len(pieces)], mode="clip")
+        # re + 1j * im, the arithmetic of _matrix_from_json: its bits, signed zeros too
+        block = out[first:first + len(entries)]
+        np.multiply(1j, entries[:, 1:-1:2], out=block)
+        np.add(entries[:, 0:-1:2], block, out=block)
 
     def parse(self, text: bytes, blocks):
         """The stack of the array that starts ``text`` and goes on in ``blocks``, and what follows.
@@ -445,6 +428,9 @@ class _Rows(dict):
         None if the array is not in the encoder's layout.  One block's rows at a time are text.
         """
         out = np.empty((self.count, self.shape[-1]), dtype=np.complex128)
+        # kept here, not on the reader, whose method it holds, so that no
+        # reference cycle keeps the recent rows after the parse
+        entries = _Memo(self._entry, _ROW_CACHE_ROWS)
         # longer than any row the encoder writes: a float's repr takes at most 24 bytes
         row_limit = 64 * self.shape[-1] + 2 * self.depth
         filled = 0
@@ -454,13 +440,13 @@ class _Rows(dict):
                 pieces = text.split(_ROW_SEPARATOR, self.count - 1 - filled)
                 text = pieces.pop()
                 if pieces:
-                    self.gather(pieces, filled, out)
+                    self.gather(b"".join(map(entries.__getitem__, pieces)), filled, out)
                     filled += len(pieces)
                 elif len(text) > row_limit or not (block := next(blocks, b"")):
                     return None
                 else:
                     text += block
-            self.gather([text[:end]], filled, out)
+            self.gather(entries[text[:end]], filled, out)
         except ValueError:
             return None
         return out.reshape(self.shape), text[end + self.depth:]

@@ -84,16 +84,24 @@ def maximally_mixed(d: int) -> DensityMatrix:
     return _make_state(np.eye(d, dtype=np.complex128) / d)
 
 
-def _ginibre_batch(normals: np.ndarray) -> np.ndarray:
-    """rho = G G^dag / Tr(G G^dag) per state, G = normals[i, 0] + 1j normals[i, 1].
+def _ginibre_batch(rng: np.random.Generator, k: int, d: int, rank: int) -> np.ndarray:
+    """rho = G G^dag / Tr(G G^dag) for the next k states of ``rng``.
+
+    G = normals[i, 0] + 1j normals[i, 1] for the state's normals, drawn here.
 
     One 3-D matmul and one pass of each elementwise step serve the whole
-    batch; the result is one read-only (k, d, d) array.
+    batch; the result is one read-only (k, d, d) array.  The normals are
+    dropped once G is formed and G once rho is, and rho is symmetrized in
+    place, so at rank d drawing holds at most three (d, d) matrices per state.
     """
+    normals = rng.standard_normal((k, 2, d, rank))
     g = normals[:, 0] + 1j * normals[:, 1]
+    del normals
     rho = g @ g.conj().transpose(0, 2, 1)
+    del g
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+    rho += rho.conj().transpose(0, 2, 1)
+    rho /= 2.0
     rho.setflags(write=False)
     return rho
 
@@ -102,7 +110,7 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
     """The first n Ginibre-induced states of ``Philox(seed)``, as read-only (k, d, d) arrays.
 
     The arguments are checked here, once, and so are the bytes that drawing
-    a batch holds at its peak, about five of its matrices at rank d; each
+    a batch holds at its peak, about three of its matrices at rank d; each
     batch holds at most ``BATCH_BYTES`` of matrices or ``MIN_BATCH_PER_DIM * d``
     states, whichever is more, and is drawn as the iterator is consumed.
     """
@@ -114,13 +122,12 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
         raise DomainError(f"number of states must be >= 0, got {n}")
     batch = max(1, MIN_BATCH_PER_DIM * d, BATCH_BYTES // (COMPLEX_BYTES * d * d))
     k = min(batch, n)
-    # at its peak a batch holds its normals and G, each d x rank complex per
-    # state, and three (d, d) ones: rho, conj(rho) and their sum
-    check_dense_bytes(COMPLEX_BYTES * k * (2 * d * rank + 3 * d * d),
+    # per state, rho and either G and conj(G), each d x rank, or conj(rho);
+    # forming G holds less, three d x rank arrays with the normals
+    check_dense_bytes(COMPLEX_BYTES * k * (d * d + max(2 * d * rank, d * d)),
                       f"a state of dimension {d}" if k == 1 else f"a batch of {k} states of dimension {d}")
     rng = rng_from_seed(seed)
-    return (_ginibre_batch(rng.standard_normal((min(batch, n - start), 2, d, rank)))
-            for start in range(0, n, batch))
+    return (_ginibre_batch(rng, min(batch, n - start), d, rank) for start in range(0, n, batch))
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:

@@ -536,8 +536,8 @@ def test_sweep_seed_overflow_names_given_seed(capsys):
 
 
 def test_state_gen_checks_the_peak_of_drawing_before_any_draw(tmp_path, capsys, monkeypatch):
-    # drawing one state of rank d holds its normals and G, and three (d, d) matrices
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 5 * 6 * 6)
+    # drawing one state of rank d holds G, conj(G) and rho, three (d, d) matrices
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 3 * 6 * 6)
     drawn = []
     monkeypatch.setattr(states, "rng_from_seed", lambda seed: drawn.append(seed) or rng_from_seed(seed))
     out = tmp_path / "s.json"

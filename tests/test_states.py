@@ -120,8 +120,8 @@ def test_mean_purity_band():
 
 
 def test_state_size_limit_boundary(monkeypatch):
-    # the peak of drawing one state of rank 1 at d=4: normals and G of 4 entries, three matrices
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * (2 * 4 + 3 * 4 * 4))
+    # the peak of drawing one state of rank 1 at d=4: rho and its conjugate, two matrices
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 2 * 4 * 4)
     assert random_density(4, 1, 0).dim == 4
     with pytest.raises(DomainError, match="a state of dimension 5 needs"):
         random_density(5, 1, 0)

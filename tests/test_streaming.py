@@ -21,6 +21,7 @@ import pytest
 
 import bzinfo
 from bzinfo import (
+    Family,
     SchemaError,
     build_gsm,
     build_mub,
@@ -38,11 +39,28 @@ from bzinfo.invariants import DirectEvaluator
 from conftest import traced_peak
 
 SEPARATOR = b"]], [["
+
+
+def distinct_valued(kind: str, d: int) -> Family:
+    """A built family plus seeded Hermitian noise of 1e-3: numbers repeated only across diagonals.
+
+    Built families repeat a few hundred distinct numbers across all their
+    entries; this family, like a state, repeats almost none, so every cache
+    of the text layer fills.
+    """
+    family = BUILDERS[kind](d)
+    rng = np.random.Generator(np.random.Philox(d))
+    g = rng.standard_normal(family.effects.shape) + 1j * rng.standard_normal(family.effects.shape)
+    effects = family.effects + 1e-3 * (g + g.conj().transpose(0, 2, 1)) / 2
+    return Family(kind, d, family.t, family.parameter, effects)
+
+
 BUILDERS = {
     "mum": lambda d: build_mum(d, "auto"),
     "gsm": lambda d: build_gsm(d, "auto"),
     "mub": build_mub,
     "sic": lambda d: sic2_fixture(),
+    "distinct gsm": lambda d: distinct_valued("gsm", d),
 }
 ENCODED = [("mum", 2), ("mum", 3), ("mum", 12), ("gsm", 2), ("gsm", 3), ("gsm", 12),
            ("mub", 2), ("mub", 5), ("mub", 11), ("sic", 2)]
@@ -284,7 +302,10 @@ def test_loaded_effects_are_the_json_loads_route_bits(tmp_path, monkeypatch, kin
 
 
 CACHED = [(kind, d) for kind in ("mum", "gsm") for d in range(3, 7)]
-CACHED += [("mub", 5), ("mub", 7), ("sic", 2)]
+# the distinct-valued family has about 25 distinct numbers a matrix, so with
+# three rows cached the words and tokens (24 at most) are cleared partway
+# through rows
+CACHED += [("mub", 5), ("mub", 7), ("sic", 2), ("distinct gsm", 5)]
 
 
 @pytest.mark.parametrize("chunk", [None, "row"])
@@ -370,6 +391,42 @@ def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
     assert len(sizes) > 1 and max(sizes) <= serialize._CHUNK_BYTES
     for step, factor in LARGE_PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
+
+
+# traced peaks over the bytes of the effects at d=16, for families whose
+# numbers hardly repeat: the words, texts, tokens and rows each clear when
+# full, so the encoder holds a run of rows beside them and load the stack and
+# one block; measured 1.36-1.44 and 2.51-2.72 (14.6-15.5 and 15.0-15.8 with
+# words and tokens kept for every distinct number)
+DISTINCT_PEAK_FACTORS = {"encode": 1.5, "load": 3.0}
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_distinct_valued_family_peaks_do_not_grow_with_its_numbers(tmp_path, monkeypatch, kind):
+    family = distinct_valued(kind, 16)
+    stack = family.effects.nbytes
+    path = tmp_path / "family.json"
+    save(family, path)
+    peaks = {}
+    peaks["encode"], _ = traced_peak(
+        lambda: [len(piece) for piece in serialize._matrix_pieces(family.effects)])
+    peaks["load"], loaded = traced_peak(lambda: load(path))
+    for step, factor in DISTINCT_PEAK_FACTORS.items():
+        assert peaks[step] < factor * stack, (step, peaks[step] / stack)
+    results = parses(monkeypatch)
+    assert load(path).effects.tobytes() == loaded.effects.tobytes()
+    assert results[0] is not None  # the direct parse read the file
+    assert loaded.effects.tobytes() == json_route(path.read_bytes()).effects.tobytes()
+
+
+def test_encoding_a_state_holds_a_few_matrices_beside_its_text():
+    """A state's numbers hardly repeat.  Its text, about three matrices'
+    bytes, is held as the runs and as their join, beside the recent words and
+    rows; measured 9.1 matrices (19.4 with a word kept for every number)."""
+    rho = random_density(100, 100, 1)
+    peak, text = traced_peak(lambda: encode(rho))
+    assert json.loads(text)["rho"][99][99][0] == rho.matrix[99, 99].real
+    assert peak < 10 * rho.matrix.nbytes, peak / rho.matrix.nbytes
 
 
 def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
