@@ -8,9 +8,9 @@ BACKEND = "numpy"
 def real_trace_batch(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Re Tr(ops[k] @ rho) for a stack of operators, shape (k, d, d).
 
-    The library does not call this: ``DirectEvaluator.report_many`` takes
-    its traces from one real contraction per batch of states.  It is kept
-    because the benchmark's tracer wraps it by name.
+    The library does not call this: ``DirectEvaluator._contract`` takes
+    every trace from one loop of real contractions over blocks of effects.
+    It is kept because the benchmark's tracer wraps it by name.
     """
     return np.einsum("kij,ji->k", ops, rho).real.astype(np.float64)
 

@@ -26,14 +26,15 @@ a (k, d, d) stack of states and makes every check and every quantity as
 arrays, and ``report`` is its one-state case.  The effects, their squares
 and the states are all Hermitian, so every trace it needs, Tr(P rho),
 Tr(P^2 rho) and Tr(rho^2), is the dot product of two ``linalg.real_rows``,
-one row per operator.  So one real ``np.einsum("kx,nx->nk")`` without
-``optimize`` gives every Born trace of a batch, another the squares' traces,
-and the purities are the states' rows dotted with themselves.  That
-contraction calls no BLAS and gives the same bits at every batch size, one
-state included, so ``bz`` and row i of ``sweep`` agree bit for bit and
-neither depends on the BLAS kernel.  The complex batched ``einsum``
-(``"kij,nji->nk"``) was not used: its bits for a batch of one differ from
-those for larger batches (measured at d = 2, 3 and 8).
+one row per operator.  So ``DirectEvaluator._contract`` walks the effects
+in blocks, where a real ``np.einsum("kx,nx->nk")`` without ``optimize``
+gives a block's slice of a batch's Born traces, and another its squares'
+slice; the purities are the states' rows dotted with themselves.  That
+contraction calls no BLAS and gives the same bits at every batch and block
+size, one state included, so ``bz`` and row i of ``sweep`` agree bit for
+bit and the Born traces do not depend on the BLAS kernel.  The complex
+batched ``einsum`` (``"kij,nji->nk"``) was not used: its bits for a batch
+of one differ from those for larger batches (measured at d = 2, 3 and 8).
 
 A state built by hand need not be Hermitian, and the rows do not show the
 imaginary parts of its traces.  Every family here is informationally
@@ -42,12 +43,13 @@ Hermitian: the check is the state's Hermitian defect, against ``IMAG_TOL``.
 
 Each check of a state is one mask over a batch, and raises at the first
 state it marks (``_raise_first``).  ``report_many`` checks, in this order,
-the states' entries finite, the states Hermitian, the probabilities'
-[0, 1] range and the POVM sums, the variance floor, and then, in
-``closed_forms``, the purity domain.  So a state alone raises its own
-first failure, while a batch whose states fail different checks raises
-the earliest of those checks, at the first state that fails it; ``cli
-sweep`` evaluates a failing batch again one state at a time.
+the states' entries finite, the states Hermitian (both before any trace is
+taken), the probabilities' [0, 1] range and the POVM sums, the variance
+floor, and then, in ``closed_forms``, the purity domain.  So a state
+alone raises its own first failure, while a batch whose states fail
+different checks raises the earliest of those checks, at the first state
+that fails it; ``cli sweep`` evaluates a failing batch again one state at
+a time.
 """
 
 from __future__ import annotations
@@ -218,12 +220,10 @@ class DirectEvaluator:
     a failure: the one verification of a family, loaded or built, in
     ``bz``, ``sample`` and ``sweep``.  ``observables`` is the family's
     effect stack itself, read in place, and the evaluator keeps no stack of
-    its own: on each call ``report_many`` forms the effects' squares a block
-    of ``BLOCK_BYTES`` at a time (``_square_blocks``), each block
-    read before the next overwrites it.  ``probs`` gives the
-    checked outcome probabilities of one state and ``report_many`` the
-    reconciled quantities of a batch; both take the Born traces from
-    ``_traces``.
+    its own.  ``probs`` gives the checked outcome probabilities of one state
+    and ``report_many`` the reconciled quantities of a batch, each from one
+    call of ``_contract``, the one loop that contracts effects with states;
+    only ``report_many`` has it form the squares, a block at a time.
     """
 
     def __init__(self, family: Family):
@@ -239,34 +239,44 @@ class DirectEvaluator:
         self.observables = family.effects
         self.layout = family.layout
 
-    def _square_blocks(self):
-        """The effects' squares P @ P, as (start, block) for blocks of effects, in order.
+    def _contract(self, states, squares: bool = False):
+        """The ``real_rows`` of a (n, d, d) stack of states, its (n, k) Born traces and squares' traces.
 
-        A block holds at most ``BLOCK_BYTES`` (one effect at least),
-        and is overwritten by the next: the blocks share one buffer, which
-        spares the allocator a fresh block each time.  Each square is the
-        ``@`` of its effect, the same bits in any block.
-        """
-        effects = self.observables
-        step = max(1, BLOCK_BYTES // effects[0].nbytes)
-        buffer = np.empty_like(effects[:step])
-        for a in range(0, len(effects), step):
-            block = effects[a:a + step]
-            yield a, np.matmul(block, block, out=buffer[:len(block)])
-
-    def _traces(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A (n, d, d) stack of states, its ``real_rows`` and the (n, k) Born traces.
-
-        Row i holds Tr(A rho_i) of every observable A, exact for a Hermitian
-        rho_i; for any other it is Re Tr(A rho_i).
+        The states are checked finite, then Hermitian, each check raising at
+        the first state that fails it, before any trace is taken.  Each block
+        of effects, of at most ``BLOCK_BYTES`` (one effect at least), writes
+        its slice of the Born traces Tr(P rho_i); only if ``squares`` does it
+        form its squares, by ``@`` in one reused buffer, and write their slice
+        of Tr(P^2 rho_i), else the last item is None.  A trace is exact for a
+        Hermitian rho_i and has the same bits in any block.
         """
         m = np.asarray(states, dtype=np.complex128)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise DomainError(f"expected a (k, d, d) stack of states, got shape {m.shape}")
         if m.shape[1] != self.dim:
             raise DomainError(f"dimension mismatch: family d={self.dim}, state d={m.shape[1]}")
+        # a DensityMatrix built by hand need not be finite, nor Hermitian
+        _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
+                     lambda j: NumericalError("state has non-finite entries"))
+        # the family being informationally complete, a traced probability has an
+        # imaginary part exactly when the state has a Hermitian defect
+        with np.errstate(over="ignore"):  # entries near the float64 limit: a defect of inf
+            defect = np.abs(m - np.conjugate(m.transpose(0, 2, 1))).max(axis=(1, 2))
+        _raise_first(np.logical_not(defect < IMAG_TOL),
+                     lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
         rows = real_rows(m)
-        return m, rows, np.einsum("kx,nx->nk", real_rows(self.observables), rows)
+        effects = self.observables
+        traces = np.empty((len(m), len(effects)))
+        moments = np.empty_like(traces) if squares else None
+        step = max(1, BLOCK_BYTES // effects[0].nbytes)
+        buffer = np.empty_like(effects[:step]) if squares else None
+        for a in range(0, len(effects), step):
+            block = effects[a:a + step]
+            np.einsum("kx,nx->nk", real_rows(block), rows, out=traces[:, a:a + len(block)])
+            if squares:
+                block = np.matmul(block, block, out=buffer[:len(block)])
+                np.einsum("kx,nx->nk", real_rows(block), rows, out=moments[:, a:a + len(block)])
+        return rows, traces, moments
 
     def probs(self, rho: DensityMatrix) -> np.ndarray:
         """Born probabilities Tr(P rho) of every effect, POVM after POVM.
@@ -274,25 +284,14 @@ class DirectEvaluator:
         The state is checked finite and Hermitian; each probability within
         [0, 1], and each POVM's sum within 1e-10 of one.
         """
-        m, _, traces = self._traces(rho.matrix[None])
-        return self._checked_probs(m, traces)[0]
+        return self._checked_probs(self._contract(rho.matrix[None])[1])[0]
 
-    def _checked_probs(self, m: np.ndarray, traces: np.ndarray) -> np.ndarray:
-        """The Born traces of the states m, checked as ``probs`` describes.
+    def _checked_probs(self, traces: np.ndarray) -> np.ndarray:
+        """The Born traces of checked states, each within [0, 1], each POVM's sum within 1e-10 of one.
 
-        Each check in turn raises at the first state that fails it.
+        Each check in turn raises at the first state that fails it; a nan
+        trace fails the first, as each check is "not within".
         """
-        # a DensityMatrix built by hand need not be Hermitian, nor finite: a
-        # nan reaches every trace, so finiteness is checked first, on the state
-        _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
-                     lambda j: NumericalError("state has non-finite entries"))
-        # each later check is "not within", which a nan fails; the family being
-        # informationally complete, a traced probability has an imaginary part
-        # exactly when the state has a Hermitian defect
-        with np.errstate(over="ignore"):  # entries near the float64 limit: a defect of inf
-            defect = np.abs(m - np.conjugate(m.transpose(0, 2, 1))).max(axis=(1, 2))
-        _raise_first(np.logical_not(defect < IMAG_TOL),
-                     lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
         low, high = np.minimum.reduce(traces, axis=1), np.maximum.reduce(traces, axis=1)
         _raise_first(np.logical_not((-PROB_TOL <= low) & (high <= 1.0 + PROB_TOL)), lambda j: NumericalError(
             f"probability out of [0, 1]: {low[j].item()!r}..{high[j].item()!r}"))
@@ -312,13 +311,10 @@ class DirectEvaluator:
         fail different checks raises the error of the earliest of those
         checks; a batch of one state raises that state's first failure.
         """
-        m, rows, traces = self._traces(states)
-        p = self._checked_probs(m, traces)
+        rows, traces, terms = self._contract(states, squares=True)
+        p = self._checked_probs(traces)
         squares = p * p  # the bits of p**2
         c_direct = np.add.reduce(squares, axis=1)
-        terms = np.empty_like(p)
-        for a, block in self._square_blocks():
-            np.einsum("kx,nx->nk", real_rows(block), rows, out=terms[:, a:a + len(block)])
         terms -= squares
         smallest = np.minimum.reduce(terms, axis=1)
         _raise_first(smallest < VAR_FLOOR,

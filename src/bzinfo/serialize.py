@@ -22,14 +22,15 @@ exactly that layout is read back in blocks cut at the row separators, each
 recent distinct row checked and parsed once, its numbers from a memo of the
 recent tokens' values, and gathered straight into a complex stack.  Each
 of these caches is a ``_Memo``, which clears itself once it holds its
-limit: ``_ROW_CACHE_ROWS`` rows, or eight times as many words or tokens,
-more than the distinct floats of any family the builders make.  So beside
-the matrix none grows with the values it reads, for a family or a state.
-Any other JSON document
-is read whole by ``json.loads``, with the same entity or SchemaError.  So
-the whole text is held only on that route, and only there does the text
-limit ``MAX_DOCUMENT_BYTES`` apply: a file in the encoder's layout may be
-longer, its limit the builders' limit on its family, ``MAX_DENSE_BYTES``.
+limit: ``_ROW_CACHE_ROWS`` rows (the encoder's texts at most four runs of
+rows, for wide rows), or eight times as many words or tokens, more than
+the distinct floats of any family the builders make.  So beside the matrix
+none grows with the values it reads, nor with a row's width, for a family
+or a state.  Any other JSON document is read whole by ``json.loads``, with
+the same entity or SchemaError.  So the whole text is held only on that
+route, and only there does the text limit ``MAX_DOCUMENT_BYTES`` apply: a
+file in the encoder's layout may be longer, its limit the builders' limit
+on its family, ``MAX_DENSE_BYTES``.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def _matrix_pieces(m: np.ndarray):
     m.imag], -1).tolist(), allow_nan=False)``, the first non-finite entry
     raising its ValueError.  Each piece is a run of rows of pairs and the
     separators before them, at most about ``_CHUNK_BYTES`` long.  A row's
-    text comes from a ``_Memo`` of the recent rows' texts, formatted from a
-    ``_Memo`` of the recent floats' words; a run's separators, which close
-    and open a bracket for each matrix (and each POVM) that a row begins,
-    come from its row numbers.  So what the pieces hold beside the matrix
-    does not grow with it, nor with its values.
+    text comes from a ``_Memo`` of the recent rows' texts, at most four
+    runs' worth, formatted from a ``_Memo`` of the recent floats' words; a
+    run's separators, which close and open a bracket for each matrix (and
+    each POVM) that a row begins, come from its row numbers.  So what the
+    pieces hold beside the matrix does not grow with it, nor with its values.
     """
     entries = np.ascontiguousarray(m, dtype=np.complex128)
     if entries.size == 0:
@@ -154,10 +155,11 @@ def _matrix_pieces(m: np.ndarray):
     separators = [b"]" * k + b", " + b"[" * k for k in range(m.ndim)]
     row_format = _skeleton((m.shape[-1], 2), "%s").encode("ascii")
     bits = struct.Struct(f"={rows.shape[1]}Q").unpack
-    words = _Memo(_word, 8 * _ROW_CACHE_ROWS)
-    texts = _Memo(lambda row: row_format % tuple(map(words.__getitem__, bits(row))), _ROW_CACHE_ROWS)
     # a float's repr takes at most 24 bytes, so a run's text is at most about _CHUNK_BYTES
     step = max(1, _CHUNK_BYTES // (54 * m.shape[-1]))
+    words = _Memo(_word, 8 * _ROW_CACHE_ROWS)
+    texts = _Memo(lambda row: row_format % tuple(map(words.__getitem__, bits(row))),
+                  min(_ROW_CACHE_ROWS, 4 * step))
     for start in range(0, len(rows), step):
         count = min(step, len(rows) - start)
         opened = (np.arange(start, start + count)[:, None] % periods == 0).sum(axis=1)

@@ -24,6 +24,8 @@ from bzinfo import (
 )
 
 from bzinfo import invariants, states
+from bzinfo.linalg import real_rows
+from bzinfo.measurements import MUM_KINDS
 from bzinfo.states import density_batches
 from conftest import degenerate_family, expectation, random_unitary
 
@@ -166,26 +168,42 @@ def test_probs_check_names_the_first_povm_sum_that_is_off():
 
 def square_stack(evaluator):
     """The effects' squares as ``report_many`` forms them, its blocks joined."""
-    # each block is copied before the next overwrites it
-    return np.concatenate([block.copy() for _, block in evaluator._square_blocks()])
+    state = np.eye(evaluator.dim, dtype=np.complex128)[None]
+    blocks = []
+
+    def recorded(stack):
+        # a square block is neither the state nor a view of the effects; each
+        # is copied before the next overwrites it
+        if not (np.shares_memory(stack, state) or np.shares_memory(stack, evaluator.observables)):
+            blocks.append(stack.copy())
+        return real_rows(stack)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(invariants, "real_rows", recorded)
+        evaluator._contract(state, squares=True)
+    return np.concatenate(blocks)
 
 
 def test_report_variance_floor_and_clamp_count(monkeypatch):
     evaluator = DirectEvaluator(build_mub(2))
     second_moments = square_stack(evaluator)
+    contract = evaluator._contract
 
-    def use_squares(squares):
-        monkeypatch.setattr(evaluator, "_square_blocks", lambda: iter([(0, squares)]))
+    def shift_squares(shift):
+        def shifted(states, squares=False):
+            rows, traces, moments = contract(states, squares)
+            return rows, traces, moments - shift
+        monkeypatch.setattr(evaluator, "_contract", shifted)
 
     # Z projectors on |0>: p (1 - p) = 0, so m2 - p^2 is the shift itself; the
-    # squares are shifted at the seam report contracts them from
-    use_squares(second_moments - 1e-12 * np.eye(2))
+    # squares' traces are shifted at the seam report reads them from
+    shift_squares(1e-12)
     assert evaluator.report(KET0).negatives_clamped == 2
-    use_squares(second_moments)
+    shift_squares(0.0)
     assert evaluator.report(KET0).negatives_clamped == 0
-    use_squares(second_moments - 1e-9 * np.eye(2))
+    shift_squares(1e-9)
     p = born(evaluator.observables, KET0.matrix)
-    terms = born(square_stack(evaluator), KET0.matrix) - p * p
+    terms = born(second_moments, KET0.matrix) - 1e-9 - p * p
     with pytest.raises(NumericalError) as info:
         evaluator.report(KET0)
     assert str(info.value) == f"effect variance {terms.min().item()!r} below -1e-10"
@@ -423,32 +441,55 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
             np.testing.assert_allclose(m2, born(squares, rho.matrix), rtol=0, atol=1e-15)
 
 
+def test_a_failing_state_is_refused_before_any_trace_is_taken(monkeypatch):
+    evaluator = DirectEvaluator(build_mum(3, "auto"))
+
+    def no_traces(stack):
+        raise AssertionError("a trace was taken")
+
+    monkeypatch.setattr(invariants, "real_rows", no_traces)
+    for entry, message in ((np.nan, "state has non-finite entries"),
+                           (1e-3, "outcome probability has a non-negligible imaginary part")):
+        batch = np.stack([maximally_mixed(3).matrix] * 3)
+        batch[1, 0, 1] += entry
+        for check in (evaluator.report_many, lambda m: evaluator.probs(unchecked_state(m[1]))):
+            with pytest.raises(NumericalError) as info:
+                check(batch)
+            assert str(info.value) == message
+
+
 def test_probs_forms_no_squares(monkeypatch):
     family = build_mum(8, "auto")
     rho = random_density(8, 8, 3)
     evaluator = DirectEvaluator(family)
     formed = []
-    square_blocks = evaluator._square_blocks
+    contract = evaluator._contract
 
-    def recorded():
-        for start, block in square_blocks():
-            formed.append(block.copy())
-            yield start, block
+    def recorded(states, squares=False):
+        result = contract(states, squares)
+        # copied: report_many turns the squares' traces into the variance terms in place
+        formed.append(None if result[2] is None else result[2].copy())
+        return result
 
-    monkeypatch.setattr(evaluator, "_square_blocks", recorded)
+    monkeypatch.setattr(evaluator, "_contract", recorded)
     evaluator.probs(rho)
-    assert formed == []
+    assert formed == [None]
     evaluator.report(rho)
-    assert np.concatenate(formed).tobytes() == (family.effects @ family.effects).tobytes()
+    rows = real_rows(rho.matrix[None])
+    squares = family.effects @ family.effects
+    assert formed[1].tobytes() == np.einsum("kx,nx->nk", real_rows(squares), rows).tobytes()
+    assert square_stack(evaluator).tobytes() == squares.tobytes()
     # and the evaluator keeps no stack but the family's
     arrays = [v for v in vars(evaluator).values() if isinstance(v, np.ndarray)]
     stacks = [v for v in arrays if v.size > len(family.effects)]
     assert len(stacks) == 1 and stacks[0] is family.effects
 
-    def no_squares():
-        raise AssertionError("squares formed")
+    def no_squares(states, squares=False):
+        if squares:
+            raise AssertionError("squares formed")
+        return contract(states)
 
-    monkeypatch.setattr(evaluator, "_square_blocks", no_squares)
+    monkeypatch.setattr(evaluator, "_contract", no_squares)
     table = sample_outcomes(evaluator, rho, 1000, 5)
     assert [int(c.sum()) for c in table.counts] == [1000] * (8 + 1)
 
@@ -498,16 +539,42 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
     family = make(d)
     evaluator = DirectEvaluator(family)
     batch = np.concatenate([*density_batches(d, 1, 12, 5), *density_batches(d, d, 13, 5)])
-    columns = []
+    columns, probs = [], []
     for per_block in (1, 3, None):  # one effect, three effects, the default block
         with monkeypatch.context() as patched:
             if per_block is not None:
                 patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
             reports = evaluator.report_many(batch)
             squares = square_stack(evaluator)
+            probs.append([evaluator.probs(DensityMatrix(dim=d, matrix=m)).tobytes() for m in batch])
         assert squares.tobytes() == (family.effects @ family.effects).tobytes()
         columns.append([fields(reports.row(i)) for i in range(len(batch))])
     assert columns[0] == columns[1] == columns[2]
+    assert probs[0] == probs[1] == probs[2]
+
+
+@pytest.mark.parametrize("kind, d, make", REPORT_FAMILIES,
+                         ids=[f"{kind}{d}" for kind, d, _ in REPORT_FAMILIES])
+def test_squares_traces_sum_to_q_on_every_clamp_free_row(monkeypatch, kind, d, make):
+    """Sum_k P_k^2 = q I, with q = (d + 1) kappa for MUMs and d a for general
+    SICs, so a row whose terms are not clamped has V_direct + C_direct =
+    Sum_k Tr(P_k^2 rho) = q, within 2 n u max(1, q) for n effects (measured at
+    most 0.89 n u max(1, q), at mub2).  A squares block that is stale, or
+    read from the wrong effects, moves the sum far more."""
+    family = make(d)
+    evaluator = DirectEvaluator(family)
+    q = (d + 1) * family.parameter if family.kind in MUM_KINDS else d * family.parameter
+    bound = 2 * len(family.effects) * 2.0**-53 * max(1.0, q)
+    batch = np.concatenate([*density_batches(d, 1, 18, 40), *density_batches(d, d, 19, 40)])
+    for per_block in (1, 3, None):  # one effect, three effects, the default block
+        with monkeypatch.context() as patched:
+            if per_block is not None:
+                patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
+            reports = evaluator.report_many(batch)
+        free = np.asarray(reports.negatives_clamped) == 0
+        assert free.sum() > len(batch) // 2
+        errors = np.abs(reports.V_direct + reports.C_direct - q)[free]
+        assert errors.max() <= bound, (per_block, errors.max() / bound)
 
 
 @pytest.mark.parametrize("kind, d, make", REPORT_FAMILIES,

@@ -206,7 +206,7 @@ def test_a_hand_built_nan_state_raises_before_sampling():
     traces = np.full((1, 6), 0.5)
     traces[0, 1] = np.nan
     with pytest.raises(NumericalError, match=r"^probability out of \[0, 1\]: nan\.\.nan$"):
-        evaluator._checked_probs(maximally_mixed(2).matrix[None], traces)
+        evaluator._checked_probs(traces)
 
 
 def test_estimate_rejects_a_table_of_another_family_or_a_bad_seed():
