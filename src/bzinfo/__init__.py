@@ -45,19 +45,13 @@ from .measurements import (
 )
 from .sampler import CountTable, estimate_bz_info, estimate_coincidence, sample_outcomes
 from .serialize import decode, encode, load, save
-from .states import (
-    DensityMatrix,
-    maximally_mixed,
-    random_density,
-    validate_state,
-)
+from .states import maximally_mixed, random_density, validate_state
 
 __all__ = [
     "BzReport",
     "BzinfoError",
     "ClosedForms",
     "CountTable",
-    "DensityMatrix",
     "DirectEvaluator",
     "DomainError",
     "Family",

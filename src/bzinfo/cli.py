@@ -52,7 +52,7 @@ from .invariants import BzReport, DirectEvaluator
 from .measurements import DEFAULT_TOL, Family, build_gsm, build_mub, build_mum, sic2_fixture, verify
 from .sampler import estimate_bz_info, sample_outcomes
 from .serialize import dump, encode, load
-from .states import RNG_ALGORITHM, DensityMatrix, check_seed, density_batches, random_density
+from .states import RNG_ALGORITHM, check_seed, density_batches, random_density
 from . import __version__
 
 SWEEP_HEADER = (
@@ -93,7 +93,7 @@ def _emit(entity, out: str | None, meta: dict | None = None) -> None:
 def _load(path: str, schema: str):
     """The entity in the file ``path``; a SchemaError unless it is a measurement or state as named."""
     entity = load(path)
-    if not isinstance(entity, Family if schema == "measurement" else DensityMatrix):
+    if not isinstance(entity, Family if schema == "measurement" else np.ndarray):
         raise SchemaError(f"{path} holds no {schema}")
     return entity
 

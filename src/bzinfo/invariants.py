@@ -62,7 +62,6 @@ import numpy as np
 from .errors import DomainError, NumericalError, VerificationError
 from .linalg import BLOCK_BYTES, IMAG_TOL, VAR_FLOOR, purities, real_rows
 from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
-from .states import DensityMatrix
 
 PROB_TOL = 1e-10
 
@@ -103,8 +102,8 @@ def closed_forms(kind, d: int, parameter, purity_value) -> ClosedForms:
     depend on the purity and stay floats.  The first purity out of range
     is named in the error.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    if d < 2:  # every family has d >= 2
+        raise DomainError(f"dimension must be >= 2, got {d}")
     p = purity_value
     _raise_first(np.logical_not((1.0 / d - 1e-12 <= p) & (p <= 1.0 + 1e-12)),
                  lambda j: DomainError(f"purity {np.ravel(p)[j].item()!r} outside [1/{d}, 1]"))
@@ -255,7 +254,7 @@ class DirectEvaluator:
             raise DomainError(f"expected a (k, d, d) stack of states, got shape {m.shape}")
         if m.shape[1] != self.dim:
             raise DomainError(f"dimension mismatch: family d={self.dim}, state d={m.shape[1]}")
-        # a DensityMatrix built by hand need not be finite, nor Hermitian
+        # a state built by hand need not be finite, nor Hermitian
         _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
                      lambda j: NumericalError("state has non-finite entries"))
         # the family being informationally complete, a traced probability has an
@@ -278,13 +277,13 @@ class DirectEvaluator:
                 np.einsum("kx,nx->nk", real_rows(block), rows, out=moments[:, a:a + len(block)])
         return rows, traces, moments
 
-    def probs(self, rho: DensityMatrix) -> np.ndarray:
+    def probs(self, rho: np.ndarray) -> np.ndarray:
         """Born probabilities Tr(P rho) of every effect, POVM after POVM.
 
         The state is checked finite and Hermitian; each probability within
         [0, 1], and each POVM's sum within 1e-10 of one.
         """
-        return self._checked_probs(self._contract(rho.matrix[None])[1])[0]
+        return self._checked_probs(self._contract(np.asarray(rho)[None])[1])[0]
 
     def _checked_probs(self, traces: np.ndarray) -> np.ndarray:
         """The Born traces of checked states, each within [0, 1], each POVM's sum within 1e-10 of one.
@@ -328,6 +327,6 @@ class DirectEvaluator:
         return reconcile(self.kind, self.dim, self.parameter, purities(rows), c_direct,
                          v_direct, clamped)
 
-    def report(self, rho: DensityMatrix) -> BzReport:
-        """The report of one state: ``report_many`` of it, bit for bit."""
-        return self.report_many(rho.matrix[None]).row(0)
+    def report(self, rho: np.ndarray) -> BzReport:
+        """The report of one (d, d) state: ``report_many`` of it, bit for bit."""
+        return self.report_many(np.asarray(rho)[None]).row(0)

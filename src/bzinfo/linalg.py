@@ -34,9 +34,10 @@ def check_dense_bytes(nbytes: int, what: str) -> None:
         )
 
 
-def _as_matrix(obj) -> np.ndarray:
-    """Accept a bare array or anything carrying a ``.matrix`` attribute."""
-    return np.asarray(getattr(obj, "matrix", obj), dtype=np.complex128)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _as_square_stack(m) -> np.ndarray:
@@ -44,7 +45,7 @@ def _as_square_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():  # both parts of each entry; any memory layout
         raise DomainError("matrix has non-finite entries")
     return a
 
@@ -110,4 +111,4 @@ def purity(rho) -> float:
 
     Defined for Hermitian rho; for any other array it is Tr(rho rho^dag).
     """
-    return float(purities(real_rows(_as_matrix(rho)[None]))[0])
+    return float(purities(real_rows(np.asarray(rho)[None]))[0])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import write_gell_mann
 from .errors import DomainError, NumericalError, PositivityError
-from .linalg import COMPLEX_BYTES, check_dense_bytes, real_rows
+from .linalg import COMPLEX_BYTES, _frozen, check_dense_bytes, real_rows
 
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
@@ -45,11 +45,6 @@ DEFAULT_TOL = 1e-10
 # run slower (64 took 1.4 times as long as 128 at d=48) and larger ones hold
 # more (256 held about 1 MiB more at d=24)
 GRAM_TILE_ROWS = 128
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 MUM_KINDS = ("mum", "mub")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .invariants import DirectEvaluator, closed_forms
-from .states import DensityMatrix, check_seed, rng_from_seed
+from .states import check_seed, rng_from_seed
 
 BOOTSTRAP_RESAMPLES = 200
 # Generator.multinomial takes the shot budget as a signed 64-bit integer
@@ -34,7 +34,7 @@ class CountTable:
     counts: np.ndarray
 
 
-def sample_outcomes(evaluator: DirectEvaluator, rho: DensityMatrix, shots: int, seed: int) -> CountTable:
+def sample_outcomes(evaluator: DirectEvaluator, rho: np.ndarray, shots: int, seed: int) -> CountTable:
     """Draw ``shots`` outcomes from every POVM of the evaluator's verified family."""
     if not isinstance(shots, (int, np.integer)) or not 1 <= int(shots) <= MAX_SHOTS:
         raise DomainError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")

@@ -53,8 +53,8 @@ from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
 from .linalg import check_dense_bytes, hermitian
 from .measurements import PARAMETER_NAMES, Family, family_bytes, layout
-from .sampler import CountTable
-from .states import DensityMatrix, validate_state
+from .sampler import MAX_SHOTS, CountTable
+from .states import validate_state
 
 SCHEMA_VERSION = 1
 # longest document decode holds whole; a d=32 general SIC file is about 50 MB
@@ -130,6 +130,18 @@ def _word(bits: int) -> bytes:
     return repr(value).encode("ascii")
 
 
+def _opened(shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """How many arrays, below the outermost, each of these rows of an array of this shape begins.
+
+    A row is a last-axis vector, numbered in row-major order.  Row r begins
+    an array at each level (a matrix, say, or a POVM) whose row count
+    divides r, and the separator before it closes and opens one bracket
+    for each; the encoder writes, and the direct parse checks, that rule.
+    """
+    periods = np.array([math.prod(shape[j:-1]) for j in range(1, len(shape) - 1)], dtype=np.intp)
+    return (rows[:, None] % periods == 0).sum(axis=1)
+
+
 def _matrix_pieces(m: np.ndarray):
     """Pieces of the JSON text of a matrix or a stack of them, as nested [re, im] pairs.
 
@@ -150,8 +162,6 @@ def _matrix_pieces(m: np.ndarray):
     rows = entries.view(np.float64).reshape(-1, 2 * m.shape[-1])
     width = rows.itemsize * rows.shape[1]  # bytes of one row of pairs
     depth = m.ndim - 1  # brackets around the rows
-    # a row at a multiple of one of these begins a matrix, or a POVM
-    periods = np.array([math.prod(m.shape[j:-1]) for j in range(1, depth)], dtype=np.intp)
     separators = [b"]" * k + b", " + b"[" * k for k in range(m.ndim)]
     row_format = _skeleton((m.shape[-1], 2), "%s").encode("ascii")
     bits = struct.Struct(f"={rows.shape[1]}Q").unpack
@@ -162,7 +172,7 @@ def _matrix_pieces(m: np.ndarray):
                   min(_ROW_CACHE_ROWS, 4 * step))
     for start in range(0, len(rows), step):
         count = min(step, len(rows) - start)
-        opened = (np.arange(start, start + count)[:, None] % periods == 0).sum(axis=1)
+        opened = _opened(m.shape, np.arange(start, start + count))
         pieces = [b""] * (2 * count)
         pieces[0::2] = map(separators.__getitem__, opened.tolist())
         if start == 0:
@@ -192,8 +202,10 @@ def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def _encode_state(rho: DensityMatrix) -> dict:
-    return {"schema": "state", "dim": rho.dim, "rho": rho.matrix}
+def _encode_state(rho: np.ndarray) -> dict:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
+        raise SchemaError(f"a state is a (d, d) array with d >= 1, got shape {rho.shape}")
+    return {"schema": "state", "dim": rho.shape[0], "rho": rho}
 
 
 def _effects_shape(kind: str, d: int) -> tuple[int, ...]:
@@ -235,7 +247,7 @@ def _encode_counts(table: CountTable) -> dict:
 
 
 _ENCODERS = {
-    DensityMatrix: _encode_state,
+    np.ndarray: _encode_state,
     Family: _encode_measurement,
     BzReport: _encode_report,
     CountTable: _encode_counts,
@@ -392,9 +404,6 @@ class _Rows:
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.shape, self.count = shape, math.prod(shape[:-1])  # rows of the array
         self.depth = len(shape) + 1  # brackets that open the array before its first number
-        # a row at a multiple of one of these starts a matrix, or a POVM, and the
-        # separator before it has one more bracket on each side for each
-        self.periods = np.array([math.prod(shape[j:-1]) for j in range(1, len(shape) - 1)])
         self.row_format = (b"%s, %s], [" * shape[-1])[:-4]
         self.pack = struct.Struct(f"={2 * shape[-1] + 1}d").pack
         self.numbers = _Memo(_number, 8 * _ROW_CACHE_ROWS)
@@ -414,7 +423,7 @@ class _Rows:
         """Write the rows ``first`` onwards into ``out``, from their pieces' entries joined."""
         entries = np.frombuffer(joined, dtype=np.float64).reshape(-1, 2 * self.shape[-1] + 1)
         rows = np.arange(first, first + len(entries) + 1)
-        extra = (rows[:, None] % self.periods == 0).sum(axis=1)
+        extra = _opened(self.shape, rows)
         extra[rows == 0] = self.depth
         extra[rows == self.count] = 0  # the last piece ends before the array's closing brackets
         if not np.array_equal(entries[:, -1], extra[:-1] * (self.depth + 1) + extra[1:]):
@@ -533,7 +542,7 @@ def _integer(key: str, value, least: int) -> int:
     return value
 
 
-def _decode_state(doc: dict) -> DensityMatrix:
+def _decode_state(doc: dict) -> np.ndarray:
     d = _integer("dim", _require(doc, "dim"), 1)
     rho = _matrix_from_json(_require(doc, "rho"), (d, d))
     try:
@@ -579,7 +588,8 @@ def _decode_report(doc: dict) -> BzReport:
     non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
     if non_finite:
         raise SchemaError(f"report fields must be finite numbers: {', '.join(non_finite)}")
-    d, kind = _integer("dim", values["dim"], 1), values["kind"]
+    # every report is of a family, and a family has d >= 2
+    d, kind = _integer("dim", values["dim"], 2), values["kind"]
     if kind not in REPORT_KINDS:
         raise SchemaError(f"unknown report kind {kind!r}")
     clamped = _integer("negatives_clamped", values["negatives_clamped"], 0)
@@ -609,7 +619,8 @@ def _decode_report(doc: dict) -> BzReport:
 def _decode_counts(doc: dict) -> CountTable:
     shots = _require(doc, "shots")
     rows = _require(doc, "counts")
-    _integer("shots", shots, 1)
+    if _integer("shots", shots, 1) > MAX_SHOTS:  # more than a sampler draws
+        raise SchemaError(f"shots {shots} above the limit of {MAX_SHOTS}")
     if not isinstance(rows, list) or not rows:
         raise SchemaError("counts must be a non-empty list of rows")
     if any(not isinstance(row, list) or any(type(c) is not int for c in row) for row in rows):

@@ -1,5 +1,9 @@
 """Density matrices: fixtures, random ensembles, validation.
 
+A state is its matrix, a read-only, C-contiguous (d, d) complex128 array:
+``maximally_mixed``, ``random_density`` and ``validate_state`` each return
+one, and a batch of states is a (k, d, d) stack of them.
+
 Random states come from the Ginibre construction, rho = G G^dag / Tr(G G^dag)
 with G a d x rank matrix of i.i.d. standard complex Gaussians.  Randomness
 uses the counter-based Philox generator, one stream per seed: a 64-bit seed
@@ -23,12 +27,11 @@ bit for bit, as for one state.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import COMPLEX_BYTES, check_dense_bytes, hermitian
+from .linalg import COMPLEX_BYTES, _frozen, check_dense_bytes, hermitian
 
 RNG_ALGORITHM = "philox"
 TRACE_TOL = 1e-12
@@ -53,35 +56,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A quantum state: Hermitian, positive semidefinite, unit trace.
-
-    Only the shape is checked here, so that ``dim`` is the matrix's;
-    ``validate_state`` checks the rest.
-    """
-
-    dim: int
-    matrix: np.ndarray  # (d, d) complex
-
-    def __post_init__(self) -> None:
-        shape = np.shape(self.matrix)
-        if shape != (self.dim, self.dim):
-            raise DomainError(f"a state of dimension {self.dim} needs a ({self.dim}, {self.dim}) "
-                              f"matrix, got an array of shape {shape}")
-
-
-def _make_state(matrix: np.ndarray) -> DensityMatrix:
-    matrix = np.ascontiguousarray(matrix)
-    matrix.setflags(write=False)
-    return DensityMatrix(dim=matrix.shape[0], matrix=matrix)
-
-
-def maximally_mixed(d: int) -> DensityMatrix:
+def maximally_mixed(d: int) -> np.ndarray:
     """The state I/d, the unique state of purity 1/d."""
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    return _make_state(np.eye(d, dtype=np.complex128) / d)
+    return _frozen(np.eye(d, dtype=np.complex128) / d)
 
 
 def _ginibre_batch(rng: np.random.Generator, k: int, d: int, rank: int) -> np.ndarray:
@@ -102,8 +81,7 @@ def _ginibre_batch(rng: np.random.Generator, k: int, d: int, rank: int) -> np.nd
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     rho += rho.conj().transpose(0, 2, 1)
     rho /= 2.0
-    rho.setflags(write=False)
-    return rho
+    return _frozen(rho)
 
 
 def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray]:
@@ -130,17 +108,17 @@ def density_batches(d: int, rank: int, seed: int, n: int) -> Iterator[np.ndarray
     return (_ginibre_batch(rng, min(batch, n - start), d, rank) for start in range(0, n, batch))
 
 
-def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
+def random_density(d: int, rank: int, seed: int) -> np.ndarray:
     """Seeded Ginibre-induced random state of the given rank.
 
     rank = 1 yields a pure state; rank = d a generic full-support state.
     Identical seeds give identical output: the state is the first of
     ``density_batches(d, rank, seed, n)``.
     """
-    return DensityMatrix(dim=d, matrix=next(density_batches(d, rank, seed, 1))[0])
+    return next(density_batches(d, rank, seed, 1))[0]
 
 
-def validate_state(m) -> DensityMatrix:
+def validate_state(m) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the validated state.
 
     Each violation is reported distinctly.  States failing positivity by
@@ -157,4 +135,4 @@ def validate_state(m) -> DensityMatrix:
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < EIG_FLOOR:
         raise DomainError(f"state has negative eigenvalue {smallest:.3e}")
-    return _make_state(rho)
+    return _frozen(rho)

@@ -346,8 +346,8 @@ def test_criterion_9_serialization(tmp_path):
         back = decode(encode(entity))
         if hasattr(entity, "effects"):
             ok = ok and verify(entity, 1e-10).deviations == verify(back, 1e-10).deviations
-        elif hasattr(entity, "matrix"):
-            ok = ok and bool(np.array_equal(entity.matrix, back.matrix))
+        elif isinstance(entity, np.ndarray):
+            ok = ok and bool(np.array_equal(entity, back))
         elif hasattr(entity, "counts"):
             ok = ok and all(
                 np.array_equal(a, b) for a, b in zip(entity.counts, back.counts)

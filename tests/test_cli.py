@@ -2,12 +2,12 @@ import contextlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bzinfo import (
-    DensityMatrix,
     DomainError,
     NumericalError,
     build_mum,
@@ -239,7 +239,7 @@ def test_sweep_traced_peak_does_not_grow_with_states(tmp_path, capsys):
     for n in (2000, 8000):
         peaks[n], code = traced_peak(lambda: main(["sweep", "--dim", "2", "--states", str(n), "--out", out]))
         assert code == 0
-    assert len(open(out).read().splitlines()) == 8001
+    assert len(Path(out).read_text().splitlines()) == 8001
     # the parent, which joined every row before writing, grew by about 3.8 MiB
     assert abs(peaks[8000] - peaks[2000]) < 64 * 1024, peaks
 
@@ -315,7 +315,7 @@ CHECKS = {
 def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, check):
     bad, exit_code, start = CHECKS[check]
     with pytest.raises((NumericalError, DomainError)) as info:
-        DirectEvaluator(build_mum(2, 0.15)).report(DensityMatrix(dim=2, matrix=bad))
+        DirectEvaluator(build_mum(2, 0.15)).report(bad)
     message = str(info.value)
     assert message.startswith(start)
     assert "np.float64(" not in message
@@ -335,7 +335,7 @@ def test_sweep_failing_in_a_later_batch_of_a_large_dimension(tmp_path, capsys, m
     assert -(-len(family.effects) // (BLOCK_BYTES // family.effects[0].nbytes)) == 5
     bad = 0.9 * np.eye(16, dtype=complex) / 16
     with pytest.raises(NumericalError) as info:
-        DirectEvaluator(family).report(DensityMatrix(dim=16, matrix=bad))
+        DirectEvaluator(family).report(bad)
     assert str(info.value).startswith("POVM probabilities sum to 0.9")
     argv = ["sweep", "--dim", "16", "--states", "130"]
     clean = tmp_path / "clean.csv"
@@ -353,7 +353,7 @@ def test_a_batch_raises_its_earliest_check_and_sweep_its_first_failing_state(tmp
     variance, imaginary = CHECKS["4 variance floor"][0], CHECKS["1 imaginary part"][0]
     evaluator = DirectEvaluator(build_mum(2, 0.15))
     with pytest.raises(NumericalError) as info:
-        evaluator.report(DensityMatrix(dim=2, matrix=variance))
+        evaluator.report(variance)
     assert str(info.value).startswith("effect variance")
     # the sweep's states, state 2 failing the variance floor and state 7 the
     # imaginary part, which is checked first

@@ -5,7 +5,6 @@ import pytest
 
 from bzinfo import (
     BzReport,
-    DensityMatrix,
     DirectEvaluator,
     DomainError,
     NumericalError,
@@ -83,8 +82,7 @@ def test_probs_dimension_mismatch():
 
 
 def unchecked_state(m):
-    m = np.asarray(m, dtype=np.complex128)
-    return DensityMatrix(dim=m.shape[0], matrix=m)
+    return np.asarray(m, dtype=np.complex128)
 
 
 def born(effects, m):
@@ -202,8 +200,8 @@ def test_report_variance_floor_and_clamp_count(monkeypatch):
     shift_squares(0.0)
     assert evaluator.report(KET0).negatives_clamped == 0
     shift_squares(1e-9)
-    p = born(evaluator.observables, KET0.matrix)
-    terms = born(second_moments, KET0.matrix) - 1e-9 - p * p
+    p = born(evaluator.observables, KET0)
+    terms = born(second_moments, KET0) - 1e-9 - p * p
     with pytest.raises(NumericalError) as info:
         evaluator.report(KET0)
     assert str(info.value) == f"effect variance {terms.min().item()!r} below -1e-10"
@@ -322,6 +320,11 @@ def test_closed_forms_domain_errors():
         closed_forms("mum", 2, 1.0, 1.2)  # purity out of range
     with pytest.raises(DomainError):
         closed_forms("quux", 2, 1.0, 0.9)
+    for kind in ("mum", "gsm"):
+        # every family has d >= 2; at d = 1 a parameter within the 1e-12 slack
+        # above 1 (or 1/d^2) passed, and the closed forms divided by d - 1
+        with pytest.raises(DomainError, match="^dimension must be >= 2, got 1$"):
+            closed_forms(kind, 1, 1.0000000000005, 1.0)
 
 
 # ---------------------------------------------------------------- reconciliation
@@ -368,7 +371,7 @@ def test_unitary_invariance_at_purity_level(rng):
     d = 4
     rho = random_density(d, d, 5)
     w = random_unitary(d, rng)
-    rotated = validate_state(w @ rho.matrix @ w.conj().T)
+    rotated = validate_state(w @ rho @ w.conj().T)
     assert abs(purity(rotated) - purity(rho)) < 1e-10
     a, b = closed_forms("mum", d, 0.7, purity(rho)), closed_forms("mum", d, 0.7, purity(rotated))
     assert abs(a.C - b.C) < 1e-10
@@ -426,10 +429,9 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
     real_effects = effects.view(np.float64).reshape(len(effects), -1)
     real_squares = squares.view(np.float64).reshape(len(effects), -1)
     for rank in sorted({1, d}):
-        for matrix in np.concatenate(list(density_batches(d, rank, 300, 40))):
-            rho = DensityMatrix(dim=d, matrix=matrix)
+        for rho in np.concatenate(list(density_batches(d, rank, 300, 40))):
             # Re Tr(A rho) is the dot product of A's float64 view with conj(rho^T)'s
-            rows = np.ascontiguousarray(rho.matrix.T.conj()).view(np.float64).reshape(1, -1)
+            rows = np.ascontiguousarray(rho.T.conj()).view(np.float64).reshape(1, -1)
             p = np.einsum("kx,nx->nk", real_effects, rows)[0]
             m2 = np.einsum("kx,nx->nk", real_squares, rows)[0]
             r = evaluator.report(rho)
@@ -437,8 +439,8 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
             assert r.C_direct == float(np.add.reduce(p * p))
             assert evaluator.probs(rho).tobytes() == p.tobytes()
             # an independent oracle: the complex per-state contraction
-            np.testing.assert_allclose(p, born(effects, rho.matrix), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(m2, born(squares, rho.matrix), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(p, born(effects, rho), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(m2, born(squares, rho), rtol=0, atol=1e-15)
 
 
 def test_a_failing_state_is_refused_before_any_trace_is_taken(monkeypatch):
@@ -450,7 +452,7 @@ def test_a_failing_state_is_refused_before_any_trace_is_taken(monkeypatch):
     monkeypatch.setattr(invariants, "real_rows", no_traces)
     for entry, message in ((np.nan, "state has non-finite entries"),
                            (1e-3, "outcome probability has a non-negligible imaginary part")):
-        batch = np.stack([maximally_mixed(3).matrix] * 3)
+        batch = np.stack([maximally_mixed(3)] * 3)
         batch[1, 0, 1] += entry
         for check in (evaluator.report_many, lambda m: evaluator.probs(unchecked_state(m[1]))):
             with pytest.raises(NumericalError) as info:
@@ -475,7 +477,7 @@ def test_probs_forms_no_squares(monkeypatch):
     evaluator.probs(rho)
     assert formed == [None]
     evaluator.report(rho)
-    rows = real_rows(rho.matrix[None])
+    rows = real_rows(rho[None])
     squares = family.effects @ family.effects
     assert formed[1].tobytes() == np.einsum("kx,nx->nk", real_rows(squares), rows).tobytes()
     assert square_stack(evaluator).tobytes() == squares.tobytes()
@@ -525,7 +527,7 @@ def test_report_many_rows_are_report_bit_for_bit(monkeypatch, kind, d, make):
                 assert isinstance(reports, BzReport) and len(reports.purity) == len(batch)
                 for i, matrix in enumerate(batch):
                     row = fields(reports.row(i))
-                    assert row == fields(evaluator.report(DensityMatrix(dim=d, matrix=matrix)))
+                    assert row == fields(evaluator.report(matrix))
                     rows.append(row)
             # the rows do not depend on how the states are batched
             assert columns.setdefault(rank, rows) == rows
@@ -546,7 +548,7 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
                 patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
             reports = evaluator.report_many(batch)
             squares = square_stack(evaluator)
-            probs.append([evaluator.probs(DensityMatrix(dim=d, matrix=m)).tobytes() for m in batch])
+            probs.append([evaluator.probs(m).tobytes() for m in batch])
         assert squares.tobytes() == (family.effects @ family.effects).tobytes()
         columns.append([fields(reports.row(i)) for i in range(len(batch))])
     assert columns[0] == columns[1] == columns[2]

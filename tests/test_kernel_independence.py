@@ -24,7 +24,7 @@ from bzinfo.states import density_batches
 CHILD = r"""
 import ctypes, glob, hashlib, os, sys
 import numpy as np
-from bzinfo import DensityMatrix, DirectEvaluator, invariants, load
+from bzinfo import DirectEvaluator, invariants, load
 
 default = invariants.BLOCK_BYTES
 digests = []
@@ -36,7 +36,7 @@ for per_block in (None, 5):  # the default block, then blocks of five effects
         invariants.BLOCK_BYTES = default if per_block is None else per_block * family.effects[0].nbytes
         evaluator = DirectEvaluator(family)
         for matrix in states:
-            digest.update(evaluator.probs(DensityMatrix(dim=family.dim, matrix=matrix)).tobytes())
+            digest.update(evaluator.probs(matrix).tobytes())
         reports = evaluator.report_many(states)
         digest.update(reports.C_direct.tobytes())
         digest.update(reports.purity.tobytes())

@@ -132,3 +132,15 @@ def test_stacked_hermitian_rejects_only_last_defective(rng):
     with pytest.raises(DomainError, match="matrix 4 of the stack is not Hermitian"):
         hermitian(stack)
     hermitian(stack[:-1])
+
+
+def test_hermitian_takes_any_memory_layout(rng):
+    # a transposed stack, or a Fortran-ordered matrix, is checked as its C-ordered copy
+    stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    transposed = stack.transpose(0, 2, 1)
+    assert hermitian(transposed).tobytes() == hermitian(np.ascontiguousarray(transposed)).tobytes()
+    assert hermitian(np.asfortranarray(stack[0])).tobytes() == hermitian(stack[0]).tobytes()
+    bad = np.asfortranarray(stack[0])
+    bad[0, 0] = np.nan
+    with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+        hermitian(bad)

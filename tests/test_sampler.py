@@ -3,7 +3,6 @@ import pytest
 
 from bzinfo import (
     CountTable,
-    DensityMatrix,
     DirectEvaluator,
     DomainError,
     NumericalError,
@@ -192,13 +191,13 @@ def test_bootstrap_matches_loop_on_hand_built_table():
 
 def test_a_hand_built_nan_state_raises_before_sampling():
     evaluator = DirectEvaluator(build_mub(2))
-    nan_state = DensityMatrix(dim=2, matrix=np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex))
+    nan_state = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         sample_outcomes(evaluator, nan_state, 10, seed=0)
     with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report(nan_state)
     # a batch raises its earliest failing check, at the first state that fails it
-    batch = np.stack([maximally_mixed(2).matrix, nan_state.matrix, np.eye(2) * 0.7])
+    batch = np.stack([maximally_mixed(2), nan_state, np.eye(2) * 0.7])
     with pytest.raises(NumericalError, match="^state has non-finite entries$"):
         evaluator.report_many(batch)
     # a nan in the traces alone, of a finite Hermitian state, past the

@@ -63,7 +63,7 @@ def test_measurement_roundtrip_preserves_deviations(make):
 
 def test_state_roundtrip_exact():
     rho = random_density(5, 3, 99)
-    np.testing.assert_array_equal(roundtrip(rho).matrix, rho.matrix)
+    np.testing.assert_array_equal(roundtrip(rho), rho)
 
 
 def test_report_roundtrip_exact():
@@ -73,7 +73,7 @@ def test_report_roundtrip_exact():
 
 def test_report_of_a_batch_is_not_encoded():
     evaluator = DirectEvaluator(build_mum(2, "auto"))
-    reports = evaluator.report_many(np.stack([random_density(2, 2, 1).matrix] * 3))
+    reports = evaluator.report_many(np.stack([random_density(2, 2, 1)] * 3))
     with pytest.raises(SchemaError, match="report of a batch of states"):
         encode(reports)
     assert roundtrip(reports.row(2)) == reports.row(2)
@@ -85,6 +85,9 @@ def test_counts_roundtrip_exact():
     assert back.shots_per_povm == table.shots_per_povm
     np.testing.assert_array_equal(back.counts, table.counts)
     assert back.counts.dtype == np.int64 and not back.counts.flags.writeable
+    # the most shots a sampler draws
+    most = json.dumps({"v": 1, "schema": "counts", "shots": 2**63 - 1, "counts": [[2**63 - 1, 0]]})
+    assert decode(most).shots_per_povm == 2**63 - 1
 
 
 def test_save_load(tmp_path):
@@ -198,13 +201,16 @@ def test_counts_rows_of_non_integers_rejected(rows):
     (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[-1, 11]]}', "nonnegative integers"),
     (b'{"v": 1, "schema": "counts", "shots": 10, "counts": [[%d, 0]]}' % 2**63,
      "counts rows must be integers"),
+    # each row sums to 2^64, and its collision statistic would come to 2
+    (b'{"v": 1, "schema": "counts", "shots": %d, "counts": [[%d, %d, 2]]}' % (2**64, 2**63 - 1, 2**63 - 1),
+     rf"^shots {2**64} above the limit of {2**63 - 1}$"),
     # a table is one (POVMs, outcomes) array, and matches no family when ragged
     (b'{"v": 1, "schema": "counts", "shots": 2, "counts": [[1, 1], [2]]}',
      "counts rows must all have the same length"),
     (b"[1]", "top-level JSON value must be an object"),
     ('"\ud800"', "not UTF-8"),
-], ids=["negative count", "count beyond int64", "ragged counts", "array document",
-        "lone surrogate in a str"])
+], ids=["negative count", "count beyond int64", "shots beyond a sampler's", "ragged counts",
+        "array document", "lone surrogate in a str"])
 def test_decode_rejects_a_malformed_document(data, message):
     with pytest.raises(SchemaError, match=message):
         decode(data)
@@ -273,6 +279,14 @@ def test_report_fields_validated(report, field, value, message):
     doc = json.loads(encode(report))
     doc[field] = value
     with pytest.raises(SchemaError, match=message):
+        decode(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_a_report_of_dimension_one_is_refused(kind):
+    # no family has d = 1; the closed forms would divide by d - 1 = 0
+    doc = dict(json.loads(encode(MUM_REPORT)), dim=1, kind=kind, parameter=1.0000000000005, purity=1.0)
+    with pytest.raises(SchemaError, match="^invalid dim 1$"):
         decode(json.dumps(doc))
 
 
@@ -467,7 +481,7 @@ def test_encode_matches_single_json_dumps_for_every_entity():
     rho = random_density(4, 2, 8)
     meta = {"rng": "philox", "seed": 8, "rank": 2, "nested": [1.5, None, "x"]}
     assert encode(rho, meta=meta) == reference_encode(
-        {"schema": "state", "dim": 4, "rho": json.loads(reference_json(rho.matrix)), "meta": meta}
+        {"schema": "state", "dim": 4, "rho": json.loads(reference_json(rho)), "meta": meta}
     )
 
     family = build_mum(3, "auto")
@@ -497,8 +511,8 @@ def test_decode_rejects_document_above_size_limit(monkeypatch):
     text = data.decode("utf-8")
     assert len(text) == len(data) - 1
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data))
-    assert decode(data).dim == 2
-    assert decode(text).dim == 2
+    assert decode(data).shape == (2, 2)
+    assert decode(text).shape == (2, 2)
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data) - 1)
     for document in (data, text):
         with pytest.raises(SchemaError, match=f"{len(data)} bytes long, above the limit of {len(data) - 1}"):
@@ -511,7 +525,7 @@ def test_load_checks_file_size_before_reading(tmp_path, monkeypatch):
     save(random_density(2, 2, 0), path)
     size = path.stat().st_size
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size)
-    assert load(path).dim == 2
+    assert load(path).shape == (2, 2)
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", size - 1)
     monkeypatch.setattr(serialize, "_parse_json", lambda data: pytest.fail("file was parsed"))
     with pytest.raises(SchemaError, match="above the limit"):

@@ -1,22 +1,30 @@
+import re
+
 import numpy as np
 import pytest
 
 from bzinfo import (
-    DensityMatrix,
+    DirectEvaluator,
     DomainError,
+    SchemaError,
+    build_mum,
+    decode,
+    encode,
     linalg,
+    load,
     maximally_mixed,
     purity,
     random_density,
+    save,
     states,
     validate_state,
 )
 
 
 def test_maximally_mixed_values():
-    np.testing.assert_allclose(maximally_mixed(2).matrix, np.diag([0.5, 0.5]))
+    np.testing.assert_allclose(maximally_mixed(2), np.diag([0.5, 0.5]))
     rho3 = maximally_mixed(3)
-    np.testing.assert_allclose(rho3.matrix, np.eye(3) / 3)
+    np.testing.assert_allclose(rho3, np.eye(3) / 3)
     assert purity(rho3) == pytest.approx(1 / 3, abs=1e-15)
     assert purity(maximally_mixed(4)) == pytest.approx(0.25, abs=1e-15)
 
@@ -28,7 +36,7 @@ def test_rank_one_is_pure():
 def test_determinism():
     a = random_density(4, 4, 42)
     b = random_density(4, 4, 42)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_seed_sweep_purity_band():
@@ -51,18 +59,44 @@ def test_bad_seed():
         random_density(2, 1, 2**64)
 
 
-@pytest.mark.parametrize("dim, matrix", [(3, np.eye(2) / 2), (2, [0.5, 0.5]), (2, np.eye(2)[None] / 2)])
-def test_a_density_matrix_needs_a_matrix_of_its_dimension(dim, matrix):
-    with pytest.raises(DomainError, match=rf"^a state of dimension {dim} needs a \({dim}, {dim}\) matrix, "
-                                          rf"got an array of shape \("):
-        DensityMatrix(dim=dim, matrix=matrix)
-    # so encode never writes a state file that decode refuses
-    assert DensityMatrix(dim=2, matrix=np.eye(2) / 2).dim == 2
+@pytest.mark.parametrize("shape", [(1, 2), (2,), (1, 2, 2), (0, 0)])
+def test_encode_refuses_an_array_that_is_no_state(shape):
+    # so encode never writes a state file whose shape decode refuses
+    with pytest.raises(SchemaError, match=rf"^a state is a \(d, d\) array with d >= 1, got shape "
+                                          rf"{re.escape(str(shape))}$"):
+        encode(np.full(shape, 0.5, dtype=complex))
+    assert decode(encode(np.eye(1, dtype=complex))).shape == (1, 1)
+
+
+def _assert_a_state(rho, d):
+    assert type(rho) is np.ndarray
+    assert (rho.shape, rho.dtype) == ((d, d), np.complex128)
+    assert rho.flags.c_contiguous and not rho.flags.writeable
+
+
+def test_every_state_is_a_read_only_contiguous_complex_matrix(tmp_path):
+    rho = random_density(3, 2, 5)
+    _assert_a_state(rho, 3)
+    _assert_a_state(maximally_mixed(4), 4)
+    # a real, Fortran-ordered, writeable input comes back as a state all the same
+    _assert_a_state(validate_state(np.asfortranarray(np.diag([0.25, 0.75]))), 2)
+    _assert_a_state(decode(encode(rho)), 3)
+    save(rho, tmp_path / "s.json")
+    loaded = load(tmp_path / "s.json")
+    _assert_a_state(loaded, 3)
+    assert loaded.tobytes() == rho.tobytes()
+
+
+def test_the_report_of_a_state_is_row_zero_of_its_batch():
+    evaluator = DirectEvaluator(build_mum(3, "auto"))
+    for rho in (random_density(3, 1, 2), random_density(3, 3, 4), maximally_mixed(3)):
+        # a float's repr is its bits, the sign of a zero too
+        assert repr(evaluator.report(rho)) == repr(evaluator.report_many(rho[None]).row(0))
 
 
 def test_validate_accepts_mixed_diagonal():
     state = validate_state(np.diag([0.5, 0.5]).astype(complex))
-    assert state.dim == 2
+    assert state.shape == (2, 2)
 
 
 def test_validate_rejects_negativity():
@@ -108,8 +142,8 @@ def test_generated_states_validate():
         d = 2 + seed % 5
         rank = 1 + seed % d
         state = random_density(d, rank, seed)
-        validated = validate_state(state.matrix)
-        np.testing.assert_array_equal(validated.matrix, state.matrix)
+        validated = validate_state(state)
+        np.testing.assert_array_equal(validated, state)
 
 
 def test_mean_purity_band():
@@ -122,7 +156,7 @@ def test_mean_purity_band():
 def test_state_size_limit_boundary(monkeypatch):
     # the peak of drawing one state of rank 1 at d=4: rho and its conjugate, two matrices
     monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 2 * 4 * 4)
-    assert random_density(4, 1, 0).dim == 4
+    assert random_density(4, 1, 0).shape == (4, 4)
     with pytest.raises(DomainError, match="a state of dimension 5 needs"):
         random_density(5, 1, 0)
 
@@ -155,7 +189,7 @@ def test_density_stream_equals_one_philox_draw(monkeypatch, d):
                 assert not any(batch.flags.writeable for batch in batches)
                 for i, (got, matrix) in enumerate(zip(stream, expected)):
                     assert got.tobytes() == matrix.tobytes(), (nbytes, rank, seed, i)
-                assert stream[0].tobytes() == random_density(d, rank, seed).matrix.tobytes()
+                assert stream[0].tobytes() == random_density(d, rank, seed).tobytes()
 
 
 @pytest.mark.parametrize("d, batch", [(2, 256), (8, 32), (16, 64)])

@@ -425,8 +425,8 @@ def test_encoding_a_state_holds_a_few_matrices_beside_its_text():
     rows; measured 9.1 matrices (19.4 with a word kept for every number)."""
     rho = random_density(100, 100, 1)
     peak, text = traced_peak(lambda: encode(rho))
-    assert json.loads(text)["rho"][99][99][0] == rho.matrix[99, 99].real
-    assert peak < 10 * rho.matrix.nbytes, peak / rho.matrix.nbytes
+    assert json.loads(text)["rho"][99][99][0] == rho[99, 99].real
+    assert peak < 10 * rho.nbytes, peak / rho.nbytes
 
 
 def test_dumping_a_wide_state_holds_a_few_runs_of_its_text():
@@ -436,7 +436,7 @@ def test_dumping_a_wide_state_holds_a_few_runs_of_its_text():
     rows' texts kept whatever their width)."""
     rho = random_density(600, 600, 7)
     peak, _ = traced_peak(lambda: serialize.dump(rho, lambda piece: None))
-    assert peak < 0.5 * rho.matrix.nbytes, peak / rho.matrix.nbytes
+    assert peak < 0.5 * rho.nbytes, peak / rho.nbytes
 
 
 def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
@@ -444,7 +444,7 @@ def test_loading_a_small_state_reserves_no_large_buffer(tmp_path):
     save(random_density(2, 2, 0), path)
     peak, rho = traced_peak(lambda: load(path))
     assert peak < 2**20
-    np.testing.assert_array_equal(rho.matrix, random_density(2, 2, 0).matrix)
+    np.testing.assert_array_equal(rho, random_density(2, 2, 0))
 
 
 def test_dump_writes_whole_pieces_about_a_block_at_a_time(monkeypatch):
