@@ -25,16 +25,19 @@ i's report, as ``ClosedForms`` holds a float or a column in each field.
 a (k, d, d) stack of states and makes every check and every quantity as
 arrays, and ``report`` is its one-state case.  The effects, their squares
 and the states are all Hermitian, so every trace it needs, Tr(P rho),
-Tr(P^2 rho) and Tr(rho^2), is the dot product of two ``linalg.real_rows``,
-one row per operator.  So ``DirectEvaluator._contract`` walks the effects
-in blocks, where a real ``np.einsum("kx,nx->nk")`` without ``optimize``
-gives a block's slice of a batch's Born traces, and another its squares'
-slice; the purities are the states' rows dotted with themselves.  That
-contraction calls no BLAS and gives the same bits at every batch and block
-size, one state included, so ``bz`` and row i of ``sweep`` agree bit for
-bit and the Born traces do not depend on the BLAS kernel.  The complex
-batched ``einsum`` (``"kij,nji->nk"``) was not used: its bits for a batch
-of one differ from those for larger batches (measured at d = 2, 3 and 8).
+Tr(P^2 rho) and Tr(rho^2), is the dot product of two packed rows
+(``linalg.pack``), one of them ``linalg.weighted``.  The family is held as
+its rows; ``DirectEvaluator._contract`` packs each batch of states with
+the weights and walks the effects' rows in blocks, where a real
+``np.einsum("kx,nx->nk")`` without ``optimize`` gives a block's slice of a
+batch's Born traces.  For the squares' slice it unpacks the block, squares
+it by ``matmul`` and packs the squares.  The purities are the states' rows
+dotted with their weighted rows.  Those contractions call no BLAS and give
+the same bits at every batch and block size, one state included, so
+``bz`` and row i of ``sweep`` agree bit for bit, and the Born traces and
+purities do not depend on the BLAS kernel.  The complex batched ``einsum``
+(``"kij,nji->nk"``) was not used: its bits for a batch of one differ from
+those for larger batches (measured at d = 2, 3 and 8).
 
 A state built by hand need not be Hermitian, and the rows do not show the
 imaginary parts of its traces.  Every family here is informationally
@@ -60,7 +63,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, NumericalError, VerificationError
-from .linalg import BLOCK_BYTES, IMAG_TOL, VAR_FLOOR, purities, real_rows
+from .linalg import BLOCK_BYTES, COMPLEX_BYTES, IMAG_TOL, VAR_FLOOR, pack, purities, unpack, weighted
 from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 
 PROB_TOL = 1e-10
@@ -212,15 +215,23 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
     )
 
 
+def _one_state(rho) -> np.ndarray:
+    """A (d, d) state as a batch of one; a DomainError naming its shape unless it is square."""
+    m = np.asarray(rho)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"expected a (d, d) state, got shape {m.shape}")
+    return m[None]
+
+
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
     Verifies the family at ``DEFAULT_TOL`` and raises VerificationError on
     a failure: the one verification of a family, loaded or built, in
-    ``bz``, ``sample`` and ``sweep``.  ``observables`` is the family's
-    effect stack itself, read in place, and the evaluator keeps no stack of
-    its own.  ``probs`` gives the checked outcome probabilities of one state
-    and ``report_many`` the reconciled quantities of a batch, each from one
+    ``bz``, ``sample`` and ``sweep``.  ``rows`` is the family's packed
+    rows themselves, read in place, and the evaluator keeps no stack of its
+    own.  ``probs`` gives the checked outcome probabilities of one state and
+    ``report_many`` the reconciled quantities of a batch, each from one
     call of ``_contract``, the one loop that contracts effects with states;
     only ``report_many`` has it form the squares, a block at a time.
     """
@@ -235,46 +246,59 @@ class DirectEvaluator:
         self.kind = "gsm" if family.kind == "sic" else family.kind
         self.parameter = family.parameter
         self.dim = family.dim
-        self.observables = family.effects
+        self.rows = family.rows
         self.layout = family.layout
 
     def _contract(self, states, squares: bool = False):
-        """The ``real_rows`` of a (n, d, d) stack of states, its (n, k) Born traces and squares' traces.
+        """The packed rows of a (n, d, d) stack of states, its (n, k) Born traces and squares' traces.
 
         The states are checked finite, then Hermitian, each check raising at
         the first state that fails it, before any trace is taken.  Each block
-        of effects, of at most ``BLOCK_BYTES`` (one effect at least), writes
-        its slice of the Born traces Tr(P rho_i); only if ``squares`` does it
-        form its squares, by ``@`` in one reused buffer, and write their slice
-        of Tr(P^2 rho_i), else the last item is None.  A trace is exact for a
-        Hermitian rho_i and has the same bits in any block.
+        of effects' rows, of at most ``BLOCK_BYTES`` of matrices (one effect
+        at least), writes its slice of the Born traces Tr(P rho_i); only if
+        ``squares`` does it unpack its matrices, square them by ``matmul``
+        and pack the squares, in reused buffers, and write their slice of
+        Tr(P^2 rho_i), else the last item is None.  A state is read as its
+        Hermitian part, which is the state itself bit for bit if it is
+        Hermitian; a trace has the same bits in any block.
         """
         m = np.asarray(states, dtype=np.complex128)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise DomainError(f"expected a (k, d, d) stack of states, got shape {m.shape}")
-        if m.shape[1] != self.dim:
-            raise DomainError(f"dimension mismatch: family d={self.dim}, state d={m.shape[1]}")
+        d = self.dim
+        if m.shape[1] != d:
+            raise DomainError(f"dimension mismatch: family d={d}, state d={m.shape[1]}")
         # a state built by hand need not be finite, nor Hermitian
         _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
                      lambda j: NumericalError("state has non-finite entries"))
         # the family being informationally complete, a traced probability has an
         # imaginary part exactly when the state has a Hermitian defect
+        adjoint = np.conjugate(m.transpose(0, 2, 1), order="C")
         with np.errstate(over="ignore"):  # entries near the float64 limit: a defect of inf
-            defect = np.abs(m - np.conjugate(m.transpose(0, 2, 1))).max(axis=(1, 2))
-        _raise_first(np.logical_not(defect < IMAG_TOL),
-                     lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
-        rows = real_rows(m)
-        effects = self.observables
+            defect = np.abs(m - adjoint).max(axis=(1, 2))
+            _raise_first(np.logical_not(defect < IMAG_TOL),
+                         lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
+            # each state is read as (rho + rho^dag)/2, which is rho bit for bit if rho is Hermitian
+            hermitian_part = np.add(m, adjoint, out=adjoint)
+        hermitian_part /= 2.0
+        rows = pack(hermitian_part)
+        scaled = weighted(rows)
+        effects = self.rows
         traces = np.empty((len(m), len(effects)))
         moments = np.empty_like(traces) if squares else None
-        step = max(1, BLOCK_BYTES // effects[0].nbytes)
-        buffer = np.empty_like(effects[:step]) if squares else None
+        step = min(len(effects), max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d)))
+        if squares:
+            matrices = np.empty((step, d, d), dtype=np.complex128)
+            products, packed = np.empty_like(matrices), np.empty((step, d * d))
         for a in range(0, len(effects), step):
             block = effects[a:a + step]
-            np.einsum("kx,nx->nk", real_rows(block), rows, out=traces[:, a:a + len(block)])
+            k = len(block)
+            np.einsum("kx,nx->nk", block, scaled, out=traces[:, a:a + k])
             if squares:
-                block = np.matmul(block, block, out=buffer[:len(block)])
-                np.einsum("kx,nx->nk", real_rows(block), rows, out=moments[:, a:a + len(block)])
+                unpack(block, d, out=matrices[:k])
+                np.matmul(matrices[:k], matrices[:k], out=products[:k])
+                pack(products[:k], out=packed[:k])
+                np.einsum("kx,nx->nk", packed[:k], scaled, out=moments[:, a:a + k])
         return rows, traces, moments
 
     def probs(self, rho: np.ndarray) -> np.ndarray:
@@ -283,7 +307,7 @@ class DirectEvaluator:
         The state is checked finite and Hermitian; each probability within
         [0, 1], and each POVM's sum within 1e-10 of one.
         """
-        return self._checked_probs(self._contract(np.asarray(rho)[None])[1])[0]
+        return self._checked_probs(self._contract(_one_state(rho))[1])[0]
 
     def _checked_probs(self, traces: np.ndarray) -> np.ndarray:
         """The Born traces of checked states, each within [0, 1], each POVM's sum within 1e-10 of one.
@@ -329,4 +353,4 @@ class DirectEvaluator:
 
     def report(self, rho: np.ndarray) -> BzReport:
         """The report of one (d, d) state: ``report_many`` of it, bit for bit."""
-        return self.report_many(np.asarray(rho)[None]).row(0)
+        return self.report_many(_one_state(rho)).row(0)

@@ -17,9 +17,15 @@ sharpness parameter t bounded by positivity of the effects:
   The purity parameter is a = 1/d^3 + t^2 (d - 1)(d + 1)^3, with
   a = 1/d^2 exactly in the rank-one (SIC-POVM) case.
 
-Each builder writes the basis straight into its stack and forms the
-generators there, once; the bound on t and the positivity check read one
-eigensolve of them, and the generators are scaled into the effects in place.
+A family is held as its packed rows (``linalg.pack``): one row of d^2
+reals per effect, half the bytes of its complex (N, d, d) stack, which no
+layer forms whole.  Each builder forms its generators one POVM (mum) or one
+block of slots (gsm) at a time, writing the basis straight into the block;
+it eigensolves and packs each block once, then scales the rows by t and
+adds the identity weight to the diagonal coordinates.  The bound on t and
+the positivity check read those eigenvalues.  ``verify`` reads the rows in
+place: the overlaps are weighted dot products of them, and only the
+positivity check unpacks the effects, a block at a time.
 
 Rank-one families are available directly: quadratic-phase mutually
 unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
@@ -34,7 +40,7 @@ import numpy as np
 
 from .basis import write_gell_mann
 from .errors import DomainError, NumericalError, PositivityError
-from .linalg import COMPLEX_BYTES, _frozen, check_dense_bytes, real_rows
+from .linalg import BLOCK_BYTES, COMPLEX_BYTES, _frozen, check_dense_bytes, pack, unpack
 
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
@@ -67,14 +73,15 @@ class Family:
     """A complete measurement family: its effects, grouped into POVMs.
 
     ``kind`` is "mum" or "mub" (``parameter`` is kappa) or "gsm" or "sic"
-    (``parameter`` is a).  ``effects`` stacks every effect, POVM after
-    POVM, as ``layout`` groups them, in one C-contiguous complex array (a
-    copy of a stack given otherwise), so every reader sums in one order.
-
-    Every effect is exactly Hermitian, equal to its conjugate transpose bit
-    for bit: the builders form them so, and ``decode`` symmetrizes what it
-    reads.  ``verify`` and ``DirectEvaluator`` rely on it and read the stack
-    in place.
+    (``parameter`` is a).  ``rows`` holds every effect's packed row
+    (``linalg.pack``), POVM after POVM, as ``layout`` groups them, in one
+    read-only, C-contiguous (N, d^2) float64 array (a read-only view, or a
+    contiguous copy, of an array given otherwise), so every reader sums in
+    one order.  Row k is effect k's d diagonal entries, then the real parts
+    of its upper triangle, then their imaginary parts; ``linalg.unpack``
+    gives the matrices, each exactly Hermitian.  ``verify`` and
+    ``DirectEvaluator`` read the rows in place and unpack at most a block
+    of ``linalg.BLOCK_BYTES`` of matrices at a time.
 
     ``verify`` keeps nothing on the family; a verb verifies it once, by
     building the ``DirectEvaluator`` through which it reads its numbers.
@@ -84,17 +91,20 @@ class Family:
     dim: int
     t: float
     parameter: float
-    effects: np.ndarray  # (povms * outcomes, d, d) complex
+    rows: np.ndarray  # (povms * outcomes, d^2) float64, read-only
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "effects", np.ascontiguousarray(self.effects, dtype=np.complex128))
+        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if rows.flags.writeable:
+            rows = _frozen(rows.view())
+        object.__setattr__(self, "rows", rows)
         if self.kind not in PARAMETER_NAMES:
             raise DomainError(f"unknown measurement kind {self.kind!r}")
         n = math.prod(self.layout)
-        if self.effects.shape != (n, self.dim, self.dim):
+        if rows.shape != (n, self.dim * self.dim):
             raise DomainError(
-                f"a {self.kind} family of dimension {self.dim} needs {n} effects "
-                f"of shape ({self.dim}, {self.dim}), got an array of shape {self.effects.shape}"
+                f"a {self.kind} family of dimension {self.dim} needs {n} effects, as rows "
+                f"of {self.dim * self.dim} numbers, got an array of shape {rows.shape}"
             )
 
     @property
@@ -139,12 +149,12 @@ class VerificationReport:
 
 
 def family_bytes(kind: str, d: int) -> int:
-    """Estimated bytes of a dimension-d family of this kind: its effects plus an allowance.
+    """Estimated bytes of a dimension-d family of this kind: its complex stack plus an allowance.
 
-    The effects are povms * outcomes d x d matrices (``layout``).  The
-    allowance is one operator basis, (d^2 - 1) d^2 entries: a build holds
-    no basis beside its stack, but the allowance keeps the limits on d where
-    they are.
+    The stack is povms * outcomes complex d x d matrices (``layout``), twice
+    the bytes of the family's packed rows; the allowance is one operator
+    basis, (d^2 - 1) d^2 entries.  A build holds neither, but counting them
+    keeps the limits on d where they are.
     """
     return COMPLEX_BYTES * (math.prod(layout(kind, d)) + d * d - 1) * d * d
 
@@ -168,30 +178,43 @@ def _degenerate(kind: str, d: int, parameter: float) -> bool:
     return parameter <= (1.0 / d if kind in MUM_KINDS else 1.0 / d**3) + DEGENERACY_EPS
 
 
-def _generators(kind: str, d: int) -> np.ndarray:
-    """The traceless generators of the dimension-d "mum" or "gsm" family, stacked, shape (n, d, d).
+def _generator_blocks(kind: str, d: int):
+    """The traceless generators of the dimension-d "mum" or "gsm" family, in order, as (k, d, d) blocks.
 
-    The Gell-Mann operators are written straight into the stack: for mum,
-    operator b(d-1) + n into slot n of POVM b, leaving each POVM's last slot;
-    for gsm, the first d^2 - 1 slots.  Their sums F^(b) (or F) are read off,
-    and each generator is formed in its slot: F^(b) - (d + sqrt(d)) F_{n,b}
-    and (1 + sqrt(d)) F^(b), or F - d(d + 1) F_a and (d + 1) F.  So the stack
-    and its sums are all a build holds.
+    The Gell-Mann operators are written straight into each block: for mum,
+    one block per POVM b, operator b(d-1) + n into slot n, leaving the last
+    slot; for gsm, blocks of at most ``BLOCK_BYTES`` of the d^2 slots, the
+    first d^2 - 1 taking the operators.  The sums F^(b) (or F, accumulated
+    slot by slot beforehand) are read off, and each generator is formed in
+    its slot: F^(b) - (d + sqrt(d)) F_{n,b} and (1 + sqrt(d)) F^(b), or
+    F - d(d + 1) F_a and (d + 1) F.  Each block is a new array, which the
+    caller may keep or drop.
     """
-    if d < 2:
-        name = "MUMs" if kind == "mum" else "general SIC measurements"
-        raise DomainError(f"{name} need dimension >= 2, got {d}")
-    _check_family_size(kind, d)
-    stack = np.zeros((*layout(kind, d), d, d), dtype=np.complex128)
     scale, last = (d + np.sqrt(d), 1.0 + np.sqrt(d)) if kind == "mum" else (d * (d + 1), d + 1)
-    write_gell_mann(stack[:, :-1])
-    # one POVM at a time: a ufunc buffers a broadcast operand, up to the size of its output
-    for povm, total in zip(stack, stack[:, :-1].sum(axis=1)):
-        head = povm[:-1]
+    operators = d * d - 1
+    if kind == "mum":
+        starts, step, heads = range(0, operators, d - 1), d, d - 1
+    else:
+        step = heads = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
+        starts = range(0, operators + 1, step)
+        # F, slot by slot in operator order: the bits of a sum over the slots' axis
+        total = np.zeros((d, d), dtype=np.complex128)
+        for start in starts:
+            block = np.zeros((step, d, d), dtype=np.complex128)
+            write_gell_mann(block, start)
+            for operator in block[:operators - start]:
+                total += operator
+    for start in starts:
+        block = np.zeros((min(step, operators + 1 - start), d, d), dtype=np.complex128)
+        head = block[:min(heads, operators - start)]
+        write_gell_mann(head, start)
+        if kind == "mum":
+            total = head.sum(axis=0)
         head *= scale
         np.subtract(total, head, out=head)
-        np.multiply(last, total, out=povm[-1])
-    return stack.reshape(-1, d, d)
+        if len(head) < len(block):
+            np.multiply(last, total, out=block[-1])
+        yield block
 
 
 def max_t_mum(d: int) -> float:
@@ -204,20 +227,31 @@ def max_t_gsm(d: int) -> float:
     return build_gsm(d).t
 
 
-def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_of) -> Family:
+def _build(kind: str, d: int, t, identity_weight: float, label_of) -> Family:
     """The family of effects I*identity_weight + t*F, one per generator F, POVM after POVM.
 
-    The generators belong to the build: they are scaled into the effects in place.
-
-    For t >= 0 an effect's smallest eigenvalue is identity_weight + t*lam, lam its
-    generator's, so the bound and the check, naming the first bad effect by
-    ``label_of``, read one eigensolve of the generators.  A t that leaves
-    the parameter degenerate (t = 0 gives kappa = 1/d, a = 1/d^3), which
-    every verb would refuse, is a DomainError.
+    Each block of ``_generator_blocks`` is eigensolved and packed, then
+    dropped.  For t >= 0 an effect's smallest eigenvalue is
+    identity_weight + t*lam, lam its generator's, so the bound and the
+    check, naming the first bad effect by ``label_of``, read one eigensolve
+    of the generators.  The rows are then scaled by t and given the
+    identity weight on the diagonal and 0.0 elsewhere, the arithmetic of the
+    complex t*F + I*identity_weight, so -0.0 turns to 0.0 as it did there.
+    A t that leaves the parameter degenerate (t = 0 gives kappa = 1/d, a =
+    1/d^3), which every verb would refuse, is a DomainError.
     """
-    d = generators.shape[-1]
-    # I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F
-    smallest = np.linalg.eigvalsh(generators)[:, 0].copy()  # the other eigenvalues are freed
+    if d < 2:
+        name = "MUMs" if kind == "mum" else "general SIC measurements"
+        raise DomainError(f"{name} need dimension >= 2, got {d}")
+    _check_family_size(kind, d)
+    n = math.prod(layout(kind, d))
+    rows, smallest = np.empty((n, d * d)), np.empty(n)
+    start = 0
+    for block in _generator_blocks(kind, d):
+        # I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F
+        smallest[start:start + len(block)] = np.linalg.eigvalsh(block)[:, 0]
+        pack(block, out=rows[start:start + len(block)])
+        start += len(block)
     lam = smallest.min()
     if not lam < 0.0:
         raise NumericalError("no generator bounds t; traceless nonzero operators must")
@@ -239,9 +273,9 @@ def _build(kind: str, t, generators: np.ndarray, identity_weight: float, label_o
     if _degenerate(kind, d, parameter):
         name = PARAMETER_NAMES[kind]
         raise DomainError(f"t={t} gives a degenerate {kind} family ({name}={parameter})")
-    generators *= t
-    generators += identity_weight * np.eye(d, dtype=np.complex128)
-    return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=_frozen(generators))
+    rows *= t
+    rows += np.repeat([identity_weight, 0.0], [d, d * d - d])
+    return Family(kind=kind, dim=d, t=t, parameter=parameter, rows=_frozen(rows))
 
 
 def build_mum(d: int, t="auto") -> Family:
@@ -249,35 +283,42 @@ def build_mum(d: int, t="auto") -> Family:
 
     t = "auto" resolves to the positivity bound max_t_mum.  Effects are
     checked positive semidefinite, a violating (b, n) named on failure; the
-    bound and the check read one eigensolve of the generators.
+    bound and the check read one eigensolve of the generators, a POVM at a time.
     """
-    return _build("mum", t, _generators("mum", d), 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
+    return _build("mum", d, t, 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
 
 
 def build_gsm(d: int, t="auto") -> Family:
     """Build the complete general SIC measurement of d^2 effects at sharpness t.
 
-    As build_mum, with a violating alpha named; one eigensolve of the generators.
+    As build_mum, with a violating alpha named; one eigensolve of the
+    generators, a block of slots at a time.
     """
-    return _build("gsm", t, _generators("gsm", d), 1.0 / d**2, lambda i: f"alpha={i + 1}")
+    return _build("gsm", d, t, 1.0 / d**2, lambda i: f"alpha={i + 1}")
 
 
-def _pairwise_overlaps(effects: np.ndarray):
-    """The Gram matrix Tr(P_i P_j) of a stack of Hermitian effects, one square tile at a time.
+def _pairwise_overlaps(rows: np.ndarray, d: int):
+    """The Gram matrix Tr(P_i P_j) of a family's packed rows, one square tile at a time.
 
     Yields (a, b, tile) with tile[i, j] = Tr(P_{a+i} P_{b+j}) for every tile
     of ``GRAM_TILE_ROWS`` rows and columns with b >= a, so that each pair
     i <= j lies in one tile.  Each Tr(P_i P_j) is the dot product of two
-    ``real_rows``, so a tile is one real product of two row ranges of them,
-    and the tiles take about the flops of one symmetric product.  A stack of
-    at most ``GRAM_TILE_ROWS`` effects is one tile, the symmetric product ``r @ r.T``.
+    rows, weight 1 on the d diagonal coordinates and 2 on the others, so a
+    tile is two real products of column ranges of two row ranges, the
+    second doubled, and no tile's rows are copied.  The tiles take about the
+    flops of one symmetric product.
     """
-    n = len(effects)
-    r = real_rows(effects)
-    rows = GRAM_TILE_ROWS
-    for a in range(0, n, rows):
-        for b in range(a, n, rows):
-            yield a, b, r[a:a + rows] @ r[b:b + rows].T
+    n = len(rows)
+    size = GRAM_TILE_ROWS
+    for a in range(0, n, size):
+        left = rows[a:a + size]
+        for b in range(a, n, size):
+            right = rows[b:b + size]
+            # diagonal part + 2 * off-diagonal part, summed in place
+            tile = left[:, d:] @ right[:, d:].T
+            tile *= 2.0
+            tile += left[:, :d] @ right[:, :d].T
+            yield a, b, tile
 
 
 def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
@@ -288,8 +329,8 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
     with a mask of its own size, so no whole Gram matrix and no whole mask
     is held.  Only a tile with a == b holds part of the Gram's diagonal.
     """
-    d, param, effects = family.dim, family.parameter, family.effects
-    group = np.arange(len(effects)) // family.layout[1]  # each effect's POVM
+    d, param, rows = family.dim, family.parameter, family.rows
+    group = np.arange(len(rows)) // family.layout[1]  # each effect's POVM
     # running extrema of the classes: the diagonal, same POVM off it, two POVMs
     highs, lows = np.full(3, -np.inf), np.full(3, np.inf)
 
@@ -297,7 +338,7 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         highs[c] = np.maximum(highs[c], values.max(where=where, initial=-np.inf))
         lows[c] = np.minimum(lows[c], values.min(where=where, initial=np.inf))
 
-    for a, b, tile in _pairwise_overlaps(effects):
+    for a, b, tile in _pairwise_overlaps(rows, d):
         # one mask of the tile's size, reused
         pairs = np.equal.outer(group[a:a + len(tile)], group[b:b + tile.shape[1]])
         if a == b:
@@ -319,7 +360,7 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
 
     if family.kind in MUM_KINDS:
         deviations = {
-            "effect_trace": worst(np.trace(effects, axis1=1, axis2=2), 1.0),
+            "effect_trace": worst(rows[:, :d].sum(axis=1), 1.0),
             "cross_overlap": worst_overlap([2], 1.0 / d),
             "within_overlap_diag": worst_overlap([0], param),
             "within_overlap_offdiag": worst_overlap([1], (1.0 - param) / (d - 1)),
@@ -331,14 +372,26 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
             "pair_overlap": worst_overlap([1, 2], (1.0 - param * d) / (d * (d * d - 1))),
         }
         expected = gsm_a(d, family.t)
-    eye = np.eye(d, dtype=np.complex128)
     # eigvalsh may call a matrix with a nan entry positive ([0, -0] for
     # [[nan, 0], [0, 1]]); the Gram diagonal, the effects' squared norms, is nan exactly then
-    lowest = np.nan if np.isnan(highs[0]) else float(np.linalg.eigvalsh(effects)[:, 0].min())
+    lowest = np.nan if np.isnan(highs[0]) else _smallest_eigenvalue(rows, d)
     deviations["positivity"] = 0.0 if lowest >= 0.0 else -lowest  # nan stays nan, and fails
-    deviations["completeness"] = worst(effects.reshape(*family.layout, d, d).sum(axis=1), eye)
+    # each POVM's sum less I: |z| of an off-diagonal entry is the hypot of its parts
+    sums = rows.reshape(*family.layout, d * d).sum(axis=1)
+    upper = (d * d - d) // 2
+    deviations["completeness"] = float(np.maximum(
+        worst(sums[:, :d], 1.0), np.hypot(sums[:, d:d + upper], sums[:, d + upper:]).max()))
     deviations["parameter"] = abs(param - expected)
     return deviations, _degenerate(family.kind, d, param)
+
+
+def _smallest_eigenvalue(rows: np.ndarray, d: int) -> float:
+    """The smallest eigenvalue of any effect, eigensolving the unpacked effects a block at a time."""
+    step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
+    lowest = np.inf
+    for a in range(0, len(rows), step):
+        lowest = np.minimum(lowest, np.linalg.eigvalsh(unpack(rows[a:a + step], d))[:, 0].min())
+    return float(lowest)
 
 
 def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -351,12 +404,13 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     (1 - a d)/(d (d^2 - 1)); a <= 1/d^3 + 1e-12 is rejected as degenerate.
     Both: positivity, per-measurement completeness (equivalently the
     generators of each measurement summing to zero) and the parameter(t)
-    formula.  The overlaps are a real Gram matrix of the family's effect
-    stack, read in place, which holds because the effects are Hermitian.
-    It is formed one square tile of ``GRAM_TILE_ROWS`` rows and columns at
-    a time (``_pairwise_overlaps``) and folded into running extrema, so the
-    working set beside the stack is one tile and its mask, whatever the
-    family's size.  A family of more than one tile (more than
+    formula.  The overlaps are a real Gram matrix of the family's packed
+    rows, read in place.  It is formed one square tile of
+    ``GRAM_TILE_ROWS`` rows and columns at a time (``_pairwise_overlaps``)
+    and folded into running extrema; the traces and the POVM sums are read
+    off the rows, and positivity eigensolves the effects unpacked a block
+    of ``BLOCK_BYTES`` at a time.  So the working set beside the rows is one
+    tile and its mask, or one block, whatever the family's size.  A family of more than one tile (more than
     ``GRAM_TILE_ROWS`` effects) may differ from the whole product in the
     last digits of its overlap deviations.
 
@@ -406,7 +460,7 @@ def build_mub(d: int) -> Family:
         bases = np.concatenate([np.eye(d, dtype=np.complex128)[None], phases])
     effects = np.einsum("bik,bjk->bkij", bases, bases.conj()).reshape(-1, d, d)
     t = 1.0 / (d + np.sqrt(d))
-    return Family(kind="mub", dim=d, t=t, parameter=1.0, effects=_frozen(effects))
+    return Family(kind="mub", dim=d, t=t, parameter=1.0, rows=_frozen(pack(effects)))
 
 
 def sic2_fixture() -> Family:
@@ -427,4 +481,4 @@ def sic2_fixture() -> Family:
         [(eye + r[0] * sx + r[1] * sy + r[2] * sz) / 4.0 for r in bloch]
     )
     t = 1.0 / (6.0 * np.sqrt(6.0))
-    return Family(kind="sic", dim=2, t=t, parameter=0.25, effects=_frozen(effects))
+    return Family(kind="sic", dim=2, t=t, parameter=0.25, rows=_frozen(pack(effects)))

@@ -17,10 +17,13 @@ hundreds of thousands of entries.  So a matrix is written as pieces of
 about ``_CHUNK_BYTES``, made one at a time: runs of rows, each row's text
 taken from a memo of the recent rows' texts, formatted from a memo of the
 recent floats' words, with the array's brackets and separators; ``encode``
-joins them, ``save`` writes them as they come.  A measurement file in
-exactly that layout is read back in blocks cut at the row separators, each
-recent distinct row checked and parsed once, its numbers from a memo of the
-recent tokens' values, and gathered straight into a complex stack.  Each
+joins them, ``save`` writes them as they come.  A family's file holds its
+complex effects under "effects"; the encoder unpacks its packed rows a run
+of whole matrices at a time.  A measurement file in exactly that layout is
+read back in blocks cut at the row separators, each recent distinct row
+checked and parsed once, its numbers from a memo of the recent tokens'
+values, and gathered into a buffer of whole matrices, which is
+symmetrized and packed into the family's rows a block at a time.  Each
 of these caches is a ``_Memo``, which clears itself once it holds its
 limit: ``_ROW_CACHE_ROWS`` rows (the encoder's texts at most four runs of
 rows, for wide rows), or eight times as many words or tokens, more than
@@ -51,10 +54,10 @@ import numpy as np
 
 from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
-from .linalg import check_dense_bytes, hermitian
+from .linalg import BLOCK_BYTES, COMPLEX_BYTES, _frozen, check_dense_bytes, hermitian, pack, unpack
 from .measurements import PARAMETER_NAMES, Family, family_bytes, layout
 from .sampler import MAX_SHOTS, CountTable
-from .states import validate_state
+from .states import TRACE_TOL, validate_state
 
 SCHEMA_VERSION = 1
 # longest document decode holds whole; a d=32 general SIC file is about 50 MB
@@ -142,45 +145,59 @@ def _opened(shape: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     return (rows[:, None] % periods == 0).sum(axis=1)
 
 
-def _matrix_pieces(m: np.ndarray):
-    """Pieces of the JSON text of a matrix or a stack of them, as nested [re, im] pairs.
+def _matrix_pieces(m):
+    """Pieces of the JSON text of a matrix or a stack of them, or of a family's effects, as [re, im] pairs.
 
     Joined, the pieces are the ASCII bytes of ``json.dumps(np.stack([m.real,
     m.imag], -1).tolist(), allow_nan=False)``, the first non-finite entry
-    raising its ValueError.  Each piece is a run of rows of pairs and the
-    separators before them, at most about ``_CHUNK_BYTES`` long.  A row's
-    text comes from a ``_Memo`` of the recent rows' texts, at most four
-    runs' worth, formatted from a ``_Memo`` of the recent floats' words; a
-    run's separators, which close and open a bracket for each matrix (and
-    each POVM) that a row begins, come from its row numbers.  So what the
-    pieces hold beside the matrix does not grow with it, nor with its values.
+    raising its ValueError; for a ``Family`` m, those of its unpacked
+    effects in their stored shape (``_effects_shape``).  Each piece is a run
+    of rows of pairs and the separators before them, at most about
+    ``_CHUNK_BYTES`` long; a family's runs are of whole matrices, at least
+    one, each unpacked as it is formatted.  A row's text comes from a
+    ``_Memo`` of the recent rows' texts, at most four runs' worth, formatted
+    from a ``_Memo`` of the recent floats' words; a run's separators, which
+    close and open a bracket for each matrix (and each POVM) that a row
+    begins, come from its row numbers.  So what the pieces hold beside the
+    matrix does not grow with it, nor with its values.
     """
-    entries = np.ascontiguousarray(m, dtype=np.complex128)
-    if entries.size == 0:
-        yield _skeleton((*m.shape, 2), "").encode("ascii")
-        return
-    rows = entries.view(np.float64).reshape(-1, 2 * m.shape[-1])
-    width = rows.itemsize * rows.shape[1]  # bytes of one row of pairs
-    depth = m.ndim - 1  # brackets around the rows
-    separators = [b"]" * k + b", " + b"[" * k for k in range(m.ndim)]
-    row_format = _skeleton((m.shape[-1], 2), "%s").encode("ascii")
-    bits = struct.Struct(f"={rows.shape[1]}Q").unpack
+    if isinstance(m, Family):
+        shape, d = _effects_shape(m.kind, m.dim), m.dim
+
+        def run(start: int, stop: int) -> np.ndarray:
+            return unpack(m.rows[start // d:stop // d], d)
+    else:
+        entries = np.ascontiguousarray(m, dtype=np.complex128)
+        shape = m.shape
+        if entries.size == 0:
+            yield _skeleton((*shape, 2), "").encode("ascii")
+            return
+
+        def run(start: int, stop: int) -> np.ndarray:
+            return entries.reshape(-1, shape[-1])[start:stop]
+    count = math.prod(shape[:-1])  # rows of pairs
+    width = COMPLEX_BYTES * shape[-1]  # bytes of one row of pairs
+    depth = len(shape) - 1  # brackets around the rows
+    separators = [b"]" * k + b", " + b"[" * k for k in range(len(shape))]
+    row_format = _skeleton((shape[-1], 2), "%s").encode("ascii")
+    bits = struct.Struct(f"={2 * shape[-1]}Q").unpack
     # a float's repr takes at most 24 bytes, so a run's text is at most about _CHUNK_BYTES
-    step = max(1, _CHUNK_BYTES // (54 * m.shape[-1]))
+    step = max(1, _CHUNK_BYTES // (54 * shape[-1]))
+    if isinstance(m, Family):
+        step = max(d, step - step % d)
     words = _Memo(_word, 8 * _ROW_CACHE_ROWS)
     texts = _Memo(lambda row: row_format % tuple(map(words.__getitem__, bits(row))),
                   min(_ROW_CACHE_ROWS, 4 * step))
-    for start in range(0, len(rows), step):
-        count = min(step, len(rows) - start)
-        opened = _opened(m.shape, np.arange(start, start + count))
-        pieces = [b""] * (2 * count)
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        opened = _opened(shape, np.arange(start, start + size))
+        pieces = [b""] * (2 * size)
         pieces[0::2] = map(separators.__getitem__, opened.tolist())
         if start == 0:
             pieces[0] = b"[" * depth
         # each row's bytes, as one void item
-        pieces[1::2] = map(texts.__getitem__,
-                           rows[start:start + count].view(f"V{width}").ravel().tolist())
-        if start + count == len(rows):
+        pieces[1::2] = map(texts.__getitem__, run(start, start + size).view(f"V{width}").ravel().tolist())
+        if start + size == count:
             pieces.append(b"]" * depth)
         yield b"".join(pieces)
 
@@ -203,8 +220,20 @@ def _matrix_from_json(rows, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _encode_state(rho: np.ndarray) -> dict:
+    """A state's fields; a SchemaError unless it is a (d, d) array, d >= 1, of trace 1 within ``TRACE_TOL``.
+
+    Only the shape and the trace, O(d), are checked here.  Hermiticity and
+    positivity are ``decode``'s checks: here they would hold a second
+    matrix, or run an eigensolve, beside the largest state ``state gen``
+    makes.  So an array of unit trace that is no state encodes, and
+    ``decode`` refuses its file.
+    """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
         raise SchemaError(f"a state is a (d, d) array with d >= 1, got shape {rho.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float64 limit is a trace of inf
+        tr = np.trace(rho)
+    if abs(tr - 1.0) >= TRACE_TOL:
+        raise SchemaError(f"state trace is {tr.real.item()!r}, not 1 within {TRACE_TOL:.0e}")
     return {"schema": "state", "dim": rho.shape[0], "rho": rho}
 
 
@@ -227,8 +256,8 @@ def _measurement_fields(kind: str, dim, t, parameter, effects) -> dict:
 
 
 def _encode_measurement(family: Family) -> dict:
-    stored = family.effects.reshape(_effects_shape(family.kind, family.dim))
-    return _measurement_fields(family.kind, family.dim, family.t, family.parameter, stored)
+    # the family stands for its effects, which _matrix_pieces unpacks as it writes them
+    return _measurement_fields(family.kind, family.dim, family.t, family.parameter, family)
 
 
 def _encode_report(report: BzReport) -> dict:
@@ -255,7 +284,7 @@ _ENCODERS = {
 
 
 def _document(entity, meta: dict | None) -> dict:
-    """The fields of an entity's document in order, matrices as complex arrays."""
+    """The fields of an entity's document in order, matrices as complex arrays or a ``Family``."""
     encoder = _ENCODERS.get(type(entity))
     if encoder is None:
         raise SchemaError(f"cannot encode object of type {type(entity).__name__}")
@@ -270,7 +299,7 @@ def _document_pieces(doc: dict):
     yield b"{"
     for i, (key, value) in enumerate(doc.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii")
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, Family)):
             yield from _matrix_pieces(value)
         else:
             yield json.dumps(value, allow_nan=False).encode("ascii")
@@ -322,10 +351,13 @@ def _json_object(text: bytes) -> dict | None:
 
 
 def _blocks(read, limit: int):
-    """Blocks of at most ``_CHUNK_BYTES`` from ``read``, ``limit`` bytes in all, up to the end."""
-    while limit > 0 and (block := read(min(_CHUNK_BYTES, limit))):
-        limit -= len(block)
-        yield block
+    """Blocks of at most ``_CHUNK_BYTES`` from ``read``, ``limit`` bytes in all, up to the end.
+
+    No block is kept here once it is yielded.
+    """
+    while limit > 0 and (block := [read(min(_CHUNK_BYTES, limit))])[0]:
+        limit -= len(block[0])
+        yield block.pop()
 
 
 def _parse_canonical_measurement(read, size: int) -> dict | None:
@@ -333,13 +365,15 @@ def _parse_canonical_measurement(read, size: int) -> dict | None:
 
     ``read(n)`` gives the next at most n of the document's ``size`` bytes, of
     which at most ``size + 1`` are read.  The head, up to the "effects" array,
-    gives the array's shape, and ``_Rows`` reads the array into a complex
-    stack.  None, leaving the document to ``_parse_json``, unless ``_Rows``
+    gives the array's shape, and ``_Rows`` reads the array into the
+    family's packed rows.  None, leaving the document to ``_parse_json``, unless ``_Rows``
     accepts the array and the head and tail, parsed with a 0 in the array's
     place, are what ``encode`` writes (or that and the newline ``save`` adds)
     and at most ``MAX_DOCUMENT_BYTES`` long.  A head whose family the
-    builders would refuse as too large raises SchemaError before the stack
-    is allocated.
+    builders would refuse as too large raises SchemaError before the rows
+    are allocated.  The effects of the document returned are the rows, or
+    the DomainError ``hermitian`` raised on them, which ``_decode_measurement``
+    raises where it would check the effects read by ``json.loads``.
     """
     text = read(min(_HEAD_BYTES, size + 1))
     opening = text.find(_EFFECTS_OPENING)
@@ -398,15 +432,21 @@ class _Rows:
     pairs each.  A piece must be a row as the encoder writes it, with the
     brackets its row's position takes.  Each recent distinct piece is
     checked and parsed once, into the float64 bytes of its numbers followed
-    by its bracket code, leading * (depth + 1) + trailing brackets.
+    by its bracket code, leading * (depth + 1) + trailing brackets.  The
+    rows are gathered into a buffer of whole matrices, the block that
+    ``hermitian`` checks at a time, and each full block is symmetrized and
+    packed; so the checks and their first failure are those of ``hermitian``
+    on the whole stack.
     """
 
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.shape, self.count = shape, math.prod(shape[:-1])  # rows of the array
         self.depth = len(shape) + 1  # brackets that open the array before its first number
         self.row_format = (b"%s, %s], [" * shape[-1])[:-4]
-        self.pack = struct.Struct(f"={2 * shape[-1] + 1}d").pack
+        self.entry = struct.Struct(f"={2 * shape[-1] + 1}d").pack
         self.numbers = _Memo(_number, 8 * _ROW_CACHE_ROWS)
+        d = shape[-1]
+        self.step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d)) * d  # rows of a block
 
     def _entry(self, piece: bytes) -> bytes:
         key = piece.lstrip(b"[")
@@ -417,10 +457,10 @@ class _Rows:
                 or self.row_format % tuple(tokens) != stripped):
             raise ValueError(f"not a row as the encoder writes it: {piece[:80]!r}")
         code = leading * (self.depth + 1) + trailing
-        return self.pack(*map(self.numbers.__getitem__, tokens), code)
+        return self.entry(*map(self.numbers.__getitem__, tokens), code)
 
-    def gather(self, joined: bytes, first: int, out: np.ndarray) -> None:
-        """Write the rows ``first`` onwards into ``out``, from their pieces' entries joined."""
+    def gather(self, joined: bytes, first: int) -> None:
+        """Write the rows ``first`` onwards, from their pieces' entries joined, and pack each full block."""
         entries = np.frombuffer(joined, dtype=np.float64).reshape(-1, 2 * self.shape[-1] + 1)
         rows = np.arange(first, first + len(entries) + 1)
         extra = _opened(self.shape, rows)
@@ -428,20 +468,51 @@ class _Rows:
         extra[rows == self.count] = 0  # the last piece ends before the array's closing brackets
         if not np.array_equal(entries[:, -1], extra[:-1] * (self.depth + 1) + extra[1:]):
             raise ValueError("row brackets out of place")
-        # re + 1j * im, the arithmetic of _matrix_from_json: its bits, signed zeros too
-        block = out[first:first + len(entries)]
-        np.multiply(1j, entries[:, 1:-1:2], out=block)
-        np.add(entries[:, 0:-1:2], block, out=block)
+        done = 0
+        while done < len(entries):
+            at = (first + done) % self.step
+            n = min(len(entries) - done, self.step - at)
+            # re + 1j * im, the arithmetic of _matrix_from_json: its bits, signed zeros too
+            part, values = self.block[at:at + n], entries[done:done + n]
+            np.multiply(1j, values[:, 1:-1:2], out=part)
+            np.add(values[:, 0:-1:2], part, out=part)
+            done += n
+            if at + n == self.step or first + done == self.count:
+                self._pack((first + done - at - n) // self.shape[-1], at + n)
+
+    def _pack(self, matrix: int, used: int) -> None:
+        """Symmetrize the block's first ``used`` rows, whole matrices from ``matrix`` on, and pack them.
+
+        After ``hermitian`` raises, no block is packed and the parse goes on
+        to check the layout.
+        """
+        if self.failure is None:
+            d = self.shape[-1]
+            stack = self.block[:used].reshape(-1, d, d)
+            try:
+                hermitian(stack, overwrite=True, first=matrix)
+            except DomainError as exc:
+                self.failure = exc
+            else:
+                pack(stack, out=self.rows[matrix:matrix + len(stack)])
 
     def parse(self, text: bytes, blocks):
-        """The stack of the array that starts ``text`` and goes on in ``blocks``, and what follows.
+        """The packed rows of the array that starts ``text`` and goes on in ``blocks``, and what follows.
 
-        None if the array is not in the encoder's layout.  One block's rows at a time are text.
+        None if the array is not in the encoder's layout.  One block's rows
+        at a time are text.  In place of the rows comes the DomainError of
+        ``hermitian`` if a matrix is not Hermitian or too large to symmetrize.
         """
-        out = np.empty((self.count, self.shape[-1]), dtype=np.complex128)
+        d = self.shape[-1]
+        self.rows = np.empty((self.count // d, d * d))
+        self.block = np.empty((min(self.step, self.count), d), dtype=np.complex128)
+        self.failure = None
         # kept here, not on the reader, whose method it holds, so that no
-        # reference cycle keeps the recent rows after the parse
-        entries = _Memo(self._entry, _ROW_CACHE_ROWS)
+        # reference cycle keeps the recent rows after the parse; an entry
+        # keeps a row's text and its numbers, so half as many rows as the
+        # encoder's texts (which kept a d=24 load at 0.77-0.80 of the complex
+        # stack, against 0.72-0.73, and took no less time)
+        entries = _Memo(self._entry, max(1, _ROW_CACHE_ROWS // 2))
         # longer than any row the encoder writes: a float's repr takes at most 24 bytes
         row_limit = 64 * self.shape[-1] + 2 * self.depth
         filled = 0
@@ -451,16 +522,22 @@ class _Rows:
                 pieces = text.split(_ROW_SEPARATOR, self.count - 1 - filled)
                 text = pieces.pop()
                 if pieces:
-                    self.gather(b"".join(map(entries.__getitem__, pieces)), filled, out)
-                    filled += len(pieces)
-                elif len(text) > row_limit or not (block := next(blocks, b"")):
+                    # the pieces are dropped before their entries are gathered
+                    joined, count = b"".join(map(entries.__getitem__, pieces)), len(pieces)
+                    del pieces
+                    self.gather(joined, filled)
+                    filled += count
+                elif len(text) > row_limit:
                     return None
                 else:
-                    text += block
-            self.gather(entries[text[:end]], filled, out)
+                    length = len(text)
+                    text += next(blocks, b"")
+                    if len(text) == length:
+                        return None
+            self.gather(entries[text[:end]], filled)
         except ValueError:
             return None
-        return out.reshape(self.shape), text[end + self.depth:]
+        return self.failure or self.rows, text[end + self.depth:]
 
 
 def decode(data: bytes | str):
@@ -567,13 +644,12 @@ def _decode_measurement(doc: dict):
         t, parameter = float(t), float(parameter)
         if not (math.isfinite(t) and math.isfinite(parameter)):
             raise SchemaError(f"t and {name} must be finite numbers, got {t!r} and {parameter!r}")
-        if not isinstance(effects, np.ndarray):  # the direct parse gives the checked stack
-            effects = _matrix_from_json(effects, _effects_shape(kind, d))
-        # a new stack, symmetrized in place: a second stack, freed before
-        # verification, would leave the allocator holding as much again
-        stack = hermitian(effects.reshape(-1, d, d), overwrite=True)
-        stack.setflags(write=False)
-        return Family(kind=kind, dim=d, t=t, parameter=parameter, effects=stack)
+        if isinstance(effects, DomainError):  # the direct parse's first failure, raised here
+            raise effects
+        if not isinstance(effects, np.ndarray):  # the direct parse gives the checked rows
+            stack = _matrix_from_json(effects, _effects_shape(kind, d)).reshape(-1, d, d)
+            effects = pack(hermitian(stack, overwrite=True))
+        return Family(kind=kind, dim=d, t=t, parameter=parameter, rows=_frozen(effects))
     except SchemaError:
         raise
     except BzinfoError as exc:

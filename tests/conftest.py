@@ -1,9 +1,12 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bzinfo import DomainError, Family, hermitian
+from bzinfo.linalg import COMPLEX_BYTES, pack, unpack
+from bzinfo.measurements import _generator_blocks
 
 
 @pytest.fixture
@@ -27,7 +30,27 @@ def degenerate_family(kind, d):
     I/d (mum) or I/d^2 (gsm), and the parameter sits at its floor, 1/d or 1/d^3."""
     n, weight, floor = (d * (d + 1), 1 / d, 1 / d) if kind == "mum" else (d * d, 1 / d**2, 1 / d**3)
     effects = np.repeat(weight * np.eye(d, dtype=np.complex128)[None], n, axis=0)
-    return Family(kind, d, t=0.0, parameter=floor, effects=effects)
+    return Family(kind, d, t=0.0, parameter=floor, rows=pack(effects))
+
+
+def effects_of(family):
+    """The family's effects, its packed rows unpacked: a (N, d, d) complex stack."""
+    return unpack(family.rows, family.dim)
+
+
+def with_effects(family, effects):
+    """The family with these (N, d, d) effects in place of its own, packed."""
+    return dataclasses.replace(family, rows=pack(effects))
+
+
+def stack_bytes(family):
+    """Bytes of the family's complex stack, 16 N d^2: the unit of the memory bounds."""
+    return COMPLEX_BYTES * len(family.rows) * family.dim**2
+
+
+def generator_stack(kind, d):
+    """The traceless generators of a built "mum" or "gsm" family, its blocks joined."""
+    return np.concatenate(list(_generator_blocks(kind, d)))
 
 
 def herm_eig(h):

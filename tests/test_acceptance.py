@@ -31,8 +31,8 @@ from bzinfo import (
     verify,
 )
 from bzinfo.cli import main as cli_main
-from bzinfo.measurements import _generators
 
+from conftest import effects_of, generator_stack
 from test_measurements import bisect_max_t
 
 DIMS = range(2, 9)
@@ -230,8 +230,8 @@ def test_criterion_5_information_balance(cells):
 
 def test_criterion_6_exact_anchors():
     # independent oracles first: bisection on the PSD predicate
-    mum_oracle = bisect_max_t(_generators("mum", 2), 1 / 2)
-    gsm_oracle = bisect_max_t(_generators("gsm", 2), 1 / 4, hi=0.5)
+    mum_oracle = bisect_max_t(generator_stack("mum", 2), 1 / 2)
+    gsm_oracle = bisect_max_t(generator_stack("gsm", 2), 1 / 4, hi=0.5)
     mum_t = max_t_mum(2)
     gsm_t = max_t_gsm(2)
     checks = {
@@ -243,7 +243,7 @@ def test_criterion_6_exact_anchors():
         "gsm a": abs(build_gsm(2, "auto").parameter - 0.25),
     }
     sic = sic2_fixture()
-    overlaps = np.einsum("aij,bji->ab", sic.effects, sic.effects).real
+    overlaps = np.einsum("aij,bji->ab", effects_of(sic), effects_of(sic)).real
     off_diag = overlaps[~np.eye(4, dtype=bool)]
     checks["sic2 vector overlap"] = float(np.abs(4 * off_diag - 1 / 3).max())
     worst = max(checks.values())
@@ -344,7 +344,7 @@ def test_criterion_9_serialization(tmp_path):
     ok = True
     for entity in entities:
         back = decode(encode(entity))
-        if hasattr(entity, "effects"):
+        if hasattr(entity, "rows"):
             ok = ok and verify(entity, 1e-10).deviations == verify(back, 1e-10).deviations
         elif isinstance(entity, np.ndarray):
             ok = ok and bool(np.array_equal(entity, back))

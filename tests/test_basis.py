@@ -52,6 +52,11 @@ def test_gell_mann_rejects_small_dim():
 def test_write_gell_mann_fills_the_mum_slots_povm_by_povm(d):
     # operator b(d-1) + n lands in slot n of POVM b, and each POVM's last slot stays zero
     stack = np.zeros((d + 1, d, d, d), dtype=complex)
-    write_gell_mann(stack[:, :-1])
+    for b, povm in enumerate(stack):
+        write_gell_mann(povm[:-1], b * (d - 1))
     assert np.array_equal(stack[:, :-1].reshape(d * d - 1, d, d), gell_mann_basis(d))
     assert not stack[:, -1].any()
+    # a run past the last operator leaves its slots as they are
+    tail = np.zeros((5, d, d), dtype=complex)
+    write_gell_mann(tail, d * d - 3)
+    assert np.array_equal(tail[:2], gell_mann_basis(d)[-2:]) and not tail[2:].any()

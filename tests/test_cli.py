@@ -331,8 +331,8 @@ def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, che
 
 def test_sweep_failing_in_a_later_batch_of_a_large_dimension(tmp_path, capsys, monkeypatch):
     family = build_mum(16)
-    # a report reads the 272 effects' squares in 5 blocks
-    assert -(-len(family.effects) // (BLOCK_BYTES // family.effects[0].nbytes)) == 5
+    # a report reads the 272 effects' squares in 9 blocks of 32 matrices
+    assert -(-len(family.rows) // (BLOCK_BYTES // (16 * 16 * 16))) == 9
     bad = 0.9 * np.eye(16, dtype=complex) / 16
     with pytest.raises(NumericalError) as info:
         DirectEvaluator(family).report(bad)

@@ -28,7 +28,8 @@ from bzinfo import (
     sample_outcomes,
     sic2_fixture,
 )
-from bzinfo import serialize
+from bzinfo import DomainError, hermitian, linalg, serialize
+from bzinfo.linalg import pack
 from bzinfo.measurements import Family
 from conftest import traced_peak
 
@@ -89,8 +90,8 @@ def assert_same(a, b) -> None:
     assert isinstance(a, Family) and isinstance(b, Family)
     assert (a.kind, a.dim) == (b.kind, b.dim)
     assert bits(a.t) == bits(b.t) and bits(a.parameter) == bits(b.parameter)
-    assert a.effects.shape == b.effects.shape
-    assert a.effects.tobytes() == b.effects.tobytes()
+    assert a.rows.shape == b.rows.shape
+    assert a.rows.tobytes() == b.rows.tobytes()
 
 
 def check_routes_agree(data: bytes):
@@ -230,18 +231,66 @@ def test_token_replaced_inside_a_repeated_row_is_parsed_afresh(kind):
             if lexeme in (b"nan", b"1e999"):
                 assert doc is None
             else:
-                # the parse before verification, against the json.loads route's stack
-                stored = json.loads(variant)["effects"]
-                reference = serialize._matrix_from_json(stored, serialize._effects_shape(kind, d))
-                assert doc["effects"].tobytes() == reference.tobytes()
+                # the parse before verification, against the json.loads route's checked rows
+                assert_same_rows(doc["effects"], json_route_rows(variant, kind, d))
             check_routes_agree(variant)
     # re + 1j*im keeps the sign of a zero real part only where the imaginary
-    # part is negative, so a -0.0 read as 0.0 shows in the stack here
+    # part is negative; the matrix is then no longer Hermitian, on both routes
     (i, _), (_, j) = rows[index][0], rows[index][1]
     variant = data[:i] + b"-0.0, -0.5" + data[j:]
-    entry = parse_canonical(variant)["effects"].reshape(-1)[index * d]
-    assert np.signbit(entry.real) and entry.imag == -0.5
+    assert_same_rows(parse_canonical(variant)["effects"], json_route_rows(variant, kind, d))
     check_routes_agree(variant)
+
+
+def json_route_rows(data: bytes, kind: str, d: int):
+    """The packed rows of the json.loads route's symmetrized stack, or the DomainError of ``hermitian``."""
+    stored = json.loads(data)["effects"]
+    stack = serialize._matrix_from_json(stored, serialize._effects_shape(kind, d)).reshape(-1, d, d)
+    try:
+        return pack(hermitian(stack))
+    except DomainError as exc:
+        return exc
+
+
+def assert_same_rows(a, b) -> None:
+    """The same rows bit for bit, or DomainErrors with the same message."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert (type(a), str(a)) == (type(b), str(b))
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_a_defect_the_direct_parse_finds_is_raised_in_the_json_loads_route_order(monkeypatch, kind):
+    """The direct parse symmetrizes and packs a block of matrices at a time, but
+    raises the first defect only where the json.loads route checks the effects:
+    after the tail and the fields, and naming the matrix by its index in the
+    whole stack.  Blocks of three matrices put matrices 12 and 13 in the fifth block."""
+    d = 5
+    monkeypatch.setattr(serialize, "BLOCK_BYTES", 3 * 16 * d * d)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * 16 * d * d)
+    doc = json.loads(encode(BUILDERS[kind](d)))
+    stack = doc["effects"] if kind == "gsm" else [m for povm in doc["effects"] for m in povm]
+    stack[13][0][1][0] += 1e-6
+    # an earlier matrix of the same block, Hermitian but too large to
+    # symmetrize: hermitian checks a block's defects before its sums
+    stack[12][0][1][0] = stack[12][1][0][0] = 1.5e308
+    data = json.dumps(doc).encode()
+    assert isinstance(parse_canonical(data)["effects"], DomainError)
+    message = "decoded measurement fails validation: matrix 13 of the stack is not Hermitian"
+    for route in (lambda: decode(data), lambda: serialize._decode_document(serialize._parse_json(data))):
+        with pytest.raises(SchemaError, match=f"^{message} "):
+            route()
+    # a tail the encoder never writes leaves the document to json.loads, whose error it raises
+    with pytest.raises(SchemaError, match="^malformed JSON"):
+        decode(data[:-1] + b", }")
+    # a field checked before the effects raises first, on both routes
+    doc["t"] = "x"
+    data = json.dumps(doc).encode()
+    assert isinstance(parse_canonical(data)["effects"], DomainError)
+    with pytest.raises(SchemaError, match="invalid t 'x'"):
+        decode(data)
+    assert fallback_route(data) is SchemaError
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
@@ -317,7 +366,7 @@ def test_encoder_output_takes_the_fast_route(kind, d):
         assert isinstance(doc["effects"], np.ndarray)
         assert doc.get("meta") == (meta if b"meta" in data else None)
         assert_same(serialize._decode_document(doc), fallback_route(data))
-        np.testing.assert_array_equal(decode(data).effects, family.effects)
+        np.testing.assert_array_equal(decode(data).rows, family.rows)
 
 
 def test_fast_route_peak_memory_below_json_loads_route():

@@ -26,34 +26,39 @@ GEN = {
     # the largest pinned builds
     ("mum", "--dim", "16"): "a4369eab31f9a479c227777cabb7828719681b113b193c68238d558930606eb6",
     ("gsm", "--dim", "16"): "d94c9cdea31492a11faee459a77a67bc850818771e394a64118d7432e1692102",
+    # the benchmark's large-dim files (4.9 and 15.8 MB): the builders' blocks
+    # and the encoder's unpacked runs at full size
+    ("mum", "--dim", "24"): "9bcb3ff414a3d3414957e3f378ff6e64a4b95cae3760e603a02f19825aaa2e12",
+    ("gsm", "--dim", "24"): "ce226b6f758b5bea95be1baa0f73b4bcf3bcbfad41b42004d1daa41bc1ea6540",
     # an explicit t below the positivity bound
     ("mum", "--dim", "4", "--t", "0.05"): "30c84ff6e0af1165027dac579c636f80ae81e2cccf8fdec4ca4e670c446e8ef6",
     ("gsm", "--dim", "4", "--t", "0.003"): "aeb22f5397857d9764637bebc802d49e95d4687d762a169885349974758990c6",
 }
 # verify --json prints the ~1e-16 rounding residues of the overlap checks, so
-# these pins follow the arithmetic of the Gram matrix (one real product of the
-# effects' float64 view with itself)
+# these pins follow the arithmetic of the Gram matrix (two real products of
+# the effects' packed rows, the off-diagonal one doubled)
 VERIFY = {
     "mum": "742f03d926ca6366429a1c73d2e3f479c7c293ef2d46bb8fdb7ef0c612c2ea9c",
-    "gsm": "0b1fdfa91c0a9a4540f4ddaed8025c0df40ffe67872cd5d1f4a2d550b21f203d",
-    "mub": "85690e4d6717a804b71b851d650afdfd15110c7aa068c679ac19516a350f26ba",
+    "gsm": "fb4591bb68fd6932e8f64d165209411370e723fc09dda91b6afda91d448c04c2",
+    "mub": "a8b19f61996819916eb1d139b34cb2bf061b9d7b3b5e9faa87d55699a3f68f45",
 }
-# bz and sweep take their traces from one real contraction of float64 views
-# per batch of states (DirectEvaluator.report_many)
+# bz and sweep take their traces from real contractions of the effects' and
+# the squares' packed rows with the states' weighted rows, per batch of
+# states (DirectEvaluator.report_many)
 BZ = {
-    "mum": "ab0948f7b74e4011d35b7f9a5928b87463fe93c17151de913b14d9cc946db400",
-    "gsm": "bdc92c73b17a088074dd6bd79afa78f1cf10f72b4b75e08f381d45ffb8b9ec8d",
+    "mum": "937f83c7ab88ffa44c97e9cce3d9680fbf8a27c355974408959c4f668d626a2c",
+    "gsm": "1d01a141a4d4b2300562eb6f239c302e6c6fec93558c8540f2a213cbbcb834fa",
 }
 # sweep state i is the i-th state of one Philox(seed) stream
 SWEEP = {
     ("--dim", "3", "--states", "50", "--seed", "123"):
-        "d3a03b1806d0677eec5135298d2312b37734999a7d5aabc850d583bee57afc9f",
+        "34245511d51a1751147f340f38ad8c478aa9477262cb82e06e5d387a2ecd4bf6",
     ("--kind", "mub", "--dim", "3", "--states", "20", "--seed", "9"):
-        "beec748d881e2452ebbcf542c376734f9d9b93b9e95ba47d2ef0a33de9f17ec5",
+        "7b6c16c06f45a6825020cde8dfb348a3967b23f2fc380b71b8a38dfc220ed11c",
     ("--kind", "gsm", "--dim", "2", "--states", "20", "--seed", "9"):
-        "b7e30985da1f6308c7c5865c599f4db5d6bb252747cd6d257d3d049f5306d028",
+        "9d86bbec21440269bc17f62f33ebf10e70fad179bccf9b7dcbf429eaf36ff741",
     ("--kind", "sic2", "--dim", "2", "--states", "20", "--seed", "9"):
-        "e6b79911e011a1b4146f055a4a3d04acda02031d1ff8ccb581977f75c760e311",
+        "634faa4e396aa73743420d547ec8559659c13a688cc863ccb5b3a0d34d8eab04",
 }
 # counts are one Generator.multinomial draw per POVM, POVM after POVM from
 # one Philox(seed) stream, so this pin follows the sampling method as well

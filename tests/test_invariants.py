@@ -23,10 +23,10 @@ from bzinfo import (
 )
 
 from bzinfo import invariants, states
-from bzinfo.linalg import real_rows
+from bzinfo.linalg import pack, unpack, weighted
 from bzinfo.measurements import MUM_KINDS
 from bzinfo.states import density_batches
-from conftest import degenerate_family, expectation, random_unitary
+from conftest import degenerate_family, effects_of, expectation, random_unitary
 
 KET0 = validate_state(np.diag([1.0, 0.0]))
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -40,7 +40,7 @@ def variance(x, rho):
 
 def explicit_variance_sum(family, rho):
     """Plain-python oracle: per-effect variances, one at a time."""
-    return sum(variance(effect, rho) for effect in family.effects)
+    return sum(variance(effect, rho) for effect in effects_of(family))
 
 
 def total_variance(family, rho):
@@ -135,7 +135,7 @@ def test_an_off_diagonal_anti_hermitian_defect_is_checked_on_the_state(name):
 def test_probs_check_unit_interval():
     family = build_mub(2)
     m = np.diag([2.0, -1.0])  # Hermitian with unit trace, but not positive
-    p = born(family.effects, m)
+    p = born(effects_of(family), m)
     with pytest.raises(NumericalError) as info:
         DirectEvaluator(family).probs(unchecked_state(m))
     assert str(info.value) == f"probability out of [0, 1]: {p.min().item()!r}..{p.max().item()!r}"
@@ -143,9 +143,9 @@ def test_probs_check_unit_interval():
 
 def test_probs_check_names_the_povm_sum_that_is_off():
     evaluator = DirectEvaluator(build_mub(3))
-    evaluator.observables = evaluator.observables.copy()
-    evaluator.observables[3:6] *= 0.9  # only the second POVM sums to 0.9
-    totals = np.add.reduceat(born(evaluator.observables, np.eye(3) / 3), [0, 3, 6, 9]).tolist()
+    evaluator.rows = evaluator.rows.copy()
+    evaluator.rows[3:6] *= 0.9  # only the second POVM sums to 0.9
+    totals = np.add.reduceat(born(unpack(evaluator.rows, 3), np.eye(3) / 3), [0, 3, 6, 9]).tolist()
     assert [abs(t - 1.0) >= 1e-10 for t in totals] == [False, True, False, False]
     with pytest.raises(NumericalError) as info:
         evaluator.probs(maximally_mixed(3))
@@ -154,10 +154,10 @@ def test_probs_check_names_the_povm_sum_that_is_off():
 
 def test_probs_check_names_the_first_povm_sum_that_is_off():
     evaluator = DirectEvaluator(build_mub(3))
-    evaluator.observables = evaluator.observables.copy()
-    evaluator.observables[3:6] *= 0.9
-    evaluator.observables[6:9] *= 0.8
-    totals = np.add.reduceat(born(evaluator.observables, np.eye(3) / 3), [0, 3, 6, 9]).tolist()
+    evaluator.rows = evaluator.rows.copy()
+    evaluator.rows[3:6] *= 0.9
+    evaluator.rows[6:9] *= 0.8
+    totals = np.add.reduceat(born(unpack(evaluator.rows, 3), np.eye(3) / 3), [0, 3, 6, 9]).tolist()
     for check in (evaluator.probs, evaluator.report):
         with pytest.raises(NumericalError) as info:
             check(maximally_mixed(3))
@@ -169,15 +169,15 @@ def square_stack(evaluator):
     state = np.eye(evaluator.dim, dtype=np.complex128)[None]
     blocks = []
 
-    def recorded(stack):
-        # a square block is neither the state nor a view of the effects; each
-        # is copied before the next overwrites it
-        if not (np.shares_memory(stack, state) or np.shares_memory(stack, evaluator.observables)):
-            blocks.append(stack.copy())
-        return real_rows(stack)
+    def recorded(stack, out=None):
+        # the squares are packed into a reused buffer, the states into a new
+        # array; each block is copied before the next overwrites it
+        if out is not None:
+            blocks.append(np.array(stack))
+        return pack(stack, out)
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(invariants, "real_rows", recorded)
+        patched.setattr(invariants, "pack", recorded)
         evaluator._contract(state, squares=True)
     return np.concatenate(blocks)
 
@@ -200,7 +200,7 @@ def test_report_variance_floor_and_clamp_count(monkeypatch):
     shift_squares(0.0)
     assert evaluator.report(KET0).negatives_clamped == 0
     shift_squares(1e-9)
-    p = born(evaluator.observables, KET0)
+    p = born(unpack(evaluator.rows, 2), KET0)
     terms = born(second_moments, KET0) - 1e-9 - p * p
     with pytest.raises(NumericalError) as info:
         evaluator.report(KET0)
@@ -418,22 +418,20 @@ def test_state_only_report():
 def test_stacked_contraction_equals_two_separate_ones(make, d):
     family = make()
     evaluator = DirectEvaluator(family)
-    effects = family.effects
+    effects = effects_of(family)
     squares = effects @ effects
-    # a family's effects are read in place; the squares are derived a block at a time
-    assert evaluator.observables is family.effects
+    # a family's rows are read in place; the squares are derived a block at a time
+    assert evaluator.rows is family.rows
     assert not hasattr(evaluator, "moments")
-    assert not np.shares_memory(square_stack(evaluator), evaluator.observables)
-    assert evaluator.observables.tobytes() == effects.tobytes()
+    assert not np.shares_memory(square_stack(evaluator), evaluator.rows)
     assert square_stack(evaluator).tobytes() == squares.tobytes()
-    real_effects = effects.view(np.float64).reshape(len(effects), -1)
-    real_squares = squares.view(np.float64).reshape(len(effects), -1)
+    packed_squares = pack(squares)
     for rank in sorted({1, d}):
         for rho in np.concatenate(list(density_batches(d, rank, 300, 40))):
-            # Re Tr(A rho) is the dot product of A's float64 view with conj(rho^T)'s
-            rows = np.ascontiguousarray(rho.T.conj()).view(np.float64).reshape(1, -1)
-            p = np.einsum("kx,nx->nk", real_effects, rows)[0]
-            m2 = np.einsum("kx,nx->nk", real_squares, rows)[0]
+            # Tr(A rho) is the dot product of A's packed row with rho's weighted one
+            rows = weighted(pack(rho[None]))
+            p = np.einsum("kx,nx->nk", family.rows, rows)[0]
+            m2 = np.einsum("kx,nx->nk", packed_squares, rows)[0]
             r = evaluator.report(rho)
             assert r.V_direct == float(np.add.reduce(np.maximum(m2 - p * p, 0.0)))
             assert r.C_direct == float(np.add.reduce(p * p))
@@ -446,10 +444,10 @@ def test_stacked_contraction_equals_two_separate_ones(make, d):
 def test_a_failing_state_is_refused_before_any_trace_is_taken(monkeypatch):
     evaluator = DirectEvaluator(build_mum(3, "auto"))
 
-    def no_traces(stack):
+    def no_traces(stack, out=None):
         raise AssertionError("a trace was taken")
 
-    monkeypatch.setattr(invariants, "real_rows", no_traces)
+    monkeypatch.setattr(invariants, "pack", no_traces)
     for entry, message in ((np.nan, "state has non-finite entries"),
                            (1e-3, "outcome probability has a non-negligible imaginary part")):
         batch = np.stack([maximally_mixed(3)] * 3)
@@ -477,14 +475,14 @@ def test_probs_forms_no_squares(monkeypatch):
     evaluator.probs(rho)
     assert formed == [None]
     evaluator.report(rho)
-    rows = real_rows(rho[None])
-    squares = family.effects @ family.effects
-    assert formed[1].tobytes() == np.einsum("kx,nx->nk", real_rows(squares), rows).tobytes()
+    rows = weighted(pack(rho[None]))
+    squares = effects_of(family) @ effects_of(family)
+    assert formed[1].tobytes() == np.einsum("kx,nx->nk", pack(squares), rows).tobytes()
     assert square_stack(evaluator).tobytes() == squares.tobytes()
     # and the evaluator keeps no stack but the family's
     arrays = [v for v in vars(evaluator).values() if isinstance(v, np.ndarray)]
-    stacks = [v for v in arrays if v.size > len(family.effects)]
-    assert len(stacks) == 1 and stacks[0] is family.effects
+    stacks = [v for v in arrays if v.size > len(family.rows)]
+    assert len(stacks) == 1 and stacks[0] is family.rows
 
     def no_squares(states, squares=False):
         if squares:
@@ -549,7 +547,7 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
             reports = evaluator.report_many(batch)
             squares = square_stack(evaluator)
             probs.append([evaluator.probs(m).tobytes() for m in batch])
-        assert squares.tobytes() == (family.effects @ family.effects).tobytes()
+        assert squares.tobytes() == (effects_of(family) @ effects_of(family)).tobytes()
         columns.append([fields(reports.row(i)) for i in range(len(batch))])
     assert columns[0] == columns[1] == columns[2]
     assert probs[0] == probs[1] == probs[2]
@@ -566,7 +564,7 @@ def test_squares_traces_sum_to_q_on_every_clamp_free_row(monkeypatch, kind, d, m
     family = make(d)
     evaluator = DirectEvaluator(family)
     q = (d + 1) * family.parameter if family.kind in MUM_KINDS else d * family.parameter
-    bound = 2 * len(family.effects) * 2.0**-53 * max(1.0, q)
+    bound = 2 * len(family.rows) * 2.0**-53 * max(1.0, q)
     batch = np.concatenate([*density_batches(d, 1, 18, 40), *density_batches(d, d, 19, 40)])
     for per_block in (1, 3, None):  # one effect, three effects, the default block
         with monkeypatch.context() as patched:
@@ -583,7 +581,7 @@ def test_squares_traces_sum_to_q_on_every_clamp_free_row(monkeypatch, kind, d, m
                          ids=[f"{kind}{d}" for kind, d, _ in REPORT_FAMILIES])
 def test_a_non_contiguous_effect_stack_reads_as_its_contiguous_copy(kind, d, make):
     family = make(d)
-    fortran = dataclasses.replace(family, effects=np.asfortranarray(family.effects))
+    fortran = dataclasses.replace(family, rows=np.asfortranarray(family.rows))
     deviations = verify(family).deviations
     assert list(verify(fortran).deviations.items()) == list(deviations.items())
     batch = np.concatenate([*density_batches(d, 1, 14, 5), *density_batches(d, d, 15, 5)])
@@ -601,6 +599,19 @@ def test_report_many_of_no_states_is_empty():
 def test_report_rejects_degenerate_family():
     with pytest.raises(VerificationError):
         DirectEvaluator(degenerate_family("mum", 2)).report(maximally_mixed(2))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2), (2, 3)])
+def test_probs_and_report_name_the_shape_they_were_given(shape):
+    evaluator = DirectEvaluator(build_mum(2, "auto"))
+    rho = np.full(shape, 0.5, dtype=complex)
+    for check in (evaluator.probs, evaluator.report):
+        with pytest.raises(DomainError) as info:
+            check(rho)
+        assert str(info.value) == f"expected a (d, d) state, got shape {shape}"
+    # a batch's report names the batch
+    with pytest.raises(DomainError, match=r"^expected a \(k, d, d\) stack of states, got shape \(4,\)$"):
+        evaluator.report_many(np.ones(4))
 
 
 def test_report_dimension_mismatch():

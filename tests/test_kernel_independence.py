@@ -20,6 +20,7 @@ import numpy as np
 import bzinfo
 from bzinfo import build_gsm, build_mum, invariants, save
 from bzinfo.states import density_batches
+from conftest import stack_bytes
 
 CHILD = r"""
 import ctypes, glob, hashlib, os, sys
@@ -33,7 +34,7 @@ for per_block in (None, 5):  # the default block, then blocks of five effects
     for family_path, states_path in zip(sys.argv[1::2], sys.argv[2::2]):
         family = load(family_path)
         states = np.load(states_path)
-        invariants.BLOCK_BYTES = default if per_block is None else per_block * family.effects[0].nbytes
+        invariants.BLOCK_BYTES = default if per_block is None else per_block * 16 * family.dim**2
         evaluator = DirectEvaluator(family)
         for matrix in states:
             digest.update(evaluator.probs(matrix).tobytes())
@@ -71,7 +72,7 @@ def test_probs_c_and_purity_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     for name, family in (("gsm3", build_gsm(3, "auto")), ("mum8", build_mum(8, "auto"))):
         d = family.dim
         # each family is one block of effects at the default size; the child also reads it in several
-        assert family.effects.nbytes <= invariants.BLOCK_BYTES
+        assert stack_bytes(family) <= invariants.BLOCK_BYTES
         save(family, tmp_path / f"{name}.json")
         states = [m for rank in (1, d) for batch in density_batches(d, rank, 17, 40) for m in batch]
         np.save(tmp_path / f"{name}.npy", np.stack(states))

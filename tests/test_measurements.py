@@ -22,8 +22,16 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo.measurements import _generators, _pairwise_overlaps, family_bytes
-from conftest import degenerate_family, herm_eig, random_hermitian
+from bzinfo.linalg import pack
+from bzinfo.measurements import _pairwise_overlaps, family_bytes
+from conftest import (
+    degenerate_family,
+    effects_of,
+    generator_stack,
+    herm_eig,
+    random_hermitian,
+    with_effects,
+)
 
 
 def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
@@ -53,7 +61,7 @@ def bisect_max_t(generators, identity_weight, hi=2.0, iters=80):
 
 
 def test_max_t_mum_d2_anchor():
-    generators = _generators("mum", 2)
+    generators = generator_stack("mum", 2)
     # eigenvalue oracle: every generator has spectrum +-(1 + sqrt(2))/sqrt(2)
     lam = (1 + np.sqrt(2)) / np.sqrt(2)
     bounds = []
@@ -67,12 +75,12 @@ def test_max_t_mum_d2_anchor():
 
 
 def test_max_t_mum_d3_bisection_oracle():
-    oracle = bisect_max_t(_generators("mum", 3), 1 / 3)
+    oracle = bisect_max_t(generator_stack("mum", 3), 1 / 3)
     assert abs(max_t_mum(3) - oracle) < 1e-10
 
 
 def test_max_t_gsm_d2_anchor():
-    generators = _generators("gsm", 2)
+    generators = generator_stack("gsm", 2)
     lam = 3 * np.sqrt(3) / np.sqrt(2)
     for g in generators:
         w, _ = herm_eig(g)
@@ -84,7 +92,7 @@ def test_max_t_gsm_d2_anchor():
 
 
 def test_max_t_gsm_d3_bisection_oracle():
-    oracle = bisect_max_t(_generators("gsm", 3), 1 / 9, hi=0.5)
+    oracle = bisect_max_t(generator_stack("gsm", 3), 1 / 9, hi=0.5)
     assert abs(max_t_gsm(3) - oracle) < 1e-10
 
 
@@ -99,7 +107,7 @@ def test_build_mum_d2_auto_is_mub():
         np.array([[0, -1j], [1j, 0]], dtype=complex),
         np.diag([1.0, -1.0]).astype(complex),
     ]
-    for povm, sigma in zip(mset.effects.reshape(3, 2, 2, 2), paulis):
+    for povm, sigma in zip(effects_of(mset).reshape(3, 2, 2, 2), paulis):
         # effects are the rank-one Pauli eigenprojectors (I +- sigma)/2
         for effect in povm:
             np.testing.assert_allclose(effect @ effect, effect, atol=1e-12)
@@ -112,7 +120,7 @@ def test_build_mum_d2_auto_is_mub():
 def test_build_mum_t0_degenerate():
     mset = degenerate_family("mum", 3)
     assert mset.parameter == pytest.approx(1 / 3, abs=1e-15)
-    np.testing.assert_allclose(mset.effects[0], np.eye(3) / 3, atol=1e-15)
+    np.testing.assert_allclose(effects_of(mset)[0], np.eye(3) / 3, atol=1e-15)
     report = verify(mset, 1e-10)
     assert report.degenerate and not report.passed
     assert "degenerate" in report.failures()
@@ -155,7 +163,7 @@ def test_mum_defining_conditions(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_generators_sum_to_zero(d):
-    generators = _generators("mum", d).reshape(d + 1, d, d, d)
+    generators = generator_stack("mum", d).reshape(d + 1, d, d, d)
     assert np.abs(generators.sum(axis=1)).max() < 1e-12
 
 
@@ -180,9 +188,9 @@ def test_negative_t_rejected():
 
 def test_verify_mum_flags_perturbation():
     mset = build_mum(3, "auto")
-    effects = mset.effects.copy()
+    effects = effects_of(mset).copy()
     effects[0, 0, 0] += 1e-6
-    perturbed = dataclasses.replace(mset, effects=effects)
+    perturbed = with_effects(mset, effects)
     report = verify(perturbed, 1e-10)
     assert not report.passed
     assert "effect_trace" in report.failures()
@@ -191,9 +199,9 @@ def test_verify_mum_flags_perturbation():
 
 def test_verify_overflow_and_nan_fail_without_a_warning(monkeypatch):
     family = build_mum(2, "auto")
-    effects = family.effects.copy()
+    effects = effects_of(family).copy()
     effects[0, 0, 1] = effects[0, 1, 0] = 1e200  # the Gram's diagonal overflows
-    report = verify(dataclasses.replace(family, effects=effects))
+    report = verify(with_effects(family, effects))
     assert report.deviations["within_overlap_diag"] == np.inf
     assert {"within_overlap_diag", "positivity", "completeness"} <= set(report.failures())
     # a nan eigenvalue is a positivity failure, not a deviation of 0
@@ -206,9 +214,9 @@ def test_verify_overflow_and_nan_fail_without_a_warning(monkeypatch):
 def test_an_effect_with_a_nan_entry_fails_positivity():
     # eigvalsh finds [[nan, 0], [0, 1]] positive, so positivity reads the Gram diagonal
     family = build_mub(2)
-    effects = family.effects.copy()
+    effects = effects_of(family).copy()
     effects[1, 0, 0] = np.nan
-    report = verify(dataclasses.replace(family, effects=effects))
+    report = verify(with_effects(family, effects))
     assert np.isnan(report.deviations["positivity"])
     assert "positivity" in report.failures()
     assert "  positivity               nan  FAIL" in report.summary().splitlines()
@@ -217,10 +225,10 @@ def test_an_effect_with_a_nan_entry_fails_positivity():
 def test_batched_eigenvalue_checks_match_per_effect_loop():
     d = 5
     for family in (build_mum(d, "auto"), build_gsm(d, "auto"), build_mub(d)):
-        loop = max(0.0, max(-float(np.linalg.eigvalsh(e)[0]) for e in family.effects))
+        loop = max(0.0, max(-float(np.linalg.eigvalsh(e)[0]) for e in effects_of(family)))
         assert verify(family).deviations["positivity"] == loop
     bounds = []
-    for op in _generators("mum", d):
+    for op in generator_stack("mum", d):
         lams = np.linalg.eigvalsh(op)
         bounds.append(float((-(1.0 / d) / lams[lams < 0.0]).min()))
     assert max_t_mum(d) == min(bounds)
@@ -237,7 +245,7 @@ def test_positivity_error_names_the_effect_an_effect_eigensolve_names(d, kind, f
         t, weight = factor * max_t_mum(d), 1.0 / d
     else:
         t, weight = factor * max_t_gsm(d), 1.0 / d**2
-    generators = _generators(kind, d)
+    generators = generator_stack(kind, d)
     smallest = np.linalg.eigvalsh(weight * np.eye(d) + t * generators)[:, 0]
     i = int(np.flatnonzero(smallest < measurements.PSD_FLOOR)[0])
     label = f"(b={i // d + 1}, n={i % d + 1})" if kind == "mum" else f"alpha={i + 1}"
@@ -256,21 +264,28 @@ def test_huge_finite_t_is_a_positivity_error_not_an_overflow(kind):
 @pytest.mark.parametrize("t", ["auto", 0.001])
 @pytest.mark.parametrize("kind", sorted(BUILD))
 def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
-    calls = []
+    """Each generator is formed and eigensolved once, a POVM (mum) or a block
+    of at most ``BLOCK_BYTES`` of matrices (gsm) at a time; blocks of seven
+    give the default block's bits."""
+    reference = BUILD[kind](5, t)
+    monkeypatch.setattr(measurements, "BLOCK_BYTES", 7 * 16 * 5 * 5)
+    solved, formed = [], []
+    eigvalsh, blocks = np.linalg.eigvalsh, measurements._generator_blocks
 
-    def count(owner, name):
-        original = getattr(owner, name)
+    def solving(a):
+        solved.append(len(a))
+        return eigvalsh(a)
 
-        def counting(*args):
-            calls.append(name)
-            return original(*args)
+    def forming(*args):
+        formed.append(args)
+        return blocks(*args)
 
-        monkeypatch.setattr(owner, name, counting)
-
-    count(np.linalg, "eigvalsh")
-    count(measurements, "_generators")
-    BUILD[kind](5, t)
-    assert sorted(calls) == ["_generators", "eigvalsh"]
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+    monkeypatch.setattr(measurements, "_generator_blocks", forming)
+    family = BUILD[kind](5, t)
+    assert formed == [(kind, 5)]
+    assert solved == ([5] * 6 if kind == "mum" else [7, 7, 7, 4])
+    assert family.rows.tobytes() == reference.rows.tobytes()
 
 
 def decoded_both_routes(family) -> list:
@@ -285,7 +300,7 @@ def decoded_both_routes(family) -> list:
     stacks = []
     for text in (data, json.dumps(doc).encode()):
         assert serialize._parse_canonical_measurement(io.BytesIO(text).read, len(text)) is not None
-        stacks += [decode(text).effects, decode(text.decode()).effects]
+        stacks += [effects_of(decode(text)), effects_of(decode(text.decode()))]
     return stacks
 
 
@@ -293,14 +308,14 @@ def decoded_both_routes(family) -> list:
 def test_generators_and_effects_equal_their_conjugate_transpose(d):
     """``eigvalsh`` reads one triangle and verification's Gram matrix drops the
     imaginary parts, so both need effects that are exactly Hermitian."""
-    stacks = [_generators("mum", d), _generators("gsm", d)]
+    stacks = [generator_stack("mum", d), generator_stack("gsm", d)]
     families = [build_mum(d), build_gsm(d), build_gsm(d, 0.5 * max_t_gsm(d))]
     if d in (2, 3, 5):
         families.append(build_mub(d))
     if d == 2:
         families.append(sic2_fixture())
     for family in families:
-        stacks.append(family.effects)
+        stacks.append(effects_of(family))
         if d < 8:
             stacks += decoded_both_routes(family)
     for stack in stacks:
@@ -330,7 +345,7 @@ def tiled_overlaps(monkeypatch, effects, rows):
     gram = np.full((n, n), np.nan)
     with monkeypatch.context() as patched:
         patch_gram_rows(patched, rows)
-        for a, b, tile in _pairwise_overlaps(effects):
+        for a, b, tile in _pairwise_overlaps(pack(effects), effects.shape[-1]):
             size = measurements.GRAM_TILE_ROWS
             assert a % size == b % size == 0 and b >= a
             assert tile.shape == (min(size, n - a), min(size, n - b))
@@ -353,7 +368,7 @@ def assert_tiles_match_per_pair_traces(monkeypatch, effects):
     ids=["mum3", "mum4", "gsm3", "gsm5", "mub5", "sic2"],
 )
 def test_pairwise_overlaps_match_per_pair_traces(monkeypatch, family):
-    assert_tiles_match_per_pair_traces(monkeypatch, family.effects)
+    assert_tiles_match_per_pair_traces(monkeypatch, effects_of(family))
 
 
 def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces(monkeypatch):
@@ -364,7 +379,7 @@ def test_pairwise_overlaps_of_a_random_hermitian_stack_match_per_pair_traces(mon
 
 def oracle_overlap_deviations(family):
     """The overlap deviations ``verify`` reports, from per-pair traces and whole masks."""
-    gram = per_pair_overlaps(family.effects)
+    gram = per_pair_overlaps(effects_of(family))
     povms, outcomes = family.layout
     group = np.repeat(np.arange(povms), outcomes)
     same = group[:, None] == group
@@ -388,9 +403,9 @@ def oracle_overlap_deviations(family):
 
 def perturbed(family, index, scale):
     """The family with one effect moved by a seeded Hermitian perturbation of this scale."""
-    effects = family.effects.copy()
+    effects = effects_of(family).copy()
     effects[index] += scale * random_hermitian(family.dim, np.random.default_rng(index))
-    return dataclasses.replace(family, effects=effects)
+    return with_effects(family, effects)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +449,7 @@ def test_blocked_deviations_match_the_per_pair_oracle(monkeypatch, family, passe
     ids=["mum6", "gsm6", "mub7", "mum5-off", "gsm5-off", "mum12", "gsm12"],
 )
 def test_tiled_deviations_match_one_tile_within_a_few_ulps(monkeypatch, family, rows):
-    n = len(family.effects)
+    n = len(family.rows)
     with monkeypatch.context() as patched:
         patched.setattr(measurements, "GRAM_TILE_ROWS", n)
         whole = verify(family)
@@ -443,7 +458,7 @@ def test_tiled_deviations_match_one_tile_within_a_few_ulps(monkeypatch, family, 
         assert measurements.GRAM_TILE_ROWS < n  # more than one tile
         tiled = verify(family)
     # the rounding of the largest overlap, the diagonal's
-    ulp = np.spacing(np.abs(per_pair_overlaps(family.effects)).max())
+    ulp = np.spacing(np.abs(per_pair_overlaps(effects_of(family))).max())
     for name, value in whole.deviations.items():
         assert abs(tiled.deviations[name] - value) <= 4 * ulp, name
     assert (tiled.passed, tiled.failures()) == (whole.passed, whole.failures())
@@ -454,14 +469,14 @@ def test_family_rejects_unknown_kind_and_wrong_effect_count():
     with pytest.raises(DomainError, match="unknown measurement kind"):
         dataclasses.replace(mset, kind="povm")
     with pytest.raises(DomainError, match="needs 6 effects"):
-        dataclasses.replace(mset, effects=mset.effects[:4])
+        dataclasses.replace(mset, rows=mset.rows[:4])
     with pytest.raises(DomainError, match="needs 4 effects"):
         dataclasses.replace(mset, kind="gsm")
 
 
 def test_cross_overlaps_are_inverse_dim():
     mset = build_mum(4, 0.5 * max_t_mum(4))
-    povms = mset.effects.reshape(5, 4, 4, 4)
+    povms = effects_of(mset).reshape(5, 4, 4, 4)
     for b1, p1 in enumerate(povms):
         for b2, p2 in enumerate(povms):
             if b1 == b2:
@@ -489,7 +504,7 @@ def test_build_gsm_t0_degenerate():
 def test_build_gsm_d3_parameter_matches_direct_traces():
     gset = build_gsm(3, "auto")
     assert abs(gset.parameter - (1 / 27 + gset.t**2 * 2 * 64)) < 1e-12
-    for effect in gset.effects:
+    for effect in effects_of(gset):
         assert abs(np.trace(effect @ effect).real - gset.parameter) < 1e-12
 
 
@@ -501,7 +516,7 @@ def test_gsm_defining_conditions(d):
         report = verify(gset, 1e-10)
         assert report.passed, report.summary()
         # telescoping completeness
-        assert np.abs(gset.effects.sum(axis=0) - np.eye(d)).max() < 1e-10
+        assert np.abs(effects_of(gset).sum(axis=0) - np.eye(d)).max() < 1e-10
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -524,13 +539,13 @@ def test_build_mub_matches_a_per_basis_reference_bit_for_bit(d):
             cols[:, j] = np.exp(2j * np.pi * ((b * k * k + j * k) % d) / d) / np.sqrt(d)
         bases.append(cols)
     effects = np.concatenate([np.einsum("ik,jk->kij", cols, cols.conj()) for cols in bases])
-    assert build_mub(d).effects.tobytes() == effects.tobytes()
+    assert effects_of(build_mub(d)).tobytes() == effects.tobytes()
 
 
 def test_mub_d2_overlap_oracle():
     mset = build_mub(2)
     assert mset.kind == "mub"
-    povms = mset.effects.reshape(3, 2, 2, 2)
+    povms = effects_of(mset).reshape(3, 2, 2, 2)
     # direct inner-product oracle on the rank-one effects: Tr(P Q) = |<phi|psi>|^2
     for b1 in range(3):
         for b2 in range(b1 + 1, 3):
@@ -540,7 +555,7 @@ def test_mub_d2_overlap_oracle():
 
 def test_mub_d3_overlap_oracle():
     mset = build_mub(3)
-    povms = mset.effects.reshape(4, 3, 3, 3)
+    povms = effects_of(mset).reshape(4, 3, 3, 3)
     assert len(povms) == 4
     for b1 in range(4):
         for b2 in range(b1 + 1, 4):
@@ -555,7 +570,7 @@ def test_mub_is_valid_mum_with_unit_kappa(d):
     assert mset.layout == (d + 1, d)
     report = verify(mset, 1e-10)
     assert report.passed, report.summary()
-    for effect in mset.effects:
+    for effect in effects_of(mset):
         assert np.abs(effect @ effect - effect).max() < 1e-10
 
 
@@ -569,7 +584,7 @@ def test_sic2_fixture():
     gset = sic2_fixture()
     assert gset.kind == "sic"
     assert gset.parameter == 0.25
-    overlaps = np.einsum("aij,bji->ab", gset.effects, gset.effects).real
+    overlaps = np.einsum("aij,bji->ab", effects_of(gset), effects_of(gset)).real
     for j in range(4):
         assert abs(overlaps[j, j] - 0.25) < 1e-12  # Tr(P^2) = 1/d^2
         for k in range(4):

@@ -6,7 +6,6 @@ for any unitary U (Kalev & Gour, NJP 16, 053038, 2014).  The
 Brukner-Zeilinger balance I + U = V_max - V_min holds for every state.
 """
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +24,7 @@ from bzinfo import (
     verify,
 )
 from bzinfo.invariants import reconcile
-from conftest import random_unitary
+from conftest import effects_of, random_unitary, with_effects
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**64 - 1)
@@ -56,9 +55,7 @@ def test_a_unitarily_rotated_family_verifies_and_reconciles(spec, seed, rank):
     base = family(*spec)
     d = base.dim
     u = random_unitary(d, np.random.Generator(np.random.Philox(seed)))
-    effects = u @ base.effects @ u.conj().T
-    effects.setflags(write=False)
-    rotated = dataclasses.replace(base, effects=effects)
+    rotated = with_effects(base, u @ effects_of(base) @ u.conj().T)
     report = verify(rotated, 1e-10)
     assert report.passed, report.summary()
     rho = random_density(d, min(rank, d), seed)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import json
@@ -28,7 +27,7 @@ from bzinfo import linalg, serialize
 from bzinfo.cli import main
 from bzinfo.measurements import MUM_KINDS, PARAMETER_NAMES, Family, family_bytes
 from bzinfo.serialize import _effects_shape, _gc_paused, _matrix_pieces
-from conftest import degenerate_family
+from conftest import degenerate_family, effects_of, with_effects
 
 
 def matrix_to_json(m: np.ndarray) -> str:
@@ -397,23 +396,25 @@ BUILT += [("mub", d) for d in (2, 3, 5)] + [("sic", 2)]  # MUBs need a prime dim
 def test_matrix_to_json_matches_json_dumps_on_built_families(kind, d):
     build = {"mum": build_mum, "gsm": build_gsm, "mub": build_mub, "sic": lambda d: sic2_fixture()}
     family = build[kind](d)
-    stored = family.effects.reshape(_effects_shape(kind, d))
+    stored = effects_of(family).reshape(_effects_shape(kind, d))
     assert stored.ndim == (4 if kind in MUM_KINDS else 3)
     assert_matches_reference(stored)
-    assert_matches_reference(family.effects[0])
+    assert_matches_reference(stored.reshape(-1, d, d)[0])
+    # the family's own pieces, its rows unpacked a run at a time
+    assert b"".join(_matrix_pieces(family)).decode("ascii") == reference_json(stored)
 
 
 def test_matrix_to_json_matches_json_dumps_with_all_entries_distinct():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     q, _ = np.linalg.qr(g)
-    effects = q @ build_gsm(6, "auto").effects @ q.conj().T
+    effects = q @ effects_of(build_gsm(6, "auto")) @ q.conj().T
     assert np.unique(effects.view(np.float64)).size > 0.9 * effects.size * 2
     assert_matches_reference(effects)
     # rotated families, in which no row of pairs repeats, encode as json.dumps writes them
     for family in (build_gsm(6, "auto"), build_mum(6, "auto")):
-        rotated = dataclasses.replace(family, effects=q @ family.effects @ q.conj().T)
-        rows = rotated.effects.reshape(-1, 6)
+        rotated = with_effects(family, q @ effects_of(family) @ q.conj().T)
+        rows = effects_of(rotated).reshape(-1, 6)
         assert np.unique(rows, axis=0).shape == rows.shape
         assert encode(rotated) == measurement_reference(rotated)
 
@@ -455,7 +456,7 @@ def reference_encode(doc: dict) -> bytes:
 
 
 def measurement_reference(family) -> bytes:
-    stored = family.effects.reshape(_effects_shape(family.kind, family.dim))
+    stored = effects_of(family).reshape(_effects_shape(family.kind, family.dim))
     return reference_encode(
         {
             "schema": "measurement",
@@ -492,7 +493,7 @@ def test_encode_matches_single_json_dumps_for_every_entity():
             "dim": 3,
             "t": family.t,
             "kappa": family.parameter,
-            "effects": json.loads(reference_json(family.effects.reshape(4, 3, 3, 3))),
+            "effects": json.loads(reference_json(effects_of(family).reshape(4, 3, 3, 3))),
         }
     )
 
@@ -550,7 +551,7 @@ def test_gen_file_above_the_text_limit_loads(tmp_path, monkeypatch, capsys, kind
     for loaded in (load(path), decode(data)):
         assert (loaded.kind, loaded.dim, loaded.t, loaded.parameter) == (
             family.kind, family.dim, family.t, family.parameter)
-        assert loaded.effects.tobytes() == family.effects.tobytes()
+        assert loaded.rows.tobytes() == family.rows.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["re-spaced", "rows re-spaced"])

@@ -19,6 +19,7 @@ from bzinfo import (
     states,
     validate_state,
 )
+from bzinfo.cli import main
 
 
 def test_maximally_mixed_values():
@@ -66,6 +67,26 @@ def test_encode_refuses_an_array_that_is_no_state(shape):
                                           rf"{re.escape(str(shape))}$"):
         encode(np.full(shape, 0.5, dtype=complex))
     assert decode(encode(np.eye(1, dtype=complex))).shape == (1, 1)
+
+
+def test_encode_refuses_a_state_whose_trace_is_not_one(capsys):
+    # so encode never writes a state file that decode refuses for its trace
+    with pytest.raises(SchemaError, match=r"^state trace is 0\.0, not 1 within 1e-12$"):
+        encode(np.zeros((2, 2)))
+    with pytest.raises(SchemaError, match="^state trace is "):
+        encode(np.eye(3, dtype=complex) / 3 * (1 + 1e-11))
+    # only the trace is checked: an array of unit trace that is no state
+    # encodes, and decode refuses its file
+    data = encode(np.diag([2.0, -1.0]).astype(complex))
+    with pytest.raises(SchemaError, match="negative eigenvalue"):
+        decode(data)
+    # every state that state gen makes encodes
+    for d in (1, 2, 3, 8, 17, 64):
+        for rank in sorted({1, (d + 1) // 2, d}):
+            for seed in (0, 1, 2**64 - 1):
+                argv = ["state", "gen", "--dim", str(d), "--rank", str(rank), "--seed", str(seed)]
+                assert main(argv) == 0
+                assert decode(capsys.readouterr().out).shape == (d, d)
 
 
 def _assert_a_state(rho, d):

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ from bzinfo import (
     sic2_fixture,
     verify,
 )
-from bzinfo import serialize
+from bzinfo import linalg, serialize
 from bzinfo.cli import main
 from bzinfo.invariants import DirectEvaluator
-from conftest import traced_peak
+from bzinfo.linalg import pack
+from conftest import effects_of, stack_bytes, traced_peak
 
 SEPARATOR = b"]], [["
 
@@ -49,10 +51,11 @@ def distinct_valued(kind: str, d: int) -> Family:
     of the text layer fills.
     """
     family = BUILDERS[kind](d)
+    effects = effects_of(family)
     rng = np.random.Generator(np.random.Philox(d))
-    g = rng.standard_normal(family.effects.shape) + 1j * rng.standard_normal(family.effects.shape)
-    effects = family.effects + 1e-3 * (g + g.conj().transpose(0, 2, 1)) / 2
-    return Family(kind, d, family.t, family.parameter, effects)
+    g = rng.standard_normal(effects.shape) + 1j * rng.standard_normal(effects.shape)
+    effects += 1e-3 * (g + g.conj().transpose(0, 2, 1)) / 2
+    return Family(kind, d, family.t, family.parameter, pack(effects))
 
 
 BUILDERS = {
@@ -109,7 +112,7 @@ def assert_same(a, b) -> None:
         assert a is b
         return
     assert (a.kind, a.dim, a.t, a.parameter) == (b.kind, b.dim, b.t, b.parameter)
-    assert a.effects.tobytes() == b.effects.tobytes()
+    assert a.rows.tobytes() == b.rows.tobytes()
 
 
 def parses(monkeypatch) -> list:
@@ -279,7 +282,7 @@ def test_pipe_is_read_in_blocks_up_to_the_limit(monkeypatch):
     monkeypatch.setattr(serialize, "_CHUNK_BYTES", 64)
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data))
     with pipe_holding(data) as path:
-        assert load(path).effects.tobytes() == json_route(data).effects.tobytes()
+        assert load(path).rows.tobytes() == json_route(data).rows.tobytes()
     monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(data) - 1)
     with pipe_holding(data) as path, pytest.raises(SchemaError, match="above the limit"):
         load(path)
@@ -297,7 +300,7 @@ def test_loaded_effects_are_the_json_loads_route_bits(tmp_path, monkeypatch, kin
         path.write_bytes(variant)
         with monkeypatch.context() as patched:
             results = parses(patched)
-            assert load(path).effects.tobytes() == json_route(variant).effects.tobytes()
+            assert load(path).rows.tobytes() == json_route(variant).rows.tobytes()
         assert results[0] is not None
 
 
@@ -315,24 +318,24 @@ def test_row_caches_cleared_every_few_rows_give_the_same_bytes_and_bits(
     family = BUILDERS[kind](d)
     path = tmp_path / "family.json"
     save(family, path)
-    data, bits = path.read_bytes(), load(path).effects.tobytes()
-    rows = family.effects.reshape(-1, d)
+    data, bits = path.read_bytes(), load(path).rows.tobytes()
+    rows = effects_of(family).reshape(-1, d)
     assert len({row.tobytes() for row in rows}) > 3  # more distinct rows than the cache holds
     monkeypatch.setattr(serialize, "_ROW_CACHE_ROWS", 3)
     if chunk is not None:  # runs and blocks of about a row, so the caches clear between them
         monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk_bytes(data, chunk))
     assert encode(family) + b"\n" == data
     results = parses(monkeypatch)
-    assert load(path).effects.tobytes() == bits
+    assert load(path).rows.tobytes() == bits
     assert results[0] is not None
 
 
-# traced peaks over the bytes of the effects, at d=16: the build writes the
-# basis into the stack of its generators, which become the effects, and holds
-# besides their sums (measured 1.13 of a stack, mum and gsm); save holds the
-# recent rows' texts and a run of rows; load holds the stack and the parse's
-# buffers; a load from a pipe holds one copy of the text besides,
-# until the entity is validated
+# traced peaks over the bytes of the complex stack of the effects, at d=16:
+# the build holds the packed rows, half a stack, and one POVM or block of
+# generators (measured 0.69 mum, 1.01 gsm, where the stack took 1.13); save
+# holds the recent rows' texts and a run of rows; load holds the rows and
+# the parse's buffers; a load from a pipe holds one copy of the text
+# besides, until the entity is validated
 PEAK_FACTORS = {"build": 1.25, "save": 2.5, "load": 2.5, "load from a pipe": 3.5}
 
 
@@ -340,45 +343,46 @@ PEAK_FACTORS = {"build": 1.25, "save": 2.5, "load": 2.5, "load from a pipe": 3.5
 def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
     path = tmp_path / "family.json"
     peak, family = traced_peak(lambda: BUILDERS[kind](16))
-    stack = family.effects.nbytes
+    stack = stack_bytes(family)
     peaks = {"build": peak}
     peaks["save"], _ = traced_peak(lambda: save(family, path))
     peaks["load"], loaded = traced_peak(lambda: load(path))
-    assert loaded.effects.tobytes() == family.effects.tobytes()
+    assert loaded.rows.tobytes() == family.rows.tobytes()
     text = path.stat().st_size
     with pipe_fed(path.read_bytes()) as piped:
         peak, loaded = traced_peak(lambda: load(piped))
     peaks["load from a pipe"] = peak - text
-    assert loaded.effects.tobytes() == family.effects.tobytes()
+    assert loaded.rows.tobytes() == family.rows.tobytes()
     for step, factor in PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_evaluator_holds_one_stack_beside_the_family(kind):
-    """The evaluator reads the effects in place and keeps no stack of its own;
-    verifying the fresh family inside it holds one tile of the Gram matrix
-    and the tile's mask, freed before.  The construction peak measured 0.27
-    (mum) and 0.29 (gsm) of a stack."""
+    """The evaluator reads the rows in place and keeps no stack of its own;
+    verifying the fresh family inside it holds one tile of the Gram matrix,
+    one product beside it and the tile's mask, or one unpacked block, freed
+    before.  The construction peak measured 0.37 (mum) and 0.40 (gsm) of the
+    complex stack."""
     family = BUILDERS[kind](16)
     peak, evaluator = traced_peak(lambda: DirectEvaluator(family))
-    assert np.shares_memory(evaluator.observables, family.effects)
-    assert peak < 0.9 * family.effects.nbytes, peak / family.effects.nbytes
+    assert evaluator.rows is family.rows
+    assert peak < 0.9 * stack_bytes(family), peak / stack_bytes(family)
 
 
-# traced peaks over the bytes of the effects at d=24, where the whole Gram
-# matrix is more than half a stack: verification holds one tile of the Gram
-# matrix and its mask, a report one block of squares, and the encoder one run
-# of rows and the texts of the recent rows; measured 0.06-0.12, 0.06 and
-# 0.13-0.27 (blocks of 218 rows and every distinct row's text took 0.33-0.34
-# and 0.65-0.72)
+# traced peaks over the bytes of the complex stack at d=24, where the whole
+# Gram matrix is more than half a stack: verification holds one tile of the
+# Gram matrix and its mask, a report one block of matrices and of their
+# squares, and the encoder one unpacked run of rows and the texts of the
+# recent rows; measured 0.08, 0.09-0.10 and 0.12-0.25 (blocks of 218 rows
+# and every distinct row's text took 0.33-0.34 and 0.65-0.72)
 LARGE_PEAK_FACTORS = {"verify": 0.2, "report": 0.25, "encode": 0.4}
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
     family = BUILDERS[kind](24)
-    stack = family.effects.nbytes
+    stack = stack_bytes(family)
     peaks = {}
     peaks["verify"], report = traced_peak(lambda: verify(family))
     assert report.passed
@@ -386,37 +390,101 @@ def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
     rho = random_density(24, 24, 5)
     peaks["report"], _ = traced_peak(lambda: evaluator.report(rho))
     peaks["encode"], sizes = traced_peak(
-        lambda: [len(piece) for piece in serialize._matrix_pieces(family.effects)])
+        lambda: [len(piece) for piece in serialize._matrix_pieces(family)])
     # runs of rows, made one at a time, each at most about a block
     assert len(sizes) > 1 and max(sizes) <= serialize._CHUNK_BYTES
     for step, factor in LARGE_PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
 
 
-# traced peaks over the bytes of the effects at d=16, for families whose
-# numbers hardly repeat: the words, texts, tokens and rows each clear when
-# full, so the encoder holds a run of rows beside them and load the stack and
-# one block; measured 1.36-1.44 and 2.51-2.72 (14.6-15.5 and 15.0-15.8 with
-# words and tokens kept for every distinct number)
+# traced peaks over the bytes of the complex stack at d=24, the size of the
+# benchmark's large-dim files: a build holds the family's packed rows, half a
+# stack, and one POVM (mum) or block (gsm) of generators; load holds the rows,
+# one block of whole matrices and the parse's buffers; measured 0.60-0.61
+# and 0.72-0.73 (1.03-1.07 and 1.26-1.31 when the family was held as its
+# complex stack)
+PACKED_PEAK_FACTOR = 0.75
+
+
+@pytest.mark.parametrize("kind", ["mum", "gsm"])
+def test_large_family_build_and_load_peaks_stay_under_three_quarters_of_a_stack(tmp_path, kind):
+    peaks = {}
+    peaks["build"], family = traced_peak(lambda: BUILDERS[kind](24))
+    path = tmp_path / "family.json"
+    save(family, path)
+    peaks["load"], loaded = traced_peak(lambda: load(path))
+    assert loaded.rows.tobytes() == family.rows.tobytes()
+    stack = stack_bytes(family)
+    for step, peak in peaks.items():
+        assert peak < PACKED_PEAK_FACTOR * stack, (step, peak / stack)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_no_verb_unpacks_more_than_a_block_of_matrices(tmp_path, monkeypatch, capsys, d):
+    """Every layer reads a family's packed rows in place and forms its complex
+    matrices a block of ``BLOCK_BYTES`` at a time: ``unpack`` raises here if
+    asked for more.  A mum family of d=16 is 1.1 MiB of matrices."""
+    asked, unpack = [], linalg.unpack
+
+    def bounded(rows, dim, out=None):
+        nbytes = linalg.COMPLEX_BYTES * len(rows) * dim * dim
+        if nbytes > linalg.BLOCK_BYTES:
+            raise AssertionError(f"unpack asked for {len(rows)} matrices, {nbytes} bytes")
+        asked.append(len(rows))
+        return unpack(rows, dim, out)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bzinfo" or name.startswith("bzinfo."):
+            for key, value in list(vars(module).items()):
+                if value is unpack:
+                    monkeypatch.setattr(module, key, bounded)
+    state = tmp_path / "state.json"
+    assert main(["state", "gen", "--dim", str(d), "--seed", "3", "--out", str(state)]) == 0
+    for kind in ("mum", "gsm"):
+        path = tmp_path / f"{kind}.json"
+        for argv in (["gen", kind, "--dim", str(d), "--out", str(path)],
+                     ["verify", "--measurement", str(path)],
+                     ["bz", "--measurement", str(path), "--state", str(state)],
+                     ["sample", "--measurement", str(path), "--state", str(state), "--shots", "1000",
+                      "--estimate"],
+                     ["sweep", "--measurement", str(path), "--dim", str(d), "--states", "5"],
+                     ["sweep", "--kind", kind, "--dim", str(d), "--states", "5"]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert asked  # the encoder, verification and the squares unpack
+
+
+def test_no_source_names_the_removed_complex_stack():
+    for path in Path(bzinfo.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "real_rows" not in text and ".effects" not in text, path.name
+
+
+# traced peaks over the bytes of the complex stack at d=16, for families
+# whose numbers hardly repeat: the words, texts, tokens and rows each clear
+# when full, so the encoder holds a run of rows beside them and load the rows
+# and one block; measured 1.22-1.30 and 1.79-1.90 (1.36-1.44 and 2.51-2.72
+# when the family was held as its complex stack, 14.6-15.5 and 15.0-15.8
+# with words and tokens kept for every distinct number)
 DISTINCT_PEAK_FACTORS = {"encode": 1.5, "load": 3.0}
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
 def test_distinct_valued_family_peaks_do_not_grow_with_its_numbers(tmp_path, monkeypatch, kind):
     family = distinct_valued(kind, 16)
-    stack = family.effects.nbytes
+    stack = stack_bytes(family)
     path = tmp_path / "family.json"
     save(family, path)
     peaks = {}
     peaks["encode"], _ = traced_peak(
-        lambda: [len(piece) for piece in serialize._matrix_pieces(family.effects)])
+        lambda: [len(piece) for piece in serialize._matrix_pieces(family)])
     peaks["load"], loaded = traced_peak(lambda: load(path))
     for step, factor in DISTINCT_PEAK_FACTORS.items():
         assert peaks[step] < factor * stack, (step, peaks[step] / stack)
     results = parses(monkeypatch)
-    assert load(path).effects.tobytes() == loaded.effects.tobytes()
+    assert load(path).rows.tobytes() == loaded.rows.tobytes()
     assert results[0] is not None  # the direct parse read the file
-    assert loaded.effects.tobytes() == json_route(path.read_bytes()).effects.tobytes()
+    assert loaded.rows.tobytes() == json_route(path.read_bytes()).rows.tobytes()
 
 
 def test_encoding_a_state_holds_a_few_matrices_beside_its_text():
