@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, NumericalError, VerificationError
-from .linalg import BLOCK_BYTES, COMPLEX_BYTES, IMAG_TOL, VAR_FLOOR, pack, purities, unpack, weighted
+from .linalg import IMAG_TOL, VAR_FLOOR, _one_state, block_rows, pack, purities, unpack, weighted
 from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 
 PROB_TOL = 1e-10
@@ -215,14 +215,6 @@ def reconcile(kind: str, d: int, parameter, purity, c_direct, v_direct, negative
     )
 
 
-def _one_state(rho) -> np.ndarray:
-    """A (d, d) state as a batch of one; a DomainError naming its shape unless it is square."""
-    m = np.asarray(rho)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a (d, d) state, got shape {m.shape}")
-    return m[None]
-
-
 class DirectEvaluator:
     """Direct evaluation of one verified family on many states.
 
@@ -254,11 +246,11 @@ class DirectEvaluator:
 
         The states are checked finite, then Hermitian, each check raising at
         the first state that fails it, before any trace is taken.  Each block
-        of effects' rows, of at most ``BLOCK_BYTES`` of matrices (one effect
-        at least), writes its slice of the Born traces Tr(P rho_i); only if
-        ``squares`` does it unpack its matrices, square them by ``matmul``
-        and pack the squares, in reused buffers, and write their slice of
-        Tr(P^2 rho_i), else the last item is None.  A state is read as its
+        of effects' rows, of at most ``linalg.BLOCK_BYTES`` of matrices (one
+        effect at least), writes its slice of the Born traces Tr(P rho_i);
+        only if ``squares`` does it unpack its matrices, square them by
+        ``matmul`` and pack the squares, in reused buffers, and write their
+        slice of Tr(P^2 rho_i), else the last item is None.  A state is read as its
         Hermitian part, which is the state itself bit for bit if it is
         Hermitian; a trace has the same bits in any block.
         """
@@ -286,7 +278,7 @@ class DirectEvaluator:
         effects = self.rows
         traces = np.empty((len(m), len(effects)))
         moments = np.empty_like(traces) if squares else None
-        step = min(len(effects), max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d)))
+        step = min(len(effects), block_rows(d))
         if squares:
             matrices = np.empty((step, d, d), dtype=np.complex128)
             products, packed = np.empty_like(matrices), np.empty((step, d * d))

@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers: validation, packed rows and purities.
+"""Dense complex matrix helpers: validation, packed rows, eigenvalues and purities.
 
 Everything here targets small dimensions (d up to a few dozen), so plain
 dense double-precision algorithms are used throughout.
@@ -32,11 +32,22 @@ MAX_DENSE_BYTES = 2**30
 COMPLEX_BYTES = 16
 # bytes of one block of complex matrices, the most any layer unpacks at once:
 # ``hermitian`` checks and symmetrizes a stack, the parse packs what it reads,
-# ``verify`` eigensolves the effects and ``DirectEvaluator`` forms their
-# squares, a block at a time.  A block and the temporaries of ``hermitian``
-# on it are what a d=24 load holds beside the rows and the text; 2**18 took
-# that load to 0.77 of the complex stack, 2**17 to 0.72-0.73
+# ``smallest_eigenvalues`` eigensolves a build's generators or ``verify``'s
+# effects and ``DirectEvaluator`` forms their squares, a block at a time.  A
+# block and the temporaries of ``hermitian`` on it are what a d=24 load holds
+# beside the rows and the text; 2**18 took that load to 0.77 of the complex
+# stack, 2**17 to 0.72-0.73
 BLOCK_BYTES = 2**17
+
+
+def matrix_bytes(count: int, d: int) -> int:
+    """Bytes of ``count`` complex d x d matrices."""
+    return COMPLEX_BYTES * count * d * d
+
+
+def block_rows(d: int) -> int:
+    """Matrices in one block of ``BLOCK_BYTES``, one at least: the step of every blocked walk."""
+    return max(1, BLOCK_BYTES // matrix_bytes(1, d))
 
 
 def check_dense_bytes(nbytes: int, what: str) -> None:
@@ -81,7 +92,7 @@ def hermitian(m, overwrite: bool = False, first: int = 0) -> np.ndarray:
     d = a.shape[-1]
     result = a if overwrite and a.flags.c_contiguous else np.empty(a.shape, dtype=np.complex128)
     stack, out = a.reshape(-1, d, d), result.reshape(-1, d, d)
-    step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
+    step = block_rows(d)
     for start in range(0, len(stack), step):
         block = slice(start, start + step)
         adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
@@ -157,6 +168,21 @@ def unpack(rows, d: int, out: np.ndarray | None = None) -> np.ndarray:
     return m
 
 
+def smallest_eigenvalues(rows: np.ndarray, d: int) -> np.ndarray:
+    """Each packed row's smallest eigenvalue: ``eigvalsh`` of its matrix.
+
+    The rows are unpacked a block of ``BLOCK_BYTES`` at a time into one
+    reused buffer; an eigenvalue has the same bits in any block.
+    """
+    step = block_rows(d)
+    buffer = np.empty((min(step, len(rows)), d, d), dtype=np.complex128)
+    smallest = np.empty(len(rows))
+    for a in range(0, len(rows), step):
+        part = rows[a:a + step]
+        smallest[a:a + len(part)] = np.linalg.eigvalsh(unpack(part, d, out=buffer[:len(part)]))[:, 0]
+    return smallest
+
+
 def weighted(rows: np.ndarray) -> np.ndarray:
     """A copy of packed rows with the off-diagonal coordinates doubled, an exact scaling.
 
@@ -177,9 +203,18 @@ def purities(rows: np.ndarray) -> np.ndarray:
     return np.einsum("nx,nx->n", weighted(rows), rows)
 
 
+def _one_state(rho) -> np.ndarray:
+    """A (d, d) state as a batch of one; a DomainError naming its shape unless it is square."""
+    m = np.asarray(rho)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"expected a (d, d) state, got shape {m.shape}")
+    return m[None]
+
+
 def purity(rho) -> float:
     """Tr(rho^2), in [1/d, 1] for a valid state; the bits of ``purities``.
 
-    Defined for Hermitian rho: it reads the diagonal and the upper triangle.
+    Defined for a Hermitian (d, d) rho: it reads the diagonal and the upper
+    triangle.  Any other shape is a DomainError naming it.
     """
-    return float(purities(pack(np.asarray(rho)[None]))[0])
+    return float(purities(pack(_one_state(rho)))[0])

@@ -19,13 +19,15 @@ sharpness parameter t bounded by positivity of the effects:
 
 A family is held as its packed rows (``linalg.pack``): one row of d^2
 reals per effect, half the bytes of its complex (N, d, d) stack, which no
-layer forms whole.  Each builder forms its generators one POVM (mum) or one
-block of slots (gsm) at a time, writing the basis straight into the block;
-it eigensolves and packs each block once, then scales the rows by t and
-adds the identity weight to the diagonal coordinates.  The bound on t and
-the positivity check read those eigenvalues.  ``verify`` reads the rows in
-place: the overlaps are weighted dot products of them, and only the
-positivity check unpacks the effects, a block at a time.
+layer forms whole.  Each builder writes the Gell-Mann basis's packed rows
+straight into the family's rows (``basis.write_basis_rows``) and forms its
+generators there, a POVM at a time (mum) or once (gsm), in real arithmetic;
+``linalg.smallest_eigenvalues`` eigensolves them, unpacked a block at a
+time, for the bound on t and the positivity check, and the rows are then
+scaled by t and given the identity weight on the diagonal coordinates.
+``verify`` reads the rows in place: the overlaps are weighted dot products
+of them, and only the positivity check unpacks the effects, a block at a
+time.
 
 Rank-one families are available directly: quadratic-phase mutually
 unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
@@ -38,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import write_gell_mann
+from .basis import write_basis_rows
 from .errors import DomainError, NumericalError, PositivityError
-from .linalg import BLOCK_BYTES, COMPLEX_BYTES, _frozen, check_dense_bytes, pack, unpack
+from .linalg import _frozen, check_dense_bytes, matrix_bytes, pack, smallest_eigenvalues
 
 PSD_FLOOR = -1e-10
 DEGENERACY_EPS = 1e-12
@@ -156,7 +158,7 @@ def family_bytes(kind: str, d: int) -> int:
     basis, (d^2 - 1) d^2 entries.  A build holds neither, but counting them
     keeps the limits on d where they are.
     """
-    return COMPLEX_BYTES * (math.prod(layout(kind, d)) + d * d - 1) * d * d
+    return matrix_bytes(math.prod(layout(kind, d)) + d * d - 1, d)
 
 
 def _check_family_size(kind: str, d: int) -> None:
@@ -178,45 +180,6 @@ def _degenerate(kind: str, d: int, parameter: float) -> bool:
     return parameter <= (1.0 / d if kind in MUM_KINDS else 1.0 / d**3) + DEGENERACY_EPS
 
 
-def _generator_blocks(kind: str, d: int):
-    """The traceless generators of the dimension-d "mum" or "gsm" family, in order, as (k, d, d) blocks.
-
-    The Gell-Mann operators are written straight into each block: for mum,
-    one block per POVM b, operator b(d-1) + n into slot n, leaving the last
-    slot; for gsm, blocks of at most ``BLOCK_BYTES`` of the d^2 slots, the
-    first d^2 - 1 taking the operators.  The sums F^(b) (or F, accumulated
-    slot by slot beforehand) are read off, and each generator is formed in
-    its slot: F^(b) - (d + sqrt(d)) F_{n,b} and (1 + sqrt(d)) F^(b), or
-    F - d(d + 1) F_a and (d + 1) F.  Each block is a new array, which the
-    caller may keep or drop.
-    """
-    scale, last = (d + np.sqrt(d), 1.0 + np.sqrt(d)) if kind == "mum" else (d * (d + 1), d + 1)
-    operators = d * d - 1
-    if kind == "mum":
-        starts, step, heads = range(0, operators, d - 1), d, d - 1
-    else:
-        step = heads = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
-        starts = range(0, operators + 1, step)
-        # F, slot by slot in operator order: the bits of a sum over the slots' axis
-        total = np.zeros((d, d), dtype=np.complex128)
-        for start in starts:
-            block = np.zeros((step, d, d), dtype=np.complex128)
-            write_gell_mann(block, start)
-            for operator in block[:operators - start]:
-                total += operator
-    for start in starts:
-        block = np.zeros((min(step, operators + 1 - start), d, d), dtype=np.complex128)
-        head = block[:min(heads, operators - start)]
-        write_gell_mann(head, start)
-        if kind == "mum":
-            total = head.sum(axis=0)
-        head *= scale
-        np.subtract(total, head, out=head)
-        if len(head) < len(block):
-            np.multiply(last, total, out=block[-1])
-        yield block
-
-
 def max_t_mum(d: int) -> float:
     """Largest t with every dimension-d MUM effect positive semidefinite: ``build_mum(d).t``."""
     return build_mum(d).t
@@ -227,31 +190,40 @@ def max_t_gsm(d: int) -> float:
     return build_gsm(d).t
 
 
-def _build(kind: str, d: int, t, identity_weight: float, label_of) -> Family:
+def _build(kind: str, d: int, t, label_of) -> Family:
     """The family of effects I*identity_weight + t*F, one per generator F, POVM after POVM.
 
-    Each block of ``_generator_blocks`` is eigensolved and packed, then
-    dropped.  For t >= 0 an effect's smallest eigenvalue is
-    identity_weight + t*lam, lam its generator's, so the bound and the
-    check, naming the first bad effect by ``label_of``, read one eigensolve
-    of the generators.  The rows are then scaled by t and given the
-    identity weight on the diagonal and 0.0 elsewhere, the arithmetic of the
-    complex t*F + I*identity_weight, so -0.0 turns to 0.0 as it did there.
-    A t that leaves the parameter degenerate (t = 0 gives kappa = 1/d, a =
-    1/d^3), which every verb would refuse, is a DomainError.
+    The identity weight is 1/d (mum) or 1/d^2 (gsm).  The basis's packed
+    rows are written into each POVM's first slots, operator b(d - 1) + n
+    into slot n of POVM b (mum) or the first d^2 - 1 slots (gsm); the sum
+    F^(b) or F of a POVM's operators is read off, and each generator is
+    formed in its row: F^(b) - (d + sqrt(d)) F_{n,b} and (1 + sqrt(d)) F^(b),
+    or F - d(d + 1) F_a and (d + 1) F.  For t >= 0 an effect's smallest
+    eigenvalue is identity_weight + t*lam, lam its generator's, so the bound
+    and the check, naming the first bad effect by ``label_of``, read one
+    eigensolve of the generators.  The rows are then scaled by t and given
+    the identity weight on the diagonal and 0.0 elsewhere, the arithmetic of
+    the complex t*F + I*identity_weight, so -0.0 turns to 0.0 as it did
+    there.  A t that leaves the parameter degenerate (t = 0 gives kappa =
+    1/d, a = 1/d^3), which every verb would refuse, is a DomainError.
     """
     if d < 2:
         name = "MUMs" if kind == "mum" else "general SIC measurements"
         raise DomainError(f"{name} need dimension >= 2, got {d}")
     _check_family_size(kind, d)
-    n = math.prod(layout(kind, d))
-    rows, smallest = np.empty((n, d * d)), np.empty(n)
-    start = 0
-    for block in _generator_blocks(kind, d):
-        # I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F
-        smallest[start:start + len(block)] = np.linalg.eigvalsh(block)[:, 0]
-        pack(block, out=rows[start:start + len(block)])
-        start += len(block)
+    identity_weight = 1.0 / d if kind == "mum" else 1.0 / d**2
+    scale, last = (d + np.sqrt(d), 1.0 + np.sqrt(d)) if kind == "mum" else (d * (d + 1), d + 1)
+    povms, outcomes = layout(kind, d)
+    rows = np.zeros((povms * outcomes, d * d))
+    for b, povm in enumerate(rows.reshape(povms, outcomes, d * d)):
+        head = povm[:-1]
+        write_basis_rows(head, b * (outcomes - 1))
+        total = head.sum(axis=0)
+        head *= scale
+        np.subtract(total, head, out=head)
+        np.multiply(last, total, out=povm[-1])
+    # I*identity_weight + t*F is PSD iff identity_weight + t*lam >= 0 for each eigenvalue lam of F
+    smallest = smallest_eigenvalues(rows, d)
     lam = smallest.min()
     if not lam < 0.0:
         raise NumericalError("no generator bounds t; traceless nonzero operators must")
@@ -283,18 +255,17 @@ def build_mum(d: int, t="auto") -> Family:
 
     t = "auto" resolves to the positivity bound max_t_mum.  Effects are
     checked positive semidefinite, a violating (b, n) named on failure; the
-    bound and the check read one eigensolve of the generators, a POVM at a time.
+    bound and the check read one eigensolve of the generators.
     """
-    return _build("mum", d, t, 1.0 / d, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
+    return _build("mum", d, t, lambda i: f"(b={i // d + 1}, n={i % d + 1})")
 
 
 def build_gsm(d: int, t="auto") -> Family:
     """Build the complete general SIC measurement of d^2 effects at sharpness t.
 
-    As build_mum, with a violating alpha named; one eigensolve of the
-    generators, a block of slots at a time.
+    As build_mum, with a violating alpha named.
     """
-    return _build("gsm", d, t, 1.0 / d**2, lambda i: f"alpha={i + 1}")
+    return _build("gsm", d, t, lambda i: f"alpha={i + 1}")
 
 
 def _pairwise_overlaps(rows: np.ndarray, d: int):
@@ -374,7 +345,7 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         expected = gsm_a(d, family.t)
     # eigvalsh may call a matrix with a nan entry positive ([0, -0] for
     # [[nan, 0], [0, 1]]); the Gram diagonal, the effects' squared norms, is nan exactly then
-    lowest = np.nan if np.isnan(highs[0]) else _smallest_eigenvalue(rows, d)
+    lowest = np.nan if np.isnan(highs[0]) else float(smallest_eigenvalues(rows, d).min())
     deviations["positivity"] = 0.0 if lowest >= 0.0 else -lowest  # nan stays nan, and fails
     # each POVM's sum less I: |z| of an off-diagonal entry is the hypot of its parts
     sums = rows.reshape(*family.layout, d * d).sum(axis=1)
@@ -383,15 +354,6 @@ def _condition_deviations(family: Family) -> tuple[dict[str, float], bool]:
         worst(sums[:, :d], 1.0), np.hypot(sums[:, d:d + upper], sums[:, d + upper:]).max()))
     deviations["parameter"] = abs(param - expected)
     return deviations, _degenerate(family.kind, d, param)
-
-
-def _smallest_eigenvalue(rows: np.ndarray, d: int) -> float:
-    """The smallest eigenvalue of any effect, eigensolving the unpacked effects a block at a time."""
-    step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d))
-    lowest = np.inf
-    for a in range(0, len(rows), step):
-        lowest = np.minimum(lowest, np.linalg.eigvalsh(unpack(rows[a:a + step], d))[:, 0].min())
-    return float(lowest)
 
 
 def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -409,10 +371,11 @@ def verify(family: Family, tol: float = DEFAULT_TOL) -> VerificationReport:
     ``GRAM_TILE_ROWS`` rows and columns at a time (``_pairwise_overlaps``)
     and folded into running extrema; the traces and the POVM sums are read
     off the rows, and positivity eigensolves the effects unpacked a block
-    of ``BLOCK_BYTES`` at a time.  So the working set beside the rows is one
-    tile and its mask, or one block, whatever the family's size.  A family of more than one tile (more than
-    ``GRAM_TILE_ROWS`` effects) may differ from the whole product in the
-    last digits of its overlap deviations.
+    of ``linalg.BLOCK_BYTES`` at a time (``linalg.smallest_eigenvalues``).
+    So the working set beside the rows is one tile and its mask, or one
+    block, whatever the family's size.  A family of more than one tile
+    (more than ``GRAM_TILE_ROWS`` effects) may differ from the whole product
+    in the last digits of its overlap deviations.
 
     Each call computes the deviations anew and judges them at its ``tol``.
     Entries so large that the products overflow give deviations of inf or

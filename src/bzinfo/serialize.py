@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
-from .linalg import BLOCK_BYTES, COMPLEX_BYTES, _frozen, check_dense_bytes, hermitian, pack, unpack
+from .linalg import COMPLEX_BYTES, _frozen, block_rows, check_dense_bytes, hermitian, pack, unpack
 from .measurements import PARAMETER_NAMES, Family, family_bytes, layout
 from .sampler import MAX_SHOTS, CountTable
 from .states import TRACE_TOL, validate_state
@@ -445,8 +445,7 @@ class _Rows:
         self.row_format = (b"%s, %s], [" * shape[-1])[:-4]
         self.entry = struct.Struct(f"={2 * shape[-1] + 1}d").pack
         self.numbers = _Memo(_number, 8 * _ROW_CACHE_ROWS)
-        d = shape[-1]
-        self.step = max(1, BLOCK_BYTES // (COMPLEX_BYTES * d * d)) * d  # rows of a block
+        self.step = block_rows(shape[-1]) * shape[-1]  # rows of a block
 
     def _entry(self, piece: bytes) -> bytes:
         key = piece.lstrip(b"[")

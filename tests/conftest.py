@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, Family, hermitian
+from bzinfo import DomainError, Family, gell_mann_basis, hermitian
 from bzinfo.linalg import COMPLEX_BYTES, pack, unpack
-from bzinfo.measurements import _generator_blocks
 
 
 @pytest.fixture
@@ -49,8 +48,24 @@ def stack_bytes(family):
 
 
 def generator_stack(kind, d):
-    """The traceless generators of a built "mum" or "gsm" family, its blocks joined."""
-    return np.concatenate(list(_generator_blocks(kind, d)))
+    """The traceless generators of a "mum" or "gsm" family, formed independently of the builder.
+
+    From ``gell_mann_basis`` in complex arithmetic, by the formulas of the
+    ``measurements`` docstring: POVM b of a mum family takes F_{n,b} =
+    F_{b(d-1)+n}, with F^(b) their sum, and holds F^(b) - (d + sqrt(d)) F_{n,b}
+    for n < d - 1, then (1 + sqrt(d)) F^(b); a gsm family, with F the sum of
+    all d^2 - 1 operators, holds F - d(d + 1) F_a, then (d + 1) F.
+    """
+    ops = gell_mann_basis(d)
+    if kind == "mum":
+        groups, scale, last = ops.reshape(d + 1, d - 1, d, d), d + np.sqrt(d), 1.0 + np.sqrt(d)
+    else:
+        groups, scale, last = ops[None], d * (d + 1), d + 1
+    povms = []
+    for group in groups:
+        total = group.sum(axis=0)
+        povms += [total - scale * group, (last * total)[None]]
+    return np.concatenate(povms)
 
 
 def herm_eig(h):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bzinfo import DomainError, gell_mann_basis
-from bzinfo.basis import write_gell_mann
+from bzinfo.basis import write_basis_rows
+from bzinfo.linalg import pack, unpack, weighted
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,14 +50,22 @@ def test_gell_mann_rejects_small_dim():
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_write_gell_mann_fills_the_mum_slots_povm_by_povm(d):
+def test_write_basis_rows_fills_the_mum_slots_povm_by_povm(d):
     # operator b(d-1) + n lands in slot n of POVM b, and each POVM's last slot stays zero
-    stack = np.zeros((d + 1, d, d, d), dtype=complex)
-    for b, povm in enumerate(stack):
-        write_gell_mann(povm[:-1], b * (d - 1))
-    assert np.array_equal(stack[:, :-1].reshape(d * d - 1, d, d), gell_mann_basis(d))
-    assert not stack[:, -1].any()
+    rows = np.zeros((d + 1, d, d * d))
+    for b, povm in enumerate(rows):
+        write_basis_rows(povm[:-1], b * (d - 1))
+    assert np.array_equal(unpack(rows[:, :-1].reshape(d * d - 1, d * d), d), gell_mann_basis(d))
+    assert not rows[:, -1].any()
     # a run past the last operator leaves its slots as they are
-    tail = np.zeros((5, d, d), dtype=complex)
-    write_gell_mann(tail, d * d - 3)
-    assert np.array_equal(tail[:2], gell_mann_basis(d)[-2:]) and not tail[2:].any()
+    tail = np.zeros((5, d * d))
+    write_basis_rows(tail, d * d - 3)
+    assert np.array_equal(tail[:2], pack(gell_mann_basis(d)[-2:])) and not tail[2:].any()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_packed_basis_rows_are_orthonormal_in_the_weighted_product(d):
+    # Tr(F_a F_b) = delta_ab is the dot product of a row with a weighted row
+    rows = np.zeros((d * d - 1, d * d))
+    write_basis_rows(rows)
+    assert np.abs(weighted(rows) @ rows.T - np.eye(d * d - 1)).max() <= 1e-15

@@ -21,7 +21,7 @@ from bzinfo import (
 from bzinfo import cli, linalg, states
 from bzinfo.cli import SWEEP_HEADER, build_parser, main
 from bzinfo.invariants import DirectEvaluator
-from bzinfo.linalg import BLOCK_BYTES
+from bzinfo.linalg import block_rows
 from bzinfo.states import density_batches, rng_from_seed
 from conftest import degenerate_family, traced_peak
 
@@ -332,7 +332,7 @@ def test_sweep_check_in_the_middle_of_a_batch(tmp_path, capsys, monkeypatch, che
 def test_sweep_failing_in_a_later_batch_of_a_large_dimension(tmp_path, capsys, monkeypatch):
     family = build_mum(16)
     # a report reads the 272 effects' squares in 9 blocks of 32 matrices
-    assert -(-len(family.rows) // (BLOCK_BYTES // (16 * 16 * 16))) == 9
+    assert block_rows(16) == 32 and -(-len(family.rows) // block_rows(16)) == 9
     bad = 0.9 * np.eye(16, dtype=complex) / 16
     with pytest.raises(NumericalError) as info:
         DirectEvaluator(family).report(bad)
@@ -664,6 +664,18 @@ def test_oversized_dimension_exits_two_without_allocating(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "GiB" in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("gen", "mum", "--dim", "0"), "MUMs"),
+        (("gen", "gsm", "--dim", "0"), "general SIC measurements"),
+        (("sweep", "--dim", "0", "--states", "2"), "MUMs"),
+    ],
+)
+def test_dimension_zero_exits_two(capsys, argv, name):
+    assert run(capsys, *argv) == (2, "", f"error: {name} need dimension >= 2, got 0\n")
 
 
 def test_sweep_kind_with_a_measurement_file_exits_two(tmp_path, capsys, monkeypatch):

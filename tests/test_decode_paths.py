@@ -267,8 +267,8 @@ def test_a_defect_the_direct_parse_finds_is_raised_in_the_json_loads_route_order
     after the tail and the fields, and naming the matrix by its index in the
     whole stack.  Blocks of three matrices put matrices 12 and 13 in the fifth block."""
     d = 5
-    monkeypatch.setattr(serialize, "BLOCK_BYTES", 3 * 16 * d * d)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 3 * 16 * d * d)
+    assert serialize._Rows((d * d, d, d)).step == 3 * d  # rows of three matrices
     doc = json.loads(encode(BUILDERS[kind](d)))
     stack = doc["effects"] if kind == "gsm" else [m for povm in doc["effects"] for m in povm]
     stack[13][0][1][0] += 1e-6

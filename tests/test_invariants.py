@@ -22,7 +22,7 @@ from bzinfo import (
     verify,
 )
 
-from bzinfo import invariants, states
+from bzinfo import invariants, linalg, states
 from bzinfo.linalg import pack, unpack, weighted
 from bzinfo.measurements import MUM_KINDS
 from bzinfo.states import density_batches
@@ -180,6 +180,24 @@ def square_stack(evaluator):
         patched.setattr(invariants, "pack", recorded)
         evaluator._contract(state, squares=True)
     return np.concatenate(blocks)
+
+
+def recorded_blocks(patched):
+    """A list that records the length of each block of rows ``invariants`` unpacks."""
+    sizes = []
+
+    def recording(rows, d, out=None):
+        sizes.append(len(rows))
+        return unpack(rows, d, out)
+
+    patched.setattr(invariants, "unpack", recording)
+    return sizes
+
+
+def blocks_of(n, per_block):
+    """The lengths of the blocks of ``per_block`` effects (of all n, if None) that cover n effects."""
+    step = per_block or n
+    return [min(step, n - a) for a in range(0, n, step)]
 
 
 def test_report_variance_floor_and_clamp_count(monkeypatch):
@@ -540,11 +558,13 @@ def test_report_many_rows_do_not_depend_on_the_squares_block(monkeypatch, kind, 
     evaluator = DirectEvaluator(family)
     batch = np.concatenate([*density_batches(d, 1, 12, 5), *density_batches(d, d, 13, 5)])
     columns, probs = [], []
-    for per_block in (1, 3, None):  # one effect, three effects, the default block
+    for per_block in (1, 3, None):  # one effect, three effects, the default block (all of them)
         with monkeypatch.context() as patched:
             if per_block is not None:
-                patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
+                patched.setattr(linalg, "BLOCK_BYTES", per_block * 16 * d * d)
+            sizes = recorded_blocks(patched)
             reports = evaluator.report_many(batch)
+            assert sizes == blocks_of(len(family.rows), per_block)
             squares = square_stack(evaluator)
             probs.append([evaluator.probs(m).tobytes() for m in batch])
         assert squares.tobytes() == (effects_of(family) @ effects_of(family)).tobytes()
@@ -566,11 +586,13 @@ def test_squares_traces_sum_to_q_on_every_clamp_free_row(monkeypatch, kind, d, m
     q = (d + 1) * family.parameter if family.kind in MUM_KINDS else d * family.parameter
     bound = 2 * len(family.rows) * 2.0**-53 * max(1.0, q)
     batch = np.concatenate([*density_batches(d, 1, 18, 40), *density_batches(d, d, 19, 40)])
-    for per_block in (1, 3, None):  # one effect, three effects, the default block
+    for per_block in (1, 3, None):  # one effect, three effects, the default block (all of them)
         with monkeypatch.context() as patched:
             if per_block is not None:
-                patched.setattr(invariants, "BLOCK_BYTES", per_block * 16 * d * d)
+                patched.setattr(linalg, "BLOCK_BYTES", per_block * 16 * d * d)
+            sizes = recorded_blocks(patched)
             reports = evaluator.report_many(batch)
+            assert sizes == blocks_of(len(family.rows), per_block)
         free = np.asarray(reports.negatives_clamped) == 0
         assert free.sum() > len(batch) // 2
         errors = np.abs(reports.V_direct + reports.C_direct - q)[free]

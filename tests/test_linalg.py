@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from bzinfo import DomainError, hermitian, purity
+from bzinfo import DomainError, hermitian, linalg, purity
 from bzinfo.states import maximally_mixed, random_density, validate_state
 
 from conftest import expectation, herm_eig, random_hermitian
@@ -70,6 +72,12 @@ def test_purity_examples():
     assert purity(maximally_mixed(4)) == pytest.approx(0.25, abs=1e-14)
     assert purity(random_density(5, 1, 9)) == pytest.approx(1.0, abs=1e-12)
     assert purity(validate_state(np.diag([0.75, 0.25]))) == pytest.approx(5 / 8, abs=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+def test_purity_of_anything_but_one_square_state_is_a_domain_error(shape):
+    with pytest.raises(DomainError, match=rf"^expected a \(d, d\) state, got shape {re.escape(str(shape))}$"):
+        purity(np.ones(shape))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -144,3 +152,15 @@ def test_hermitian_takes_any_memory_layout(rng):
     bad[0, 0] = np.nan
     with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
         hermitian(bad)
+
+
+@pytest.mark.parametrize("per_block", [1, 3, None])
+def test_smallest_eigenvalues_are_each_rows_in_any_block(monkeypatch, rng, per_block):
+    d = 4
+    stack = np.stack([random_hermitian(d, rng) for _ in range(8)])
+    rows = linalg.pack(stack)
+    if per_block is not None:
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", per_block * 16 * d * d)
+    assert linalg.block_rows(d) == (per_block or 512)
+    expected = [np.linalg.eigvalsh(linalg.unpack(row[None], d))[0, 0] for row in rows]
+    assert linalg.smallest_eigenvalues(rows, d).tolist() == expected

@@ -264,28 +264,52 @@ def test_huge_finite_t_is_a_positivity_error_not_an_overflow(kind):
 @pytest.mark.parametrize("t", ["auto", 0.001])
 @pytest.mark.parametrize("kind", sorted(BUILD))
 def test_each_build_solves_and_forms_its_generators_once(monkeypatch, kind, t):
-    """Each generator is formed and eigensolved once, a POVM (mum) or a block
-    of at most ``BLOCK_BYTES`` of matrices (gsm) at a time; blocks of seven
-    give the default block's bits."""
+    """Each generator's basis row is written once, a POVM at a time (mum) or
+    all at once (gsm), and each generator is eigensolved once, a block of at
+    most ``linalg.BLOCK_BYTES`` of matrices at a time; blocks of seven give
+    the default block's bits."""
     reference = BUILD[kind](5, t)
-    monkeypatch.setattr(measurements, "BLOCK_BYTES", 7 * 16 * 5 * 5)
-    solved, formed = [], []
-    eigvalsh, blocks = np.linalg.eigvalsh, measurements._generator_blocks
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 7 * 16 * 5 * 5)
+    solved, written = [], []
+    eigvalsh, write = np.linalg.eigvalsh, measurements.write_basis_rows
 
     def solving(a):
         solved.append(len(a))
         return eigvalsh(a)
 
-    def forming(*args):
-        formed.append(args)
-        return blocks(*args)
+    def writing(out, first=0):
+        written.append((first, len(out)))
+        return write(out, first)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", solving)
-    monkeypatch.setattr(measurements, "_generator_blocks", forming)
+    monkeypatch.setattr(measurements, "write_basis_rows", writing)
     family = BUILD[kind](5, t)
-    assert formed == [(kind, 5)]
-    assert solved == ([5] * 6 if kind == "mum" else [7, 7, 7, 4])
+    assert written == ([(4 * b, 4) for b in range(6)] if kind == "mum" else [(0, 24)])
+    assert solved == ([7, 7, 7, 7, 2] if kind == "mum" else [7, 7, 7, 4])
     assert family.rows.tobytes() == reference.rows.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD))
+@pytest.mark.parametrize("d", range(2, 10))
+def test_rows_and_t_are_the_identity_weight_plus_t_times_the_reference_generators(kind, d):
+    """Bit for bit, the builder's t=auto is -w/lam for the smallest eigenvalue
+    lam of the generators formed in complex arithmetic from the basis, and
+    its rows at that t and at an explicit one are pack(I*w + t*G)."""
+    generators = generator_stack(kind, d)
+    weight = 1.0 / d if kind == "mum" else 1.0 / d**2
+    t_max = float(-weight / np.linalg.eigvalsh(generators)[:, 0].min())
+    for t, expected in (("auto", t_max), (0.5 * t_max, 0.5 * t_max)):
+        family = BUILD[kind](d, t)
+        assert family.t == expected
+        assert family.rows.tobytes() == pack(expected * generators + weight * np.eye(d)).tobytes()
+
+
+@pytest.mark.parametrize("call, name", [(build_mum, "MUMs"), (max_t_mum, "MUMs"),
+                                        (build_gsm, "general SIC measurements"),
+                                        (max_t_gsm, "general SIC measurements")])
+def test_dimension_zero_is_a_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} need dimension >= 2, got 0$"):
+        call(0)
 
 
 def decoded_both_routes(family) -> list:

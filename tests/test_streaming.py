@@ -331,8 +331,8 @@ def test_row_caches_cleared_every_few_rows_give_the_same_bytes_and_bits(
 
 
 # traced peaks over the bytes of the complex stack of the effects, at d=16:
-# the build holds the packed rows, half a stack, and one POVM or block of
-# generators (measured 0.69 mum, 1.01 gsm, where the stack took 1.13); save
+# the build holds the packed rows, half a stack, and one block of unpacked
+# generators (measured 0.78 mum and gsm, where the stack took 1.13); save
 # holds the recent rows' texts and a run of rows; load holds the rows and
 # the parse's buffers; a load from a pipe holds one copy of the text
 # besides, until the entity is validated
@@ -399,11 +399,12 @@ def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
 
 # traced peaks over the bytes of the complex stack at d=24, the size of the
 # benchmark's large-dim files: a build holds the family's packed rows, half a
-# stack, and one POVM (mum) or block (gsm) of generators; load holds the rows,
-# one block of whole matrices and the parse's buffers; measured 0.60-0.61
-# and 0.72-0.73 (1.03-1.07 and 1.26-1.31 when the family was held as its
-# complex stack)
-PACKED_PEAK_FACTOR = 0.75
+# stack, and one block of unpacked generators for their eigensolve; load
+# holds the rows, one block of whole matrices and the parse's buffers;
+# measured 0.56 and 0.72-0.73 (0.60-0.61 for a build that formed its
+# generators as complex blocks, 1.03-1.07 and 1.26-1.31 when the family was
+# held as its complex stack)
+PACKED_PEAK_FACTORS = {"build": 0.58, "load": 0.75}
 
 
 @pytest.mark.parametrize("kind", ["mum", "gsm"])
@@ -416,7 +417,7 @@ def test_large_family_build_and_load_peaks_stay_under_three_quarters_of_a_stack(
     assert loaded.rows.tobytes() == family.rows.tobytes()
     stack = stack_bytes(family)
     for step, peak in peaks.items():
-        assert peak < PACKED_PEAK_FACTOR * stack, (step, peak / stack)
+        assert peak < PACKED_PEAK_FACTORS[step] * stack, (step, peak / stack)
 
 
 @pytest.mark.parametrize("d", [8, 16])
