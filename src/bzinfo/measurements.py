@@ -18,10 +18,11 @@ sharpness parameter t bounded by positivity of the effects:
   a = 1/d^2 exactly in the rank-one (SIC-POVM) case.
 
 A family is held as its packed rows (``linalg.pack``): one row of d^2
-reals per effect, half the bytes of its complex (N, d, d) stack, which no
-layer forms whole.  Each builder writes the Gell-Mann basis's packed rows
-straight into the family's rows (``basis.write_basis_rows``) and forms its
-generators there, a POVM at a time (mum) or once (gsm), in real arithmetic;
+reals per effect, half the bytes of its complex (N, d, d) stack.  Every
+builder writes packed rows; only the ``json.loads`` route of ``load`` and
+``decode`` forms a family's stack whole.  ``build_mum`` and ``build_gsm``
+write the Gell-Mann basis's rows into the family's (``write_basis_rows``)
+and form their generators there, a POVM at a time (mum) or once (gsm);
 ``linalg.smallest_eigenvalues`` eigensolves them, unpacked a block at a
 time, for the bound on t and the positivity check, and the rows are then
 scaled by t and given the identity weight on the diagonal coordinates.
@@ -35,6 +36,7 @@ unbiased bases for prime dimensions, and the qubit tetrahedron SIC-POVM.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -404,6 +406,8 @@ def build_mub(d: int) -> Family:
     quadratic-phase bases whose vectors have components
     omega^(b k^2 + j k)/sqrt(d), omega = exp(2 pi i/d).  d = 2 uses the
     three Pauli eigenbases.  The result has kappa = 1 and rank-one effects.
+    Each basis is formed in turn and its d projectors packed straight into
+    their rows, so a build holds the rows and one basis's (d, d, d) stack.
     """
     if d < 2:
         raise DomainError(f"MUBs need dimension >= 2, got {d}")
@@ -412,18 +416,21 @@ def build_mub(d: int) -> Family:
     if factor != d:
         raise DomainError(f"dimension {d} is not prime (smallest factor {factor})")
 
-    # bases[b][:, j] is vector j of basis b
+    # column j of a basis is its vector j
     if d == 2:  # the Z, X and Y eigenbases
         s = 1 / np.sqrt(2)
         bases = np.array([[[1, 0], [0, 1]], [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]],
                          dtype=np.complex128)
     else:
-        b, k, j = np.ogrid[:d, :d, :d]
-        phases = np.exp(2j * np.pi * ((b * k * k + j * k) % d) / d) / np.sqrt(d)
-        bases = np.concatenate([np.eye(d, dtype=np.complex128)[None], phases])
-    effects = np.einsum("bik,bjk->bkij", bases, bases.conj()).reshape(-1, d, d)
+        k, j = np.ogrid[:d, :d]
+        phases = (np.exp(2j * np.pi * ((b * k * k + j * k) % d) / d) / np.sqrt(d)
+                  for b in range(d))
+        bases = itertools.chain([np.eye(d, dtype=np.complex128)], phases)
+    rows = np.empty((d + 1, d, d * d))
+    for basis, out in zip(bases, rows):  # C order, which pack reads without a copy
+        pack(np.einsum("ik,jk->kij", basis, basis.conj(), order="C"), out=out)
     t = 1.0 / (d + np.sqrt(d))
-    return Family(kind="mub", dim=d, t=t, parameter=1.0, rows=_frozen(pack(effects)))
+    return Family(kind="mub", dim=d, t=t, parameter=1.0, rows=_frozen(rows.reshape(-1, d * d)))
 
 
 def sic2_fixture() -> Family:
@@ -433,15 +440,8 @@ def sic2_fixture() -> Family:
     (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), each scaled by 1/sqrt(3);
     pairwise vector overlaps are 1/(d+1) = 1/3.
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    bloch = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64
-    ) / np.sqrt(3)
-    effects = np.stack(
-        [(eye + r[0] * sx + r[1] * sy + r[2] * sz) / 4.0 for r in bloch]
-    )
+    x, y, z = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]).T / np.sqrt(3)
+    # the packed row of [[1 + z, x - iy], [x + iy, 1 - z]] / 4
+    rows = np.stack([1 + z, 1 - z, x, -y], axis=1) / 4.0
     t = 1.0 / (6.0 * np.sqrt(6.0))
-    return Family(kind="sic", dim=2, t=t, parameter=0.25, rows=_frozen(pack(effects)))
+    return Family(kind="sic", dim=2, t=t, parameter=0.25, rows=_frozen(rows))

@@ -23,6 +23,9 @@ GEN = {
     ("mum", "--dim", "12"): "9b53ec1274b1dfe3182d8fec02bb2f3f2555b74e0cb352fbbb538b12a3b2d2d7",
     ("gsm", "--dim", "12"): "03318d7a803bb93a04e7a3df61d6375d833b6765f771bde14bf8ceb334eea182",
     ("mub", "--dim", "11"): "34107770537684d3ffd2448739af040313393eb34496d40876cf29d4175adffa",
+    # the explicit Pauli eigenbases of d=2, and a quadratic-phase build of 24 bases
+    ("mub", "--dim", "2"): "d07a06199ee7e98e46d681a0979456166f6b3af6f8d022cdee50d6ebca0fdd4e",
+    ("mub", "--dim", "23"): "b4707158679404240b96519622c4fd3f128937def1151fa0be19b24db83fe6f0",
     # the largest pinned builds
     ("mum", "--dim", "16"): "a4369eab31f9a479c227777cabb7828719681b113b193c68238d558930606eb6",
     ("gsm", "--dim", "16"): "d94c9cdea31492a11faee459a77a67bc850818771e394a64118d7432e1692102",

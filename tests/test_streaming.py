@@ -65,6 +65,15 @@ BUILDERS = {
     "sic": lambda d: sic2_fixture(),
     "distinct gsm": lambda d: distinct_valued("gsm", d),
 }
+# the prime dimension a mub family takes in place of the others' d=16 or d=24
+MUB_DIM = {16: 17, 24: 23}
+
+
+def sized(kind: str, d: int) -> Family:
+    """The built family of this kind at dimension d, or a mub at the prime ``MUB_DIM[d]``."""
+    return BUILDERS[kind](MUB_DIM[d] if kind == "mub" else d)
+
+
 ENCODED = [("mum", 2), ("mum", 3), ("mum", 12), ("gsm", 2), ("gsm", 3), ("gsm", 12),
            ("mub", 2), ("mub", 5), ("mub", 11), ("sic", 2)]
 CHUNKS = ["row", "few bytes"]
@@ -330,19 +339,20 @@ def test_row_caches_cleared_every_few_rows_give_the_same_bytes_and_bits(
     assert results[0] is not None
 
 
-# traced peaks over the bytes of the complex stack of the effects, at d=16:
-# the build holds the packed rows, half a stack, and one block of unpacked
-# generators (measured 0.78 mum and gsm, where the stack took 1.13); save
+# traced peaks over the bytes of the complex stack of the effects, at d=16
+# (mub d=17): the build holds the packed rows, half a stack, and one block of
+# unpacked generators or one basis's projectors (measured 0.78 mum and gsm,
+# where the stack took 1.13, and 0.57 mub, 2.12 when it formed the stack); save
 # holds the recent rows' texts and a run of rows; load holds the rows and
 # the parse's buffers; a load from a pipe holds one copy of the text
 # besides, until the entity is validated
 PEAK_FACTORS = {"build": 1.25, "save": 2.5, "load": 2.5, "load from a pipe": 3.5}
 
 
-@pytest.mark.parametrize("kind", ["mum", "gsm"])
+@pytest.mark.parametrize("kind", ["mum", "gsm", "mub"])
 def test_build_save_and_load_peaks_stay_within_a_few_stacks(tmp_path, kind):
     path = tmp_path / "family.json"
-    peak, family = traced_peak(lambda: BUILDERS[kind](16))
+    peak, family = traced_peak(lambda: sized(kind, 16))
     stack = stack_bytes(family)
     peaks = {"build": peak}
     peaks["save"], _ = traced_peak(lambda: save(family, path))
@@ -370,24 +380,25 @@ def test_evaluator_holds_one_stack_beside_the_family(kind):
     assert peak < 0.9 * stack_bytes(family), peak / stack_bytes(family)
 
 
-# traced peaks over the bytes of the complex stack at d=24, where the whole
-# Gram matrix is more than half a stack: verification holds one tile of the
-# Gram matrix and its mask, a report one block of matrices and of their
-# squares, and the encoder one unpacked run of rows and the texts of the
-# recent rows; measured 0.08, 0.09-0.10 and 0.12-0.25 (blocks of 218 rows
-# and every distinct row's text took 0.33-0.34 and 0.65-0.72)
+# traced peaks over the bytes of the complex stack at d=24 (mub d=23), where
+# the whole Gram matrix is more than half a stack: verification holds one
+# tile of the Gram matrix and its mask, a report one block of matrices and of
+# their squares, and the encoder one unpacked run of rows and the texts of
+# the recent rows; measured 0.08, 0.09-0.10 and 0.12-0.25 (mub 0.09, 0.11
+# and 0.27; blocks of 218 rows and every distinct row's text took 0.33-0.34
+# and 0.65-0.72)
 LARGE_PEAK_FACTORS = {"verify": 0.2, "report": 0.25, "encode": 0.4}
 
 
-@pytest.mark.parametrize("kind", ["mum", "gsm"])
+@pytest.mark.parametrize("kind", ["mum", "gsm", "mub"])
 def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
-    family = BUILDERS[kind](24)
+    family = sized(kind, 24)
     stack = stack_bytes(family)
     peaks = {}
     peaks["verify"], report = traced_peak(lambda: verify(family))
     assert report.passed
     evaluator = DirectEvaluator(family)
-    rho = random_density(24, 24, 5)
+    rho = random_density(family.dim, family.dim, 5)
     peaks["report"], _ = traced_peak(lambda: evaluator.report(rho))
     peaks["encode"], sizes = traced_peak(
         lambda: [len(piece) for piece in serialize._matrix_pieces(family)])
@@ -403,21 +414,26 @@ def test_large_family_verify_report_and_encode_peaks_stay_under_a_stack(kind):
 # holds the rows, one block of whole matrices and the parse's buffers;
 # measured 0.56 and 0.72-0.73 (0.60-0.61 for a build that formed its
 # generators as complex blocks, 1.03-1.07 and 1.26-1.31 when the family was
-# held as its complex stack)
+# held as its complex stack).  A mub build at d=23 holds the rows and one
+# basis's projectors, measured 0.55 (2.09 when it formed the whole stack);
+# load holds about 1.2 MiB beside the rows whatever the family, a larger share
+# of d=23's smaller stack: mub measured 0.75 (mum at d=23 0.77)
 PACKED_PEAK_FACTORS = {"build": 0.58, "load": 0.75}
+MUB_PACKED_PEAK_FACTORS = {"build": 0.58, "load": 0.8}
 
 
-@pytest.mark.parametrize("kind", ["mum", "gsm"])
+@pytest.mark.parametrize("kind", ["mum", "gsm", "mub"])
 def test_large_family_build_and_load_peaks_stay_under_three_quarters_of_a_stack(tmp_path, kind):
     peaks = {}
-    peaks["build"], family = traced_peak(lambda: BUILDERS[kind](24))
+    peaks["build"], family = traced_peak(lambda: sized(kind, 24))
     path = tmp_path / "family.json"
     save(family, path)
     peaks["load"], loaded = traced_peak(lambda: load(path))
     assert loaded.rows.tobytes() == family.rows.tobytes()
     stack = stack_bytes(family)
+    factors = MUB_PACKED_PEAK_FACTORS if kind == "mub" else PACKED_PEAK_FACTORS
     for step, peak in peaks.items():
-        assert peak < PACKED_PEAK_FACTORS[step] * stack, (step, peak / stack)
+        assert peak < factors[step] * stack, (step, peak / stack)
 
 
 @pytest.mark.parametrize("d", [8, 16])
