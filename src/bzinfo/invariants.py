@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, NumericalError, VerificationError
-from .linalg import IMAG_TOL, VAR_FLOOR, _one_state, block_rows, pack, purities, unpack, weighted
+from .linalg import IMAG_TOL, VAR_FLOOR, _hermitian_part, _one_state, block_rows, pack, purities, unpack, weighted
 from .measurements import DEFAULT_TOL, GSM_KINDS, MUM_KINDS, Family, verify
 
 PROB_TOL = 1e-10
@@ -263,16 +263,11 @@ class DirectEvaluator:
         # a state built by hand need not be finite, nor Hermitian
         _raise_first(np.logical_not(np.isfinite(m).all(axis=(1, 2))),
                      lambda j: NumericalError("state has non-finite entries"))
-        # the family being informationally complete, a traced probability has an
-        # imaginary part exactly when the state has a Hermitian defect
-        adjoint = np.conjugate(m.transpose(0, 2, 1), order="C")
-        with np.errstate(over="ignore"):  # entries near the float64 limit: a defect of inf
-            defect = np.abs(m - adjoint).max(axis=(1, 2))
-            _raise_first(np.logical_not(defect < IMAG_TOL),
-                         lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
-            # each state is read as (rho + rho^dag)/2, which is rho bit for bit if rho is Hermitian
-            hermitian_part = np.add(m, adjoint, out=adjoint)
-        hermitian_part /= 2.0
+        # each state is read as its Hermitian part; the family being informationally complete,
+        # a traced probability has an imaginary part exactly when the state has a defect
+        hermitian_part, defect = _hermitian_part(m)
+        _raise_first(np.logical_not(defect < IMAG_TOL),
+                     lambda j: NumericalError("outcome probability has a non-negligible imaginary part"))
         rows = pack(hermitian_part)
         scaled = weighted(rows)
         effects = self.rows

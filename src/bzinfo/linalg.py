@@ -75,6 +75,19 @@ def _as_square_stack(m) -> np.ndarray:
     return a
 
 
+def _hermitian_part(stack: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix H of a (k, d, d) complex stack: (H^dag + H)/2, in ``out`` or its adjoint, and max|H - H^dag|.
+
+    The part of a Hermitian H is H.  Past the float64 limit a defect or a part is inf, with no warning.
+    """
+    adjoint = np.conjugate(stack.swapaxes(-1, -2), order="C")
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(stack - adjoint).max(axis=(1, 2))
+        part = np.add(adjoint, stack, out=adjoint if out is None else out)
+        part /= 2.0
+    return part, defect
+
+
 def hermitian(m, overwrite: bool = False, first: int = 0) -> np.ndarray:
     """Validate and symmetrize a Hermitian matrix or a (..., d, d) stack of them.
 
@@ -86,7 +99,7 @@ def hermitian(m, overwrite: bool = False, first: int = 0) -> np.ndarray:
     a larger one.  The stack is taken a block of matrices
     at a time, so the temporaries stay small; with ``overwrite`` a
     C-contiguous complex input is symmetrized in place, and on a raise its
-    matrices before the defective one are already overwritten.
+    matrices up to the end of the defective one's block are already overwritten.
     """
     a = _as_square_stack(m)
     d = a.shape[-1]
@@ -95,20 +108,12 @@ def hermitian(m, overwrite: bool = False, first: int = 0) -> np.ndarray:
     step = block_rows(d)
     for start in range(0, len(stack), step):
         block = slice(start, start + step)
-        adjoint = np.conjugate(stack[block].swapaxes(-1, -2), order="C")
-        # entries near the float64 limit overflow: a defect of inf raises, a sum of inf below
-        with np.errstate(over="ignore", invalid="ignore"):
-            per_matrix = np.abs(stack[block] - adjoint).reshape(len(adjoint), -1).max(axis=1)
-            bad = np.flatnonzero(per_matrix >= TOL_HERM)
-            if bad.size:
-                i = first + start + int(bad[0])
-                where = "matrix" if a.ndim == 2 else f"matrix {i} of the stack"
-                raise DomainError(
-                    f"{where} is not Hermitian (defect {per_matrix[bad[0]]:.3e} >= {TOL_HERM:.0e})"
-                )
-            np.add(adjoint, stack[block], out=out[block])
-            out[block] /= 2.0
-        if not np.isfinite(out[block]).all():
+        part, defect = _hermitian_part(stack[block], out[block])
+        bad = np.flatnonzero(defect >= TOL_HERM)
+        if bad.size:
+            where = "matrix" if a.ndim == 2 else f"matrix {first + start + int(bad[0])} of the stack"
+            raise DomainError(f"{where} is not Hermitian (defect {defect[bad[0]]:.3e} >= {TOL_HERM:.0e})")
+        if not np.isfinite(part).all():
             raise DomainError("matrix entries too large to symmetrize")
     return result
 

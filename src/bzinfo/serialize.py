@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import BzinfoError, DomainError, SchemaError
 from .invariants import REPORT_KINDS, BzReport, reconcile
-from .linalg import COMPLEX_BYTES, _frozen, block_rows, check_dense_bytes, hermitian, pack, unpack
-from .measurements import PARAMETER_NAMES, Family, family_bytes, layout
+from .linalg import COMPLEX_BYTES, _frozen, block_rows, hermitian, pack, unpack
+from .measurements import PARAMETER_NAMES, Family, _check_family_size, layout
 from .sampler import MAX_SHOTS, CountTable
 from .states import TRACE_TOL, validate_state
 
@@ -385,7 +385,7 @@ def _parse_canonical_measurement(read, size: int) -> dict | None:
     if not (valid and 10 * math.prod(shape := _effects_shape(kind, d)) <= size):
         return None
     try:
-        check_dense_bytes(family_bytes(kind, d), f"a {kind} family of dimension {d}")
+        _check_family_size(kind, d)
     except DomainError as exc:
         raise SchemaError(str(exc)) from exc
     blocks = _blocks(read, size + 1 - len(text))

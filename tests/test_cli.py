@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,18 @@ def test_gen_then_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--measurement", str(path))
     assert code == 0
     assert "pass" in out
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, capsys, monkeypatch):
+    # each bzinfo line of README's CLI block, in order, in one directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("bzinfo ")]
+    assert {argv[1] for argv in examples} == {"gen", "state", "verify", "bz", "sample", "sweep"}
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
 
 
 def test_verify_json_output(tmp_path, capsys):
@@ -674,10 +687,13 @@ def test_oversized_dimension_exits_two_without_allocating(capsys, argv):
         (("gen", "mum", "--dim", "0"), "MUMs"),
         (("gen", "gsm", "--dim", "0"), "general SIC measurements"),
         (("sweep", "--dim", "0", "--states", "2"), "MUMs"),
+        (("gen", "mub", "--dim", "0"), "MUBs"),
+        (("gen", "mub", "--dim", "1"), "MUBs"),
     ],
 )
 def test_dimension_zero_exits_two(capsys, argv, name):
-    assert run(capsys, *argv) == (2, "", f"error: {name} need dimension >= 2, got 0\n")
+    dim = argv[argv.index("--dim") + 1]
+    assert run(capsys, *argv) == (2, "", f"error: {name} need dimension >= 2, got {dim}\n")
 
 
 def test_sweep_kind_with_a_measurement_file_exits_two(tmp_path, capsys, monkeypatch):

@@ -89,6 +89,28 @@ def born(effects, m):
     return np.einsum("kij,ji->k", effects, np.asarray(m, dtype=np.complex128)).real
 
 
+@pytest.mark.parametrize("make", [lambda: build_mum(3, "auto"), lambda: build_gsm(3, "auto"),
+                                  lambda: build_mub(5)], ids=["mum3", "gsm3", "mub5"])
+def test_a_defect_inside_the_tolerance_reads_the_hermitian_part_bit_for_bit(make):
+    # 1e-11 is below IMAG_TOL, so the state passes, and above linalg's TOL_HERM
+    evaluator = DirectEvaluator(make())
+    d = evaluator.dim
+    batch = np.concatenate(list(density_batches(d, d, 5, 4)))
+    defect = np.zeros((d, d), dtype=complex)
+    defect[0, 1], defect[1, 0] = 1 + 1j, -1 + 1j  # K^dag = -K
+    near = batch + 1e-11 * defect
+    part = (near + near.conj().swapaxes(1, 2)) / 2
+    assert np.abs(near - near.conj().swapaxes(1, 2)).max() > linalg.TOL_HERM
+
+    def bits(report):
+        return [np.asarray(value).tobytes() for value in dataclasses.astuple(report)]
+
+    for m, h in zip(near, part):
+        assert evaluator.probs(unchecked_state(m)).tobytes() == evaluator.probs(h).tobytes()
+        assert bits(evaluator.report(unchecked_state(m))) == bits(evaluator.report(h))
+    assert bits(evaluator.report_many(near)) == bits(evaluator.report_many(part))
+
+
 def test_probs_check_imaginary_part():
     evaluator = DirectEvaluator(build_mub(2))
     state = unchecked_state(np.eye(2) / 2 + 1e-6j * np.eye(2))

@@ -30,6 +30,11 @@ def test_maximally_mixed_values():
     assert purity(maximally_mixed(4)) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_maximally_mixed_refuses_dimension_zero():
+    with pytest.raises(DomainError, match="^dimension must be >= 1, got 0$"):
+        maximally_mixed(0)
+
+
 def test_rank_one_is_pure():
     assert purity(random_density(3, 1, 123)) == pytest.approx(1.0, abs=1e-12)
 
@@ -67,6 +72,11 @@ def test_encode_refuses_an_array_that_is_no_state(shape):
                                           rf"{re.escape(str(shape))}$"):
         encode(np.full(shape, 0.5, dtype=complex))
     assert decode(encode(np.eye(1, dtype=complex))).shape == (1, 1)
+
+
+def test_encode_refuses_an_object_of_no_schema():
+    with pytest.raises(SchemaError, match="^cannot encode object of type object$"):
+        encode(object())
 
 
 def test_encode_refuses_a_state_whose_trace_is_not_one(capsys):
